@@ -46,6 +46,7 @@ from .signal import (
     matrix_rank,
     random_symbols,
     report_to_csv,
+    verify_receivers,
 )
 from .search import (
     BestEntry,

@@ -21,13 +21,11 @@ from .dof import config_sum_dof, per_user_dof, render_rational
 from .patterns import GroupingConfig, grouped_length, grouped_pattern, pattern_table
 from .search import SearchSpace, optimize, sweep, sweep_to_csv, verify_sweep
 from .signal import (
-    alignment_report,
-    assemble_received,
     build_streams,
-    decode,
     draw_channels,
     random_symbols,
     report_to_csv,
+    verify_receivers,
 )
 
 __all__ = ["RunConfig", "main", "entry"]
@@ -148,21 +146,17 @@ def cmd_verify(rc: RunConfig) -> int:
     pattern = grouped_pattern(config)
     placement = build_streams(pattern)
     channels = draw_channels(config, rc.coherence, rc.seed)
-    report = alignment_report(placement, pattern, channels)
+    symbols = random_symbols(placement, rc.seed + 1)
+    report, _, result = verify_receivers(
+        placement, pattern, channels, symbols, rc.noise, rc.seed + 2
+    )
     for r in report.receivers:
-        iui_pred = sum(x.predicted for x in r.interferers if x.kind == "IUI")
-        igi_pred = sum(x.predicted for x in r.interferers if x.kind == "IGI")
         print(
             f"u{r.label[0]}.{r.label[1]}: desired {r.desired_measured}/{r.desired_predicted}"
-            f" iui {r.iui_measured}/{iui_pred} igi {r.igi_measured}/{igi_pred}"
+            f" iui {r.iui_measured}/{r.iui_predicted} igi {r.igi_measured}/{r.igi_predicted}"
             f" joint {r.joint_measured}/{r.joint_predicted}"
             f" {'ok' if r.match else 'MISMATCH'}"
         )
-    symbols = random_symbols(placement, rc.seed + 1)
-    received = assemble_received(
-        placement, pattern, channels, symbols, rc.noise, rc.seed + 2
-    )
-    result = decode(placement, pattern, channels, received)
     max_err = 0.0
     for user_syms, user_dec in zip(symbols, result.users):
         truth = np.concatenate(user_syms)
@@ -204,6 +198,8 @@ def cmd_sweep(rc: RunConfig) -> int:
         raise ValueError("modes are required")
     if rc.lmin is None or rc.lmax is None:
         raise ValueError("sweep requires --lmin and --lmax")
+    if rc.lmin > rc.lmax or rc.lstep < 1:
+        raise ValueError("sweep needs --lmin <= --lmax and --lstep >= 1")
     space = SearchSpace(
         tuple(int(m) for m in rc.modes),
         allow_reduction=not rc.no_reduction,

@@ -15,7 +15,6 @@ a whole supersymbol fits inside one block.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +39,7 @@ __all__ = [
     "assemble_received",
     "alignment_report",
     "decode",
+    "verify_receivers",
     "matrix_rank",
     "random_symbols",
     "report_to_csv",
@@ -91,36 +91,25 @@ class StreamPlacement:
 
     users: tuple[UserStreams, ...]
 
-    def total_streams(self) -> int:
-        return sum(len(u.streams) for u in self.users)
 
+def _flat_stream_slots(family, counts, k: int) -> dict[tuple, list[int]]:
+    """Slots of user k's streams in a flat ``family`` of mode sequences.
 
-def _flat_stream_slots(mode_counts, user: int) -> dict[tuple, list[int]]:
-    """Slot occupancy of one user's streams in the flat construction.
-
-    Streams are indexed by the frozen digits of the other users: a stream
-    repeats wherever those digits recur, which is M_user - 1 slots of the
-    interleaving block plus one slot of the user's own hold segment.  Keys
-    are the other users' digit tuples, in ascending user order.
+    Streams are keyed by the other users' modes: slot t joins the stream
+    keyed by their modes at t unless one holds its final mode (another
+    user's hold segment).  A stream thus repeats over M_k - 1 slots of the
+    interleaving block and one slot of user k's own hold segment.
     """
-    counts = tuple(int(m) for m in mode_counts)
-    K = len(counts)
+    others = counts[:k] + counts[k + 1:]
     slots: dict[tuple, list[int]] = {}
-    t = 0
-    for digits in itertools.product(*(range(1, m) for m in counts)):
-        t += 1
-        key = digits[:user] + digits[user + 1:]
-        slots.setdefault(key, []).append(t)
-    for j in range(K):
-        others = [q for q in range(K) if q != j]
-        for digits in itertools.product(*(range(1, counts[q]) for q in others)):
-            t += 1
-            if j == user:
-                slots.setdefault(digits, []).append(t)
+    for t, modes in enumerate(zip(*family), 1):
+        key = modes[:k] + modes[k + 1:]
+        if all(m < c for m, c in zip(key, others)):
+            slots.setdefault(key, []).append(t)
     return slots
 
 
-def build_streams(pattern: PresetPattern, config: GroupingConfig | None = None) -> StreamPlacement:
+def build_streams(pattern: PresetPattern) -> StreamPlacement:
     """Place every user's streams on the supersymbol.
 
     Two-level streams are products of an element-level stream (digits of
@@ -129,16 +118,15 @@ def build_streams(pattern: PresetPattern, config: GroupingConfig | None = None) 
     its group-level slots.  Each stream carries one M'-dimensional symbol
     vector and sees every own physical mode exactly once.
     """
-    if config is None:
-        config = pattern.config
+    config = pattern.config
     l1 = pattern.element_length
+    per_group = config.users_per_group
+    m1_family = [u.element_seq for u in pattern.users[:per_group]]
+    m2_family = [u.group_seq for u in pattern.users[::per_group]]
     users = []
     for u in pattern.users:
-        m1_slots = _flat_stream_slots(config.element_counts, u.position - 1)
-        if config.num_groups == 1:
-            m2_slots: dict[tuple, list[int]] = {(): [1]}
-        else:
-            m2_slots = _flat_stream_slots(config.group_mode_counts, u.group - 1)
+        m1_slots = _flat_stream_slots(m1_family, config.element_counts, u.position - 1)
+        m2_slots = _flat_stream_slots(m2_family, config.group_mode_counts, u.group - 1)
         streams = []
         for b_key in sorted(m2_slots):
             for a_key in sorted(m1_slots):
@@ -148,14 +136,7 @@ def build_streams(pattern: PresetPattern, config: GroupingConfig | None = None) 
                     for s1 in m1_slots[a_key]
                 )
                 streams.append(Stream(dim=u.used, slots=tuple(occupied)))
-        users.append(
-            UserStreams(
-                label=(u.position, u.group),
-                orig_index=u.orig_index,
-                dim=u.used,
-                streams=tuple(streams),
-            )
-        )
+        users.append(UserStreams((u.position, u.group), u.orig_index, u.used, tuple(streams)))
     return StreamPlacement(users=tuple(users))
 
 
@@ -271,16 +252,15 @@ def effective_matrix(
     stream occupies that slot, and zeros otherwise.  Ranks of these blocks
     are what alignment predictions speak about.
     """
-    L = pattern.length
-    tx_streams = placement.users[tx].streams
-    dim = placement.users[tx].dim
-    rx_modes = pattern.users[rx].physical_seq()
-    out = np.zeros((L, len(tx_streams) * dim), dtype=complex)
-    for s, stream in enumerate(tx_streams):
-        cols = slice(s * dim, (s + 1) * dim)
-        for t in stream.slots:
-            out[t - 1, cols] = channels.row(rx, tx, t, rx_modes[t - 1])
-    return out
+    streams, dim = placement.users[tx].streams, placement.users[tx].dim
+    slots = np.array([t - 1 for s in streams for t in s.slots], dtype=np.intp)
+    owner = np.repeat(np.arange(len(streams)), [len(s.slots) for s in streams])
+    modes = np.array(pattern.users[rx].physical_seq(), dtype=np.intp)
+    out = np.zeros((len(modes), len(streams), dim), dtype=complex)
+    out[slots, owner] = channels.gains[(rx, tx)][
+        slots // channels.coherence_length, modes[slots] - 1
+    ]
+    return out.reshape(len(modes), -1)
 
 
 @dataclass(frozen=True)
@@ -305,48 +285,8 @@ def random_symbols(placement: StreamPlacement, seed: int = 0) -> list[list[np.nd
     return out
 
 
-def assemble_received(
-    placement: StreamPlacement,
-    pattern: PresetPattern,
-    channels: ChannelSet,
-    symbols: list[list[np.ndarray]],
-    noise_scale: float = 0.0,
-    noise_seed: int | None = None,
-) -> list[ReceivedBlock]:
-    """Superpose every transmitter's contribution at every receiver.
-
-    ``symbols[tx][s]`` is stream s's symbol vector.  Noise, when requested,
-    is CN(0, 1) scaled by ``noise_scale`` (use 1/sqrt(SNR)).
-    """
-    K = len(placement.users)
-    L = pattern.length
-    for u, user_syms in zip(placement.users, symbols):
-        if len(user_syms) != len(u.streams):
-            raise ValueError("one symbol vector per stream is required")
-        for vec, stream in zip(user_syms, u.streams):
-            if np.shape(vec) != (stream.dim,):
-                raise ValueError("symbol vector dimension must match the stream")
-    rng = np.random.default_rng(noise_seed) if noise_scale > 0.0 else None
-    out = []
-    for rx in range(K):
-        y = np.zeros(L, dtype=complex)
-        for tx in range(K):
-            stacked = np.concatenate(symbols[tx])
-            y += effective_matrix(placement, pattern, channels, rx, tx) @ stacked
-        noise = None
-        if rng is not None:
-            noise = noise_scale * (
-                rng.standard_normal(L) + 1j * rng.standard_normal(L)
-            ) / np.sqrt(2.0)
-            y = y + noise
-        out.append(
-            ReceivedBlock(label=placement.users[rx].label, samples=y, noise=noise)
-        )
-    return out
-
-
 # ======================================================================
-# Alignment reports
+# Reports and decode results
 # ======================================================================
 
 @dataclass(frozen=True)
@@ -368,13 +308,13 @@ class ReceiverReport:
     joint_measured: int
     joint_predicted: int
 
-    @property
-    def iui_measured(self) -> int:
-        return sum(r.measured for r in self.interferers if r.kind == "IUI")
+    def _total(self, kind: str, attr: str) -> int:
+        return sum(getattr(r, attr) for r in self.interferers if r.kind == kind)
 
-    @property
-    def igi_measured(self) -> int:
-        return sum(r.measured for r in self.interferers if r.kind == "IGI")
+    iui_measured = property(lambda self: self._total("IUI", "measured"))
+    iui_predicted = property(lambda self: self._total("IUI", "predicted"))
+    igi_measured = property(lambda self: self._total("IGI", "measured"))
+    igi_predicted = property(lambda self: self._total("IGI", "predicted"))
 
     @property
     def match(self) -> bool:
@@ -394,81 +334,6 @@ class AlignmentReport:
     def all_match(self) -> bool:
         return all(r.match for r in self.receivers)
 
-
-def alignment_report(
-    placement: StreamPlacement,
-    pattern: PresetPattern,
-    channels: ChannelSet,
-) -> AlignmentReport:
-    """Measure effective-matrix ranks at every receiver against predictions.
-
-    Per receiver: rank of the desired block, rank of each interferer's
-    block, rank of all interference blocks stacked, and the joint rank of
-    [desired | interference].  Predictions assume one fading block per
-    supersymbol; shorter coherence shows up as measured > predicted.
-    """
-    preds = rank_predictions(pattern.config)
-    K = len(placement.users)
-    reports = []
-    for rx in range(K):
-        pred = preds[rx]
-        desired = effective_matrix(placement, pattern, channels, rx, rx)
-        interferers = []
-        blocks = []
-        for tx in range(K):
-            if tx == rx:
-                continue
-            block = effective_matrix(placement, pattern, channels, rx, tx)
-            blocks.append(block)
-            lab = placement.users[tx].label
-            interferers.append(
-                InterfererRank(
-                    label=lab,
-                    kind=pred.kinds[lab],
-                    measured=matrix_rank(block),
-                    predicted=pred.per_interferer[lab],
-                )
-            )
-        combined = (
-            np.hstack(blocks) if blocks else np.zeros((pattern.length, 0), complex)
-        )
-        joint = np.hstack([desired, combined])
-        reports.append(
-            ReceiverReport(
-                label=placement.users[rx].label,
-                desired_measured=matrix_rank(desired),
-                desired_predicted=pred.desired,
-                interferers=tuple(interferers),
-                combined_measured=matrix_rank(combined),
-                combined_predicted=pred.iui_total + pred.igi_total,
-                joint_measured=matrix_rank(joint),
-                joint_predicted=pred.length,
-            )
-        )
-    return AlignmentReport(receivers=tuple(reports))
-
-
-def report_to_csv(report: AlignmentReport) -> str:
-    """Flat CSV: receiver, measured/predicted rank quadruple, match flag."""
-    lines = [
-        ALIGNMENT_CSV_HEADER,
-        "receiver,desired_meas,desired_pred,iui_meas,iui_pred,"
-        "igi_meas,igi_pred,joint_meas,joint_pred,match",
-    ]
-    for r in report.receivers:
-        iui_pred = sum(x.predicted for x in r.interferers if x.kind == "IUI")
-        igi_pred = sum(x.predicted for x in r.interferers if x.kind == "IGI")
-        lines.append(
-            f"u{r.label[0]}.{r.label[1]},{r.desired_measured},{r.desired_predicted},"
-            f"{r.iui_measured},{iui_pred},{r.igi_measured},{igi_pred},"
-            f"{r.joint_measured},{r.joint_predicted},{str(r.match).lower()}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-# ======================================================================
-# Decoding
-# ======================================================================
 
 @dataclass(frozen=True)
 class UserDecode:
@@ -495,6 +360,163 @@ class DecodeResult:
         return all(u.recoverable for u in self.users)
 
 
+# ======================================================================
+# One linear-algebra pass per receiver
+# ======================================================================
+
+def _svd(matrix: np.ndarray, compute_uv: bool = False):
+    """(rank, rows, u, s, vh): a thin SVD of the nonzero ``rows`` only.
+
+    Zero rows change no singular value and the cutoff keeps the full shape,
+    so ``rank`` is matrix_rank's.  u and vh are None without ``compute_uv``.
+    """
+    rows = matrix.any(axis=1).nonzero()[0]
+    if compute_uv:
+        u, s, vh = np.linalg.svd(matrix[rows], full_matrices=False)
+    else:
+        u, s, vh = None, np.linalg.svd(matrix[rows], compute_uv=False), None
+    rank = np.count_nonzero(s > max(matrix.shape) * s[0] * RANK_RTOL) if s.size else 0
+    return rank, rows, u, s, vh
+
+
+def _sources(placement: StreamPlacement, symbols, noise_scale: float, noise_seed):
+    """Validated inputs: one stacked symbol vector per transmitter, noise RNG."""
+    if not noise_scale >= 0.0:  # also rejects NaN
+        raise ValueError("noise scale must be >= 0")
+    for u, user_syms in zip(placement.users, symbols):
+        if len(user_syms) != len(u.streams):
+            raise ValueError("one symbol vector per stream is required")
+        for vec, stream in zip(user_syms, u.streams):
+            if np.shape(vec) != (stream.dim,):
+                raise ValueError("symbol vector dimension must match the stream")
+    rng = np.random.default_rng(noise_seed) if noise_scale > 0.0 else None
+    return [np.concatenate(user_syms) for user_syms in symbols], noise_scale, rng
+
+
+def _receiver_pass(placement, pattern, channels, rx, pred=None, sources=None, samples=None):
+    """Build receiver rx's K effective matrices once and derive what is asked.
+
+    Returns (rank report if ``pred``, samples if ``sources``, decode of
+    ``samples`` or of the samples just built), None where not asked.  One
+    SVD of the stacked interference I gives the combined rank and nulling
+    basis; one SVD of the desired block D with that span projected out
+    gives the joint rank, rank I + rank(P⊥D), and the least-squares decode.
+    """
+    user = placement.users[rx]
+    blocks = [
+        effective_matrix(placement, pattern, channels, rx, tx)
+        for tx in range(len(placement.users))
+    ]
+    block = report = user_decode = None
+    if sources is not None:
+        stacked, noise_scale, rng = sources
+        samples = sum(b @ x for b, x in zip(blocks, stacked))
+        noise = None
+        if rng is not None:
+            L = len(samples)
+            noise = noise_scale * (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / 2**0.5
+            samples = samples + noise
+        block = ReceivedBlock(label=user.label, samples=samples, noise=noise)
+    if pred is None and samples is None:
+        return report, block, user_decode
+    desired = blocks[rx]
+    desired_rank, _, _, s_desired, _ = _svd(desired)
+    interference = np.hstack([desired[:, :0]] + [b for b in blocks if b is not desired])
+    combined, rows, basis, _, _ = _svd(interference, compute_uv=True)
+    basis = basis[:, :combined]
+    projected = desired.copy()
+    projected[rows] -= basis @ (basis.conj().T @ projected[rows])
+    _, kept, u_mat, s, vh = _svd(projected, compute_uv=samples is not None)
+    # rank against D's scale: columns the nulling swallowed only look tiny next to it
+    surviving = np.count_nonzero(s > max(projected.shape) * s_desired[0] * RANK_RTOL)
+    if pred is not None:
+        report = ReceiverReport(
+            label=user.label,
+            desired_measured=desired_rank,
+            desired_predicted=pred.desired,
+            interferers=tuple(
+                InterfererRank(
+                    u.label, pred.kinds[u.label], _svd(b)[0], pred.per_interferer[u.label]
+                )
+                for b, u in zip(blocks, placement.users)
+                if u is not user
+            ),
+            combined_measured=combined,
+            combined_predicted=pred.iui_total + pred.igi_total,
+            joint_measured=combined + surviving,
+            joint_predicted=pred.length,
+        )
+    if samples is not None:
+        samples = samples.copy()
+        samples[rows] -= basis @ (basis.conj().T @ samples[rows])
+        u_mat, s, vh = u_mat[:, :surviving], s[:surviving], vh[:surviving]
+        solution = vh.conj().T @ ((u_mat.conj().T @ samples[kept]) / s)
+        deficiency = desired.shape[1] - surviving
+        user_decode = UserDecode(
+            label=user.label,
+            estimates=np.split(solution, len(user.streams)),
+            recoverable=deficiency == 0,
+            deficiency=deficiency,
+        )
+    return report, block, user_decode
+
+
+def assemble_received(
+    placement: StreamPlacement,
+    pattern: PresetPattern,
+    channels: ChannelSet,
+    symbols: list[list[np.ndarray]],
+    noise_scale: float = 0.0,
+    noise_seed: int | None = None,
+) -> list[ReceivedBlock]:
+    """Superpose every transmitter's contribution at every receiver.
+
+    ``symbols[tx][s]`` is stream s's symbol vector.  Noise, when requested,
+    is CN(0, 1) scaled by ``noise_scale`` (use 1/sqrt(SNR)), drawn receiver
+    by receiver from one generator seeded with ``noise_seed``.
+    """
+    sources = _sources(placement, symbols, noise_scale, noise_seed)
+    return [
+        _receiver_pass(placement, pattern, channels, rx, sources=sources)[1]
+        for rx in range(len(placement.users))
+    ]
+
+
+def alignment_report(
+    placement: StreamPlacement,
+    pattern: PresetPattern,
+    channels: ChannelSet,
+) -> AlignmentReport:
+    """Measure effective-matrix ranks at every receiver against predictions.
+
+    Per receiver: rank of the desired block, rank of each interferer's
+    block, rank of all interference blocks stacked, and the joint rank of
+    [desired | interference].  Predictions assume one fading block per
+    supersymbol; shorter coherence shows up as measured > predicted.
+    """
+    preds = rank_predictions(pattern.config)
+    return AlignmentReport(receivers=tuple(
+        _receiver_pass(placement, pattern, channels, rx, pred=pred)[0]
+        for rx, pred in enumerate(preds)
+    ))
+
+
+def report_to_csv(report: AlignmentReport) -> str:
+    """Flat CSV: receiver, measured/predicted rank quadruple, match flag."""
+    lines = [
+        ALIGNMENT_CSV_HEADER,
+        "receiver,desired_meas,desired_pred,iui_meas,iui_pred,"
+        "igi_meas,igi_pred,joint_meas,joint_pred,match",
+    ]
+    for r in report.receivers:
+        lines.append(
+            f"u{r.label[0]}.{r.label[1]},{r.desired_measured},{r.desired_predicted},"
+            f"{r.iui_measured},{r.iui_predicted},{r.igi_measured},{r.igi_predicted},"
+            f"{r.joint_measured},{r.joint_predicted},{str(r.match).lower()}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def decode(
     placement: StreamPlacement,
     pattern: PresetPattern,
@@ -503,53 +525,30 @@ def decode(
 ) -> DecodeResult:
     """Null interference at each receiver, then least-squares the rest.
 
-    Projects the received supersymbol onto the orthogonal complement of the
-    stacked interference columns and solves for the desired symbol vectors.
-    Exact up to numerical precision whenever the joint rank condition holds
-    and the samples are noiseless.
+    Projects the samples and the desired block onto the orthogonal
+    complement of the stacked interference and solves through the SVD of
+    the projected block.  Exact up to numerical precision whenever the
+    joint rank condition holds and the samples are noiseless.
     """
-    K = len(placement.users)
-    out = []
-    for rx in range(K):
-        original = effective_matrix(placement, pattern, channels, rx, rx)
-        blocks = [
-            effective_matrix(placement, pattern, channels, rx, tx)
-            for tx in range(K)
-            if tx != rx
-        ]
-        desired = original
-        y = received[rx].samples
-        if blocks:
-            interference = np.hstack(blocks)
-            u_mat, s, _ = np.linalg.svd(interference, full_matrices=False)
-            if s.size and s[0] > 0.0:
-                keep = s > max(interference.shape) * s[0] * RANK_RTOL
-                basis = u_mat[:, keep]
-                desired = original - basis @ (basis.conj().T @ original)
-                y = y - basis @ (basis.conj().T @ y)
-        solution = np.linalg.lstsq(desired, y, rcond=None)[0]
-        dim = placement.users[rx].dim
-        estimates = [
-            solution[s * dim:(s + 1) * dim]
-            for s in range(len(placement.users[rx].streams))
-        ]
-        # desired columns swallowed by the nulling only look tiny relative
-        # to the unprojected channel scale, so rank against that scale
-        ref = np.linalg.svd(original, compute_uv=False)
-        ref_max = float(ref[0]) if ref.size else 0.0
-        if ref_max == 0.0:
-            surviving = 0
-        else:
-            s_proj = np.linalg.svd(desired, compute_uv=False)
-            cutoff = max(desired.shape) * ref_max * RANK_RTOL
-            surviving = int(np.sum(s_proj > cutoff))
-        deficiency = desired.shape[1] - surviving
-        out.append(
-            UserDecode(
-                label=placement.users[rx].label,
-                estimates=estimates,
-                recoverable=deficiency == 0,
-                deficiency=deficiency,
-            )
-        )
-    return DecodeResult(users=tuple(out))
+    return DecodeResult(users=tuple(
+        _receiver_pass(placement, pattern, channels, rx, samples=block.samples)[2]
+        for rx, block in enumerate(received)
+    ))
+
+
+def verify_receivers(
+    placement: StreamPlacement,
+    pattern: PresetPattern,
+    channels: ChannelSet,
+    symbols: list[list[np.ndarray]],
+    noise_scale: float = 0.0,
+    noise_seed: int | None = None,
+) -> tuple[AlignmentReport, list[ReceivedBlock], DecodeResult]:
+    """alignment_report, assemble_received and decode in one pass per receiver."""
+    sources = _sources(placement, symbols, noise_scale, noise_seed)
+    preds = rank_predictions(pattern.config)
+    reports, received, users = zip(*(
+        _receiver_pass(placement, pattern, channels, rx, pred=pred, sources=sources)
+        for rx, pred in enumerate(preds)
+    ))
+    return AlignmentReport(receivers=reports), list(received), DecodeResult(users=users)

@@ -36,6 +36,22 @@ class TestExitCodes:
         assert main(["sweep", "--modes", "6,6,4,4", "--lmin", "2", "--lmax", "4"]) == 4
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["-1", "nan"])
+    def test_negative_or_nan_noise_is_2(self, noise, capsys):
+        for extra in ([], ["--coherence", "5"]):
+            argv = ["verify", "--modes", "6,6,4,4", "--flat", "--noise", noise, *extra]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "invalid config" in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("lmin,lmax,lstep", [("20", "10", "1"), ("10", "20", "0"),
+                                                 ("10", "20", "-1")])
+    def test_bad_sweep_range_is_2(self, lmin, lmax, lstep, capsys):
+        assert main(["sweep", "--modes", "6,6,4,4", "--lmin", lmin, "--lmax", lmax,
+                     "--lstep", lstep]) == 2
+        assert "invalid config" in capsys.readouterr().err
+
     def test_auto_grouping_infeasible_budget_is_4(self, capsys):
         assert main(["dof", "--modes", "6,6,4,4", "--groups", "auto",
                      "--budget", "3"]) == 4

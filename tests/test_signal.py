@@ -286,6 +286,51 @@ class TestAlignmentReport:
         assert len(lines) == 6
 
 
+class TestFullMatrixReference:
+    """Ranks and deficiencies against matrix_rank on the full stacked matrices.
+
+    The library never forms the combined or joint matrix: it takes one SVD
+    of the stacked interference on its nonzero rows and gets the joint rank
+    as rank I + rank(P⊥D).  These checks form both matrices directly.
+    """
+
+    def check(self, cfg, coherence, seed):
+        pattern = grouped_pattern(cfg)
+        placement = build_streams(pattern)
+        ch = draw_channels(cfg, coherence, seed)
+        report = alignment_report(placement, pattern, ch)
+        symbols = random_symbols(placement, seed + 1)
+        received = assemble_received(placement, pattern, ch, symbols)
+        result = decode(placement, pattern, ch, received)
+        K = len(placement.users)
+        for rx in range(K):
+            desired = effective_matrix(placement, pattern, ch, rx, rx)
+            interference = [
+                effective_matrix(placement, pattern, ch, rx, tx)
+                for tx in range(K) if tx != rx
+            ]
+            r = report.receivers[rx]
+            if interference:
+                assert r.combined_measured == matrix_rank(np.hstack(interference))
+            else:
+                assert r.combined_measured == 0
+            assert r.joint_measured == matrix_rank(np.hstack([desired, *interference]))
+            surviving = r.joint_measured - r.combined_measured
+            assert result.users[rx].deficiency == desired.shape[1] - surviving
+        return report, result
+
+    @pytest.mark.parametrize("cfg", small_configs(), ids=str)
+    def test_ideal_fading(self, cfg):
+        for seed in (1, 2):
+            report, result = self.check(cfg, None, seed)
+            assert report.all_match and result.all_recoverable
+
+    def test_example_under_short_coherence(self, example_config):
+        for seed in range(5):
+            report, result = self.check(example_config, 5, seed)
+            assert not report.all_match and not result.all_recoverable
+
+
 class TestDecode:
     @pytest.mark.parametrize("cfg", small_configs(), ids=str)
     def test_noiseless_round_trip(self, cfg):
