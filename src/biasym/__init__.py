@@ -8,7 +8,6 @@ supersymbol length budget.
 
 from .patterns import (
     GroupingConfig,
-    ModeSpec,
     PresetPattern,
     UserPattern,
     base_pattern,

@@ -10,6 +10,7 @@ dispatches, and renders.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from .signal import (
     build_streams,
     draw_channels,
     random_symbols,
+    receiver_memory_bytes,
     report_to_csv,
     verify_receivers,
 )
@@ -39,6 +41,7 @@ EXIT_MISMATCH = 3
 EXIT_INFEASIBLE = 4
 
 DECODE_RTOL = 1e-9
+VERIFY_MEMORY_LIMIT = 2 * 1024**3  # bytes one receiver's verify pass may need
 
 
 class InfeasibleError(Exception):
@@ -143,12 +146,20 @@ def cmd_pattern(rc: RunConfig) -> int:
 
 def cmd_verify(rc: RunConfig) -> int:
     config = _resolve_config(rc)
+    needed = receiver_memory_bytes(config)
+    if needed > VERIFY_MEMORY_LIMIT:
+        raise ValueError(
+            f"verify needs about {needed / 2**30:.3g} GiB per receiver, "
+            f"above the {VERIFY_MEMORY_LIMIT / 2**30:.3g} GiB limit"
+        )
     pattern = grouped_pattern(config)
     placement = build_streams(pattern)
     channels = draw_channels(config, rc.coherence, rc.seed)
-    symbols = random_symbols(placement, rc.seed + 1)
+    # own streams for symbols and noise: seed + 1 would replay the next seed's channels
+    symbol_seed, noise_seed = np.random.SeedSequence(rc.seed).spawn(2)
+    symbols = random_symbols(placement, symbol_seed)
     report, _, result = verify_receivers(
-        placement, pattern, channels, symbols, rc.noise, rc.seed + 2
+        placement, pattern, channels, symbols, rc.noise, noise_seed
     )
     for r in report.receivers:
         print(
@@ -225,6 +236,7 @@ def cmd_sweep(rc: RunConfig) -> int:
 # Argument handling
 # ======================================================================
 
+@functools.cache  # parse_args leaves the parser unchanged: build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biasym",

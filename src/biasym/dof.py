@@ -117,37 +117,33 @@ def rank_predictions(config: GroupingConfig) -> list[ReceiverPrediction]:
 def sum_dof_flat(mode_counts) -> Fraction:
     """Sum DoF of the flat construction over the given mode counts.
 
-    Equals (sum of M_k / (M_k - 1)) / (1 + sum of 1 / (M_k - 1)).
+    Equals (sum of M_k / (M_k - 1)) / (1 + sum of 1 / (M_k - 1)), computed
+    in integers scaled by P = prod(M_k - 1): desired dimensions over slots.
     """
     counts = tuple(int(m) for m in mode_counts)
     if any(m < 2 for m in counts):
         raise ValueError("every mode count must be >= 2")
-    num = sum(Fraction(m, m - 1) for m in counts)
-    den = 1 + sum(Fraction(1, m - 1) for m in counts)
-    return num / den
+    block = prod(m - 1 for m in counts)
+    shares = [block // (m - 1) for m in counts]
+    return Fraction(sum(m * s for m, s in zip(counts, shares)), block + sum(shares))
 
 
 def sum_dof_grouped(element_counts, group_mode_counts) -> Fraction:
     """Sum DoF of the two-level construction.
 
-    Computed directly from the two-level stream and slot counts; the result
-    factors into the product of the flat sum DoF of the element counts and
-    of the group counts.  A single group (group count list (1,)) has no
-    group level and contributes a factor of 1.
+    The product of the flat sum DoF of the element counts and of the group
+    counts.  A single group (group count list (1,)) has no group level and
+    contributes a factor of 1.
     """
     elem = tuple(int(m) for m in element_counts)
     grp = tuple(int(m) for m in group_mode_counts)
     if any(m < 2 for m in elem):
         raise ValueError("every element mode count must be >= 2")
-    elem_num = sum(Fraction(m, m - 1) for m in elem)
-    elem_den = 1 + sum(Fraction(1, m - 1) for m in elem)
     if grp == (1,):
-        return elem_num / elem_den
+        return sum_dof_flat(elem)
     if any(m < 2 for m in grp):
         raise ValueError("group mode counts must be >= 2 when grouping")
-    grp_num = sum(Fraction(m, m - 1) for m in grp)
-    grp_den = 1 + sum(Fraction(1, m - 1) for m in grp)
-    return (elem_num * grp_num) / (elem_den * grp_den)
+    return sum_dof_flat(elem) * sum_dof_flat(grp)
 
 
 def config_sum_dof(config: GroupingConfig) -> Fraction:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from math import prod
 
 __all__ = [
-    "ModeSpec",
     "GroupingConfig",
     "UserPattern",
     "PresetPattern",
@@ -37,31 +36,8 @@ PATTERN_TABLE_HEADER = "# biasym pattern table v1"
 
 
 # ======================================================================
-# Mode bookkeeping
+# Grouping configurations
 # ======================================================================
-
-@dataclass(frozen=True)
-class ModeSpec:
-    """Preset mode counts equipped at each user's transmit-receive pair.
-
-    ``modes[k]`` is the number of reconfigurable-antenna preset modes user k
-    can switch among.  Single-antenna transmitters with one RF chain are
-    assumed throughout, so the mode count is the only per-user parameter.
-    """
-
-    modes: tuple[int, ...]
-
-    def __init__(self, modes) -> None:
-        object.__setattr__(self, "modes", tuple(int(m) for m in modes))
-        if len(self.modes) < 1:
-            raise ValueError("mode list must be nonempty")
-        if any(m < 2 for m in self.modes):
-            raise ValueError("every preset mode count must be >= 2")
-
-    @property
-    def num_users(self) -> int:
-        return len(self.modes)
-
 
 @dataclass(frozen=True)
 class GroupingConfig:
@@ -323,7 +299,12 @@ class UserPattern:
         return (m2 - 1) * self.element_modes + m1
 
     def physical_seq(self) -> tuple[int, ...]:
-        return tuple(self.physical(t) for t in range(1, self.length + 1))
+        """physical(t) for every slot, in composite_seq order."""
+        return tuple(
+            (m2 - 1) * self.element_modes + m1
+            for m2 in self.group_seq
+            for m1 in self.element_seq
+        )
 
     def composite_seq(self) -> tuple[tuple[int, int], ...]:
         return sequence_cartesian_product(self.element_seq, self.group_seq)

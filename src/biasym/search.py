@@ -11,9 +11,10 @@ that relabelings of interchangeable users or groups never appear twice.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .dof import config_sum_dof
 from .patterns import GroupingConfig, grouped_length, grouped_pattern
@@ -119,6 +120,15 @@ def _group_count_options(space: SearchSpace) -> list[int]:
     return options
 
 
+def _groupable(used) -> bool:
+    """Whether two or more groups can carry these used counts at all.
+
+    Every user's used count must factor as element count times group mode
+    count, both >= 2, so each must be a composite number >= 4.
+    """
+    return all(any(u % d == 0 for d in range(2, isqrt(u) + 1)) for u in used)
+
+
 def enumerate_configs(space: SearchSpace):
     """Yield every valid config once, in canonical form.
 
@@ -127,17 +137,18 @@ def enumerate_configs(space: SearchSpace):
     allowed, all user partitions, and all group mode counts compatible with
     the cross-group alignment condition.  ``require_grouping`` does not
     filter here; it only affects which configs the grouped strategy of
-    :func:`optimize` may pick.
+    :func:`optimize` may pick.  Flat configs are unique per used-mode
+    assignment; only grouped ones need deduplicating.
     """
     seen: set[str] = set()
     group_counts = _group_count_options(space)
     for used in _used_assignments(space.equipped, space.allow_reduction):
+        groupable = _groupable(used)
         for kg in group_counts:
             if kg == 1:
-                cfg = GroupingConfig.flat(space.equipped, used)
-                if cfg.canonical_string() not in seen:
-                    seen.add(cfg.canonical_string())
-                    yield cfg
+                yield GroupingConfig.flat(space.equipped, used)
+                continue
+            if not groupable:
                 continue
             ke = len(space.equipped) // kg
             for raw_parts in _partitions(list(range(len(space.equipped))), ke):
@@ -152,7 +163,7 @@ def enumerate_configs(space: SearchSpace):
                     )
                 )
                 lead = [used[j] for j in groups[0]]
-                lead_gcd = gcd(*lead) if len(lead) > 1 else lead[0]
+                lead_gcd = gcd(*lead)
                 for div in range(2, lead_gcd + 1):
                     if lead_gcd % div != 0:
                         continue
@@ -160,25 +171,19 @@ def enumerate_configs(space: SearchSpace):
                     if any(e < 2 for e in elem):
                         continue
                     counts = [div]
-                    ok = True
                     for g in groups[1:]:
                         mg = used[g[0]] // elem[0]
-                        if mg < 2 or used[g[0]] != elem[0] * mg:
-                            ok = False
-                            break
-                        if any(used[j] != e * mg for j, e in zip(g, elem)):
-                            ok = False
+                        if mg < 2 or any(used[j] != e * mg for j, e in zip(g, elem)):
                             break
                         counts.append(mg)
-                    if not ok:
-                        continue
-                    cfg = GroupingConfig(
-                        space.equipped, used, tuple(groups), tuple(counts)
-                    )
-                    key = cfg.canonical_string()
-                    if key not in seen:
-                        seen.add(key)
-                        yield cfg
+                    else:
+                        cfg = GroupingConfig(
+                            space.equipped, used, tuple(groups), tuple(counts)
+                        )
+                        key = cfg.canonical_string()
+                        if key not in seen:
+                            seen.add(key)
+                            yield cfg
 
 
 # ======================================================================
@@ -200,19 +205,41 @@ class OptimizeResult:
     grouped: BestEntry | None
 
 
-def _best(entries) -> BestEntry | None:
-    best = None
-    best_key = None
-    for entry in entries:
-        key = (
-            -entry.dof,
-            entry.length,
-            entry.config.num_groups,
-            entry.config.canonical_string(),
-        )
-        if best_key is None or key < best_key:
-            best, best_key = entry, key
-    return best
+def _frontier(space: SearchSpace, budgets) -> list[tuple[BestEntry | None, BestEntry | None]]:
+    """(conventional, grouped) best entries at each budget, None = no cap.
+
+    Enumerates once, skipping configs longer than every budget, and sorts
+    the rest by length.  A running best per strategy under the key
+    (-dof, length, num_groups, canonical string) then answers each budget
+    with one bisection.  Canonical strings are unique, so the minimum does
+    not depend on enumeration order.
+    """
+    cap = None if None in budgets else max(budgets, default=0)
+    entries = []
+    for cfg in enumerate_configs(space):
+        length = grouped_length(cfg)
+        if cap is None or length <= cap:
+            entries.append(BestEntry(cfg, config_sum_dof(cfg), length))
+    entries.sort(key=lambda e: e.length)
+    conventional, grouped = [None], [None]
+    conv_key = grp_key = None
+    for e in entries:
+        key = (-e.dof, e.length, e.config.num_groups, e.config.canonical_string())
+        conv, grp = conventional[-1], grouped[-1]
+        if e.config.num_groups == 1 and (conv_key is None or key < conv_key):
+            conv, conv_key = e, key
+        if (e.config.num_groups >= 2 or not space.require_grouping) and (
+            grp_key is None or key < grp_key
+        ):
+            grp, grp_key = e, key
+        conventional.append(conv)
+        grouped.append(grp)
+    lengths = [e.length for e in entries]
+    out = []
+    for budget in budgets:
+        i = len(entries) if budget is None else bisect_right(lengths, budget)
+        out.append((conventional[i], grouped[i]))
+    return out
 
 
 def optimize(space: SearchSpace) -> OptimizeResult:
@@ -224,17 +251,7 @@ def optimize(space: SearchSpace) -> OptimizeResult:
     supersymbols, then fewer groups, then the lexicographically smallest
     canonical string, making the result independent of enumeration order.
     """
-    entries = []
-    for cfg in enumerate_configs(space):
-        length = grouped_length(cfg)
-        if space.length_budget is not None and length > space.length_budget:
-            continue
-        entries.append(BestEntry(cfg, config_sum_dof(cfg), length))
-    conventional = _best(e for e in entries if e.config.num_groups == 1)
-    if space.require_grouping:
-        grouped = _best(e for e in entries if e.config.num_groups >= 2)
-    else:
-        grouped = _best(entries)
+    [(conventional, grouped)] = _frontier(space, [space.length_budget])
     return OptimizeResult(conventional=conventional, grouped=grouped)
 
 
@@ -256,51 +273,31 @@ class SweepResult:
 
     def strict_rows(self) -> list[int]:
         """Budgets where the grouped strategy strictly beats conventional."""
-        out = []
-        for row in self.rows:
-            if row.grouped is None:
-                continue
-            if row.conventional is None or row.grouped.dof > row.conventional.dof:
-                out.append(row.length_budget)
-        return out
+        return [
+            row.length_budget
+            for row in self.rows
+            if row.grouped is not None
+            and (row.conventional is None or row.grouped.dof > row.conventional.dof)
+        ]
 
     def strict_band(self) -> tuple[int, int] | None:
         strict = self.strict_rows()
-        if not strict:
-            return None
-        return (min(strict), max(strict))
+        return (min(strict), max(strict)) if strict else None
 
 
 def sweep(space: SearchSpace, length_budgets) -> SweepResult:
-    """Run :func:`optimize` at every budget, reusing one enumeration pass.
+    """Best config per strategy at every budget, from one enumeration pass.
 
-    Sanity-enforces that each strategy's best DoF is nondecreasing in the
-    budget (a larger budget can only widen the feasible set).
+    Each row equals :func:`optimize` at that budget; each strategy's best
+    DoF is nondecreasing in the budget, since a larger budget only widens
+    the feasible set.
     """
-    entries = []
-    for cfg in enumerate_configs(space):
-        entries.append(BestEntry(cfg, config_sum_dof(cfg), grouped_length(cfg)))
-    rows = []
-    last: dict[str, Fraction | None] = {"conv": None, "grp": None}
-    for budget in sorted(int(b) for b in length_budgets):
-        feasible = [e for e in entries if e.length <= budget]
-        conventional = _best(e for e in feasible if e.config.num_groups == 1)
-        if space.require_grouping:
-            grouped = _best(e for e in feasible if e.config.num_groups >= 2)
-        else:
-            grouped = _best(feasible)
-        for name, entry in (("conv", conventional), ("grp", grouped)):
-            if entry is None:
-                continue
-            if last[name] is not None and entry.dof < last[name]:
-                raise AssertionError(
-                    f"sum DoF decreased with a larger budget ({name} at L={budget})"
-                )
-            last[name] = entry.dof
-        rows.append(
-            SweepRow(length_budget=budget, conventional=conventional, grouped=grouped)
-        )
-    return SweepResult(space=space, rows=tuple(rows))
+    budgets = sorted(int(b) for b in length_budgets)
+    rows = tuple(
+        SweepRow(length_budget=budget, conventional=conventional, grouped=grouped)
+        for budget, (conventional, grouped) in zip(budgets, _frontier(space, budgets))
+    )
+    return SweepResult(space=space, rows=rows)
 
 
 # ======================================================================

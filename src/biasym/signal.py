@@ -42,6 +42,7 @@ __all__ = [
     "verify_receivers",
     "matrix_rank",
     "random_symbols",
+    "receiver_memory_bytes",
     "report_to_csv",
 ]
 
@@ -377,6 +378,22 @@ def _svd(matrix: np.ndarray, compute_uv: bool = False):
         u, s, vh = None, np.linalg.svd(matrix[rows], compute_uv=False), None
     rank = np.count_nonzero(s > max(matrix.shape) * s[0] * RANK_RTOL) if s.size else 0
     return rank, rows, u, s, vh
+
+
+def receiver_memory_bytes(config: GroupingConfig) -> int:
+    """Closed-form estimate of the largest one-receiver working set, in bytes.
+
+    Counts complex entries of the K effective blocks (L rows, one column
+    per predicted desired dimension of each transmitter), the stacked
+    interference of the receiver with the fewest own columns, and the
+    U and Vh factors of its thin SVD.
+    """
+    length = grouped_length(config)
+    columns = [p.desired for p in rank_predictions(config)]
+    total = sum(columns)
+    widest = total - min(columns)
+    entries = length * total + length * widest + min(length, widest) * (length + widest)
+    return entries * np.dtype(complex).itemsize
 
 
 def _sources(placement: StreamPlacement, symbols, noise_scale: float, noise_seed):

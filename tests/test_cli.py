@@ -57,6 +57,17 @@ class TestExitCodes:
                      "--budget", "3"]) == 4
         assert "infeasible" in capsys.readouterr().err
 
+    def test_verify_over_memory_limit_is_2_before_building(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("streams must not be built")
+
+        monkeypatch.setattr("biasym.cli.VERIFY_MEMORY_LIMIT", 1024**2)
+        monkeypatch.setattr("biasym.cli.build_streams", refuse)
+        assert main(["verify", "--modes", "5,5,5,5", "--flat"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid config: verify needs about" in captured.err
+        assert captured.out == ""
+
     def test_missing_modes_is_2(self, capsys):
         assert main(["dof"]) == 2
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from biasym import (
     GroupingConfig,
-    ModeSpec,
     base_pattern,
     flat_length,
     grouped_length,
@@ -178,13 +177,6 @@ class TestGroupingConfig:
     def test_labels_and_user_order(self, example_config):
         assert example_config.labels() == [(1, 1), (2, 1), (1, 2), (2, 2)]
         assert example_config.user_order() == [0, 2, 1, 3]
-
-    def test_mode_spec_validation(self):
-        assert ModeSpec([6, 6, 4, 4]).num_users == 4
-        with pytest.raises(ValueError):
-            ModeSpec([6, 1])
-        with pytest.raises(ValueError):
-            ModeSpec([])
 
 
 class TestGroupedPattern:

@@ -11,15 +11,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
 from biasym import (
+    BestEntry,
     GroupingConfig,
     SearchSpace,
     alignment_report,
     build_streams,
+    config_sum_dof,
     draw_channels,
     enumerate_configs,
     grouped_length,
@@ -104,6 +106,58 @@ def oracle_best(equipped, budget, grouped_only=False):
     return best
 
 
+def reference_canonical_strings(equipped, allow_reduction):
+    """Canonical strings of every valid config, from raw index partitions.
+
+    Used vectors are one per multiset within each class of equal equipped
+    counts, non-increasing by user index; every partition and every group
+    mode count dividing all members is tried, validated by the config
+    itself, and the groups put in canonical order.
+    """
+    K = len(equipped)
+    if allow_reduction:
+        used_vectors = [
+            used
+            for used in itertools.product(*(range(2, m + 1) for m in equipped))
+            if all(
+                used[a] >= used[b]
+                for a, b in itertools.combinations(range(K), 2)
+                if equipped[a] == equipped[b]
+            )
+        ]
+    else:
+        used_vectors = [tuple(equipped)]
+    out = set()
+    for used in used_vectors:
+        for kg in (d for d in range(1, K + 1) if K % d == 0):
+            for part in _oracle_partitions(list(range(K)), K // kg):
+                options = [(1,)] if kg == 1 else itertools.product(*(
+                    [m for m in range(2, max(used) + 1) if all(used[j] % m == 0 for j in g)]
+                    for g in part
+                ))
+                for mgs in options:
+                    try:
+                        cfg = GroupingConfig.grouped(equipped, part, mgs, used)
+                    except ValueError:
+                        continue
+                    order = sorted(range(kg), key=lambda i: (
+                        tuple(-used[j] for j in cfg.groups[i]),
+                        tuple(-equipped[j] for j in cfg.groups[i]),
+                        cfg.groups[i],
+                    ))
+                    canonical = GroupingConfig(
+                        equipped, used, [cfg.groups[i] for i in order],
+                        [cfg.group_mode_counts[i] for i in order],
+                    )
+                    out.add(canonical.canonical_string())
+    return out
+
+
+def tie_break_key(entry):
+    return (-entry.dof, entry.length, entry.config.num_groups,
+            entry.config.canonical_string())
+
+
 # ======================================================================
 # Enumeration
 # ======================================================================
@@ -143,6 +197,29 @@ class TestEnumerateConfigs:
         space = SearchSpace((4, 4))
         used = {c.used for c in enumerate_configs(space) if c.num_groups == 1}
         assert used == {(4, 4), (4, 3), (4, 2), (3, 3), (3, 2), (2, 2)}
+
+    @pytest.mark.parametrize("equipped", [(6, 6, 4, 4), (4, 6, 4, 6), (6,) * 6, (9, 6)])
+    @pytest.mark.parametrize("allow_reduction", [True, False])
+    def test_matches_brute_force_canonical_set(self, equipped, allow_reduction):
+        space = SearchSpace(equipped, allow_reduction=allow_reduction)
+        got = [c.canonical_string() for c in enumerate_configs(space)]
+        assert len(got) == len(set(got))
+        assert set(got) == reference_canonical_strings(equipped, allow_reduction)
+
+    @pytest.mark.parametrize("equipped", [(6, 6, 5, 4), (6, 6, 3, 4), (6, 6, 2, 4),
+                                          (9, 7)])
+    def test_prime_or_small_used_count_yields_only_flat(self, equipped):
+        space = SearchSpace(equipped, allow_reduction=False)
+        assert list(enumerate_configs(space)) == [GroupingConfig.flat(equipped)]
+
+    def test_grouped_configs_use_only_composite_counts(self):
+        def composite(u):
+            return any(u % d == 0 for d in range(2, isqrt(u) + 1))
+
+        grouped = [c for c in enumerate_configs(SearchSpace((9, 6, 6, 4)))
+                   if c.num_groups >= 2]
+        assert grouped
+        assert all(composite(u) for c in grouped for u in c.used)
 
 
 # ======================================================================
@@ -237,6 +314,27 @@ class TestSweep:
         assert rows[15].grouped.dof == Fraction(28, 15)
         assert rows[15].conventional.dof == Fraction(22, 13)
         assert rows[40].grouped.dof == rows[40].conventional.dof == Fraction(19, 10)
+
+    @pytest.mark.parametrize("equipped", [(6, 6, 4, 4), (6, 6, 6, 4, 4, 4)])
+    @pytest.mark.parametrize("require_grouping", [False, True])
+    def test_every_budget_picks_the_minimum_key(self, equipped, require_grouping):
+        space = SearchSpace(equipped, require_grouping=require_grouping)
+        entries = [
+            BestEntry(c, config_sum_dof(c), grouped_length(c))
+            for c in enumerate_configs(space)
+        ]
+        budgets = range(1, 121)
+        rows = sweep(space, budgets).rows
+        for budget, row in zip(budgets, rows):
+            feasible = [e for e in entries if e.length <= budget]
+            conv = [e for e in feasible if e.config.num_groups == 1]
+            grp = [e for e in feasible
+                   if e.config.num_groups >= 2 or not require_grouping]
+            expect = (min(conv, key=tie_break_key, default=None),
+                      min(grp, key=tie_break_key, default=None))
+            result = optimize(replace(space, length_budget=budget))
+            assert (result.conventional, result.grouped) == expect
+            assert (row.length_budget, row.conventional, row.grouped) == (budget, *expect)
 
     def test_infeasible_budgets_render_empty(self):
         result = sweep(SearchSpace((6, 6, 4, 4)), range(3, 6))

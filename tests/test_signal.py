@@ -25,7 +25,7 @@ from biasym import (
     rank_predictions,
     report_to_csv,
 )
-from biasym.signal import ChannelSet
+from biasym.signal import ChannelSet, receiver_memory_bytes
 
 
 def slot_loop_received(placement, pattern, channels, symbols, rx):
@@ -146,6 +146,27 @@ class TestEffectiveMatrix:
         for t in range(1, 16):
             row_is_zero = not np.any(block[t - 1])
             assert row_is_zero == (t not in occupied)
+
+    def test_memory_estimate_of_flat_eight_users_by_arithmetic(self):
+        # flat (4,)*8: L = 3^8 + 8 * 3^7, 4 * 3^7 desired columns per user
+        config = GroupingConfig.flat([4] * 8)
+        length, columns = 24057, 8748
+        total, widest = 8 * columns, 7 * columns
+        blocks = length * total
+        assert blocks * 16 > 26.9e9  # the eight effective blocks alone
+        expected = blocks + length * widest + min(length, widest) * (length + widest)
+        assert receiver_memory_bytes(config) == 16 * expected
+
+    def test_memory_estimate_covers_the_effective_blocks(
+        self, example_placement, example_pattern, example_config
+    ):
+        ch = draw_channels(example_config, None, 1)
+        for rx in range(4):
+            built = sum(
+                effective_matrix(example_placement, example_pattern, ch, rx, tx).nbytes
+                for tx in range(4)
+            )
+            assert built < receiver_memory_bytes(example_config)
 
     def test_matrix_rank_edge_cases(self):
         assert matrix_rank(np.zeros((4, 3), dtype=complex)) == 0
