@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,14 +76,49 @@ class RunConfig:
 # Config resolution
 # ======================================================================
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _strict(convert, *types):
+    """Apply ``convert`` to values of ``types`` only; true and false are no numbers."""
+    def check(value):
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise ValueError(f"expected {convert.__name__}, got {value!r}")
+        return convert(value)
+    return check
 
-def _parse_groups(text: str):
-    if text.strip() == "auto":
-        return "auto"
-    parsed = json.loads(f"[{text}]")
-    return [[int(v) for v in g] for g in parsed]
+
+_integer = _strict(int, int, str)
+_real = _strict(float, int, float, str)
+_text = _strict(str, str)
+_switch = _strict(bool, bool)
+
+
+def _int_list(value) -> list[int]:
+    """Comma text, as flags give it, or a JSON list, as config files do."""
+    if isinstance(value, str):
+        value = [x for x in value.split(",") if x.strip()]
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of integers, got {value!r}")
+    return [_integer(x) for x in value]
+
+
+def _groups(value):
+    """'auto', or groups of equipped mode values: '[6,4],[6,4]' or [[6, 4], [6, 4]]."""
+    if value == "auto":
+        return value
+    if isinstance(value, str):
+        value = json.loads(f"[{value}]")
+    if not isinstance(value, list) or not all(isinstance(g, list) for g in value):
+        raise ValueError(f"groups must be lists of mode counts or 'auto', got {value!r}")
+    return [_int_list(g) for g in value]
+
+
+# one conversion per RunConfig field, for flag text and config-file values alike
+_CONVERT = {
+    "modes": _int_list, "groups": _groups, "mg": _int_list, "used": _int_list,
+    "flat": _switch, "budget": _integer, "lmin": _integer, "lmax": _integer,
+    "lstep": _integer, "seed": _integer, "out": _text, "noise": _real,
+    "coherence": _integer, "verify": _switch, "per_user": _switch,
+    "require_grouping": _switch, "no_reduction": _switch,
+}
 
 
 def _groups_to_indices(equipped, value_groups) -> list[list[int]]:
@@ -95,11 +130,9 @@ def _groups_to_indices(equipped, value_groups) -> list[list[int]]:
     for g in value_groups:
         idxs = []
         for v in g:
-            candidates = pool.get(int(v))
+            candidates = pool.get(v)
             if not candidates:
-                raise ValueError(
-                    f"no unassigned user with equipped mode count {v}"
-                )
+                raise ValueError(f"no unassigned user with equipped mode count {v}")
             idxs.append(candidates.pop(0))
         out.append(idxs)
     if any(pool.values()):
@@ -108,21 +141,18 @@ def _groups_to_indices(equipped, value_groups) -> list[list[int]]:
 
 
 def _resolve_config(rc: RunConfig) -> GroupingConfig:
-    if not rc.modes:
-        raise ValueError("modes are required")
-    modes = [int(m) for m in rc.modes]
     if rc.groups == "auto":
-        space = SearchSpace(tuple(modes), length_budget=rc.budget)
+        space = SearchSpace(tuple(rc.modes), length_budget=rc.budget)
         best = optimize(space).grouped
         if best is None:
             raise InfeasibleError("no config fits the length budget")
         return best.config
     if rc.flat or rc.groups is None:
-        return GroupingConfig.flat(modes, rc.used)
+        return GroupingConfig.flat(rc.modes, rc.used)
     if not rc.mg:
         raise ValueError("group mode counts (--mg) are required with --groups")
-    groups = _groups_to_indices(modes, rc.groups)
-    return GroupingConfig.grouped(modes, groups, rc.mg, rc.used)
+    groups = _groups_to_indices(rc.modes, rc.groups)
+    return GroupingConfig.grouped(rc.modes, groups, rc.mg, rc.used)
 
 
 def _write_output(rc: RunConfig, text: str) -> None:
@@ -178,8 +208,7 @@ def cmd_verify(rc: RunConfig) -> int:
         bad = [f"u{u.label[0]}.{u.label[1]}" for u in result.users if not u.recoverable]
         print(f"decode: unrecoverable streams at {' '.join(bad)}")
     if rc.out:
-        with open(rc.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report_to_csv(report))
+        _write_output(rc, report_to_csv(report))
     ok = report.all_match and result.all_recoverable
     if rc.noise == 0.0:
         ok = ok and max_err < DECODE_RTOL
@@ -196,23 +225,18 @@ def cmd_dof(rc: RunConfig) -> int:
         labels = config.labels()
         for (k, i), value in zip(labels, per_user_dof(config)):
             lines.append(f"u{k}.{i}: {render_rational(value)} ({float(value):.6f})")
-    text = "\n".join(lines) + "\n"
-    if rc.out:
-        _write_output(rc, DOF_FILE_HEADER + "\n" + text)
-    else:
-        sys.stdout.write(text)
+    header = DOF_FILE_HEADER + "\n" if rc.out else ""  # only files carry the header
+    _write_output(rc, header + "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_sweep(rc: RunConfig) -> int:
-    if not rc.modes:
-        raise ValueError("modes are required")
     if rc.lmin is None or rc.lmax is None:
         raise ValueError("sweep requires --lmin and --lmax")
     if rc.lmin > rc.lmax or rc.lstep < 1:
         raise ValueError("sweep needs --lmin <= --lmax and --lstep >= 1")
     space = SearchSpace(
-        tuple(int(m) for m in rc.modes),
+        tuple(rc.modes),
         allow_reduction=not rc.no_reduction,
         require_grouping=rc.require_grouping,
     )
@@ -243,94 +267,68 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Blind interference alignment supersymbol toolkit",
     )
     sub = parser.add_subparsers(dest="command")
+    pattern = sub.add_parser("pattern", help="print the per-slot mode table")
+    verify = sub.add_parser("verify", help="measure alignment ranks and decode")
+    dof = sub.add_parser("dof", help="exact sum DoF of a config")
+    sweep = sub.add_parser("sweep", help="best DoF per strategy over length budgets")
+    one = (pattern, verify, dof)  # subcommands that act on one config
 
-    def common(p):
-        p.add_argument("--config", help="JSON file with RunConfig fields")
-        p.add_argument("--modes", help="comma-separated equipped mode counts")
-        p.add_argument(
-            "--groups",
-            help="groups of equipped mode values, e.g. [6,4],[6,4], or 'auto'",
-        )
-        p.add_argument("--mg", help="comma-separated group mode counts")
-        p.add_argument("--used", help="comma-separated used mode counts")
-        p.add_argument("--flat", action="store_true", help="single-group (flat) config")
-        p.add_argument("--budget", type=int, help="length budget for 'auto' grouping")
-        p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 1)")
-        p.add_argument("--out", help="output file path (default stdout)")
+    # each subcommand registers only the flags it reads
+    def flag(name, help_text, *parsers, switch=False):
+        for p in parsers:
+            p.add_argument(name, action="store_true" if switch else "store", help=help_text)
 
-    p_pattern = sub.add_parser("pattern", help="print the per-slot mode table")
-    common(p_pattern)
-
-    p_verify = sub.add_parser("verify", help="measure alignment ranks and decode")
-    common(p_verify)
-    p_verify.add_argument("--coherence", type=int, help="fading block length in slots")
-    p_verify.add_argument("--noise", type=float, help="noise scale (1/sqrt(SNR))")
-
-    p_dof = sub.add_parser("dof", help="exact sum DoF of a config")
-    common(p_dof)
-    p_dof.add_argument("--per-user", action="store_true", help="also print per-user DoF")
-
-    p_sweep = sub.add_parser("sweep", help="best DoF per strategy over length budgets")
-    common(p_sweep)
-    p_sweep.add_argument("--lmin", type=int, help="smallest length budget")
-    p_sweep.add_argument("--lmax", type=int, help="largest length budget")
-    p_sweep.add_argument("--lstep", type=int, help="budget step (default 1)")
-    p_sweep.add_argument("--verify", action="store_true",
-                         help="re-measure winning configs before writing")
-    p_sweep.add_argument("--require-grouping", action="store_true",
-                         help="grouped strategy must use at least two groups")
-    p_sweep.add_argument("--no-reduction", action="store_true",
-                         help="forbid using fewer modes than equipped")
+    flag("--config", "JSON file with RunConfig fields", *one, sweep)
+    flag("--modes", "comma-separated equipped mode counts", *one, sweep)
+    flag("--groups", "groups of equipped mode values, e.g. [6,4],[6,4], or 'auto'", *one)
+    flag("--mg", "comma-separated group mode counts", *one)
+    flag("--used", "comma-separated used mode counts", *one)
+    flag("--flat", "single-group (flat) config", *one, switch=True)
+    flag("--budget", "length budget for 'auto' grouping", *one)
+    flag("--seed", f"RNG seed (default ${SEED_ENV_VAR} or 1)", verify, sweep)
+    flag("--out", "output file path (default stdout)", *one, sweep)
+    flag("--coherence", "fading block length in slots", verify)
+    flag("--noise", "noise scale (1/sqrt(SNR))", verify)
+    flag("--per-user", "also print per-user DoF", dof, switch=True)
+    flag("--lmin", "smallest length budget", sweep)
+    flag("--lmax", "largest length budget", sweep)
+    flag("--lstep", "budget step (default 1)", sweep)
+    flag("--verify", "re-measure winning configs before writing", sweep, switch=True)
+    flag("--require-grouping", "grouped strategy needs two or more groups", sweep, switch=True)
+    flag("--no-reduction", "forbid using fewer modes than equipped", sweep, switch=True)
     return parser
 
 
+def _read_config_file(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        values = json.load(fh)
+    if not isinstance(values, dict):
+        raise ValueError(f"config file must hold a JSON object, not {type(values).__name__}")
+    unknown = set(values) - set(_CONVERT)  # the subcommand comes from the command line
+    if unknown:
+        raise ValueError(f"unknown config file fields: {sorted(unknown)}")
+    return values
+
+
 def _merge_run_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        unknown = set(file_values) - {f.name for f in fields(RunConfig)}
-        if unknown:
-            raise ValueError(f"unknown config file fields: {sorted(unknown)}")
-
-    rc = RunConfig(command=args.command)
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        flag = getattr(args, f.name.replace("-", "_"), None)
-        if isinstance(flag, bool):
-            value = flag or bool(file_values.get(f.name, False))
-        elif flag is not None:
-            value = flag
-        elif f.name in file_values:
-            value = file_values[f.name]
-        else:
-            continue
-        setattr(rc, f.name, value)
-
-    # flags arrive as comma strings; config files use real lists
-    if isinstance(rc.modes, str):
-        rc.modes = _parse_int_list(rc.modes)
-    if isinstance(rc.groups, str) and rc.groups != "auto":
-        rc.groups = _parse_groups(rc.groups)
-    if isinstance(rc.mg, str):
-        rc.mg = _parse_int_list(rc.mg)
-    if isinstance(rc.used, str):
-        rc.used = _parse_int_list(rc.used)
-
-    if getattr(args, "seed", None) is None and "seed" not in file_values:
-        rc.seed = int(os.environ.get(SEED_ENV_VAR, "1"))
-    if getattr(args, "lstep", None) is None and "lstep" not in file_values:
-        rc.lstep = 1
-    return rc
+    """The RunConfig defaults, overridden by $BIASYM_SEED, then by the config
+    file, then by flags; every value set goes through its field's conversion."""
+    values = {}
+    if SEED_ENV_VAR in os.environ:
+        values["seed"] = os.environ[SEED_ENV_VAR]
+    if args.config:
+        values.update(_read_config_file(args.config))
+    values.update(
+        (name, v) for name, v in vars(args).items()
+        if name in _CONVERT and v is not None and v is not False
+    )
+    return RunConfig(
+        command=args.command,
+        **{name: None if v is None else _CONVERT[name](v) for name, v in values.items()},
+    )
 
 
-_DISPATCH = {
-    "pattern": cmd_pattern,
-    "verify": cmd_verify,
-    "dof": cmd_dof,
-    "sweep": cmd_sweep,
-}
+_DISPATCH = {"pattern": cmd_pattern, "verify": cmd_verify, "dof": cmd_dof, "sweep": cmd_sweep}
 
 
 def main(argv=None) -> int:
@@ -341,6 +339,8 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     try:
         rc = _merge_run_config(args)
+        if not rc.modes:
+            raise ValueError("modes are required")
         return _DISPATCH[args.command](rc)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
 
-from .patterns import GroupingConfig, grouped_length
+from .patterns import GroupingConfig, flat_length, grouped_length
 
 __all__ = [
     "ReceiverPrediction",
@@ -50,63 +50,43 @@ class ReceiverPrediction:
     length: int
 
 
+def _others(counts) -> list[int]:
+    """For every entry p, the product over q != p of (counts[q] - 1)."""
+    return [prod(m - 1 for q, m in enumerate(counts) if q != p) for p in range(len(counts))]
+
+
 def rank_predictions(config: GroupingConfig) -> list[ReceiverPrediction]:
     """Predicted ranks of desired and interfering signal spaces per receiver.
 
-    For receiver (k, i), with E_k = prod over p != k of (M_E_p - 1) and
-    G_i = prod over q != i of (M_G_q - 1):
-
-    * desired: M'_{k,i} * E_k * G_i  (all own streams stay separable),
-    * an in-group interferer (k', i) aligns to M_G_i * E_k' * G_i,
-    * the same-position user of another group (k, i') to M_E_k * E_k * G_i',
-    * any other user (k', i') to E_k' * G_i'.
+    One product gives every rank.  User (k', i') holds the share
+    S(k', i') = E_k' * G_i' of the slots, with E_k' = prod over p != k' of
+    (M_E_p - 1) and G_i' = prod over q != i' of (M_G_q - 1).  Receiver
+    (k, i) sees it at rank S(k', i') times M_E_k if k' = k and times M_G_i
+    if i' = i: an element-level flat count times a group-level one.  At
+    (k', i') = (k, i) this is the desired rank M'_{k,i} * E_k * G_i; an
+    interferer is "IUI" exactly when it shares the group (i' = i).
     """
     elem = config.element_counts
     grp = config.group_mode_counts
-    ke = config.users_per_group
-    kg = config.num_groups
+    e_share, g_share = _others(elem), _others(grp)
+    users = [(k, i) for i in range(len(grp)) for k in range(len(elem))]
+    share = {(k, i): e_share[k] * g_share[i] for k, i in users}
     length = grouped_length(config)
 
-    def e_others(k: int) -> int:
-        return prod(elem[p] - 1 for p in range(ke) if p != k)
-
-    def g_others(i: int) -> int:
-        return prod(grp[q] - 1 for q in range(kg) if q != i)
-
     out = []
-    for i in range(kg):
-        for k in range(ke):
-            used = elem[k] * grp[i]
-            desired = used * e_others(k) * g_others(i)
-            per: dict[tuple[int, int], int] = {}
-            kinds: dict[tuple[int, int], str] = {}
-            for i2 in range(kg):
-                for k2 in range(ke):
-                    if (k2, i2) == (k, i):
-                        continue
-                    lab = (k2 + 1, i2 + 1)
-                    if i2 == i:
-                        per[lab] = grp[i] * e_others(k2) * g_others(i)
-                        kinds[lab] = "IUI"
-                    elif k2 == k:
-                        per[lab] = elem[k] * e_others(k) * g_others(i2)
-                        kinds[lab] = "IGI"
-                    else:
-                        per[lab] = e_others(k2) * g_others(i2)
-                        kinds[lab] = "IGI"
-            iui = sum(r for lab, r in per.items() if kinds[lab] == "IUI")
-            igi = sum(r for lab, r in per.items() if kinds[lab] == "IGI")
-            out.append(
-                ReceiverPrediction(
-                    label=(k + 1, i + 1),
-                    desired=desired,
-                    iui_total=iui,
-                    igi_total=igi,
-                    per_interferer=per,
-                    kinds=kinds,
-                    length=length,
-                )
-            )
+    for k, i in users:
+        per = {
+            (k2 + 1, i2 + 1): share[k2, i2]
+            * (elem[k] if k2 == k else 1) * (grp[i] if i2 == i else 1)
+            for k2, i2 in users
+        }
+        desired = per.pop((k + 1, i + 1))
+        kinds = {lab: "IUI" if lab[1] == i + 1 else "IGI" for lab in per}
+        iui = sum(r for lab, r in per.items() if kinds[lab] == "IUI")
+        out.append(ReceiverPrediction(
+            label=(k + 1, i + 1), desired=desired, iui_total=iui,
+            igi_total=sum(per.values()) - iui, per_interferer=per, kinds=kinds, length=length,
+        ))
     return out
 
 
@@ -118,14 +98,13 @@ def sum_dof_flat(mode_counts) -> Fraction:
     """Sum DoF of the flat construction over the given mode counts.
 
     Equals (sum of M_k / (M_k - 1)) / (1 + sum of 1 / (M_k - 1)), computed
-    in integers scaled by P = prod(M_k - 1): desired dimensions over slots.
+    in integers scaled by P = prod(M_k - 1): desired dimensions over slots,
+    the slot count being ``flat_length``.
     """
     counts = tuple(int(m) for m in mode_counts)
-    if any(m < 2 for m in counts):
-        raise ValueError("every mode count must be >= 2")
+    length = flat_length(counts)
     block = prod(m - 1 for m in counts)
-    shares = [block // (m - 1) for m in counts]
-    return Fraction(sum(m * s for m, s in zip(counts, shares)), block + sum(shares))
+    return Fraction(sum(m * (block // (m - 1)) for m in counts), length)
 
 
 def sum_dof_grouped(element_counts, group_mode_counts) -> Fraction:
@@ -197,14 +176,9 @@ def reduction_ratio(modes: int, num_users: int) -> ReductionRatio:
     if rk * rk != K or K < 1:
         raise ValueError("user count must be a perfect square >= 1")
 
-    flat_slots = (M - 1) ** K + K * (M - 1) ** (K - 1)
-    if K == 1:
-        grouped_slots = flat_slots
-        order = Fraction(1)
-    else:
-        half = (rm - 1) ** rk + rk * (rm - 1) ** (rk - 1)
-        grouped_slots = half * half
-        order = Fraction((rm + 1) ** K) * Fraction(rm - 1) ** (K - 2 * rk)
+    flat_slots = flat_length([M] * K)
+    grouped_slots = flat_length([rm] * rk) ** 2
+    order = Fraction(1) if K == 1 else Fraction((rm + 1) ** K) * Fraction(rm - 1) ** (K - 2 * rk)
     return ReductionRatio(
         modes=M,
         num_users=K,

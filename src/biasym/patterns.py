@@ -22,6 +22,7 @@ from math import prod
 
 __all__ = [
     "GroupingConfig",
+    "member_order",
     "UserPattern",
     "PresetPattern",
     "base_pattern",
@@ -44,9 +45,10 @@ class GroupingConfig:
     """A validated grouping of users plus per-user used mode counts.
 
     ``groups`` holds original user indices (0-based), already in canonical
-    within-group order: descending used mode count, original index breaking
-    ties.  ``element_counts[k]`` is the element-level mode count shared by
-    the users at within-group position k of every group; it must satisfy
+    within-group order (see :func:`member_order`): descending used mode
+    count, then descending equipped mode count, then original index.
+    ``element_counts[k]`` is the element-level mode count shared by the
+    users at within-group position k of every group; it must satisfy
     ``used == element_counts[position] * group_mode_counts[group]`` for
     every user, which is exactly the condition that lets group-level
     switching align across groups.
@@ -138,17 +140,14 @@ class GroupingConfig:
         """Single-group config: the plain flat construction over used modes."""
         eq = tuple(int(m) for m in equipped)
         us = eq if used is None else tuple(int(m) for m in used)
-        order = sorted(range(len(eq)), key=lambda j: (-us[j], j))
-        return cls(eq, us, (tuple(order),), (1,))
+        return cls(eq, us, (member_order(range(len(eq)), eq, us),), (1,))
 
     @classmethod
     def grouped(cls, equipped, groups, group_mode_counts, used=None) -> "GroupingConfig":
         """Build a config from explicit user-index groups, normalizing order."""
         eq = tuple(int(m) for m in equipped)
         us = eq if used is None else tuple(int(m) for m in used)
-        norm = tuple(
-            tuple(sorted(g, key=lambda j: (-us[j], j))) for g in groups
-        )
+        norm = tuple(member_order(g, eq, us) for g in groups)
         return cls(eq, us, norm, tuple(group_mode_counts))
 
     # ------------------------------------------------------------------
@@ -190,6 +189,16 @@ class GroupingConfig:
 
     def __str__(self) -> str:
         return self.canonical_string()
+
+
+def member_order(members, equipped, used) -> tuple[int, ...]:
+    """Canonical within-group order of user indices: descending used mode
+    count, then descending equipped mode count, then index.
+
+    Users that tie on both counts are interchangeable, so every relabeling
+    of them maps to the same order.
+    """
+    return tuple(sorted(members, key=lambda j: (-used[j], -equipped[j], j)))
 
 
 # ======================================================================

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .dof import config_sum_dof
-from .patterns import GroupingConfig, grouped_length, grouped_pattern
+from .patterns import GroupingConfig, grouped_length, grouped_pattern, member_order
 from .signal import alignment_report, build_streams, draw_channels
 
 __all__ = [
@@ -152,9 +152,7 @@ def enumerate_configs(space: SearchSpace):
                 continue
             ke = len(space.equipped) // kg
             for raw_parts in _partitions(list(range(len(space.equipped))), ke):
-                groups = [
-                    tuple(sorted(g, key=lambda j: (-used[j], j))) for g in raw_parts
-                ]
+                groups = [member_order(g, space.equipped, used) for g in raw_parts]
                 groups.sort(
                     key=lambda g: (
                         tuple(-used[j] for j in g),

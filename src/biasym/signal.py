@@ -273,7 +273,9 @@ class ReceivedBlock:
     noise: np.ndarray | None = None
 
 
-def random_symbols(placement: StreamPlacement, seed: int = 0) -> list[list[np.ndarray]]:
+def random_symbols(
+    placement: StreamPlacement, seed: int | np.random.SeedSequence | None = 0
+) -> list[list[np.ndarray]]:
     """Unit-norm complex symbol vectors, one per stream, in placement order."""
     rng = np.random.default_rng(seed)
     out = []
@@ -396,7 +398,12 @@ def receiver_memory_bytes(config: GroupingConfig) -> int:
     return entries * np.dtype(complex).itemsize
 
 
-def _sources(placement: StreamPlacement, symbols, noise_scale: float, noise_seed):
+def _sources(
+    placement: StreamPlacement,
+    symbols,
+    noise_scale: float,
+    noise_seed: int | np.random.SeedSequence | None,
+):
     """Validated inputs: one stacked symbol vector per transmitter, noise RNG."""
     if not noise_scale >= 0.0:  # also rejects NaN
         raise ValueError("noise scale must be >= 0")
@@ -484,7 +491,7 @@ def assemble_received(
     channels: ChannelSet,
     symbols: list[list[np.ndarray]],
     noise_scale: float = 0.0,
-    noise_seed: int | None = None,
+    noise_seed: int | np.random.SeedSequence | None = None,
 ) -> list[ReceivedBlock]:
     """Superpose every transmitter's contribution at every receiver.
 
@@ -559,7 +566,7 @@ def verify_receivers(
     channels: ChannelSet,
     symbols: list[list[np.ndarray]],
     noise_scale: float = 0.0,
-    noise_seed: int | None = None,
+    noise_seed: int | np.random.SeedSequence | None = None,
 ) -> tuple[AlignmentReport, list[ReceivedBlock], DecodeResult]:
     """alignment_report, assemble_received and decode in one pass per receiver."""
     sources = _sources(placement, symbols, noise_scale, noise_seed)

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from biasym import SearchSpace, sweep, sweep_to_csv
-from biasym.cli import main
+from biasym.cli import _CONVERT, RunConfig, main
 
 EXAMPLE = ["--modes", "6,6,4,4", "--groups", "[6,4],[6,4]", "--mg", "2,2"]
 
@@ -78,6 +79,56 @@ class TestExitCodes:
         path2 = tmp_path / "unknown.json"
         path2.write_text(json.dumps({"modes": [4, 4], "bogus": 1}), encoding="utf-8")
         assert main(["dof", "--config", str(path2)]) == 2
+
+
+class TestInputConversion:
+    """Flag text and config-file values go through one conversion per field."""
+
+    def test_one_converter_per_run_parameter(self):
+        assert set(_CONVERT) == {f.name for f in fields(RunConfig)} - {"command"}
+
+    @pytest.mark.parametrize("command,values", [
+        ("dof", {"modes": 5}),
+        ("verify", {"modes": [6, 6, 4, 4], "flat": True, "seed": "abc"}),
+        ("verify", {"modes": [6, 6, 4, 4], "flat": True, "coherence": "x"}),
+        ("dof", {"modes": [6, 6, 4, 4], "flat": 1}),
+        ("dof", {"modes": [6, 6, 4, 4], "flat": True, "out": 5}),
+    ], ids=["modes-int", "seed-text", "coherence-text", "flat-int", "out-int"])
+    def test_wrong_typed_config_value_is_2(self, command, values, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(values), encoding="utf-8")
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "invalid config" in captured.err
+        assert captured.out == ""
+
+    def test_groups_that_are_not_lists_are_2(self, capsys):
+        assert main(["pattern", "--modes", "6,6,4,4", "--groups", "5", "--mg", "2,2"]) == 2
+        assert "invalid config" in capsys.readouterr().err
+
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main(["dof", "--config", str(path)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--modes", "6,6,4,4", "--lmin", "5", "--lmax", "9", "--groups", "auto"],
+        ["sweep", "--modes", "6,6,4,4", "--lmin", "5", "--lmax", "9", "--budget", "9"],
+        ["pattern", "--modes", "6,6,4,4", "--flat", "--seed", "1"],
+        ["dof", "--modes", "6,6,4,4", "--flat", "--seed", "1"],
+    ])
+    def test_flag_the_subcommand_does_not_read_is_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_config_file_switch_survives_unset_flag(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"modes": [6, 6, 4, 4], "per_user": True}), encoding="utf-8")
+        assert main(["dof", "--config", str(path), "--flat"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
 
 
 class TestDofCommand:

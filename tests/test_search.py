@@ -206,6 +206,16 @@ class TestEnumerateConfigs:
         assert len(got) == len(set(got))
         assert set(got) == reference_canonical_strings(equipped, allow_reduction)
 
+    def test_tied_used_counts_are_ordered_by_equipped_count(self):
+        # at used 4,4,4,4 the pairings {4,6},{4,6} of (4,6,4,6) are one config
+        # however the users are labeled, so both mode orders list the same configs
+        lists = [
+            [c.canonical_string() for c in enumerate_configs(SearchSpace(equipped))]
+            for equipped in [(4, 6, 4, 6), (6, 4, 6, 4)]
+        ]
+        assert len(lists[0]) == 97
+        assert lists[0] == lists[1]
+
     @pytest.mark.parametrize("equipped", [(6, 6, 5, 4), (6, 6, 3, 4), (6, 6, 2, 4),
                                           (9, 7)])
     def test_prime_or_small_used_count_yields_only_flat(self, equipped):

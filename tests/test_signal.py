@@ -24,6 +24,7 @@ from biasym import (
     random_symbols,
     rank_predictions,
     report_to_csv,
+    verify_receivers,
 )
 from biasym.signal import ChannelSet, receiver_memory_bytes
 
@@ -394,3 +395,43 @@ class TestDecode:
             for d, t in zip(result.users, symbols)
         ]
         assert all(1e-9 < e < 1e-2 for e in errs)
+
+
+class TestVerifyReceivers:
+    """The one-pass path ``biasym verify`` runs against the three separate calls."""
+
+    @pytest.mark.parametrize("cfg", [
+        GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2]),
+        GroupingConfig.flat([6, 6, 4, 4], used=[3, 2, 2, 2]),
+    ], ids=str)
+    @pytest.mark.parametrize("noise_scale", [0.0, 1e-3])
+    def test_equals_report_received_and_decode(self, cfg, noise_scale):
+        pattern = grouped_pattern(cfg)
+        placement = build_streams(pattern)
+        channels = draw_channels(cfg, None, 5)
+        symbol_seed, noise_seed = np.random.SeedSequence(5).spawn(2)
+        symbols = random_symbols(placement, symbol_seed)
+        report, received, result = verify_receivers(
+            placement, pattern, channels, symbols, noise_scale, noise_seed
+        )
+
+        assert report == alignment_report(placement, pattern, channels)
+        assert report.all_match
+        expected = assemble_received(
+            placement, pattern, channels, symbols, noise_scale, noise_seed
+        )
+        assert len(received) == len(expected)
+        for got, want in zip(received, expected):
+            assert got.label == want.label
+            assert np.array_equal(got.samples, want.samples)
+            assert (got.noise is None) == (noise_scale == 0.0)
+            if got.noise is not None:
+                assert np.array_equal(got.noise, want.noise)
+        decoded = decode(placement, pattern, channels, expected)
+        assert result.all_recoverable
+        for got, want in zip(result.users, decoded.users, strict=True):
+            assert (got.label, got.recoverable, got.deficiency) == (
+                want.label, want.recoverable, want.deficiency
+            )
+            for a, b in zip(got.estimates, want.estimates, strict=True):
+                assert np.array_equal(a, b)
