@@ -141,13 +141,22 @@ def _groups_to_indices(equipped, value_groups) -> list[list[int]]:
 
 
 def _resolve_config(rc: RunConfig) -> GroupingConfig:
+    # refuse parameters the chosen form would silently ignore
+    if rc.flat and (rc.groups is not None or rc.mg is not None):
+        raise ValueError("--flat takes neither --groups nor --mg")
+    if rc.groups == "auto" and (rc.mg is not None or rc.used is not None):
+        raise ValueError("--groups auto chooses --mg and --used itself")
+    if rc.mg is not None and rc.groups is None:
+        raise ValueError("--mg needs explicit --groups")
+    if rc.budget is not None and rc.groups != "auto":
+        raise ValueError("--budget needs --groups auto")
     if rc.groups == "auto":
         space = SearchSpace(tuple(rc.modes), length_budget=rc.budget)
         best = optimize(space).grouped
         if best is None:
             raise InfeasibleError("no config fits the length budget")
         return best.config
-    if rc.flat or rc.groups is None:
+    if rc.groups is None:
         return GroupingConfig.flat(rc.modes, rc.used)
     if not rc.mg:
         raise ValueError("group mode counts (--mg) are required with --groups")
@@ -300,13 +309,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        values = json.load(fh)
-    if not isinstance(values, dict):
-        raise ValueError(f"config file must hold a JSON object, not {type(values).__name__}")
-    unknown = set(values) - set(_CONVERT)  # the subcommand comes from the command line
-    if unknown:
-        raise ValueError(f"unknown config file fields: {sorted(unknown)}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError(f"must hold a JSON object, not {type(values).__name__}")
+        unknown = set(values) - set(_CONVERT)  # the subcommand comes from the command line
+        if unknown:
+            raise ValueError(f"unknown fields: {sorted(unknown)}")
+    except ValueError as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
     return values
 
 
@@ -322,10 +334,13 @@ def _merge_run_config(args: argparse.Namespace) -> RunConfig:
         (name, v) for name, v in vars(args).items()
         if name in _CONVERT and v is not None and v is not False
     )
-    return RunConfig(
-        command=args.command,
-        **{name: None if v is None else _CONVERT[name](v) for name, v in values.items()},
-    )
+    converted = {}
+    for name, v in values.items():
+        try:
+            converted[name] = None if v is None else _CONVERT[name](v)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return RunConfig(command=args.command, **converted)
 
 
 _DISPATCH = {"pattern": cmd_pattern, "verify": cmd_verify, "dof": cmd_dof, "sweep": cmd_sweep}

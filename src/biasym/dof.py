@@ -97,32 +97,26 @@ def rank_predictions(config: GroupingConfig) -> list[ReceiverPrediction]:
 def sum_dof_flat(mode_counts) -> Fraction:
     """Sum DoF of the flat construction over the given mode counts.
 
-    Equals (sum of M_k / (M_k - 1)) / (1 + sum of 1 / (M_k - 1)), computed
-    in integers scaled by P = prod(M_k - 1): desired dimensions over slots,
-    the slot count being ``flat_length``.
+    Desired dimensions over slots.  User k sends one M_k-dimensional stream
+    per slot of its hold segment, H_k = B / (M_k - 1) of them, where
+    B = prod(M_k - 1) is the interleaving block.  The segments fill the
+    L - B slots after the block, so sum M_k * H_k = K * B + (L - B) and the
+    DoF is (L + (K - 1) * B) / L with L = ``flat_length``: the textbook
+    (sum of M_k / (M_k - 1)) / (1 + sum of 1 / (M_k - 1)), and 1 for (1,).
     """
     counts = tuple(int(m) for m in mode_counts)
     length = flat_length(counts)
-    block = prod(m - 1 for m in counts)
-    return Fraction(sum(m * (block // (m - 1)) for m in counts), length)
+    return Fraction(length + (len(counts) - 1) * prod(m - 1 for m in counts), length)
 
 
 def sum_dof_grouped(element_counts, group_mode_counts) -> Fraction:
     """Sum DoF of the two-level construction.
 
     The product of the flat sum DoF of the element counts and of the group
-    counts.  A single group (group count list (1,)) has no group level and
-    contributes a factor of 1.
+    counts.  A single group's level, the count list (1,), has flat sum DoF
+    1, so the result is the flat sum DoF of the element counts.
     """
-    elem = tuple(int(m) for m in element_counts)
-    grp = tuple(int(m) for m in group_mode_counts)
-    if any(m < 2 for m in elem):
-        raise ValueError("every element mode count must be >= 2")
-    if grp == (1,):
-        return sum_dof_flat(elem)
-    if any(m < 2 for m in grp):
-        raise ValueError("group mode counts must be >= 2 when grouping")
-    return sum_dof_flat(elem) * sum_dof_flat(grp)
+    return sum_dof_flat(element_counts) * sum_dof_flat(group_mode_counts)
 
 
 def config_sum_dof(config: GroupingConfig) -> Fraction:

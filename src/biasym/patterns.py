@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import prod
 
 __all__ = [
     "GroupingConfig",
@@ -53,9 +52,9 @@ class GroupingConfig:
     every user, which is exactly the condition that lets group-level
     switching align across groups.
 
-    A single-group config carries ``group_mode_counts == (1,)``: one group
-    means no group level at all, and the construction degenerates to the
-    flat pattern over the used mode counts.
+    A single-group config carries ``group_mode_counts == (1,)``: its group
+    level is the flat pattern of one user with one mode, a single slot, so
+    the construction is the flat pattern over the used mode counts.
     """
 
     equipped: tuple[int, ...]
@@ -104,10 +103,8 @@ class GroupingConfig:
         elif any(m < 2 for m in mgs):
             raise ValueError("group mode counts must be >= 2 when there are several groups")
 
-        # within-group canonical order: descending used modes
-        for g in grs:
-            if any(us[g[j]] < us[g[j + 1]] for j in range(ke - 1)):
-                raise ValueError("group members must be in descending used-mode order")
+        if any(g != member_order(g, eq, us) for g in grs):
+            raise ValueError("group members must be in descending used, then equipped, mode order")
 
         # alignment condition: element-level counts agree across groups per position
         elem = []
@@ -205,6 +202,17 @@ def member_order(members, equipped, used) -> tuple[int, ...]:
 # Flat construction
 # ======================================================================
 
+def _flat_counts(mode_counts) -> tuple[int, ...]:
+    """Mode counts of one flat level as ints: each >= 2, or the lone (1,),
+    one user with one mode (a single group's level)."""
+    counts = tuple(int(m) for m in mode_counts)
+    if not counts:
+        raise ValueError("mode list must be nonempty")
+    if counts != (1,) and any(m < 2 for m in counts):
+        raise ValueError("every mode count must be >= 2")
+    return counts
+
+
 def base_pattern(mode_counts) -> list[tuple[int, ...]]:
     """Per-user mode sequences of the flat staggered construction.
 
@@ -216,17 +224,13 @@ def base_pattern(mode_counts) -> list[tuple[int, ...]]:
     non-final modes in the same mixed-radix order.
 
     Args:
-        mode_counts: per-user switching mode counts, each >= 2.
+        mode_counts: per-user switching mode counts, each >= 2, or (1,).
 
     Returns:
         One tuple of 1-based mode indices per user, all of equal length
         ``flat_length(mode_counts)``.
     """
-    counts = tuple(int(m) for m in mode_counts)
-    if not counts:
-        raise ValueError("mode list must be nonempty")
-    if any(m < 2 for m in counts):
-        raise ValueError("every mode count must be >= 2")
+    counts = _flat_counts(mode_counts)
     K = len(counts)
     seqs: list[list[int]] = [[] for _ in range(K)]
 
@@ -248,14 +252,13 @@ def flat_length(mode_counts) -> int:
     """Supersymbol length of the flat construction.
 
     Equals prod(M_k - 1) for the interleaving block plus, for each user k,
-    prod over q != k of (M_q - 1) for its hold segment.
+    prod over q != k of (M_q - 1) for its hold segment; both are folded up
+    one user at a time.  The lone count (1,) gives 1.
     """
-    counts = tuple(int(m) for m in mode_counts)
-    if any(m < 2 for m in counts):
-        raise ValueError("every mode count must be >= 2")
-    block = prod(m - 1 for m in counts)
-    segments = sum(block // (m - 1) for m in counts)
-    return block + segments
+    block, holds = 1, 0
+    for m in _flat_counts(mode_counts):
+        block, holds = block * (m - 1), holds * (m - 1) + block
+    return block + holds
 
 
 def sequence_cartesian_product(seq_a, seq_b) -> tuple:
@@ -303,12 +306,11 @@ class UserPattern:
         return self.element_seq[s1], self.group_seq[s2]
 
     def physical(self, t: int) -> int:
-        """1-based physical preset mode at slot t: (m2 - 1) * M_E + m1."""
-        m1, m2 = self.composite(t)
-        return (m2 - 1) * self.element_modes + m1
+        """1-based physical preset mode at slot t."""
+        return self.physical_seq()[t - 1]
 
     def physical_seq(self) -> tuple[int, ...]:
-        """physical(t) for every slot, in composite_seq order."""
+        """1-based physical preset mode of every slot, in composite_seq order."""
         return tuple(
             (m2 - 1) * self.element_modes + m1
             for m2 in self.group_seq
@@ -356,15 +358,12 @@ def grouped_pattern(config: GroupingConfig) -> PresetPattern:
 
     Every group shares the element-level pattern family built from the
     common element mode counts; group i's members all follow group i's
-    group-level sequence.  With a single group the group level is the
-    constant sequence (1) and the result coincides with the flat pattern
-    over the used mode counts.
+    group-level sequence.  A single group's level is the one-slot flat
+    pattern of the count (1,), so the result coincides with the flat
+    pattern over the used mode counts.
     """
     m1_family = base_pattern(config.element_counts)
-    if config.num_groups == 1:
-        m2_family = [(1,)]
-    else:
-        m2_family = base_pattern(config.group_mode_counts)
+    m2_family = base_pattern(config.group_mode_counts)
 
     users = []
     for i, group in enumerate(config.groups):
@@ -386,10 +385,7 @@ def grouped_pattern(config: GroupingConfig) -> PresetPattern:
 
 def grouped_length(config: GroupingConfig) -> int:
     """Supersymbol length of a config without constructing the pattern."""
-    l1 = flat_length(config.element_counts)
-    if config.num_groups == 1:
-        return l1
-    return l1 * flat_length(config.group_mode_counts)
+    return flat_length(config.element_counts) * flat_length(config.group_mode_counts)
 
 
 # ======================================================================
@@ -404,10 +400,10 @@ def pattern_table(pattern: PresetPattern) -> str:
     """
     header = ["slot"] + [u.label for u in pattern.users]
     lines = [PATTERN_TABLE_HEADER, ",".join(header)]
-    for t in range(1, pattern.length + 1):
-        row = [str(t)]
-        for u in pattern.users:
-            m1, m2 = u.composite(t)
-            row.append(f"{m1}.{m2}/{u.physical(t)}")
-        lines.append(",".join(row))
+    columns = [
+        [f"{m1}.{m2}/{p}" for (m1, m2), p in zip(u.composite_seq(), u.physical_seq())]
+        for u in pattern.users
+    ]
+    for t, row in enumerate(zip(*columns), 1):
+        lines.append(f"{t}," + ",".join(row))
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .dof import config_sum_dof
+from .dof import config_sum_dof, render_decimal
 from .patterns import GroupingConfig, grouped_length, grouped_pattern, member_order
 from .signal import alignment_report, build_streams, draw_channels
 
@@ -346,7 +346,7 @@ def _entry_fields(entry: BestEntry | None) -> list[str]:
     return [
         str(entry.dof.numerator),
         str(entry.dof.denominator),
-        f"{float(entry.dof):.6g}",
+        render_decimal(entry.dof),
         entry.config.canonical_string(),
     ]
 

@@ -81,7 +81,6 @@ class Stream:
 @dataclass(frozen=True)
 class UserStreams:
     label: tuple[int, int]
-    orig_index: int
     dim: int
     streams: tuple[Stream, ...]
 
@@ -137,7 +136,7 @@ def build_streams(pattern: PresetPattern) -> StreamPlacement:
                     for s1 in m1_slots[a_key]
                 )
                 streams.append(Stream(dim=u.used, slots=tuple(occupied)))
-        users.append(UserStreams((u.position, u.group), u.orig_index, u.used, tuple(streams)))
+        users.append(UserStreams((u.position, u.group), u.used, tuple(streams)))
     return StreamPlacement(users=tuple(users))
 
 
@@ -166,33 +165,6 @@ class ChannelSet:
     def row(self, rx: int, tx: int, t: int, mode: int) -> np.ndarray:
         """Channel row seen by rx (in preset mode ``mode``) from tx at slot t."""
         return self.gains[(rx, tx)][self.block_of(t), mode - 1, :]
-
-    def save_npz(self, path) -> None:
-        arrays = {
-            f"g_{rx}_{tx}": g for (rx, tx), g in sorted(self.gains.items())
-        }
-        np.savez(
-            path,
-            seed=np.int64(self.seed),
-            coherence_length=np.int64(self.coherence_length),
-            n_blocks=np.int64(self.n_blocks),
-            **arrays,
-        )
-
-    @classmethod
-    def load_npz(cls, path) -> "ChannelSet":
-        data = np.load(path)
-        gains = {}
-        for key in data.files:
-            if key.startswith("g_"):
-                _, rx, tx = key.split("_")
-                gains[(int(rx), int(tx))] = data[key]
-        return cls(
-            seed=int(data["seed"]),
-            coherence_length=int(data["coherence_length"]),
-            n_blocks=int(data["n_blocks"]),
-            gains=gains,
-        )
 
 
 def draw_channels(

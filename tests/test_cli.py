@@ -124,6 +124,33 @@ class TestInputConversion:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_conversion_error_names_the_field(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"modes": [6, 6, 4, 4], "flat": True, "seed": "abc"}),
+                        encoding="utf-8")
+        assert main(["verify", "--config", str(path)]) == 2
+        assert "invalid config: seed: " in capsys.readouterr().err
+
+    def test_unreadable_config_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text("", encoding="utf-8")
+        assert main(["dof", "--config", str(path)]) == 2
+        assert f"invalid config: config file {path}: Expecting value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["--flat", "--budget", "3"],
+        ["--groups", "[6,4],[6,4]", "--mg", "2,2", "--flat"],
+        ["--groups", "auto", "--used", "3,2,2,2"],
+        ["--groups", "auto", "--mg", "2,2"],
+        ["--mg", "2,2"],
+        ["--groups", "auto", "--flat"],
+    ], ids=["flat-budget", "flat-groups", "auto-used", "auto-mg", "mg-alone", "auto-flat"])
+    def test_parameter_the_config_form_ignores_is_2(self, extra, capsys):
+        assert main(["dof", "--modes", "6,6,4,4", *extra]) == 2
+        captured = capsys.readouterr()
+        assert "invalid config" in captured.err
+        assert captured.out == ""
+
     def test_config_file_switch_survives_unset_flag(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"modes": [6, 6, 4, 4], "per_user": True}), encoding="utf-8")

@@ -57,9 +57,22 @@ class TestSumDof:
     def test_grouped_dof_factors_into_flat_dofs(self, elem, grp):
         assert sum_dof_grouped(elem, grp) == sum_dof_flat(elem) * sum_dof_flat(grp)
 
+    def test_one_user_with_one_mode_has_dof_one(self):
+        assert sum_dof_flat((1,)) == 1
+
+    @given(mode_lists)
+    @settings(max_examples=80)
+    def test_flat_dof_matches_textbook_formula(self, modes):
+        # (sum M/(M-1)) / (1 + sum 1/(M-1)), independent of flat_length
+        num = sum(Fraction(m, m - 1) for m in modes)
+        den = 1 + sum(Fraction(1, m - 1) for m in modes)
+        assert sum_dof_flat(modes) == num / den
+
     def test_rejects_degenerate_counts(self):
         with pytest.raises(ValueError):
             sum_dof_flat([2, 1])
+        with pytest.raises(ValueError):
+            sum_dof_flat(())
         with pytest.raises(ValueError):
             sum_dof_grouped([1, 2], [2, 2])
         with pytest.raises(ValueError):

@@ -62,6 +62,13 @@ class TestFlatConstruction:
             base_pattern([])
         with pytest.raises(ValueError):
             flat_length([2, 1])
+        with pytest.raises(ValueError):
+            flat_length(())
+
+    def test_one_user_with_one_mode_is_one_slot(self):
+        # a single group's level: no interleaving block, a one-slot hold segment
+        assert base_pattern((1,)) == [(1,)]
+        assert flat_length((1,)) == 1
 
     @given(mode_lists)
     @settings(max_examples=60)
@@ -173,6 +180,12 @@ class TestGroupingConfig:
             GroupingConfig([6, 6, 4, 4], [6, 6, 4, 4], ((2, 0), (3, 1)), (2, 2))
         cfg = GroupingConfig.grouped([6, 6, 4, 4], [[2, 0], [3, 1]], [2, 2])
         assert cfg.groups == ((0, 2), (1, 3))
+
+    def test_tied_used_counts_must_be_in_member_order(self):
+        # equal used counts: the larger equipped count comes first
+        with pytest.raises(ValueError, match="descending"):
+            GroupingConfig((4, 6), (4, 4), ((0, 1),), (1,))
+        assert str(GroupingConfig.flat((4, 6), (4, 4))) == "KG=1;G1=[6,4]/MG1;used=4,4"
 
     def test_labels_and_user_order(self, example_config):
         assert example_config.labels() == [(1, 1), (2, 1), (1, 2), (2, 2)]

@@ -26,7 +26,7 @@ from biasym import (
     report_to_csv,
     verify_receivers,
 )
-from biasym.signal import ChannelSet, receiver_memory_bytes
+from biasym.signal import receiver_memory_bytes
 
 
 def slot_loop_received(placement, pattern, channels, symbols, rx):
@@ -113,15 +113,6 @@ class TestChannels:
         draws = [draw_channels(cfg, None, s).gains[(0, 1)] for s in range(200)]
         power = np.mean([np.mean(np.abs(g) ** 2) for g in draws])
         assert abs(power - 1.0) < 0.05
-
-    def test_save_load_round_trip(self, example_config, tmp_path):
-        ch = draw_channels(example_config, 5, 9)
-        path = tmp_path / "channels.npz"
-        ch.save_npz(path)
-        back = ChannelSet.load_npz(path)
-        assert back.seed == 9 and back.coherence_length == 5 and back.n_blocks == 3
-        for key, g in ch.gains.items():
-            np.testing.assert_array_equal(g, back.gains[key])
 
     def test_rejects_bad_coherence(self, example_config):
         with pytest.raises(ValueError):
