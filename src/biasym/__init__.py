@@ -42,7 +42,6 @@ from .signal import (
     decode,
     draw_channels,
     effective_matrix,
-    matrix_rank,
     random_symbols,
     report_to_csv,
     verify_receivers,

@@ -185,7 +185,7 @@ def cmd_pattern(rc: RunConfig) -> int:
 
 def cmd_verify(rc: RunConfig) -> int:
     config = _resolve_config(rc)
-    needed = receiver_memory_bytes(config)
+    needed = receiver_memory_bytes(config, rc.coherence)
     if needed > VERIFY_MEMORY_LIMIT:
         raise ValueError(
             f"verify needs about {needed / 2**30:.3g} GiB per receiver, "

@@ -40,7 +40,6 @@ __all__ = [
     "alignment_report",
     "decode",
     "verify_receivers",
-    "matrix_rank",
     "random_symbols",
     "receiver_memory_bytes",
     "report_to_csv",
@@ -49,21 +48,6 @@ __all__ = [
 ALIGNMENT_CSV_HEADER = "# biasym alignment report v1"
 
 RANK_RTOL = 1e-10  # singular values below max_dim * smax * RANK_RTOL count as zero
-
-
-def matrix_rank(matrix: np.ndarray) -> int:
-    """Numerical rank from singular values.
-
-    The cutoff is max(matrix.shape) * largest_singular_value * 1e-10, which
-    cleanly separates the populated and aligned subspaces for the channel
-    scales used here.
-    """
-    if matrix.size == 0:
-        return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > max(matrix.shape) * s[0] * RANK_RTOL))
 
 
 # ======================================================================
@@ -211,6 +195,34 @@ def draw_channels(
 # Effective matrices and received signal
 # ======================================================================
 
+def _stream_slots(placement: StreamPlacement) -> list[np.ndarray]:
+    """0-based slots of every user's streams, one (streams, dim) array each.
+
+    Every stream repeats over exactly ``dim`` slots, one per own physical
+    mode, and two streams of one user never share a slot.
+    """
+    return [
+        np.array([s.slots for s in u.streams], dtype=np.intp).reshape(-1, u.dim) - 1
+        for u in placement.users
+    ]
+
+
+def _stream_gains(channels: ChannelSet, rx: int, tx: int, slots, modes) -> np.ndarray:
+    """tx's stream blocks at rx, shape (streams, dim, dim) for tx's dim.
+
+    Row j of stream s is the channel row rx sees from tx at slot
+    ``slots[s, j]``, in rx's 0-based mode ``modes[slots[s, j]]``.
+    """
+    return channels.gains[(rx, tx)][slots // channels.coherence_length, modes[slots]]
+
+
+def _block(length: int, slots: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """The effective block of stream blocks ``gains`` on their ``slots``."""
+    out = np.zeros((length, len(gains), gains.shape[2]), dtype=complex)
+    out[slots, np.arange(len(gains))[:, None]] = gains
+    return out.reshape(length, -1)
+
+
 def effective_matrix(
     placement: StreamPlacement,
     pattern: PresetPattern,
@@ -225,15 +237,9 @@ def effective_matrix(
     stream occupies that slot, and zeros otherwise.  Ranks of these blocks
     are what alignment predictions speak about.
     """
-    streams, dim = placement.users[tx].streams, placement.users[tx].dim
-    slots = np.array([t - 1 for s in streams for t in s.slots], dtype=np.intp)
-    owner = np.repeat(np.arange(len(streams)), [len(s.slots) for s in streams])
-    modes = np.array(pattern.users[rx].physical_seq(), dtype=np.intp)
-    out = np.zeros((len(modes), len(streams), dim), dtype=complex)
-    out[slots, owner] = channels.gains[(rx, tx)][
-        slots // channels.coherence_length, modes[slots] - 1
-    ]
-    return out.reshape(len(modes), -1)
+    slots = _stream_slots(placement)[tx]
+    modes = np.array(pattern.users[rx].physical_seq(), dtype=np.intp) - 1
+    return _block(len(modes), slots, _stream_gains(channels, rx, tx, slots, modes))
 
 
 @dataclass(frozen=True)
@@ -339,35 +345,64 @@ class DecodeResult:
 # One linear-algebra pass per receiver
 # ======================================================================
 
-def _svd(matrix: np.ndarray, compute_uv: bool = False):
-    """(rank, rows, u, s, vh): a thin SVD of the nonzero ``rows`` only.
+def _cutoff(s: np.ndarray, size: int) -> float:
+    """Singular values at or below this count as zero.
 
-    Zero rows change no singular value and the cutoff keeps the full shape,
-    so ``rank`` is matrix_rank's.  u and vh are None without ``compute_uv``.
+    ``size`` is the larger side of the full matrix and ``s`` any set of its
+    singular values that holds the largest, so the verdict is the one a
+    dense rank of the whole matrix would give.
+    """
+    return size * s.max(initial=0.0) * RANK_RTOL
+
+
+def _svd(matrix: np.ndarray, compute_uv: bool = False):
+    """(rows, u, s, vh): a thin SVD of the nonzero ``rows`` only.
+
+    Zero rows change no singular value.  u and vh are None without
+    ``compute_uv``.
     """
     rows = matrix.any(axis=1).nonzero()[0]
     if compute_uv:
-        u, s, vh = np.linalg.svd(matrix[rows], full_matrices=False)
-    else:
-        u, s, vh = None, np.linalg.svd(matrix[rows], compute_uv=False), None
-    rank = np.count_nonzero(s > max(matrix.shape) * s[0] * RANK_RTOL) if s.size else 0
-    return rank, rows, u, s, vh
+        return rows, *np.linalg.svd(matrix[rows], full_matrices=False)
+    return rows, None, np.linalg.svd(matrix[rows], compute_uv=False), None
 
 
-def receiver_memory_bytes(config: GroupingConfig) -> int:
-    """Closed-form estimate of the largest one-receiver working set, in bytes.
+def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None = None) -> int:
+    """Closed-form bound on the largest one-receiver working set, in bytes.
 
-    Counts complex entries of the K effective blocks (L rows, one column
-    per predicted desired dimension of each transmitter), the stacked
-    interference of the receiver with the fewest own columns, and the
-    U and Vh factors of its thin SVD.
+    Receiver rx has L slots, c desired columns and r compressed
+    interference columns: its predicted combined rank, or every interfering
+    column when ``coherence_length`` is shorter than L.  Rows are bounded
+    by L and k = min(L, r).  An SVD with U of an m x n matrix (p = min(m, n))
+    holds LAPACK's copy of it, U and Vh both in LAPACK's buffer and as
+    results, and LAPACK's workspace: m n + 2 (m p + p n) + m p + 3 p^2
+    complex entries.  The two SVD stages are summed, since the first one's
+    buffers can stay resident in the heap while the second runs:
+
+    * the compressed stack and its row gather (2 L r), and its SVD;
+    * the nulling basis (L k), D and its row gather (2 L c), and the SVD of
+      P⊥D.
+
+    The projection between them needs less than either.  Every transmitter
+    adds its stream blocks, their U and the kept columns (3 c_tx dim_tx).
     """
+    def svd(m: int, n: int) -> int:
+        p = min(m, n)
+        return m * n + 2 * (m * p + p * n) + m * p + 3 * p * p
+
     length = grouped_length(config)
-    columns = [p.desired for p in rank_predictions(config)]
-    total = sum(columns)
-    widest = total - min(columns)
-    entries = length * total + length * widest + min(length, widest) * (length + widest)
-    return entries * np.dtype(complex).itemsize
+    ideal = coherence_length is None or coherence_length >= length
+    preds = rank_predictions(config)
+    columns = [p.desired for p in preds]
+    stacks = 3 * sum(c * config.used[orig] for c, orig in zip(columns, config.user_order()))
+    largest = 0
+    for p, c in zip(preds, columns):
+        r = p.iui_total + p.igi_total if ideal else sum(columns) - c
+        k = min(length, r)
+        combine = 2 * length * r + svd(length, r)
+        decode = length * k + 2 * length * c + svd(length, c)
+        largest = max(largest, combine + decode)
+    return (largest + stacks) * np.dtype(complex).itemsize
 
 
 def _sources(
@@ -389,53 +424,89 @@ def _sources(
     return [np.concatenate(user_syms) for user_syms in symbols], noise_scale, rng
 
 
-def _receiver_pass(placement, pattern, channels, rx, pred=None, sources=None, samples=None):
-    """Build receiver rx's K effective matrices once and derive what is asked.
+def _compress(length: int, slots, gains, rx: int):
+    """(per-interferer ranks, compressed interference, full stack width) at rx.
+
+    Up to a row and column permutation, tx's effective block is
+    block-diagonal in its dim x dim stream blocks ``gains[tx]``, so its
+    singular values are the union of theirs; its rank counts them against
+    the cutoff of the full (length x streams * dim) block.  Each stream's
+    U*S columns above that cutoff, placed on the stream's slots, keep the
+    Gram matrix of the stacked interference but for the dropped columns,
+    which lie below the cutoff, and with it the stack's nonzero singular
+    values and left singular vectors.
+    """
+    ranks, rows, columns, width = [], [], [], 0
+    for tx, (tx_slots, g) in enumerate(zip(slots, gains)):
+        if tx != rx:
+            u, s, _ = np.linalg.svd(g, full_matrices=False)
+            stream, col = (s > _cutoff(s, max(length, s.size))).nonzero()
+            ranks.append(len(stream))
+            rows.append(tx_slots[stream])
+            columns.append(u[stream, :, col] * s[stream, col, None])
+            width += s.size
+    compressed = np.zeros((length, sum(ranks)), dtype=complex)
+    start = 0
+    for r, c in zip(rows, columns):
+        compressed[r, start + np.arange(len(c))[:, None]] = c
+        start += len(c)
+    return ranks, compressed, width
+
+
+def _receiver_pass(
+    placement, pattern, channels, slots, rx, pred=None, sources=None, samples=None
+):
+    """Gather receiver rx's per-stream channel blocks once and derive what is asked.
 
     Returns (rank report if ``pred``, samples if ``sources``, decode of
-    ``samples`` or of the samples just built), None where not asked.  One
-    SVD of the stacked interference I gives the combined rank and nulling
-    basis; one SVD of the desired block D with that span projected out
-    gives the joint rank, rank I + rank(P⊥D), and the least-squares decode.
+    ``samples`` or of the samples just built), None where not asked.
+
+    One batched SVD of each transmitter's stream blocks gives its rank (see
+    ``_compress``); one SVD of the compressed interference I gives the
+    combined rank and the nulling basis; one SVD of the desired block D
+    with that span projected out gives the joint rank, rank I + rank(P⊥D),
+    and the least-squares decode.  Every cutoff keeps the shape of the full
+    matrix it speaks about, so each verdict is the dense rank's.
     """
     user = placement.users[rx]
-    blocks = [
-        effective_matrix(placement, pattern, channels, rx, tx)
-        for tx in range(len(placement.users))
-    ]
+    length = pattern.length
+    modes = np.array(pattern.users[rx].physical_seq(), dtype=np.intp) - 1
+    gains = [_stream_gains(channels, rx, tx, s, modes) for tx, s in enumerate(slots)]
     block = report = user_decode = None
     if sources is not None:
         stacked, noise_scale, rng = sources
-        samples = sum(b @ x for b, x in zip(blocks, stacked))
+        samples = np.zeros(length, dtype=complex)
+        for tx_slots, g, x in zip(slots, gains, stacked):
+            samples[tx_slots] += (g @ x.reshape(len(g), -1, 1))[..., 0]
         noise = None
         if rng is not None:
-            L = len(samples)
-            noise = noise_scale * (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / 2**0.5
+            noise = noise_scale * (
+                rng.standard_normal(length) + 1j * rng.standard_normal(length)
+            ) / 2**0.5
             samples = samples + noise
         block = ReceivedBlock(label=user.label, samples=samples, noise=noise)
     if pred is None and samples is None:
         return report, block, user_decode
-    desired = blocks[rx]
-    desired_rank, _, _, s_desired, _ = _svd(desired)
-    interference = np.hstack([desired[:, :0]] + [b for b in blocks if b is not desired])
-    combined, rows, basis, _, _ = _svd(interference, compute_uv=True)
+    s_desired = np.linalg.svd(gains[rx], compute_uv=False)
+    desired_cutoff = _cutoff(s_desired, max(length, s_desired.size))
+    ranks, compressed, width = _compress(length, slots, gains, rx)
+    interfered, basis, s = _svd(compressed, compute_uv=True)[:3]
+    combined = np.count_nonzero(s > _cutoff(s, max(length, width)))
     basis = basis[:, :combined]
-    projected = desired.copy()
-    projected[rows] -= basis @ (basis.conj().T @ projected[rows])
-    _, kept, u_mat, s, vh = _svd(projected, compute_uv=samples is not None)
+    del compressed  # before D is built: a tenth less peak memory on flat (5,5,5,5)
+    projected = _block(length, slots[rx], gains[rx])
+    projected[interfered] -= basis @ (basis.conj().T @ projected[interfered])
+    kept, u_mat, s, vh = _svd(projected, compute_uv=samples is not None)
     # rank against D's scale: columns the nulling swallowed only look tiny next to it
-    surviving = np.count_nonzero(s > max(projected.shape) * s_desired[0] * RANK_RTOL)
+    surviving = np.count_nonzero(s > desired_cutoff)
     if pred is not None:
         report = ReceiverReport(
             label=user.label,
-            desired_measured=desired_rank,
+            desired_measured=np.count_nonzero(s_desired > desired_cutoff),
             desired_predicted=pred.desired,
             interferers=tuple(
-                InterfererRank(
-                    u.label, pred.kinds[u.label], _svd(b)[0], pred.per_interferer[u.label]
-                )
-                for b, u in zip(blocks, placement.users)
-                if u is not user
+                InterfererRank(u.label, pred.kinds[u.label], rank, pred.per_interferer[u.label])
+                for rank, u in zip(ranks, (u for u in placement.users if u is not user))
             ),
             combined_measured=combined,
             combined_predicted=pred.iui_total + pred.igi_total,
@@ -444,10 +515,10 @@ def _receiver_pass(placement, pattern, channels, rx, pred=None, sources=None, sa
         )
     if samples is not None:
         samples = samples.copy()
-        samples[rows] -= basis @ (basis.conj().T @ samples[rows])
+        samples[interfered] -= basis @ (basis.conj().T @ samples[interfered])
         u_mat, s, vh = u_mat[:, :surviving], s[:surviving], vh[:surviving]
         solution = vh.conj().T @ ((u_mat.conj().T @ samples[kept]) / s)
-        deficiency = desired.shape[1] - surviving
+        deficiency = projected.shape[1] - surviving
         user_decode = UserDecode(
             label=user.label,
             estimates=np.split(solution, len(user.streams)),
@@ -472,8 +543,9 @@ def assemble_received(
     by receiver from one generator seeded with ``noise_seed``.
     """
     sources = _sources(placement, symbols, noise_scale, noise_seed)
+    slots = _stream_slots(placement)
     return [
-        _receiver_pass(placement, pattern, channels, rx, sources=sources)[1]
+        _receiver_pass(placement, pattern, channels, slots, rx, sources=sources)[1]
         for rx in range(len(placement.users))
     ]
 
@@ -491,8 +563,9 @@ def alignment_report(
     supersymbol; shorter coherence shows up as measured > predicted.
     """
     preds = rank_predictions(pattern.config)
+    slots = _stream_slots(placement)
     return AlignmentReport(receivers=tuple(
-        _receiver_pass(placement, pattern, channels, rx, pred=pred)[0]
+        _receiver_pass(placement, pattern, channels, slots, rx, pred=pred)[0]
         for rx, pred in enumerate(preds)
     ))
 
@@ -526,8 +599,9 @@ def decode(
     the projected block.  Exact up to numerical precision whenever the
     joint rank condition holds and the samples are noiseless.
     """
+    slots = _stream_slots(placement)
     return DecodeResult(users=tuple(
-        _receiver_pass(placement, pattern, channels, rx, samples=block.samples)[2]
+        _receiver_pass(placement, pattern, channels, slots, rx, samples=block.samples)[2]
         for rx, block in enumerate(received)
     ))
 
@@ -543,8 +617,9 @@ def verify_receivers(
     """alignment_report, assemble_received and decode in one pass per receiver."""
     sources = _sources(placement, symbols, noise_scale, noise_seed)
     preds = rank_predictions(pattern.config)
+    slots = _stream_slots(placement)
     reports, received, users = zip(*(
-        _receiver_pass(placement, pattern, channels, rx, pred=pred, sources=sources)
+        _receiver_pass(placement, pattern, channels, slots, rx, pred=pred, sources=sources)
         for rx, pred in enumerate(preds)
     ))
     return AlignmentReport(receivers=reports), list(received), DecodeResult(users=users)

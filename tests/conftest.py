@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 
 from biasym import GroupingConfig, build_streams, grouped_pattern
@@ -36,6 +37,18 @@ def pytest_runtest_logreport(report):
     n = int(match.group(1))
     verdict = "PASS" if report.passed else "FAIL"
     print(f"\ncriterion {n:2d}: {verdict} - {CRITERIA.get(n, '')}", flush=True)
+
+
+def matrix_rank(matrix: np.ndarray) -> int:
+    """Oracle: dense numerical rank, cutoff max(shape) * largest singular value * 1e-10.
+
+    Written without the library, so that tests comparing its rank verdicts
+    against dense matrices stay independent of the code under test.
+    """
+    if matrix.size == 0:
+        return 0
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.sum(s > max(matrix.shape) * s[0] * 1e-10))
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,9 @@ from dataclasses import fields
 
 import pytest
 
-from biasym import SearchSpace, sweep, sweep_to_csv
+from biasym import GroupingConfig, SearchSpace, sweep, sweep_to_csv
 from biasym.cli import _CONVERT, RunConfig, main
+from biasym.signal import receiver_memory_bytes
 
 EXAMPLE = ["--modes", "6,6,4,4", "--groups", "[6,4],[6,4]", "--mg", "2,2"]
 
@@ -68,6 +69,20 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "invalid config: verify needs about" in captured.err
         assert captured.out == ""
+
+    def test_verify_memory_limit_counts_short_coherence(self, monkeypatch, capsys):
+        # a fading block shorter than L keeps every interfering column, so the
+        # limit that admits the ideal run refuses this one
+        def refuse(*args, **kwargs):
+            raise AssertionError("streams must not be built")
+
+        limit = receiver_memory_bytes(GroupingConfig.flat([5, 5, 5, 5]))
+        monkeypatch.setattr("biasym.cli.VERIFY_MEMORY_LIMIT", limit)
+        monkeypatch.setattr("biasym.cli.build_streams", refuse)
+        assert main(["verify", "--modes", "5,5,5,5", "--flat", "--coherence", "100"]) == 2
+        assert "invalid config: verify needs about" in capsys.readouterr().err
+        with pytest.raises(AssertionError, match="streams must not be built"):
+            main(["verify", "--modes", "5,5,5,5", "--flat"])
 
     def test_missing_modes_is_2(self, capsys):
         assert main(["dof"]) == 2

@@ -7,26 +7,35 @@ independently of the effective-matrix assembly it checks.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import matrix_rank
 
 from biasym import (
     GroupingConfig,
+    SearchSpace,
     alignment_report,
     assemble_received,
     build_streams,
     decode,
     draw_channels,
     effective_matrix,
+    enumerate_configs,
     grouped_length,
     grouped_pattern,
-    matrix_rank,
     random_symbols,
     rank_predictions,
     report_to_csv,
     verify_receivers,
 )
-from biasym.signal import receiver_memory_bytes
+from biasym import signal
+from biasym.signal import _compress, _stream_gains, _stream_slots, receiver_memory_bytes
 
 
 def slot_loop_received(placement, pattern, channels, symbols, rx):
@@ -81,6 +90,24 @@ class TestStreamPlacement:
                 assert sorted(modes) == list(range(1, u.dim + 1))
                 assert not seen.intersection(stream.slots)
                 seen.update(stream.slots)
+
+    @pytest.mark.parametrize("modes", [(6, 6, 4, 4), (6, 6, 6, 4, 4, 4), (4, 6, 4, 6), (9, 6)])
+    def test_enumerated_streams_fill_dim_disjoint_slots(self, modes):
+        # the compressed interference rests on this: each stream of a user is
+        # one dim x dim block of its effective matrix, disjoint from the others
+        checked = 0
+        for cfg in enumerate_configs(SearchSpace(modes)):
+            if grouped_length(cfg) > 600:
+                continue
+            pattern = grouped_pattern(cfg)
+            for u, pu in zip(build_streams(pattern).users, pattern.users):
+                assert all(len(s.slots) == u.dim == s.dim for s in u.streams), cfg
+                slots = np.array([s.slots for s in u.streams])
+                assert len(np.unique(slots)) == slots.size, cfg
+                modes_at = np.array(pu.physical_seq())[slots - 1]
+                assert (np.sort(modes_at, axis=1) == np.arange(1, u.dim + 1)).all(), cfg
+            checked += 1
+        assert checked >= 48
 
 
 class TestChannels:
@@ -140,14 +167,64 @@ class TestEffectiveMatrix:
             assert row_is_zero == (t not in occupied)
 
     def test_memory_estimate_of_flat_eight_users_by_arithmetic(self):
-        # flat (4,)*8: L = 3^8 + 8 * 3^7, 4 * 3^7 desired columns per user
+        # flat (4,)*8: L = 3^8 + 8 * 3^7, 4 * 3^7 desired columns per user,
+        # and the interference fills the rest of the L joint dimensions
         config = GroupingConfig.flat([4] * 8)
         length, columns = 24057, 8748
-        total, widest = 8 * columns, 7 * columns
-        blocks = length * total
-        assert blocks * 16 > 26.9e9  # the eight effective blocks alone
-        expected = blocks + length * widest + min(length, widest) * (length + widest)
-        assert receiver_memory_bytes(config) == 16 * expected
+        rank = length - columns
+
+        def svd(m, n):
+            p = min(m, n)
+            return m * n + 2 * (m * p + p * n) + m * p + 3 * p * p
+
+        combine = 2 * length * rank + svd(length, rank)
+        decode = length * rank + 2 * length * columns + svd(length, columns)
+        stacks = 3 * 8 * columns * 4
+        expected = 16 * (combine + decode + stacks)
+        assert receiver_memory_bytes(config) == expected
+        assert expected > 80 * 2**30  # far above the CLI's 2 GiB limit
+        # with a fading block shorter than L, every interfering column counts
+        rank = 7 * columns
+        combine = 2 * length * rank + svd(length, rank)
+        decode = length * length + 2 * length * columns + svd(length, columns)
+        assert receiver_memory_bytes(config, 100) == 16 * (combine + decode + stacks)
+
+    @pytest.mark.parametrize("coherence", [None, 100])
+    def test_memory_estimate_bounds_measured_growth(self, coherence):
+        # one verify pass over flat (5,5,5,5) in a fresh interpreter: the
+        # growth of its peak RSS stays below the estimate, within a factor 3
+        script = f"""
+import os, sys
+# Linux carries ru_maxrss across exec, so this interpreter starts at the
+# test process's peak; a child forked before any import starts small
+pid = os.fork()
+if pid:
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+import json, resource
+from biasym import GroupingConfig, build_streams, draw_channels, grouped_pattern, random_symbols, verify_receivers
+
+def run(config, coherence):
+    pattern = grouped_pattern(config)
+    placement = build_streams(pattern)
+    channels = draw_channels(config, coherence, 1)
+    symbols = random_symbols(placement, 2)
+    return verify_receivers(placement, pattern, channels, symbols)[0]
+
+run(GroupingConfig.flat([3, 3]), None)  # loads LAPACK and warms the caches
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+report = run(GroupingConfig.flat([5, 5, 5, 5]), {coherence})
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({{"growth": (after - before) * 1024, "match": report.all_match}}))
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        measured = json.loads(proc.stdout)
+        assert measured["match"] == (coherence is None)
+        estimate = receiver_memory_bytes(GroupingConfig.flat([5, 5, 5, 5]), coherence)
+        assert measured["growth"] <= estimate <= 3 * measured["growth"]
 
     def test_memory_estimate_covers_the_effective_blocks(
         self, example_placement, example_pattern, example_config
@@ -300,11 +377,12 @@ class TestAlignmentReport:
 
 
 class TestFullMatrixReference:
-    """Ranks and deficiencies against matrix_rank on the full stacked matrices.
+    """Ranks and deficiencies against matrix_rank on the full dense matrices.
 
-    The library never forms the combined or joint matrix: it takes one SVD
-    of the stacked interference on its nonzero rows and gets the joint rank
-    as rank I + rank(P⊥D).  These checks form both matrices directly.
+    The library never forms an interferer's block, the combined or the
+    joint matrix: it ranks each interferer from its stream blocks, takes one
+    SVD of the compressed interference and gets the joint rank as
+    rank I + rank(P⊥D).  These checks form every matrix directly.
     """
 
     def check(self, cfg, coherence, seed):
@@ -323,6 +401,11 @@ class TestFullMatrixReference:
                 for tx in range(K) if tx != rx
             ]
             r = report.receivers[rx]
+            assert r.desired_measured == matrix_rank(desired)
+            others = [u.label for u in placement.users if u is not placement.users[rx]]
+            assert [x.label for x in r.interferers] == others
+            for x, block in zip(r.interferers, interference):
+                assert x.measured == matrix_rank(block)
             if interference:
                 assert r.combined_measured == matrix_rank(np.hstack(interference))
             else:
@@ -342,6 +425,89 @@ class TestFullMatrixReference:
         for seed in range(5):
             report, result = self.check(example_config, 5, seed)
             assert not report.all_match and not result.all_recoverable
+
+
+def stream_block_setups():
+    """(config, coherence) pairs: every small config at ideal fading and at coherence < L."""
+    return [
+        (cfg, coherence)
+        for cfg in small_configs()
+        for coherence in (None, max(1, grouped_length(cfg) // 3))
+    ]
+
+
+class TestCompressedInterference:
+    """The exactness claims behind the compressed interference."""
+
+    @pytest.mark.parametrize("cfg,coherence", stream_block_setups(), ids=str)
+    def test_stream_spectra_union_is_the_block_spectrum(self, cfg, coherence):
+        pattern = grouped_pattern(cfg)
+        placement = build_streams(pattern)
+        ch = draw_channels(cfg, coherence, 7)
+        K = len(placement.users)
+        for rx in range(K):
+            for tx in range(K):
+                block = effective_matrix(placement, pattern, ch, rx, tx)
+                dim = placement.users[tx].dim
+                union = np.concatenate([
+                    np.linalg.svd(
+                        block[np.array(stream.slots) - 1, s * dim:(s + 1) * dim],
+                        compute_uv=False,
+                    )
+                    for s, stream in enumerate(placement.users[tx].streams)
+                ])
+                full = np.linalg.svd(block, compute_uv=False)
+                np.testing.assert_allclose(
+                    np.sort(union)[::-1], full, rtol=0, atol=1e-10 * full[0]
+                )
+
+    @pytest.mark.parametrize("cfg,coherence", stream_block_setups(), ids=str)
+    def test_compressed_stack_keeps_nonzero_spectrum(self, cfg, coherence):
+        pattern = grouped_pattern(cfg)
+        placement = build_streams(pattern)
+        ch = draw_channels(cfg, coherence, 8)
+        slots = _stream_slots(placement)
+        K = len(placement.users)
+        for rx in range(K):
+            modes = np.array(pattern.users[rx].physical_seq()) - 1
+            gains = [_stream_gains(ch, rx, tx, s, modes) for tx, s in enumerate(slots)]
+            ranks, compressed, width = _compress(pattern.length, slots, gains, rx)
+            interference = [
+                effective_matrix(placement, pattern, ch, rx, tx) for tx in range(K) if tx != rx
+            ]
+            assert ranks == [matrix_rank(b) for b in interference]
+            assert compressed.shape == (pattern.length, sum(ranks))
+            assert width == sum(b.shape[1] for b in interference)
+            if not interference:
+                continue
+            stack = np.hstack(interference)
+            rank = matrix_rank(stack)
+            full = np.linalg.svd(stack, compute_uv=False)
+            kept = np.linalg.svd(compressed, compute_uv=False)
+            np.testing.assert_allclose(kept[:rank], full[:rank], rtol=0, atol=1e-10 * full[0])
+            # the rest of the compressed spectrum is below the full stack's cutoff
+            assert np.all(kept[rank:] <= max(stack.shape) * full[0] * 1e-10)
+
+    def test_cutoffs_keep_full_shapes(
+        self, example_placement, example_pattern, monkeypatch
+    ):
+        # per receiver: its desired block, each interferer's block and the
+        # interference stack, each cut at the larger side of the full matrix
+        sizes = []
+        cutoff = signal._cutoff
+        monkeypatch.setattr(signal, "_cutoff", lambda s, size: sizes.append(size) or cutoff(s, size))
+        alignment_report(example_placement, example_pattern, draw_channels(
+            example_pattern.config, None, 1
+        ))
+        L = example_pattern.length
+        widths = [len(u.streams) * u.dim for u in example_placement.users]
+        expected = []
+        for rx, own in enumerate(widths):
+            expected.append(max(L, own))
+            expected.extend(max(L, w) for tx, w in enumerate(widths) if tx != rx)
+            expected.append(max(L, sum(widths) - own))
+        assert sizes == expected
+        assert max(L, sum(widths) - widths[0]) > L  # the stack is wider than L
 
 
 class TestDecode:
