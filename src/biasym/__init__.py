@@ -15,7 +15,6 @@ from .patterns import (
     grouped_length,
     grouped_pattern,
     pattern_table,
-    sequence_cartesian_product,
 )
 from .dof import (
     ReceiverPrediction,
@@ -34,14 +33,12 @@ from .signal import (
     ChannelSet,
     DecodeResult,
     ReceivedBlock,
-    Stream,
     StreamPlacement,
     alignment_report,
     assemble_received,
     build_streams,
     decode,
     draw_channels,
-    effective_matrix,
     random_symbols,
     report_to_csv,
     verify_receivers,

@@ -42,6 +42,7 @@ EXIT_INFEASIBLE = 4
 
 DECODE_RTOL = 1e-9
 VERIFY_MEMORY_LIMIT = 2 * 1024**3  # bytes one receiver's verify pass may need
+PATTERN_CELL_LIMIT = 2**24  # slots x users of a pattern table, about 125 bytes each
 
 
 class InfeasibleError(Exception):
@@ -178,6 +179,9 @@ def _write_output(rc: RunConfig, text: str) -> None:
 
 def cmd_pattern(rc: RunConfig) -> int:
     config = _resolve_config(rc)
+    cells = grouped_length(config) * config.num_users
+    if cells > PATTERN_CELL_LIMIT:
+        raise ValueError(f"pattern table has {cells} cells, above the {PATTERN_CELL_LIMIT} limit")
     pattern = grouped_pattern(config)
     _write_output(rc, pattern_table(pattern))
     return EXIT_OK
@@ -207,11 +211,12 @@ def cmd_verify(rc: RunConfig) -> int:
             f" joint {r.joint_measured}/{r.joint_predicted}"
             f" {'ok' if r.match else 'MISMATCH'}"
         )
-    max_err = 0.0
+    errors = []
     for user_syms, user_dec in zip(symbols, result.users):
         truth = np.concatenate(user_syms)
         est = np.concatenate(user_dec.estimates)
-        max_err = max(max_err, float(np.linalg.norm(est - truth) / np.linalg.norm(truth)))
+        errors.append(np.linalg.norm(est - truth) / np.linalg.norm(truth))
+    max_err = float(np.max(errors))  # unlike max(), np.max lets a NaN error through
     print(f"decode: max relative error {max_err:.3e}")
     if not result.all_recoverable:
         bad = [f"u{u.label[0]}.{u.label[1]}" for u in result.users if not u.recoverable]

@@ -25,7 +25,6 @@ __all__ = [
     "UserPattern",
     "PresetPattern",
     "base_pattern",
-    "sequence_cartesian_product",
     "grouped_pattern",
     "flat_length",
     "grouped_length",
@@ -261,19 +260,6 @@ def flat_length(mode_counts) -> int:
     return block + holds
 
 
-def sequence_cartesian_product(seq_a, seq_b) -> tuple:
-    """All pairs of two sequences, second-component major.
-
-    The element at 1-based position (j - 1) * len(seq_a) + i is
-    (seq_a[i], seq_b[j]): the whole of ``seq_a`` repeats once per entry of
-    ``seq_b``.  This is the order in which a two-level pattern scans its
-    slots, so the element-level pattern occupies contiguous runs.
-    """
-    a = tuple(seq_a)
-    b = tuple(seq_b)
-    return tuple((x, y) for y in b for x in a)
-
-
 # ======================================================================
 # Two-level construction
 # ======================================================================
@@ -287,27 +273,12 @@ class UserPattern:
     group: int  # 1-based group index
     used: int
     element_modes: int
-    group_modes: int
     element_seq: tuple[int, ...]
     group_seq: tuple[int, ...]
 
     @property
-    def length(self) -> int:
-        return len(self.element_seq) * len(self.group_seq)
-
-    @property
     def label(self) -> str:
         return f"u{self.position}.{self.group}"
-
-    def composite(self, t: int) -> tuple[int, int]:
-        """(m1, m2) mode pair at 1-based slot t."""
-        l1 = len(self.element_seq)
-        s2, s1 = divmod(t - 1, l1)
-        return self.element_seq[s1], self.group_seq[s2]
-
-    def physical(self, t: int) -> int:
-        """1-based physical preset mode at slot t."""
-        return self.physical_seq()[t - 1]
 
     def physical_seq(self) -> tuple[int, ...]:
         """1-based physical preset mode of every slot, in composite_seq order."""
@@ -318,12 +289,9 @@ class UserPattern:
         )
 
     def composite_seq(self) -> tuple[tuple[int, int], ...]:
-        return sequence_cartesian_product(self.element_seq, self.group_seq)
-
-    def factored(self) -> str:
-        m1 = ",".join(str(m) for m in self.element_seq)
-        m2 = ",".join(str(m) for m in self.group_seq)
-        return f"({m1})x({m2})"
+        """(m1, m2) mode pair of every slot: the element sequence repeats
+        once per group-level slot, so it occupies contiguous runs."""
+        return tuple((m1, m2) for m2 in self.group_seq for m1 in self.element_seq)
 
 
 @dataclass(frozen=True)
@@ -344,13 +312,6 @@ class PresetPattern:
     @property
     def length(self) -> int:
         return self.element_length * self.group_length
-
-    def user(self, position: int, group: int) -> UserPattern:
-        """Look up a user by 1-based (position, group) label."""
-        for u in self.users:
-            if u.position == position and u.group == group:
-                return u
-        raise KeyError(f"no user at position {position}, group {group}")
 
 
 def grouped_pattern(config: GroupingConfig) -> PresetPattern:
@@ -375,7 +336,6 @@ def grouped_pattern(config: GroupingConfig) -> PresetPattern:
                     group=i + 1,
                     used=config.used[orig],
                     element_modes=config.element_counts[k],
-                    group_modes=config.group_mode_counts[i],
                     element_seq=m1_family[k],
                     group_seq=m2_family[i],
                 )

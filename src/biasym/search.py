@@ -47,26 +47,18 @@ class SearchSpace:
 
     ``equipped`` fixes each user's available preset modes.  ``allow_reduction``
     admits using fewer modes than equipped (2 <= used <= equipped);
-    ``allowed_group_counts`` restricts the group counts tried (None means
-    every divisor of the user count); ``require_grouping`` excludes the
-    single-group fallback from the grouped strategy, for studying pure
-    grouping.  ``length_budget`` caps the supersymbol length (None = none).
+    ``require_grouping`` excludes the single-group fallback from the grouped
+    strategy, for studying pure grouping.  ``length_budget`` caps the
+    supersymbol length (None = none).
     """
 
     equipped: tuple[int, ...]
     length_budget: int | None = None
-    allowed_group_counts: tuple[int, ...] | None = None
     allow_reduction: bool = True
     require_grouping: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "equipped", tuple(int(m) for m in self.equipped))
-        if self.allowed_group_counts is not None:
-            object.__setattr__(
-                self,
-                "allowed_group_counts",
-                tuple(int(g) for g in self.allowed_group_counts),
-            )
         if any(m < 2 for m in self.equipped):
             raise ValueError("every equipped mode count must be >= 2")
 
@@ -112,14 +104,6 @@ def _partitions(users, group_size):
             yield [group] + tail
 
 
-def _group_count_options(space: SearchSpace) -> list[int]:
-    K = len(space.equipped)
-    options = [d for d in range(1, K + 1) if K % d == 0]
-    if space.allowed_group_counts is not None:
-        options = [d for d in options if d in space.allowed_group_counts]
-    return options
-
-
 def _groupable(used) -> bool:
     """Whether two or more groups can carry these used counts at all.
 
@@ -132,26 +116,25 @@ def _groupable(used) -> bool:
 def enumerate_configs(space: SearchSpace):
     """Yield every valid config once, in canonical form.
 
-    Covers all group counts dividing the user count (subject to
-    ``allowed_group_counts``), all used-mode assignments when reduction is
-    allowed, all user partitions, and all group mode counts compatible with
-    the cross-group alignment condition.  ``require_grouping`` does not
-    filter here; it only affects which configs the grouped strategy of
-    :func:`optimize` may pick.  Flat configs are unique per used-mode
-    assignment; only grouped ones need deduplicating.
+    Covers all group counts dividing the user count, all used-mode
+    assignments when reduction is allowed, all user partitions, and all
+    group mode counts compatible with the cross-group alignment condition.
+    ``require_grouping`` does not filter here; it only affects which
+    configs the grouped strategy of :func:`optimize` may pick.  Flat configs
+    are unique per used-mode assignment; only grouped ones need
+    deduplicating.
     """
     seen: set[str] = set()
-    group_counts = _group_count_options(space)
+    K = len(space.equipped)
     for used in _used_assignments(space.equipped, space.allow_reduction):
         groupable = _groupable(used)
-        for kg in group_counts:
+        for kg in (d for d in range(1, K + 1) if K % d == 0):
             if kg == 1:
                 yield GroupingConfig.flat(space.equipped, used)
                 continue
             if not groupable:
                 continue
-            ke = len(space.equipped) // kg
-            for raw_parts in _partitions(list(range(len(space.equipped))), ke):
+            for raw_parts in _partitions(list(range(K)), K // kg):
                 groups = [member_order(g, space.equipped, used) for g in raw_parts]
                 groups.sort(
                     key=lambda g: (
@@ -266,7 +249,6 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    space: SearchSpace
     rows: tuple[SweepRow, ...]
 
     def strict_rows(self) -> list[int]:
@@ -295,7 +277,7 @@ def sweep(space: SearchSpace, length_budgets) -> SweepResult:
         SweepRow(length_budget=budget, conventional=conventional, grouped=grouped)
         for budget, (conventional, grouped) in zip(budgets, _frontier(space, budgets))
     )
-    return SweepResult(space=space, rows=rows)
+    return SweepResult(rows=rows)
 
 
 # ======================================================================
@@ -307,7 +289,6 @@ class VerificationReport:
     """Signal-level re-verification of every winning sweep config."""
 
     checked: dict[str, bool]
-    seeds: tuple[int, ...]
 
     @property
     def all_ok(self) -> bool:
@@ -337,7 +318,7 @@ def verify_sweep(result: SweepResult, seeds=(1, 2, 3)) -> VerificationReport:
                 report = alignment_report(placement, pattern, channels)
                 ok = ok and report.all_match
             checked[key] = ok
-    return VerificationReport(checked=checked, seeds=tuple(int(s) for s in seeds))
+    return VerificationReport(checked=checked)
 
 
 def _entry_fields(entry: BestEntry | None) -> list[str]:

@@ -23,7 +23,6 @@ from .dof import rank_predictions
 from .patterns import GroupingConfig, PresetPattern, grouped_length
 
 __all__ = [
-    "Stream",
     "UserStreams",
     "StreamPlacement",
     "ChannelSet",
@@ -35,7 +34,6 @@ __all__ = [
     "DecodeResult",
     "build_streams",
     "draw_channels",
-    "effective_matrix",
     "assemble_received",
     "alignment_report",
     "decode",
@@ -55,18 +53,13 @@ RANK_RTOL = 1e-10  # singular values below max_dim * smax * RANK_RTOL count as z
 # ======================================================================
 
 @dataclass(frozen=True)
-class Stream:
-    """One symbol vector: its dimension and the 1-based slots it repeats in."""
-
-    dim: int
-    slots: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class UserStreams:
+    """One user's streams: each carries one ``dim``-dimensional symbol vector
+    and repeats it over its own ``dim`` 1-based slots in ``slots``."""
+
     label: tuple[int, int]
     dim: int
-    streams: tuple[Stream, ...]
+    slots: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -111,16 +104,12 @@ def build_streams(pattern: PresetPattern) -> StreamPlacement:
     for u in pattern.users:
         m1_slots = _flat_stream_slots(m1_family, config.element_counts, u.position - 1)
         m2_slots = _flat_stream_slots(m2_family, config.group_mode_counts, u.group - 1)
-        streams = []
-        for b_key in sorted(m2_slots):
-            for a_key in sorted(m1_slots):
-                occupied = sorted(
-                    (s2 - 1) * l1 + s1
-                    for s2 in m2_slots[b_key]
-                    for s1 in m1_slots[a_key]
-                )
-                streams.append(Stream(dim=u.used, slots=tuple(occupied)))
-        users.append(UserStreams((u.position, u.group), u.used, tuple(streams)))
+        streams = tuple(
+            tuple(sorted((s2 - 1) * l1 + s1 for s2 in m2_slots[b_key] for s1 in m1_slots[a_key]))
+            for b_key in sorted(m2_slots)
+            for a_key in sorted(m1_slots)
+        )
+        users.append(UserStreams((u.position, u.group), u.used, streams))
     return StreamPlacement(users=tuple(users))
 
 
@@ -142,13 +131,6 @@ class ChannelSet:
     coherence_length: int
     n_blocks: int
     gains: dict[tuple[int, int], np.ndarray] = field(repr=False)
-
-    def block_of(self, t: int) -> int:
-        return (t - 1) // self.coherence_length
-
-    def row(self, rx: int, tx: int, t: int, mode: int) -> np.ndarray:
-        """Channel row seen by rx (in preset mode ``mode``) from tx at slot t."""
-        return self.gains[(rx, tx)][self.block_of(t), mode - 1, :]
 
 
 def draw_channels(
@@ -202,7 +184,7 @@ def _stream_slots(placement: StreamPlacement) -> list[np.ndarray]:
     mode, and two streams of one user never share a slot.
     """
     return [
-        np.array([s.slots for s in u.streams], dtype=np.intp).reshape(-1, u.dim) - 1
+        np.array(u.slots, dtype=np.intp).reshape(-1, u.dim) - 1
         for u in placement.users
     ]
 
@@ -217,29 +199,14 @@ def _stream_gains(channels: ChannelSet, rx: int, tx: int, slots, modes) -> np.nd
 
 
 def _block(length: int, slots: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """The effective block of stream blocks ``gains`` on their ``slots``."""
+    """The effective block of stream blocks ``gains`` on their ``slots``.
+
+    Shape (length, streams * dim): row t holds, in the columns of stream s,
+    the channel row of slot t if the stream occupies it, and zeros otherwise.
+    """
     out = np.zeros((length, len(gains), gains.shape[2]), dtype=complex)
     out[slots, np.arange(len(gains))[:, None]] = gains
     return out.reshape(length, -1)
-
-
-def effective_matrix(
-    placement: StreamPlacement,
-    pattern: PresetPattern,
-    channels: ChannelSet,
-    rx: int,
-    tx: int,
-) -> np.ndarray:
-    """Stacked channel rows mapping tx's symbol vectors to rx's samples.
-
-    Shape (supersymbol length, tx streams * tx dim).  Row t holds, in the
-    columns of stream s, the channel row rx sees from tx at slot t if the
-    stream occupies that slot, and zeros otherwise.  Ranks of these blocks
-    are what alignment predictions speak about.
-    """
-    slots = _stream_slots(placement)[tx]
-    modes = np.array(pattern.users[rx].physical_seq(), dtype=np.intp) - 1
-    return _block(len(modes), slots, _stream_gains(channels, rx, tx, slots, modes))
 
 
 @dataclass(frozen=True)
@@ -259,8 +226,8 @@ def random_symbols(
     out = []
     for u in placement.users:
         vecs = []
-        for stream in u.streams:
-            v = rng.standard_normal(stream.dim) + 1j * rng.standard_normal(stream.dim)
+        for _ in u.slots:
+            v = rng.standard_normal(u.dim) + 1j * rng.standard_normal(u.dim)
             vecs.append(v / np.linalg.norm(v))
         out.append(vecs)
     return out
@@ -412,13 +379,13 @@ def _sources(
     noise_seed: int | np.random.SeedSequence | None,
 ):
     """Validated inputs: one stacked symbol vector per transmitter, noise RNG."""
-    if not noise_scale >= 0.0:  # also rejects NaN
-        raise ValueError("noise scale must be >= 0")
+    if not 0.0 <= noise_scale < np.inf:  # also rejects NaN
+        raise ValueError("noise scale must be finite and >= 0")
     for u, user_syms in zip(placement.users, symbols):
-        if len(user_syms) != len(u.streams):
+        if len(user_syms) != len(u.slots):
             raise ValueError("one symbol vector per stream is required")
-        for vec, stream in zip(user_syms, u.streams):
-            if np.shape(vec) != (stream.dim,):
+        for vec in user_syms:
+            if np.shape(vec) != (u.dim,):
                 raise ValueError("symbol vector dimension must match the stream")
     rng = np.random.default_rng(noise_seed) if noise_scale > 0.0 else None
     return [np.concatenate(user_syms) for user_syms in symbols], noise_scale, rng
@@ -521,7 +488,7 @@ def _receiver_pass(
         deficiency = projected.shape[1] - surviving
         user_decode = UserDecode(
             label=user.label,
-            estimates=np.split(solution, len(user.streams)),
+            estimates=np.split(solution, len(user.slots)),
             recoverable=deficiency == 0,
             deficiency=deficiency,
         )

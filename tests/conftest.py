@@ -51,6 +51,50 @@ def matrix_rank(matrix: np.ndarray) -> int:
     return int(np.sum(s > max(matrix.shape) * s[0] * 1e-10))
 
 
+# Oracles below read only raw data: a user's element and group sequences and
+# physical_seq(), a placement's slots, and ChannelSet.gains with its
+# coherence_length.  None goes through the library's block assembly.
+
+def factored(user) -> str:
+    """A user's schedule written as '(element sequence)x(group sequence)'."""
+    m1 = ",".join(str(m) for m in user.element_seq)
+    m2 = ",".join(str(m) for m in user.group_seq)
+    return f"({m1})x({m2})"
+
+
+def composite(user, t: int) -> tuple[int, int]:
+    """(m1, m2) mode pair at 1-based slot t: the element sequence runs fastest."""
+    s2, s1 = divmod(t - 1, len(user.element_seq))
+    return user.element_seq[s1], user.group_seq[s2]
+
+
+def physical(user, t: int) -> int:
+    """1-based physical preset mode at 1-based slot t."""
+    return user.physical_seq()[t - 1]
+
+
+def channel_row(channels, rx: int, tx: int, t: int, mode: int) -> np.ndarray:
+    """Channel row rx sees in 1-based preset ``mode`` from tx at 1-based slot t."""
+    return channels.gains[(rx, tx)][(t - 1) // channels.coherence_length, mode - 1, :]
+
+
+def effective_block(placement, pattern, channels, rx: int, tx: int) -> np.ndarray:
+    """Dense effective matrix mapping tx's symbol vectors to rx's samples.
+
+    Shape (supersymbol length, tx streams * tx dim), filled slot by slot:
+    row t holds, in the columns of stream s, the channel row rx sees from tx
+    at slot t if the stream occupies it, and zeros otherwise.
+    """
+    dim = placement.users[tx].dim
+    streams = placement.users[tx].slots
+    block = np.zeros((pattern.length, len(streams) * dim), dtype=complex)
+    for s, slots in enumerate(streams):
+        for t in slots:
+            mode = physical(pattern.users[rx], t)
+            block[t - 1, s * dim:(s + 1) * dim] = channel_row(channels, rx, tx, t, mode)
+    return block
+
+
 @pytest.fixture(scope="session")
 def example_config() -> GroupingConfig:
     return GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2])

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import channel_row, factored
 
 from biasym import (
     GroupingConfig,
@@ -85,8 +86,7 @@ def test_criterion_01_pattern_goldens():
 
     cfg = GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2])
     pattern = grouped_pattern(cfg)
-    factored = [u.factored() for u in pattern.users]
-    assert factored == [
+    assert [factored(u) for u in pattern.users] == [
         "(1,2,3,1,2)x(1,2,1)",
         "(1,1,1,2,2)x(1,2,1)",
         "(1,2,3,1,2)x(1,1,2)",
@@ -172,7 +172,7 @@ def test_criterion_05_decode_round_trip(example_config, example_pattern, example
     # cancel all interference and leave its first desired row
     y = received[0].samples
     combo = y[0] - y[3] - y[10] + y[13]
-    expected = channels.row(0, 0, 1, 1) @ symbols[0][0]
+    expected = channel_row(channels, 0, 0, 1, 1) @ symbols[0][0]
     assert abs(combo - expected) / abs(expected) < 1e-9
 
 

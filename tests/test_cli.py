@@ -38,7 +38,7 @@ class TestExitCodes:
         assert main(["sweep", "--modes", "6,6,4,4", "--lmin", "2", "--lmax", "4"]) == 4
         assert "infeasible" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("noise", ["-1", "nan"])
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
     def test_negative_or_nan_noise_is_2(self, noise, capsys):
         for extra in ([], ["--coherence", "5"]):
             argv = ["verify", "--modes", "6,6,4,4", "--flat", "--noise", noise, *extra]
@@ -46,6 +46,12 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert "invalid config" in captured.err
             assert captured.out == ""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_noise_does_not_report_zero_error(self, capsys):
+        # finite, but the samples overflow: a NaN error must reach the report
+        main(["verify", *EXAMPLE, "--noise", "1e308"])
+        assert "decode: max relative error 0.000e+00" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("lmin,lmax,lstep", [("20", "10", "1"), ("10", "20", "0"),
                                                  ("10", "20", "-1")])
@@ -69,6 +75,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "invalid config: verify needs about" in captured.err
         assert captured.out == ""
+
+    def test_pattern_over_cell_limit_is_2_before_building(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pattern must not be built")
+
+        # flat (5,5,5,5) has 512 slots, 2048 cells
+        monkeypatch.setattr("biasym.cli.PATTERN_CELL_LIMIT", 2047)
+        monkeypatch.setattr("biasym.cli.grouped_pattern", refuse)
+        assert main(["pattern", "--modes", "5,5,5,5", "--flat"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid config: pattern table has 2048 cells" in captured.err
+        assert captured.out == ""
+        monkeypatch.setattr("biasym.cli.PATTERN_CELL_LIMIT", 2048)
+        with pytest.raises(AssertionError, match="must not be built"):
+            main(["pattern", "--modes", "5,5,5,5", "--flat"])
 
     def test_verify_memory_limit_counts_short_coherence(self, monkeypatch, capsys):
         # a fading block shorter than L keeps every interfering column, so the

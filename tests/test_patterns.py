@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from conftest import composite, factored, physical
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from biasym import (
     grouped_length,
     grouped_pattern,
     pattern_table,
-    sequence_cartesian_product,
 )
 
 mode_lists = st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=5)
@@ -113,23 +113,6 @@ class TestFlatConstruction:
                 assert sorted(own_modes) == list(range(1, modes[k] + 1))
 
 
-class TestCartesianProduct:
-    def test_second_component_major_order(self):
-        out = sequence_cartesian_product((1, 2, 3), ("a", "b"))
-        assert out == ((1, "a"), (2, "a"), (3, "a"), (1, "b"), (2, "b"), (3, "b"))
-
-    @given(
-        st.lists(st.integers(), min_size=1, max_size=6),
-        st.lists(st.integers(), min_size=1, max_size=6),
-    )
-    def test_position_formula(self, a, b):
-        out = sequence_cartesian_product(a, b)
-        assert len(out) == len(a) * len(b)
-        for j in range(len(b)):
-            for i in range(len(a)):
-                assert out[j * len(a) + i] == (a[i], b[j])
-
-
 class TestGroupingConfig:
     def test_canonical_string(self, example_config):
         assert (
@@ -194,8 +177,7 @@ class TestGroupingConfig:
 
 class TestGroupedPattern:
     def test_example_factored_patterns(self, example_pattern):
-        factored = [u.factored() for u in example_pattern.users]
-        assert factored == [
+        assert [factored(u) for u in example_pattern.users] == [
             "(1,2,3,1,2)x(1,2,1)",
             "(1,1,1,2,2)x(1,2,1)",
             "(1,2,3,1,2)x(1,1,2)",
@@ -203,7 +185,8 @@ class TestGroupedPattern:
         ]
 
     def test_example_composite_expansion(self, example_pattern):
-        u11 = example_pattern.user(1, 1)
+        u11 = example_pattern.users[0]
+        assert u11.label == "u1.1"
         assert u11.composite_seq() == tuple(
             zip(
                 (1, 2, 3, 1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 1, 2),
@@ -214,10 +197,12 @@ class TestGroupedPattern:
     def test_physical_mode_map(self, example_pattern):
         # physical mode is (m2 - 1) * element_count + m1
         for u in example_pattern.users:
-            for t in range(1, u.length + 1):
-                m1, m2 = u.composite(t)
-                assert u.physical(t) == (m2 - 1) * u.element_modes + m1
-        assert example_pattern.user(2, 1).physical_seq() == (
+            for t in range(1, example_pattern.length + 1):
+                m1, m2 = composite(u, t)
+                assert physical(u, t) == (m2 - 1) * u.element_modes + m1
+        u21 = example_pattern.users[1]
+        assert u21.label == "u2.1"
+        assert u21.physical_seq() == (
             1, 1, 1, 2, 2, 3, 3, 3, 4, 4, 1, 1, 1, 2, 2,
         )
 
@@ -275,7 +260,8 @@ class TestPatternInvariants:
     @settings(max_examples=30, deadline=None)
     def test_two_level_pattern_is_cartesian_expansion(self, elem, grp):
         # every user's composite sequence must equal the product of its two
-        # component sequences, element level running fastest
+        # component sequences, element level running fastest: the pair at
+        # 1-based slot (j - 1) * len(a) + i is (a[i], b[j])
         used = [e * g for g in grp for e in elem]
         equipped = used
         groups = []
@@ -286,9 +272,12 @@ class TestPatternInvariants:
         cfg = GroupingConfig.grouped(equipped, groups, grp, used)
         pattern = grouped_pattern(cfg)
         for u in pattern.users:
-            assert u.composite_seq() == sequence_cartesian_product(
-                u.element_seq, u.group_seq
-            )
+            a, b = u.element_seq, u.group_seq
+            out = u.composite_seq()
+            assert len(out) == len(a) * len(b) == pattern.length
+            for j in range(len(b)):
+                for i in range(len(a)):
+                    assert out[j * len(a) + i] == (a[i], b[j])
             assert len(set(u.physical_seq())) == u.used
 
     def test_all_groups_share_element_family(self, example_pattern):

@@ -185,13 +185,10 @@ class TestEnumerateConfigs:
             assert isinstance(cfg, GroupingConfig)  # already validated
         assert count > 50
 
-    def test_allowed_group_counts_filter(self):
-        space = SearchSpace((6, 6, 4, 4), allowed_group_counts=(2,))
-        assert all(c.num_groups == 2 for c in enumerate_configs(space))
-
     def test_prime_user_count_has_no_proper_grouping(self):
-        space = SearchSpace((5, 5, 5, 5, 5), allowed_group_counts=(2, 3, 4))
-        assert list(enumerate_configs(space)) == []
+        # five users form one group or five; 4 = 2 x 2 lets five groups through
+        space = SearchSpace((4,) * 5, allow_reduction=False)
+        assert {c.num_groups for c in enumerate_configs(space)} == {1, 5}
 
     def test_reduction_explores_smaller_used_counts(self):
         space = SearchSpace((4, 4))
@@ -267,8 +264,9 @@ class TestOptimize:
         assert result.grouped.config.num_groups == 2
 
     def test_infeasible_returns_none(self):
-        result = optimize(SearchSpace((5,) * 5, allowed_group_counts=(2, 3, 4)))
-        assert result.conventional is None and result.grouped is None
+        # used count 5 is prime, so no proper grouping exists
+        result = optimize(SearchSpace((5,) * 5, allow_reduction=False, require_grouping=True))
+        assert result.conventional is not None and result.grouped is None
         tight = optimize(SearchSpace((6, 6, 4, 4), length_budget=4))
         assert tight.conventional is None and tight.grouped is None
 

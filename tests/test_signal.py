@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import matrix_rank
+from conftest import channel_row, effective_block, matrix_rank, physical
 
 from biasym import (
     GroupingConfig,
@@ -25,7 +25,6 @@ from biasym import (
     build_streams,
     decode,
     draw_channels,
-    effective_matrix,
     enumerate_configs,
     grouped_length,
     grouped_pattern,
@@ -35,7 +34,7 @@ from biasym import (
     verify_receivers,
 )
 from biasym import signal
-from biasym.signal import _compress, _stream_gains, _stream_slots, receiver_memory_bytes
+from biasym.signal import _block, _compress, _stream_gains, _stream_slots, receiver_memory_bytes
 
 
 def slot_loop_received(placement, pattern, channels, symbols, rx):
@@ -44,13 +43,13 @@ def slot_loop_received(placement, pattern, channels, symbols, rx):
     K = len(placement.users)
     y = np.zeros(L, dtype=complex)
     for t in range(1, L + 1):
-        mode = pattern.users[rx].physical(t)
+        mode = physical(pattern.users[rx], t)
         for tx in range(K):
             sent = np.zeros(placement.users[tx].dim, dtype=complex)
-            for s, stream in enumerate(placement.users[tx].streams):
-                if t in stream.slots:
+            for s, stream in enumerate(placement.users[tx].slots):
+                if t in stream:
                     sent = sent + symbols[tx][s]
-            y[t - 1] += channels.row(rx, tx, t, mode) @ sent
+            y[t - 1] += channel_row(channels, rx, tx, t, mode) @ sent
     return y
 
 
@@ -66,7 +65,7 @@ def small_configs():
 
 class TestStreamPlacement:
     def test_example_stream_slots(self, example_placement):
-        slots = {u.label: [s.slots for s in u.streams] for u in example_placement.users}
+        slots = {u.label: list(u.slots) for u in example_placement.users}
         assert slots[(1, 1)] == [(1, 2, 3, 6, 7, 8)]
         assert slots[(2, 1)] == [(1, 4, 6, 9), (2, 5, 7, 10)]
         assert slots[(1, 2)] == [(1, 2, 3, 11, 12, 13)]
@@ -75,7 +74,7 @@ class TestStreamPlacement:
     def test_stream_counts_match_predictions(self, example_placement, example_config):
         preds = {p.label: p for p in rank_predictions(example_config)}
         for u in example_placement.users:
-            assert len(u.streams) * u.dim == preds[u.label].desired
+            assert len(u.slots) * u.dim == preds[u.label].desired
 
     @pytest.mark.parametrize("cfg", small_configs(), ids=str)
     def test_placement_invariants(self, cfg):
@@ -83,13 +82,13 @@ class TestStreamPlacement:
         placement = build_streams(pattern)
         for u, pu in zip(placement.users, pattern.users):
             seen: set[int] = set()
-            for stream in u.streams:
+            for stream in u.slots:
                 # a stream repeats once per own physical mode, each exactly once
-                assert len(stream.slots) == u.dim == stream.dim
-                modes = [pu.physical(t) for t in stream.slots]
+                assert len(stream) == u.dim
+                modes = [physical(pu, t) for t in stream]
                 assert sorted(modes) == list(range(1, u.dim + 1))
-                assert not seen.intersection(stream.slots)
-                seen.update(stream.slots)
+                assert not seen.intersection(stream)
+                seen.update(stream)
 
     @pytest.mark.parametrize("modes", [(6, 6, 4, 4), (6, 6, 6, 4, 4, 4), (4, 6, 4, 6), (9, 6)])
     def test_enumerated_streams_fill_dim_disjoint_slots(self, modes):
@@ -101,8 +100,8 @@ class TestStreamPlacement:
                 continue
             pattern = grouped_pattern(cfg)
             for u, pu in zip(build_streams(pattern).users, pattern.users):
-                assert all(len(s.slots) == u.dim == s.dim for s in u.streams), cfg
-                slots = np.array([s.slots for s in u.streams])
+                assert all(len(s) == u.dim for s in u.slots), cfg
+                slots = np.array(u.slots)
                 assert len(np.unique(slots)) == slots.size, cfg
                 modes_at = np.array(pu.physical_seq())[slots - 1]
                 assert (np.sort(modes_at, axis=1) == np.arange(1, u.dim + 1)).all(), cfg
@@ -128,12 +127,13 @@ class TestChannels:
     def test_block_fading_boundaries(self, example_config):
         ch = draw_channels(example_config, 5, 3)
         assert ch.n_blocks == 3
-        assert [ch.block_of(t) for t in (1, 5, 6, 10, 11, 15)] == [0, 0, 1, 1, 2, 2]
-        # rows must change across block boundaries
-        assert not np.allclose(
-            ch.row(0, 0, 1, 1), ch.row(0, 0, 6, 1)
-        )
-        np.testing.assert_array_equal(ch.row(0, 0, 1, 1), ch.row(0, 0, 5, 1))
+        assert ch.gains[(0, 0)].shape[0] == 3
+        # rows hold inside a fading block and change across its boundaries
+        rows = [channel_row(ch, 0, 0, t, 1) for t in (1, 5, 6, 10, 11, 15)]
+        for first, last in zip(rows[::2], rows[1::2]):
+            np.testing.assert_array_equal(first, last)
+        assert not np.allclose(rows[0], rows[2])
+        assert not np.allclose(rows[2], rows[4])
 
     def test_unit_variance(self):
         cfg = GroupingConfig.flat([6, 6])
@@ -152,16 +152,22 @@ class TestEffectiveMatrix:
     ):
         # the farthest interferer collapses to one dimension per stream
         ch = draw_channels(example_config, None, 2)
-        block = effective_matrix(example_placement, example_pattern, ch, 0, 3)
+        block = effective_block(example_placement, example_pattern, ch, 0, 3)
         assert block.shape == (15, 8)
         assert matrix_rank(block) == 2
 
     def test_zero_outside_occupied_slots(
         self, example_placement, example_pattern, example_config
     ):
+        # the desired block D the receiver pass assembles, against the oracle
         ch = draw_channels(example_config, None, 2)
-        block = effective_matrix(example_placement, example_pattern, ch, 0, 0)
-        occupied = set(example_placement.users[0].streams[0].slots)
+        slots = _stream_slots(example_placement)[0]
+        modes = np.array(example_pattern.users[0].physical_seq()) - 1
+        block = _block(15, slots, _stream_gains(ch, 0, 0, slots, modes))
+        np.testing.assert_array_equal(
+            block, effective_block(example_placement, example_pattern, ch, 0, 0)
+        )
+        occupied = set(example_placement.users[0].slots[0])
         for t in range(1, 16):
             row_is_zero = not np.any(block[t - 1])
             assert row_is_zero == (t not in occupied)
@@ -232,7 +238,7 @@ print(json.dumps({{"growth": (after - before) * 1024, "match": report.all_match}
         ch = draw_channels(example_config, None, 1)
         for rx in range(4):
             built = sum(
-                effective_matrix(example_placement, example_pattern, ch, rx, tx).nbytes
+                effective_block(example_placement, example_pattern, ch, rx, tx).nbytes
                 for tx in range(4)
             )
             assert built < receiver_memory_bytes(example_config)
@@ -323,7 +329,7 @@ class TestSubtractionSchedule:
             u11 = symbols[0][0]
             for mode, terms in schedule.items():
                 combo = sum(sign * y[t - 1] for t, sign in terms)
-                expected = ch.row(0, 0, 1, mode) @ u11
+                expected = channel_row(ch, 0, 0, 1, mode) @ u11
                 np.testing.assert_allclose(combo, expected, atol=1e-10)
 
 
@@ -395,9 +401,9 @@ class TestFullMatrixReference:
         result = decode(placement, pattern, ch, received)
         K = len(placement.users)
         for rx in range(K):
-            desired = effective_matrix(placement, pattern, ch, rx, rx)
+            desired = effective_block(placement, pattern, ch, rx, rx)
             interference = [
-                effective_matrix(placement, pattern, ch, rx, tx)
+                effective_block(placement, pattern, ch, rx, tx)
                 for tx in range(K) if tx != rx
             ]
             r = report.receivers[rx]
@@ -447,14 +453,14 @@ class TestCompressedInterference:
         K = len(placement.users)
         for rx in range(K):
             for tx in range(K):
-                block = effective_matrix(placement, pattern, ch, rx, tx)
+                block = effective_block(placement, pattern, ch, rx, tx)
                 dim = placement.users[tx].dim
                 union = np.concatenate([
                     np.linalg.svd(
-                        block[np.array(stream.slots) - 1, s * dim:(s + 1) * dim],
+                        block[np.array(stream) - 1, s * dim:(s + 1) * dim],
                         compute_uv=False,
                     )
-                    for s, stream in enumerate(placement.users[tx].streams)
+                    for s, stream in enumerate(placement.users[tx].slots)
                 ])
                 full = np.linalg.svd(block, compute_uv=False)
                 np.testing.assert_allclose(
@@ -473,7 +479,7 @@ class TestCompressedInterference:
             gains = [_stream_gains(ch, rx, tx, s, modes) for tx, s in enumerate(slots)]
             ranks, compressed, width = _compress(pattern.length, slots, gains, rx)
             interference = [
-                effective_matrix(placement, pattern, ch, rx, tx) for tx in range(K) if tx != rx
+                effective_block(placement, pattern, ch, rx, tx) for tx in range(K) if tx != rx
             ]
             assert ranks == [matrix_rank(b) for b in interference]
             assert compressed.shape == (pattern.length, sum(ranks))
@@ -500,7 +506,7 @@ class TestCompressedInterference:
             example_pattern.config, None, 1
         ))
         L = example_pattern.length
-        widths = [len(u.streams) * u.dim for u in example_placement.users]
+        widths = [len(u.slots) * u.dim for u in example_placement.users]
         expected = []
         for rx, own in enumerate(widths):
             expected.append(max(L, own))
