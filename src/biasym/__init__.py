@@ -35,9 +35,7 @@ from .signal import (
     ReceivedBlock,
     StreamPlacement,
     alignment_report,
-    assemble_received,
     build_streams,
-    decode,
     draw_channels,
     random_symbols,
     report_to_csv,

@@ -63,8 +63,7 @@ class GroupingConfig:
     element_counts: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        eq = tuple(int(m) for m in self.equipped)
-        us = tuple(int(m) for m in self.used)
+        eq, us = _mode_counts(self.equipped, self.used)
         grs = tuple(tuple(int(u) for u in g) for g in self.groups)
         mgs = tuple(int(m) for m in self.group_mode_counts)
         object.__setattr__(self, "equipped", eq)
@@ -77,8 +76,6 @@ class GroupingConfig:
             raise ValueError("equipped mode list must be nonempty")
         if any(m < 2 for m in eq):
             raise ValueError("every equipped mode count must be >= 2")
-        if len(us) != K:
-            raise ValueError("used mode list must match the user count")
         if any(u < 2 for u in us):
             raise ValueError("every used mode count must be >= 2")
         if any(u > m for u, m in zip(us, eq)):
@@ -134,15 +131,13 @@ class GroupingConfig:
     @classmethod
     def flat(cls, equipped, used=None) -> "GroupingConfig":
         """Single-group config: the plain flat construction over used modes."""
-        eq = tuple(int(m) for m in equipped)
-        us = eq if used is None else tuple(int(m) for m in used)
+        eq, us = _mode_counts(equipped, used)
         return cls(eq, us, (member_order(range(len(eq)), eq, us),), (1,))
 
     @classmethod
     def grouped(cls, equipped, groups, group_mode_counts, used=None) -> "GroupingConfig":
         """Build a config from explicit user-index groups, normalizing order."""
-        eq = tuple(int(m) for m in equipped)
-        us = eq if used is None else tuple(int(m) for m in used)
+        eq, us = _mode_counts(equipped, used)
         norm = tuple(member_order(g, eq, us) for g in groups)
         return cls(eq, us, norm, tuple(group_mode_counts))
 
@@ -185,6 +180,16 @@ class GroupingConfig:
 
     def __str__(self) -> str:
         return self.canonical_string()
+
+
+def _mode_counts(equipped, used=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Equipped and used mode counts as ints, used defaulting to equipped,
+    checked to agree in length before anything indexes them by user."""
+    eq = tuple(int(m) for m in equipped)
+    us = eq if used is None else tuple(int(m) for m in used)
+    if len(us) != len(eq):
+        raise ValueError("used mode list must match the user count")
+    return eq, us
 
 
 def member_order(members, equipped, used) -> tuple[int, ...]:

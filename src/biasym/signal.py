@@ -34,9 +34,7 @@ __all__ = [
     "DecodeResult",
     "build_streams",
     "draw_channels",
-    "assemble_received",
     "alignment_report",
-    "decode",
     "verify_receivers",
     "random_symbols",
     "receiver_memory_bytes",
@@ -372,25 +370,6 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     return (largest + stacks) * np.dtype(complex).itemsize
 
 
-def _sources(
-    placement: StreamPlacement,
-    symbols,
-    noise_scale: float,
-    noise_seed: int | np.random.SeedSequence | None,
-):
-    """Validated inputs: one stacked symbol vector per transmitter, noise RNG."""
-    if not 0.0 <= noise_scale < np.inf:  # also rejects NaN
-        raise ValueError("noise scale must be finite and >= 0")
-    for u, user_syms in zip(placement.users, symbols):
-        if len(user_syms) != len(u.slots):
-            raise ValueError("one symbol vector per stream is required")
-        for vec in user_syms:
-            if np.shape(vec) != (u.dim,):
-                raise ValueError("symbol vector dimension must match the stream")
-    rng = np.random.default_rng(noise_seed) if noise_scale > 0.0 else None
-    return [np.concatenate(user_syms) for user_syms in symbols], noise_scale, rng
-
-
 def _compress(length: int, slots, gains, rx: int):
     """(per-interferer ranks, compressed interference, full stack width) at rx.
 
@@ -420,13 +399,12 @@ def _compress(length: int, slots, gains, rx: int):
     return ranks, compressed, width
 
 
-def _receiver_pass(
-    placement, pattern, channels, slots, rx, pred=None, sources=None, samples=None
-):
-    """Gather receiver rx's per-stream channel blocks once and derive what is asked.
+def _receiver_pass(placement, pattern, channels, slots, rx, pred, sources=None):
+    """Gather receiver rx's per-stream channel blocks once and rank them.
 
-    Returns (rank report if ``pred``, samples if ``sources``, decode of
-    ``samples`` or of the samples just built), None where not asked.
+    Returns the rank report against ``pred``; given ``sources`` (stacked
+    symbol vectors, noise scale, noise RNG), returns (report, received
+    samples, their decode).
 
     One batched SVD of each transmitter's stream blocks gives its rank (see
     ``_compress``); one SVD of the compressed interference I gives the
@@ -439,21 +417,6 @@ def _receiver_pass(
     length = pattern.length
     modes = np.array(pattern.users[rx].physical_seq(), dtype=np.intp) - 1
     gains = [_stream_gains(channels, rx, tx, s, modes) for tx, s in enumerate(slots)]
-    block = report = user_decode = None
-    if sources is not None:
-        stacked, noise_scale, rng = sources
-        samples = np.zeros(length, dtype=complex)
-        for tx_slots, g, x in zip(slots, gains, stacked):
-            samples[tx_slots] += (g @ x.reshape(len(g), -1, 1))[..., 0]
-        noise = None
-        if rng is not None:
-            noise = noise_scale * (
-                rng.standard_normal(length) + 1j * rng.standard_normal(length)
-            ) / 2**0.5
-            samples = samples + noise
-        block = ReceivedBlock(label=user.label, samples=samples, noise=noise)
-    if pred is None and samples is None:
-        return report, block, user_decode
     s_desired = np.linalg.svd(gains[rx], compute_uv=False)
     desired_cutoff = _cutoff(s_desired, max(length, s_desired.size))
     ranks, compressed, width = _compress(length, slots, gains, rx)
@@ -463,58 +426,46 @@ def _receiver_pass(
     del compressed  # before D is built: a tenth less peak memory on flat (5,5,5,5)
     projected = _block(length, slots[rx], gains[rx])
     projected[interfered] -= basis @ (basis.conj().T @ projected[interfered])
-    kept, u_mat, s, vh = _svd(projected, compute_uv=samples is not None)
+    kept, u_mat, s, vh = _svd(projected, compute_uv=sources is not None)
     # rank against D's scale: columns the nulling swallowed only look tiny next to it
     surviving = np.count_nonzero(s > desired_cutoff)
-    if pred is not None:
-        report = ReceiverReport(
-            label=user.label,
-            desired_measured=np.count_nonzero(s_desired > desired_cutoff),
-            desired_predicted=pred.desired,
-            interferers=tuple(
-                InterfererRank(u.label, pred.kinds[u.label], rank, pred.per_interferer[u.label])
-                for rank, u in zip(ranks, (u for u in placement.users if u is not user))
-            ),
-            combined_measured=combined,
-            combined_predicted=pred.iui_total + pred.igi_total,
-            joint_measured=combined + surviving,
-            joint_predicted=pred.length,
-        )
-    if samples is not None:
-        samples = samples.copy()
-        samples[interfered] -= basis @ (basis.conj().T @ samples[interfered])
-        u_mat, s, vh = u_mat[:, :surviving], s[:surviving], vh[:surviving]
-        solution = vh.conj().T @ ((u_mat.conj().T @ samples[kept]) / s)
-        deficiency = projected.shape[1] - surviving
-        user_decode = UserDecode(
-            label=user.label,
-            estimates=np.split(solution, len(user.slots)),
-            recoverable=deficiency == 0,
-            deficiency=deficiency,
-        )
-    return report, block, user_decode
-
-
-def assemble_received(
-    placement: StreamPlacement,
-    pattern: PresetPattern,
-    channels: ChannelSet,
-    symbols: list[list[np.ndarray]],
-    noise_scale: float = 0.0,
-    noise_seed: int | np.random.SeedSequence | None = None,
-) -> list[ReceivedBlock]:
-    """Superpose every transmitter's contribution at every receiver.
-
-    ``symbols[tx][s]`` is stream s's symbol vector.  Noise, when requested,
-    is CN(0, 1) scaled by ``noise_scale`` (use 1/sqrt(SNR)), drawn receiver
-    by receiver from one generator seeded with ``noise_seed``.
-    """
-    sources = _sources(placement, symbols, noise_scale, noise_seed)
-    slots = _stream_slots(placement)
-    return [
-        _receiver_pass(placement, pattern, channels, slots, rx, sources=sources)[1]
-        for rx in range(len(placement.users))
-    ]
+    report = ReceiverReport(
+        label=user.label,
+        desired_measured=np.count_nonzero(s_desired > desired_cutoff),
+        desired_predicted=pred.desired,
+        interferers=tuple(
+            InterfererRank(u.label, pred.kinds[u.label], rank, pred.per_interferer[u.label])
+            for rank, u in zip(ranks, (u for u in placement.users if u is not user))
+        ),
+        combined_measured=combined,
+        combined_predicted=pred.iui_total + pred.igi_total,
+        joint_measured=combined + surviving,
+        joint_predicted=pred.length,
+    )
+    if sources is None:
+        return report
+    stacked, noise_scale, rng = sources
+    samples = np.zeros(length, dtype=complex)
+    for tx_slots, g, x in zip(slots, gains, stacked):
+        samples[tx_slots] += (g @ x.reshape(len(g), -1, 1))[..., 0]
+    noise = None
+    if rng is not None:
+        noise = noise_scale * (
+            rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        ) / 2**0.5
+        samples = samples + noise
+    nulled = samples.copy()  # the returned samples stay as received
+    nulled[interfered] -= basis @ (basis.conj().T @ nulled[interfered])
+    u_mat, s, vh = u_mat[:, :surviving], s[:surviving], vh[:surviving]
+    solution = vh.conj().T @ ((u_mat.conj().T @ nulled[kept]) / s)
+    deficiency = projected.shape[1] - surviving
+    received = ReceivedBlock(label=user.label, samples=samples, noise=noise)
+    return report, received, UserDecode(
+        label=user.label,
+        estimates=np.split(solution, len(user.slots)),
+        recoverable=deficiency == 0,
+        deficiency=deficiency,
+    )
 
 
 def alignment_report(
@@ -532,7 +483,7 @@ def alignment_report(
     preds = rank_predictions(pattern.config)
     slots = _stream_slots(placement)
     return AlignmentReport(receivers=tuple(
-        _receiver_pass(placement, pattern, channels, slots, rx, pred=pred)[0]
+        _receiver_pass(placement, pattern, channels, slots, rx, pred)
         for rx, pred in enumerate(preds)
     ))
 
@@ -553,26 +504,6 @@ def report_to_csv(report: AlignmentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def decode(
-    placement: StreamPlacement,
-    pattern: PresetPattern,
-    channels: ChannelSet,
-    received: list[ReceivedBlock],
-) -> DecodeResult:
-    """Null interference at each receiver, then least-squares the rest.
-
-    Projects the samples and the desired block onto the orthogonal
-    complement of the stacked interference and solves through the SVD of
-    the projected block.  Exact up to numerical precision whenever the
-    joint rank condition holds and the samples are noiseless.
-    """
-    slots = _stream_slots(placement)
-    return DecodeResult(users=tuple(
-        _receiver_pass(placement, pattern, channels, slots, rx, samples=block.samples)[2]
-        for rx, block in enumerate(received)
-    ))
-
-
 def verify_receivers(
     placement: StreamPlacement,
     pattern: PresetPattern,
@@ -581,12 +512,29 @@ def verify_receivers(
     noise_scale: float = 0.0,
     noise_seed: int | np.random.SeedSequence | None = None,
 ) -> tuple[AlignmentReport, list[ReceivedBlock], DecodeResult]:
-    """alignment_report, assemble_received and decode in one pass per receiver."""
-    sources = _sources(placement, symbols, noise_scale, noise_seed)
+    """alignment_report, the received samples and their decode, one pass per receiver.
+
+    ``symbols[tx][s]`` is stream s's symbol vector.  Noise, when requested,
+    is CN(0, 1) scaled by ``noise_scale`` (use 1/sqrt(SNR)), drawn receiver
+    by receiver from one generator seeded with ``noise_seed``.  The decode
+    nulls interference at each receiver, then least-squares the rest; it is
+    exact up to numerical precision whenever the joint rank condition holds
+    and the samples are noiseless.
+    """
+    if not 0.0 <= noise_scale < np.inf:  # also rejects NaN
+        raise ValueError("noise scale must be finite and >= 0")
+    for u, user_syms in zip(placement.users, symbols):
+        if len(user_syms) != len(u.slots):
+            raise ValueError("one symbol vector per stream is required")
+        for vec in user_syms:
+            if np.shape(vec) != (u.dim,):
+                raise ValueError("symbol vector dimension must match the stream")
+    rng = np.random.default_rng(noise_seed) if noise_scale > 0.0 else None
+    sources = [np.concatenate(user_syms) for user_syms in symbols], noise_scale, rng
     preds = rank_predictions(pattern.config)
     slots = _stream_slots(placement)
     reports, received, users = zip(*(
-        _receiver_pass(placement, pattern, channels, slots, rx, pred=pred, sources=sources)
+        _receiver_pass(placement, pattern, channels, slots, rx, pred, sources)
         for rx, pred in enumerate(preds)
     ))
     return AlignmentReport(receivers=reports), list(received), DecodeResult(users=users)

@@ -18,10 +18,8 @@ from biasym import (
     GroupingConfig,
     SearchSpace,
     alignment_report,
-    assemble_received,
     base_pattern,
     build_streams,
-    decode,
     draw_channels,
     flat_length,
     grouped_length,
@@ -34,6 +32,7 @@ from biasym import (
     sum_dof_grouped,
     sweep,
     sweep_to_csv,
+    verify_receivers,
     verify_sweep,
 )
 from biasym.search import enumerate_configs
@@ -159,8 +158,7 @@ def test_criterion_04_rank_bridge(sampled_configs):
 def test_criterion_05_decode_round_trip(example_config, example_pattern, example_placement):
     channels = draw_channels(example_config, None, 3)
     symbols = random_symbols(example_placement, 4)
-    received = assemble_received(example_placement, example_pattern, channels, symbols)
-    result = decode(example_placement, example_pattern, channels, received)
+    _, received, result = verify_receivers(example_placement, example_pattern, channels, symbols)
     assert result.all_recoverable
     for truth, dec in zip(symbols, result.users):
         err = np.linalg.norm(
@@ -291,9 +289,6 @@ def test_criterion_10_coherence_violation(example_config, example_pattern, examp
         assert overflow
         assert all(r.joint_measured <= r.joint_predicted for r in report.receivers)
         symbols = random_symbols(example_placement, seed)
-        received = assemble_received(
+        assert not verify_receivers(
             example_placement, example_pattern, channels, symbols
-        )
-        assert not decode(
-            example_placement, example_pattern, channels, received
-        ).all_recoverable
+        )[2].all_recoverable

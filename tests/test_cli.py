@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biasym import GroupingConfig, SearchSpace, sweep, sweep_to_csv
 from biasym.cli import _CONVERT, RunConfig, main
@@ -50,8 +54,11 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_noise_does_not_report_zero_error(self, capsys):
         # finite, but the samples overflow: a NaN error must reach the report
-        main(["verify", *EXAMPLE, "--noise", "1e308"])
-        assert "decode: max relative error 0.000e+00" not in capsys.readouterr().out
+        # and fail the run, whatever the noise level
+        assert main(["verify", *EXAMPLE, "--noise", "1e308"]) == 3
+        out = capsys.readouterr().out
+        assert "decode: max relative error 0.000e+00" not in out
+        assert "result: MISMATCH" in out
 
     @pytest.mark.parametrize("lmin,lmax,lstep", [("20", "10", "1"), ("10", "20", "0"),
                                                  ("10", "20", "-1")])
@@ -104,6 +111,17 @@ class TestExitCodes:
         assert "invalid config: verify needs about" in capsys.readouterr().err
         with pytest.raises(AssertionError, match="streams must not be built"):
             main(["verify", "--modes", "5,5,5,5", "--flat"])
+
+    @pytest.mark.parametrize("argv", [
+        ["dof", "--modes", "3,3", "--used", "3"],
+        ["verify", "--modes", "4,4", "--flat", "--used", "4"],
+        ["dof", "--modes", "4,4", "--groups", "[4],[4]", "--mg", "2,2", "--used", "4"],
+    ], ids=["dof", "verify-flat", "dof-grouped"])
+    def test_used_list_shorter_than_modes_is_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "invalid config" in captured.err
+        assert captured.out == ""
 
     def test_missing_modes_is_2(self, capsys):
         assert main(["dof"]) == 2
@@ -192,6 +210,35 @@ class TestInputConversion:
         path.write_text(json.dumps({"modes": [6, 6, 4, 4], "per_user": True}), encoding="utf-8")
         assert main(["dof", "--config", str(path), "--flat"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 5
+
+
+@st.composite
+def dof_arguments(draw):
+    """``dof`` run parameters, valid or not: modes, a config form, maybe --used."""
+    modes = draw(st.lists(st.integers(0, 7), min_size=1, max_size=4))
+    argv = ["dof", "--modes", ",".join(map(str, modes))]
+    form = draw(st.sampled_from(["flat", "groups", "auto"]))
+    if form == "flat":
+        argv.append("--flat")
+    elif form == "groups":
+        # the modes dealt round-robin into groups, so the values name real users
+        n = draw(st.integers(1, len(modes)))
+        groups = ",".join(str(modes[i::n]).replace(" ", "") for i in range(n))
+        mg = draw(st.lists(st.integers(0, 7), min_size=1, max_size=4))
+        argv += ["--groups", groups, "--mg", ",".join(map(str, mg))]
+    else:
+        argv += ["--groups", "auto", "--budget", str(draw(st.integers(1, 200)))]
+    used = draw(st.none() | st.lists(st.integers(0, 7), max_size=5))
+    if used is not None:
+        argv.append("--used=" + ",".join(map(str, used)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(dof_arguments())
+def test_malformed_run_parameters_exit_cleanly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in {0, 2, 4}
 
 
 class TestDofCommand:

@@ -154,6 +154,12 @@ class TestGroupingConfig:
         with pytest.raises(ValueError, match=">= 2"):
             GroupingConfig.flat([4, 4], used=[1, 4])
 
+    def test_used_list_must_match_user_count(self):
+        with pytest.raises(ValueError, match="user count"):
+            GroupingConfig.flat((3, 3), (3,))
+        with pytest.raises(ValueError, match="user count"):
+            GroupingConfig.grouped((4, 4), [[0], [1]], (2, 2), (4,))
+
     def test_groups_must_partition_users(self):
         with pytest.raises(ValueError, match="partition"):
             GroupingConfig([6, 6, 4, 4], [6, 6, 4, 4], ((0, 2), (0, 3)), (2, 2))
