@@ -72,10 +72,6 @@ class GroupingConfig:
         object.__setattr__(self, "group_mode_counts", mgs)
 
         K = len(eq)
-        if K < 1:
-            raise ValueError("equipped mode list must be nonempty")
-        if any(m < 2 for m in eq):
-            raise ValueError("every equipped mode count must be >= 2")
         if any(u < 2 for u in us):
             raise ValueError("every used mode count must be >= 2")
         if any(u > m for u, m in zip(us, eq)):
@@ -131,13 +127,13 @@ class GroupingConfig:
     @classmethod
     def flat(cls, equipped, used=None) -> "GroupingConfig":
         """Single-group config: the plain flat construction over used modes."""
-        eq, us = _mode_counts(equipped, used)
+        eq, us = _mode_counts(equipped, equipped if used is None else used)
         return cls(eq, us, (member_order(range(len(eq)), eq, us),), (1,))
 
     @classmethod
     def grouped(cls, equipped, groups, group_mode_counts, used=None) -> "GroupingConfig":
         """Build a config from explicit user-index groups, normalizing order."""
-        eq, us = _mode_counts(equipped, used)
+        eq, us = _mode_counts(equipped, equipped if used is None else used)
         norm = tuple(member_order(g, eq, us) for g in groups)
         return cls(eq, us, norm, tuple(group_mode_counts))
 
@@ -182,11 +178,15 @@ class GroupingConfig:
         return self.canonical_string()
 
 
-def _mode_counts(equipped, used=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Equipped and used mode counts as ints, used defaulting to equipped,
-    checked to agree in length before anything indexes them by user."""
+def _mode_counts(equipped, used) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Equipped and used mode counts as ints, checked to be a nonempty
+    equipped list and to agree in length before anything indexes them by user."""
     eq = tuple(int(m) for m in equipped)
-    us = eq if used is None else tuple(int(m) for m in used)
+    us = tuple(int(m) for m in used)
+    if not eq:
+        raise ValueError("equipped mode list must be nonempty")
+    if any(m < 2 for m in eq):
+        raise ValueError("every equipped mode count must be >= 2")
     if len(us) != len(eq):
         raise ValueError("used mode list must match the user count")
     return eq, us

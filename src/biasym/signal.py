@@ -399,12 +399,12 @@ def _compress(length: int, slots, gains, rx: int):
     return ranks, compressed, width
 
 
-def _receiver_pass(placement, pattern, channels, slots, rx, pred, sources=None):
+def _receiver_pass(placement, pattern, channels, slots, rx, pred, sources=None, noise=None):
     """Gather receiver rx's per-stream channel blocks once and rank them.
 
-    Returns the rank report against ``pred``; given ``sources`` (stacked
-    symbol vectors, noise scale, noise RNG), returns (report, received
-    samples, their decode).
+    Returns (rank report against ``pred``, received samples, their decode).
+    The last two are None unless ``sources`` (one stacked symbol vector per
+    transmitter) is given; ``noise`` is None or (scale, RNG).
 
     One batched SVD of each transmitter's stream blocks gives its rank (see
     ``_compress``); one SVD of the compressed interference I gives the
@@ -443,14 +443,13 @@ def _receiver_pass(placement, pattern, channels, slots, rx, pred, sources=None):
         joint_predicted=pred.length,
     )
     if sources is None:
-        return report
-    stacked, noise_scale, rng = sources
+        return report, None, None
     samples = np.zeros(length, dtype=complex)
-    for tx_slots, g, x in zip(slots, gains, stacked):
+    for tx_slots, g, x in zip(slots, gains, sources):
         samples[tx_slots] += (g @ x.reshape(len(g), -1, 1))[..., 0]
-    noise = None
-    if rng is not None:
-        noise = noise_scale * (
+    if noise is not None:
+        scale, rng = noise
+        noise = scale * (
             rng.standard_normal(length) + 1j * rng.standard_normal(length)
         ) / 2**0.5
         samples = samples + noise
@@ -483,7 +482,7 @@ def alignment_report(
     preds = rank_predictions(pattern.config)
     slots = _stream_slots(placement)
     return AlignmentReport(receivers=tuple(
-        _receiver_pass(placement, pattern, channels, slots, rx, pred)
+        _receiver_pass(placement, pattern, channels, slots, rx, pred)[0]
         for rx, pred in enumerate(preds)
     ))
 
@@ -523,18 +522,20 @@ def verify_receivers(
     """
     if not 0.0 <= noise_scale < np.inf:  # also rejects NaN
         raise ValueError("noise scale must be finite and >= 0")
+    if len(symbols) != len(placement.users):
+        raise ValueError("one symbol list per user is required")
     for u, user_syms in zip(placement.users, symbols):
         if len(user_syms) != len(u.slots):
             raise ValueError("one symbol vector per stream is required")
         for vec in user_syms:
             if np.shape(vec) != (u.dim,):
                 raise ValueError("symbol vector dimension must match the stream")
-    rng = np.random.default_rng(noise_seed) if noise_scale > 0.0 else None
-    sources = [np.concatenate(user_syms) for user_syms in symbols], noise_scale, rng
+    noise = (noise_scale, np.random.default_rng(noise_seed)) if noise_scale > 0.0 else None
+    sources = [np.concatenate(user_syms) for user_syms in symbols]
     preds = rank_predictions(pattern.config)
     slots = _stream_slots(placement)
     reports, received, users = zip(*(
-        _receiver_pass(placement, pattern, channels, slots, rx, pred, sources)
+        _receiver_pass(placement, pattern, channels, slots, rx, pred, sources, noise)
         for rx, pred in enumerate(preds)
     ))
     return AlignmentReport(receivers=reports), list(received), DecodeResult(users=users)

@@ -159,6 +159,14 @@ class TestGroupingConfig:
             GroupingConfig.flat((3, 3), (3,))
         with pytest.raises(ValueError, match="user count"):
             GroupingConfig.grouped((4, 4), [[0], [1]], (2, 2), (4,))
+        with pytest.raises(ValueError, match="user count"):
+            GroupingConfig((3, 3), (3,), ((0, 1),), (1,))
+
+    def test_constructor_requires_both_mode_lists(self):
+        with pytest.raises(TypeError):
+            GroupingConfig((3, 3), None, ((0, 1),), (1,))
+        with pytest.raises(ValueError, match="nonempty"):
+            GroupingConfig((), (3,), ((0,),), (1,))
 
     def test_groups_must_partition_users(self):
         with pytest.raises(ValueError, match="partition"):

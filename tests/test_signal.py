@@ -303,6 +303,9 @@ class TestReceivedSignal:
         symbols[1][0] = symbols[1][0][:2]
         with pytest.raises(ValueError):
             verify_receivers(example_placement, example_pattern, ch, symbols)
+        symbols = random_symbols(example_placement, 1)[:-1]
+        with pytest.raises(ValueError, match="one symbol list per user"):
+            verify_receivers(example_placement, example_pattern, ch, symbols)
 
 
 class TestSubtractionSchedule:
@@ -394,8 +397,10 @@ class TestFullMatrixReference:
         pattern = grouped_pattern(cfg)
         placement = build_streams(pattern)
         ch = draw_channels(cfg, coherence, seed)
+        report = alignment_report(placement, pattern, ch)
         symbols = random_symbols(placement, seed + 1)
-        report, _, result = verify_receivers(placement, pattern, ch, symbols)
+        verified, _, result = verify_receivers(placement, pattern, ch, symbols)
+        assert verified == report
         K = len(placement.users)
         for rx in range(K):
             desired = effective_block(placement, pattern, ch, rx, rx)
