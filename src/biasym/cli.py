@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dof import config_sum_dof, per_user_dof, render_rational
-from .patterns import GroupingConfig, grouped_length, grouped_pattern, pattern_table
+from .patterns import GroupingConfig, grouped_length, grouped_pattern, pattern_table, user_label
 from .search import SearchSpace, optimize, sweep, sweep_to_csv, verify_sweep
 from .signal import (
-    build_streams,
     draw_channels,
     random_symbols,
     receiver_memory_bytes,
@@ -43,6 +42,7 @@ EXIT_INFEASIBLE = 4
 DECODE_RTOL = 1e-9
 VERIFY_MEMORY_LIMIT = 2 * 1024**3  # bytes one receiver's verify pass may need
 PATTERN_CELL_LIMIT = 2**24  # slots x users of a pattern table, about 125 bytes each
+SWEEP_ROW_LIMIT = 2**20  # budgets in one sweep, about 80 bytes of CSV each
 
 
 class InfeasibleError(Exception):
@@ -165,6 +165,15 @@ def _resolve_config(rc: RunConfig) -> GroupingConfig:
     return GroupingConfig.grouped(rc.modes, groups, rc.mg, rc.used)
 
 
+def _refuse_oversized_verify(config: GroupingConfig, coherence: int | None) -> None:
+    needed = receiver_memory_bytes(config, coherence)
+    if needed > VERIFY_MEMORY_LIMIT:
+        raise ValueError(
+            f"verify needs about {needed / 2**30:.3g} GiB per receiver, "
+            f"above the {VERIFY_MEMORY_LIMIT / 2**30:.3g} GiB limit"
+        )
+
+
 def _write_output(rc: RunConfig, text: str) -> None:
     if rc.out:
         with open(rc.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -189,37 +198,28 @@ def cmd_pattern(rc: RunConfig) -> int:
 
 def cmd_verify(rc: RunConfig) -> int:
     config = _resolve_config(rc)
-    needed = receiver_memory_bytes(config, rc.coherence)
-    if needed > VERIFY_MEMORY_LIMIT:
-        raise ValueError(
-            f"verify needs about {needed / 2**30:.3g} GiB per receiver, "
-            f"above the {VERIFY_MEMORY_LIMIT / 2**30:.3g} GiB limit"
-        )
+    _refuse_oversized_verify(config, rc.coherence)
     pattern = grouped_pattern(config)
-    placement = build_streams(pattern)
     channels = draw_channels(config, rc.coherence, rc.seed)
     # own streams for symbols and noise: seed + 1 would replay the next seed's channels
     symbol_seed, noise_seed = np.random.SeedSequence(rc.seed).spawn(2)
-    symbols = random_symbols(placement, symbol_seed)
-    report, _, result = verify_receivers(
-        placement, pattern, channels, symbols, rc.noise, noise_seed
-    )
+    symbols = random_symbols(pattern, symbol_seed)
+    report, _, result = verify_receivers(pattern, channels, symbols, rc.noise, noise_seed)
     for r in report.receivers:
         print(
-            f"u{r.label[0]}.{r.label[1]}: desired {r.desired_measured}/{r.desired_predicted}"
+            f"{user_label(*r.label)}: desired {r.desired_measured}/{r.desired_predicted}"
             f" iui {r.iui_measured}/{r.iui_predicted} igi {r.igi_measured}/{r.igi_predicted}"
             f" joint {r.joint_measured}/{r.joint_predicted}"
             f" {'ok' if r.match else 'MISMATCH'}"
         )
-    errors = []
-    for user_syms, user_dec in zip(symbols, result.users):
-        truth = np.concatenate(user_syms)
-        est = np.concatenate(user_dec.estimates)
-        errors.append(np.linalg.norm(est - truth) / np.linalg.norm(truth))
+    errors = [
+        np.linalg.norm(dec.estimates - truth) / np.linalg.norm(truth)
+        for truth, dec in zip(symbols, result.users)
+    ]
     max_err = float(np.max(errors))  # unlike max(), np.max lets a NaN error through
     print(f"decode: max relative error {max_err:.3e}")
     if not result.all_recoverable:
-        bad = [f"u{u.label[0]}.{u.label[1]}" for u in result.users if not u.recoverable]
+        bad = [user_label(*u.label) for u in result.users if not u.recoverable]
         print(f"decode: unrecoverable streams at {' '.join(bad)}")
     if rc.out:
         _write_output(rc, report_to_csv(report))
@@ -235,9 +235,8 @@ def cmd_dof(rc: RunConfig) -> int:
     length = grouped_length(config)
     lines = [f"{render_rational(total)} ({float(total):.6f}), length {length}"]
     if rc.per_user:
-        labels = config.labels()
-        for (k, i), value in zip(labels, per_user_dof(config)):
-            lines.append(f"u{k}.{i}: {render_rational(value)} ({float(value):.6f})")
+        for label, value in zip(config.labels(), per_user_dof(config)):
+            lines.append(f"{user_label(*label)}: {render_rational(value)} ({float(value):.6f})")
     header = DOF_FILE_HEADER + "\n" if rc.out else ""  # only files carry the header
     _write_output(rc, header + "\n".join(lines) + "\n")
     return EXIT_OK
@@ -254,10 +253,15 @@ def cmd_sweep(rc: RunConfig) -> int:
         require_grouping=rc.require_grouping,
     )
     budgets = range(rc.lmin, rc.lmax + 1, rc.lstep)
+    if len(budgets) > SWEEP_ROW_LIMIT:
+        raise ValueError(f"sweep has {len(budgets)} budgets, above the {SWEEP_ROW_LIMIT} limit")
     result = sweep(space, budgets)
     if not any(r.conventional or r.grouped for r in result.rows):
         raise InfeasibleError("no config fits any budget in the sweep range")
     if rc.verify:
+        winners = (e.config for r in result.rows for e in (r.conventional, r.grouped) if e)
+        for config in dict.fromkeys(winners):
+            _refuse_oversized_verify(config, None)
         report = verify_sweep(result, seeds=(rc.seed, rc.seed + 1, rc.seed + 2))
         if not report.all_ok:
             bad = [k for k, ok in report.checked.items() if not ok]

@@ -16,8 +16,11 @@ Two constructions live here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "GroupingConfig",
@@ -29,6 +32,7 @@ __all__ = [
     "flat_length",
     "grouped_length",
     "pattern_table",
+    "user_label",
 ]
 
 PATTERN_TABLE_HEADER = "# biasym pattern table v1"
@@ -134,6 +138,8 @@ class GroupingConfig:
     def grouped(cls, equipped, groups, group_mode_counts, used=None) -> "GroupingConfig":
         """Build a config from explicit user-index groups, normalizing order."""
         eq, us = _mode_counts(equipped, equipped if used is None else used)
+        if not all(0 <= j < len(eq) for g in groups for j in g):
+            raise ValueError("groups must partition the users")
         norm = tuple(member_order(g, eq, us) for g in groups)
         return cls(eq, us, norm, tuple(group_mode_counts))
 
@@ -269,6 +275,11 @@ def flat_length(mode_counts) -> int:
 # Two-level construction
 # ======================================================================
 
+def user_label(position: int, group: int) -> str:
+    """'u{position}.{group}': how tables, reports and the CLI name a user."""
+    return f"u{position}.{group}"
+
+
 @dataclass(frozen=True)
 class UserPattern:
     """One user's switching schedule inside a two-level supersymbol."""
@@ -283,7 +294,7 @@ class UserPattern:
 
     @property
     def label(self) -> str:
-        return f"u{self.position}.{self.group}"
+        return user_label(self.position, self.group)
 
     def physical_seq(self) -> tuple[int, ...]:
         """1-based physical preset mode of every slot, in composite_seq order."""
@@ -307,16 +318,56 @@ class PresetPattern:
     users: tuple[UserPattern, ...]
 
     @property
-    def element_length(self) -> int:
-        return len(self.users[0].element_seq)
-
-    @property
-    def group_length(self) -> int:
-        return len(self.users[0].group_seq)
-
-    @property
     def length(self) -> int:
-        return self.element_length * self.group_length
+        return len(self.users[0].element_seq) * len(self.users[0].group_seq)
+
+    @functools.cached_property
+    def streams(self) -> tuple[np.ndarray, ...]:
+        """0-based slots of every user's streams: one read-only (streams, used)
+        array per user, group-major.
+
+        Row s lists the slots over which stream s repeats its one
+        used-dimensional symbol vector.  Two-level streams are products of an
+        element-level stream (digits of the other in-group positions) and a
+        group-level replication (digits of the other groups); a stream
+        occupies the element slots inside each of its group-level slots, so
+        it sees every own physical mode exactly once, and two streams of one
+        user never share a slot.
+        """
+        config = self.config
+        l1 = len(self.users[0].element_seq)
+        per_group = config.users_per_group
+        m1_family = [u.element_seq for u in self.users[:per_group]]
+        m2_family = [u.group_seq for u in self.users[::per_group]]
+        out = []
+        for u in self.users:
+            m1_slots = _flat_stream_slots(m1_family, config.element_counts, u.position - 1)
+            m2_slots = _flat_stream_slots(m2_family, config.group_mode_counts, u.group - 1)
+            slots = np.array([
+                sorted(s2 * l1 + s1 for s2 in m2_slots[b_key] for s1 in m1_slots[a_key])
+                for b_key in sorted(m2_slots)
+                for a_key in sorted(m1_slots)
+            ], dtype=np.intp)
+            slots.flags.writeable = False
+            out.append(slots)
+        return tuple(out)
+
+
+def _flat_stream_slots(family, counts, k: int) -> dict[tuple, list[int]]:
+    """0-based slots of user k's streams in a flat ``family`` of mode sequences.
+
+    Streams are keyed by the other users' modes: slot t joins the stream
+    keyed by their modes at t unless one holds its final mode (another
+    user's hold segment).  A stream thus repeats over M_k - 1 slots of the
+    interleaving block and one slot of user k's own hold segment.
+    """
+    others = counts[:k] + counts[k + 1:]
+    slots: dict[tuple, list[int]] = {}
+    for t, modes in enumerate(zip(*family)):
+        key = modes[:k] + modes[k + 1:]
+        if all(m < c for m, c in zip(key, others)):
+            slots.setdefault(key, []).append(t)
+    return slots
 
 
 def grouped_pattern(config: GroupingConfig) -> PresetPattern:

@@ -20,19 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dof import rank_predictions
-from .patterns import GroupingConfig, PresetPattern, grouped_length
+from .patterns import GroupingConfig, PresetPattern, grouped_length, user_label
 
 __all__ = [
-    "UserStreams",
-    "StreamPlacement",
     "ChannelSet",
-    "ReceivedBlock",
     "InterfererRank",
     "ReceiverReport",
     "AlignmentReport",
     "UserDecode",
     "DecodeResult",
-    "build_streams",
     "draw_channels",
     "alignment_report",
     "verify_receivers",
@@ -44,71 +40,6 @@ __all__ = [
 ALIGNMENT_CSV_HEADER = "# biasym alignment report v1"
 
 RANK_RTOL = 1e-10  # singular values below max_dim * smax * RANK_RTOL count as zero
-
-
-# ======================================================================
-# Stream placement
-# ======================================================================
-
-@dataclass(frozen=True)
-class UserStreams:
-    """One user's streams: each carries one ``dim``-dimensional symbol vector
-    and repeats it over its own ``dim`` 1-based slots in ``slots``."""
-
-    label: tuple[int, int]
-    dim: int
-    slots: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class StreamPlacement:
-    """All users' streams against one supersymbol, group-major user order."""
-
-    users: tuple[UserStreams, ...]
-
-
-def _flat_stream_slots(family, counts, k: int) -> dict[tuple, list[int]]:
-    """Slots of user k's streams in a flat ``family`` of mode sequences.
-
-    Streams are keyed by the other users' modes: slot t joins the stream
-    keyed by their modes at t unless one holds its final mode (another
-    user's hold segment).  A stream thus repeats over M_k - 1 slots of the
-    interleaving block and one slot of user k's own hold segment.
-    """
-    others = counts[:k] + counts[k + 1:]
-    slots: dict[tuple, list[int]] = {}
-    for t, modes in enumerate(zip(*family), 1):
-        key = modes[:k] + modes[k + 1:]
-        if all(m < c for m, c in zip(key, others)):
-            slots.setdefault(key, []).append(t)
-    return slots
-
-
-def build_streams(pattern: PresetPattern) -> StreamPlacement:
-    """Place every user's streams on the supersymbol.
-
-    Two-level streams are products of an element-level stream (digits of
-    the other in-group positions) and a group-level replication (digits of
-    the other groups); a stream occupies the element slots inside each of
-    its group-level slots.  Each stream carries one M'-dimensional symbol
-    vector and sees every own physical mode exactly once.
-    """
-    config = pattern.config
-    l1 = pattern.element_length
-    per_group = config.users_per_group
-    m1_family = [u.element_seq for u in pattern.users[:per_group]]
-    m2_family = [u.group_seq for u in pattern.users[::per_group]]
-    users = []
-    for u in pattern.users:
-        m1_slots = _flat_stream_slots(m1_family, config.element_counts, u.position - 1)
-        m2_slots = _flat_stream_slots(m2_family, config.group_mode_counts, u.group - 1)
-        streams = tuple(
-            tuple(sorted((s2 - 1) * l1 + s1 for s2 in m2_slots[b_key] for s1 in m1_slots[a_key]))
-            for b_key in sorted(m2_slots)
-            for a_key in sorted(m1_slots)
-        )
-        users.append(UserStreams((u.position, u.group), u.used, streams))
-    return StreamPlacement(users=tuple(users))
 
 
 # ======================================================================
@@ -175,18 +106,6 @@ def draw_channels(
 # Effective matrices and received signal
 # ======================================================================
 
-def _stream_slots(placement: StreamPlacement) -> list[np.ndarray]:
-    """0-based slots of every user's streams, one (streams, dim) array each.
-
-    Every stream repeats over exactly ``dim`` slots, one per own physical
-    mode, and two streams of one user never share a slot.
-    """
-    return [
-        np.array(u.slots, dtype=np.intp).reshape(-1, u.dim) - 1
-        for u in placement.users
-    ]
-
-
 def _stream_gains(channels: ChannelSet, rx: int, tx: int, slots, modes) -> np.ndarray:
     """tx's stream blocks at rx, shape (streams, dim, dim) for tx's dim.
 
@@ -207,27 +126,18 @@ def _block(length: int, slots: np.ndarray, gains: np.ndarray) -> np.ndarray:
     return out.reshape(length, -1)
 
 
-@dataclass(frozen=True)
-class ReceivedBlock:
-    """One receiver's samples over a supersymbol (noise kept separately)."""
-
-    label: tuple[int, int]
-    samples: np.ndarray
-    noise: np.ndarray | None = None
-
-
 def random_symbols(
-    placement: StreamPlacement, seed: int | np.random.SeedSequence | None = 0
-) -> list[list[np.ndarray]]:
-    """Unit-norm complex symbol vectors, one per stream, in placement order."""
+    pattern: PresetPattern, seed: int | np.random.SeedSequence | None = 0
+) -> list[np.ndarray]:
+    """Unit-norm complex symbol vectors: one (streams, used) array per user,
+    row s for stream s, in the shape of ``pattern.streams``."""
     rng = np.random.default_rng(seed)
     out = []
-    for u in placement.users:
-        vecs = []
-        for _ in u.slots:
-            v = rng.standard_normal(u.dim) + 1j * rng.standard_normal(u.dim)
-            vecs.append(v / np.linalg.norm(v))
-        out.append(vecs)
+    for slots in pattern.streams:
+        parts = rng.standard_normal((len(slots), 2, slots.shape[1]))
+        vecs = parts[:, 0] + 1j * parts[:, 1]
+        # a 1-D norm per row: norm(axis=1) can differ in the last ulp
+        out.append(np.array([v / np.linalg.norm(v) for v in vecs]))
     return out
 
 
@@ -285,14 +195,15 @@ class AlignmentReport:
 class UserDecode:
     """Zero-forcing decode outcome for one receiver.
 
-    ``estimates[s]`` estimates stream s's symbol vector.  ``deficiency`` is
+    ``estimates`` has the (streams, used) shape of the user's symbols; row
+    s estimates stream s's symbol vector.  ``deficiency`` is
     how many desired dimensions fell inside the interference span; any
     deficiency marks the whole receiver unrecoverable since no stream's
     estimate can then be trusted.
     """
 
     label: tuple[int, int]
-    estimates: list[np.ndarray]
+    estimates: np.ndarray
     recoverable: bool
     deficiency: int
 
@@ -399,12 +310,12 @@ def _compress(length: int, slots, gains, rx: int):
     return ranks, compressed, width
 
 
-def _receiver_pass(placement, pattern, channels, slots, rx, pred, sources=None, noise=None):
+def _receiver_pass(pattern, channels, rx, pred, sources=None, noise=None):
     """Gather receiver rx's per-stream channel blocks once and rank them.
 
     Returns (rank report against ``pred``, received samples, their decode).
-    The last two are None unless ``sources`` (one stacked symbol vector per
-    transmitter) is given; ``noise`` is None or (scale, RNG).
+    The last two are None unless ``sources`` (one (streams, used) symbol
+    array per transmitter) is given; ``noise`` is None or (scale, RNG).
 
     One batched SVD of each transmitter's stream blocks gives its rank (see
     ``_compress``); one SVD of the compressed interference I gives the
@@ -413,7 +324,7 @@ def _receiver_pass(placement, pattern, channels, slots, rx, pred, sources=None, 
     and the least-squares decode.  Every cutoff keeps the shape of the full
     matrix it speaks about, so each verdict is the dense rank's.
     """
-    user = placement.users[rx]
+    slots = pattern.streams
     length = pattern.length
     modes = np.array(pattern.users[rx].physical_seq(), dtype=np.intp) - 1
     gains = [_stream_gains(channels, rx, tx, s, modes) for tx, s in enumerate(slots)]
@@ -429,13 +340,14 @@ def _receiver_pass(placement, pattern, channels, slots, rx, pred, sources=None, 
     kept, u_mat, s, vh = _svd(projected, compute_uv=sources is not None)
     # rank against D's scale: columns the nulling swallowed only look tiny next to it
     surviving = np.count_nonzero(s > desired_cutoff)
+    user = pattern.users[rx]
     report = ReceiverReport(
-        label=user.label,
+        label=(user.position, user.group),
         desired_measured=np.count_nonzero(s_desired > desired_cutoff),
         desired_predicted=pred.desired,
         interferers=tuple(
-            InterfererRank(u.label, pred.kinds[u.label], rank, pred.per_interferer[u.label])
-            for rank, u in zip(ranks, (u for u in placement.users if u is not user))
+            InterfererRank(label, pred.kinds[label], rank, predicted)
+            for rank, (label, predicted) in zip(ranks, pred.per_interferer.items())
         ),
         combined_measured=combined,
         combined_predicted=pred.iui_total + pred.igi_total,
@@ -446,32 +358,26 @@ def _receiver_pass(placement, pattern, channels, slots, rx, pred, sources=None, 
         return report, None, None
     samples = np.zeros(length, dtype=complex)
     for tx_slots, g, x in zip(slots, gains, sources):
-        samples[tx_slots] += (g @ x.reshape(len(g), -1, 1))[..., 0]
+        samples[tx_slots] += (g @ x[..., None])[..., 0]
     if noise is not None:
         scale, rng = noise
-        noise = scale * (
+        samples += scale * (
             rng.standard_normal(length) + 1j * rng.standard_normal(length)
         ) / 2**0.5
-        samples = samples + noise
     nulled = samples.copy()  # the returned samples stay as received
     nulled[interfered] -= basis @ (basis.conj().T @ nulled[interfered])
     u_mat, s, vh = u_mat[:, :surviving], s[:surviving], vh[:surviving]
     solution = vh.conj().T @ ((u_mat.conj().T @ nulled[kept]) / s)
     deficiency = projected.shape[1] - surviving
-    received = ReceivedBlock(label=user.label, samples=samples, noise=noise)
-    return report, received, UserDecode(
-        label=user.label,
-        estimates=np.split(solution, len(user.slots)),
+    return report, samples, UserDecode(
+        label=report.label,
+        estimates=solution.reshape(slots[rx].shape),
         recoverable=deficiency == 0,
         deficiency=deficiency,
     )
 
 
-def alignment_report(
-    placement: StreamPlacement,
-    pattern: PresetPattern,
-    channels: ChannelSet,
-) -> AlignmentReport:
+def alignment_report(pattern: PresetPattern, channels: ChannelSet) -> AlignmentReport:
     """Measure effective-matrix ranks at every receiver against predictions.
 
     Per receiver: rank of the desired block, rank of each interferer's
@@ -479,11 +385,9 @@ def alignment_report(
     [desired | interference].  Predictions assume one fading block per
     supersymbol; shorter coherence shows up as measured > predicted.
     """
-    preds = rank_predictions(pattern.config)
-    slots = _stream_slots(placement)
     return AlignmentReport(receivers=tuple(
-        _receiver_pass(placement, pattern, channels, slots, rx, pred)[0]
-        for rx, pred in enumerate(preds)
+        _receiver_pass(pattern, channels, rx, pred)[0]
+        for rx, pred in enumerate(rank_predictions(pattern.config))
     ))
 
 
@@ -496,7 +400,7 @@ def report_to_csv(report: AlignmentReport) -> str:
     ]
     for r in report.receivers:
         lines.append(
-            f"u{r.label[0]}.{r.label[1]},{r.desired_measured},{r.desired_predicted},"
+            f"{user_label(*r.label)},{r.desired_measured},{r.desired_predicted},"
             f"{r.iui_measured},{r.iui_predicted},{r.igi_measured},{r.igi_predicted},"
             f"{r.joint_measured},{r.joint_predicted},{str(r.match).lower()}"
         )
@@ -504,38 +408,33 @@ def report_to_csv(report: AlignmentReport) -> str:
 
 
 def verify_receivers(
-    placement: StreamPlacement,
     pattern: PresetPattern,
     channels: ChannelSet,
-    symbols: list[list[np.ndarray]],
+    symbols: list[np.ndarray],
     noise_scale: float = 0.0,
     noise_seed: int | np.random.SeedSequence | None = None,
-) -> tuple[AlignmentReport, list[ReceivedBlock], DecodeResult]:
+) -> tuple[AlignmentReport, np.ndarray, DecodeResult]:
     """alignment_report, the received samples and their decode, one pass per receiver.
 
-    ``symbols[tx][s]`` is stream s's symbol vector.  Noise, when requested,
-    is CN(0, 1) scaled by ``noise_scale`` (use 1/sqrt(SNR)), drawn receiver
-    by receiver from one generator seeded with ``noise_seed``.  The decode
+    ``symbols[tx]`` has the shape of ``pattern.streams[tx]``: row s is
+    stream s's symbol vector.  The samples come back as one (K, length)
+    array, row rx as receiver rx got them.  Noise, when requested, is
+    CN(0, 1) scaled by ``noise_scale`` (use 1/sqrt(SNR)), drawn receiver by
+    receiver from one generator seeded with ``noise_seed``.  The decode
     nulls interference at each receiver, then least-squares the rest; it is
     exact up to numerical precision whenever the joint rank condition holds
     and the samples are noiseless.
     """
     if not 0.0 <= noise_scale < np.inf:  # also rejects NaN
         raise ValueError("noise scale must be finite and >= 0")
-    if len(symbols) != len(placement.users):
-        raise ValueError("one symbol list per user is required")
-    for u, user_syms in zip(placement.users, symbols):
-        if len(user_syms) != len(u.slots):
-            raise ValueError("one symbol vector per stream is required")
-        for vec in user_syms:
-            if np.shape(vec) != (u.dim,):
-                raise ValueError("symbol vector dimension must match the stream")
+    sources = [np.asarray(x) for x in symbols]
+    if len(sources) != len(pattern.streams):
+        raise ValueError("one symbol array per user is required")
+    if any(x.shape != slots.shape for x, slots in zip(sources, pattern.streams)):
+        raise ValueError("each user's symbols must have its (streams, used) slot shape")
     noise = (noise_scale, np.random.default_rng(noise_seed)) if noise_scale > 0.0 else None
-    sources = [np.concatenate(user_syms) for user_syms in symbols]
-    preds = rank_predictions(pattern.config)
-    slots = _stream_slots(placement)
-    reports, received, users = zip(*(
-        _receiver_pass(placement, pattern, channels, slots, rx, pred, sources, noise)
-        for rx, pred in enumerate(preds)
+    reports, samples, users = zip(*(
+        _receiver_pass(pattern, channels, rx, pred, sources, noise)
+        for rx, pred in enumerate(rank_predictions(pattern.config))
     ))
-    return AlignmentReport(receivers=reports), list(received), DecodeResult(users=users)
+    return AlignmentReport(receivers=reports), np.array(samples), DecodeResult(users=users)

@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from biasym import GroupingConfig, build_streams, grouped_pattern
+from biasym import GroupingConfig, grouped_pattern
 
 CRITERIA = {
     1: "pattern goldens reproduced exactly (string equality)",
@@ -52,7 +52,7 @@ def matrix_rank(matrix: np.ndarray) -> int:
 
 
 # Oracles below read only raw data: a user's element and group sequences and
-# physical_seq(), a placement's slots, and ChannelSet.gains with its
+# physical_seq(), a pattern's stream slots, and ChannelSet.gains with its
 # coherence_length.  None goes through the library's block assembly.
 
 def factored(user) -> str:
@@ -78,18 +78,18 @@ def channel_row(channels, rx: int, tx: int, t: int, mode: int) -> np.ndarray:
     return channels.gains[(rx, tx)][(t - 1) // channels.coherence_length, mode - 1, :]
 
 
-def effective_block(placement, pattern, channels, rx: int, tx: int) -> np.ndarray:
+def effective_block(pattern, channels, rx: int, tx: int) -> np.ndarray:
     """Dense effective matrix mapping tx's symbol vectors to rx's samples.
 
-    Shape (supersymbol length, tx streams * tx dim), filled slot by slot:
-    row t holds, in the columns of stream s, the channel row rx sees from tx
-    at slot t if the stream occupies it, and zeros otherwise.
+    Shape (supersymbol length, tx streams * tx used modes), filled slot by
+    slot: row t holds, in the columns of stream s, the channel row rx sees
+    from tx at slot t if the stream occupies it, and zeros otherwise.
     """
-    dim = placement.users[tx].dim
-    streams = placement.users[tx].slots
-    block = np.zeros((pattern.length, len(streams) * dim), dtype=complex)
+    streams = pattern.streams[tx]
+    dim = streams.shape[1]
+    block = np.zeros((pattern.length, streams.size), dtype=complex)
     for s, slots in enumerate(streams):
-        for t in slots:
+        for t in slots + 1:
             mode = physical(pattern.users[rx], t)
             block[t - 1, s * dim:(s + 1) * dim] = channel_row(channels, rx, tx, t, mode)
     return block
@@ -103,8 +103,3 @@ def example_config() -> GroupingConfig:
 @pytest.fixture(scope="session")
 def example_pattern(example_config):
     return grouped_pattern(example_config)
-
-
-@pytest.fixture(scope="session")
-def example_placement(example_pattern):
-    return build_streams(example_pattern)

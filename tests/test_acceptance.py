@@ -19,7 +19,6 @@ from biasym import (
     SearchSpace,
     alignment_report,
     base_pattern,
-    build_streams,
     draw_channels,
     flat_length,
     grouped_length,
@@ -101,11 +100,11 @@ def test_criterion_01_pattern_goldens():
     assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_02_worked_example_ranks(example_config, example_pattern, example_placement):
+def test_criterion_02_worked_example_ranks(example_config, example_pattern):
     start = time.perf_counter()
     for seed in range(10):
         channels = draw_channels(example_config, None, seed)
-        report = alignment_report(example_placement, example_pattern, channels)
+        report = alignment_report(example_pattern, channels)
         r11 = next(r for r in report.receivers if r.label == (1, 1))
         assert r11.desired_measured == 6
         assert {x.label: (x.kind, x.measured) for x in r11.interferers} == {
@@ -143,9 +142,8 @@ def test_criterion_04_rank_bridge(sampled_configs):
         for p in predictions:
             assert p.desired + p.iui_total + p.igi_total == length
         pattern = grouped_pattern(cfg)
-        placement = build_streams(pattern)
         channels = draw_channels(cfg, None, 77)
-        report = alignment_report(placement, pattern, channels)
+        report = alignment_report(pattern, channels)
         for rec, p in zip(report.receivers, predictions):
             assert rec.desired_measured == p.desired
             for x in rec.interferers:
@@ -155,20 +153,18 @@ def test_criterion_04_rank_bridge(sampled_configs):
     assert time.perf_counter() - start < 60.0
 
 
-def test_criterion_05_decode_round_trip(example_config, example_pattern, example_placement):
+def test_criterion_05_decode_round_trip(example_config, example_pattern):
     channels = draw_channels(example_config, None, 3)
-    symbols = random_symbols(example_placement, 4)
-    _, received, result = verify_receivers(example_placement, example_pattern, channels, symbols)
+    symbols = random_symbols(example_pattern, 4)
+    _, received, result = verify_receivers(example_pattern, channels, symbols)
     assert result.all_recoverable
     for truth, dec in zip(symbols, result.users):
-        err = np.linalg.norm(
-            np.concatenate(dec.estimates) - np.concatenate(truth)
-        ) / np.linalg.norm(np.concatenate(truth))
+        err = np.linalg.norm(dec.estimates - truth) / np.linalg.norm(truth)
         assert err < 1e-9
 
     # combination check: receiver (1,1)'s samples at slots 1, 4, 11, 14
     # cancel all interference and leave its first desired row
-    y = received[0].samples
+    y = received[0]
     combo = y[0] - y[3] - y[10] + y[13]
     expected = channel_row(channels, 0, 0, 1, 1) @ symbols[0][0]
     assert abs(combo - expected) / abs(expected) < 1e-9
@@ -274,10 +270,10 @@ def test_criterion_09_budget_sweep():
     assert time.perf_counter() - start < 60.0
 
 
-def test_criterion_10_coherence_violation(example_config, example_pattern, example_placement):
+def test_criterion_10_coherence_violation(example_config, example_pattern):
     for seed in range(10):
         channels = draw_channels(example_config, 5, seed)
-        report = alignment_report(example_placement, example_pattern, channels)
+        report = alignment_report(example_pattern, channels)
         assert not report.all_match
         # the joint matrix has 15 rows, so its rank cannot exceed the 15-slot
         # prediction; the violation shows as interference outgrowing the
@@ -288,7 +284,5 @@ def test_criterion_10_coherence_violation(example_config, example_pattern, examp
         ]
         assert overflow
         assert all(r.joint_measured <= r.joint_predicted for r in report.receivers)
-        symbols = random_symbols(example_placement, seed)
-        assert not verify_receivers(
-            example_placement, example_pattern, channels, symbols
-        )[2].all_recoverable
+        symbols = random_symbols(example_pattern, seed)
+        assert not verify_receivers(example_pattern, channels, symbols)[2].all_recoverable

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biasym import GroupingConfig, SearchSpace, sweep, sweep_to_csv
+from biasym import GroupingConfig, SearchSpace, SweepResult, sweep, sweep_to_csv
 from biasym.cli import _CONVERT, RunConfig, main
 from biasym.signal import receiver_memory_bytes
 
@@ -74,10 +74,10 @@ class TestExitCodes:
 
     def test_verify_over_memory_limit_is_2_before_building(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
-            raise AssertionError("streams must not be built")
+            raise AssertionError("channels must not be drawn")
 
         monkeypatch.setattr("biasym.cli.VERIFY_MEMORY_LIMIT", 1024**2)
-        monkeypatch.setattr("biasym.cli.build_streams", refuse)
+        monkeypatch.setattr("biasym.cli.draw_channels", refuse)
         assert main(["verify", "--modes", "5,5,5,5", "--flat"]) == 2
         captured = capsys.readouterr()
         assert "invalid config: verify needs about" in captured.err
@@ -102,15 +102,46 @@ class TestExitCodes:
         # a fading block shorter than L keeps every interfering column, so the
         # limit that admits the ideal run refuses this one
         def refuse(*args, **kwargs):
-            raise AssertionError("streams must not be built")
+            raise AssertionError("channels must not be drawn")
 
         limit = receiver_memory_bytes(GroupingConfig.flat([5, 5, 5, 5]))
         monkeypatch.setattr("biasym.cli.VERIFY_MEMORY_LIMIT", limit)
-        monkeypatch.setattr("biasym.cli.build_streams", refuse)
+        monkeypatch.setattr("biasym.cli.draw_channels", refuse)
         assert main(["verify", "--modes", "5,5,5,5", "--flat", "--coherence", "100"]) == 2
         assert "invalid config: verify needs about" in capsys.readouterr().err
-        with pytest.raises(AssertionError, match="streams must not be built"):
+        with pytest.raises(AssertionError, match="channels must not be drawn"):
             main(["verify", "--modes", "5,5,5,5", "--flat"])
+
+    def test_sweep_verify_over_memory_limit_is_2_before_verifying(self, monkeypatch, capsys):
+        # the one budget admits flat (4,)*8 (L = 24057), whose receivers
+        # would need about 80 GiB each: verify refuses it, and so must sweep
+        def refuse(*args, **kwargs):
+            raise AssertionError("nothing may be verified")
+
+        monkeypatch.setattr("biasym.cli.verify_sweep", refuse)
+        argv = ["--modes", "4,4,4,4,4,4,4,4", "--lmin", "24057", "--lmax", "24057"]
+        assert main(["sweep", *argv, "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid config: verify needs about" in captured.err
+        assert captured.out == ""
+        assert main(["verify", "--modes", "4,4,4,4,4,4,4,4", "--flat"]) == 2
+        assert "invalid config: verify needs about" in capsys.readouterr().err
+        assert main(["sweep", *argv]) == 0  # without --verify the sweep is cheap
+        assert "KG=1;G1=[4,4,4,4,4,4,4,4]/MG1;used=4,4,4,4,4,4,4,4" in capsys.readouterr().out
+
+    def test_sweep_over_row_limit_is_2_before_enumerating(self, monkeypatch, capsys):
+        def no_rows(space, budgets):
+            assert len(budgets) == 2**20
+            return SweepResult(rows=())
+
+        monkeypatch.setattr("biasym.cli.sweep", no_rows)
+        assert main(["sweep", "--modes", "4,4", "--lmin", "1", "--lmax", str(2**20 + 1)]) == 2
+        captured = capsys.readouterr()
+        assert "invalid config: sweep has 1048577 budgets, above the 1048576 limit" in captured.err
+        assert main(["sweep", "--modes", "4,4", "--lmin", "1", "--lmax", "100000000"]) == 2
+        assert "invalid config: sweep has" in capsys.readouterr().err
+        # at the limit the sweep runs: no rows here, so no feasible config
+        assert main(["sweep", "--modes", "4,4", "--lmin", "2", "--lmax", str(2**20 + 1)]) == 4
 
     @pytest.mark.parametrize("argv", [
         ["dof", "--modes", "3,3", "--used", "3"],

@@ -16,6 +16,7 @@ from biasym import (
     grouped_length,
     grouped_pattern,
     pattern_table,
+    user_label,
 )
 
 mode_lists = st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=5)
@@ -172,6 +173,12 @@ class TestGroupingConfig:
         with pytest.raises(ValueError, match="partition"):
             GroupingConfig([6, 6, 4, 4], [6, 6, 4, 4], ((0, 2), (0, 3)), (2, 2))
 
+    def test_grouped_rejects_user_indices_out_of_range(self):
+        # refused as a bad partition before the members are ordered by count
+        for bad in ([[0], [5]], [[0], [-1]]):
+            with pytest.raises(ValueError, match="groups must partition the users"):
+                GroupingConfig.grouped((4, 4), bad, (2, 2))
+
     def test_descending_order_enforced_and_normalized(self):
         with pytest.raises(ValueError, match="descending"):
             GroupingConfig([6, 6, 4, 4], [6, 6, 4, 4], ((2, 0), (3, 1)), (2, 2))
@@ -187,6 +194,12 @@ class TestGroupingConfig:
     def test_labels_and_user_order(self, example_config):
         assert example_config.labels() == [(1, 1), (2, 1), (1, 2), (2, 2)]
         assert example_config.user_order() == [0, 2, 1, 3]
+
+    def test_one_label_format_for_every_user(self, example_config, example_pattern):
+        assert user_label(2, 1) == "u2.1"
+        assert [user_label(*label) for label in example_config.labels()] == [
+            u.label for u in example_pattern.users
+        ]
 
 
 class TestGroupedPattern:

@@ -20,7 +20,6 @@ from biasym import (
     GroupingConfig,
     SearchSpace,
     alignment_report,
-    build_streams,
     config_sum_dof,
     draw_channels,
     enumerate_configs,
@@ -386,13 +385,15 @@ class TestVerifySweep:
         # rebuild the supersymbol with one user's group-level sequence out of
         # step with its group: measured ranks must disagree with predictions
         good = grouped_pattern(example_config)
-        placement = build_streams(good)
         broken_user = replace(good.users[3], group_seq=(1, 2, 1))
         broken = PresetPattern(
             config=example_config, users=good.users[:3] + (broken_user,)
         )
+        # streams are read off the first user of each group and position, so
+        # every stream keeps the good pattern's slots
+        assert all((b == g).all() for b, g in zip(broken.streams, good.streams))
         channels = draw_channels(example_config, None, 1)
-        report = alignment_report(placement, broken, channels)
+        report = alignment_report(broken, channels)
         assert not report.all_match
         bad_rx = report.receivers[3]
         assert bad_rx.desired_measured < bad_rx.desired_predicted

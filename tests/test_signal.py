@@ -1,4 +1,4 @@
-"""Signal engine: placements, channels, measured ranks, decoding.
+"""Signal engine: stream slots, channels, measured ranks, decoding.
 
 The received-signal oracle here is a literal per-slot loop (sum over
 transmitters of channel row times currently repeated symbols), written
@@ -21,31 +21,31 @@ from biasym import (
     GroupingConfig,
     SearchSpace,
     alignment_report,
-    build_streams,
     draw_channels,
     enumerate_configs,
     grouped_length,
     grouped_pattern,
+    pattern_table,
     random_symbols,
     rank_predictions,
     report_to_csv,
     verify_receivers,
 )
 from biasym import signal
-from biasym.signal import _block, _compress, _stream_gains, _stream_slots, receiver_memory_bytes
+from biasym.signal import _block, _compress, _stream_gains, receiver_memory_bytes
 
 
-def slot_loop_received(placement, pattern, channels, symbols, rx):
+def slot_loop_received(pattern, channels, symbols, rx):
     """Oracle: superpose transmissions slot by slot, straight from the model."""
     L = pattern.length
-    K = len(placement.users)
+    K = len(pattern.users)
     y = np.zeros(L, dtype=complex)
     for t in range(1, L + 1):
         mode = physical(pattern.users[rx], t)
         for tx in range(K):
-            sent = np.zeros(placement.users[tx].dim, dtype=complex)
-            for s, stream in enumerate(placement.users[tx].slots):
-                if t in stream:
+            sent = np.zeros(pattern.users[tx].used, dtype=complex)
+            for s, stream in enumerate(pattern.streams[tx]):
+                if t - 1 in stream:
                     sent = sent + symbols[tx][s]
             y[t - 1] += channel_row(channels, rx, tx, t, mode) @ sent
     return y
@@ -61,30 +61,40 @@ def small_configs():
     ]
 
 
-class TestStreamPlacement:
-    def test_example_stream_slots(self, example_placement):
-        slots = {u.label: list(u.slots) for u in example_placement.users}
-        assert slots[(1, 1)] == [(1, 2, 3, 6, 7, 8)]
-        assert slots[(2, 1)] == [(1, 4, 6, 9), (2, 5, 7, 10)]
-        assert slots[(1, 2)] == [(1, 2, 3, 11, 12, 13)]
-        assert slots[(2, 2)] == [(1, 4, 11, 14), (2, 5, 12, 15)]
+class TestStreams:
+    def test_example_stream_slots(self, example_pattern):
+        slots = [(s + 1).tolist() for s in example_pattern.streams]
+        assert slots[0] == [[1, 2, 3, 6, 7, 8]]  # u1.1
+        assert slots[1] == [[1, 4, 6, 9], [2, 5, 7, 10]]  # u2.1
+        assert slots[2] == [[1, 2, 3, 11, 12, 13]]  # u1.2
+        assert slots[3] == [[1, 4, 11, 14], [2, 5, 12, 15]]  # u2.2
 
-    def test_stream_counts_match_predictions(self, example_placement, example_config):
-        preds = {p.label: p for p in rank_predictions(example_config)}
-        for u in example_placement.users:
-            assert len(u.slots) * u.dim == preds[u.label].desired
+    def test_stream_counts_match_predictions(self, example_pattern, example_config):
+        preds = rank_predictions(example_config)
+        for slots, u, pred in zip(example_pattern.streams, example_pattern.users, preds):
+            assert slots.shape[1] == u.used
+            assert slots.size == pred.desired
+
+    def test_streams_are_read_only_and_computed_on_request(self, example_config):
+        pattern = grouped_pattern(example_config)
+        pattern_table(pattern)
+        assert "streams" not in vars(pattern)  # a pattern table never places streams
+        streams = pattern.streams
+        assert pattern.streams is streams
+        assert all(s.dtype == np.intp and not s.flags.writeable for s in streams)
+        with pytest.raises(ValueError, match="read-only"):
+            streams[0][0, 0] = 0
 
     @pytest.mark.parametrize("cfg", small_configs(), ids=str)
-    def test_placement_invariants(self, cfg):
+    def test_stream_invariants(self, cfg):
         pattern = grouped_pattern(cfg)
-        placement = build_streams(pattern)
-        for u, pu in zip(placement.users, pattern.users):
+        for slots, pu in zip(pattern.streams, pattern.users):
             seen: set[int] = set()
-            for stream in u.slots:
+            for stream in slots + 1:
                 # a stream repeats once per own physical mode, each exactly once
-                assert len(stream) == u.dim
+                assert len(stream) == pu.used
                 modes = [physical(pu, t) for t in stream]
-                assert sorted(modes) == list(range(1, u.dim + 1))
+                assert sorted(modes) == list(range(1, pu.used + 1))
                 assert not seen.intersection(stream)
                 seen.update(stream)
 
@@ -97,12 +107,11 @@ class TestStreamPlacement:
             if grouped_length(cfg) > 600:
                 continue
             pattern = grouped_pattern(cfg)
-            for u, pu in zip(build_streams(pattern).users, pattern.users):
-                assert all(len(s) == u.dim for s in u.slots), cfg
-                slots = np.array(u.slots)
+            for slots, pu in zip(pattern.streams, pattern.users):
+                assert slots.shape[1] == pu.used, cfg
                 assert len(np.unique(slots)) == slots.size, cfg
-                modes_at = np.array(pu.physical_seq())[slots - 1]
-                assert (np.sort(modes_at, axis=1) == np.arange(1, u.dim + 1)).all(), cfg
+                modes_at = np.array(pu.physical_seq())[slots]
+                assert (np.sort(modes_at, axis=1) == np.arange(1, pu.used + 1)).all(), cfg
             checked += 1
         assert checked >= 48
 
@@ -145,27 +154,21 @@ class TestChannels:
 
 
 class TestEffectiveMatrix:
-    def test_different_group_different_position_rank(
-        self, example_placement, example_pattern, example_config
-    ):
+    def test_different_group_different_position_rank(self, example_pattern, example_config):
         # the farthest interferer collapses to one dimension per stream
         ch = draw_channels(example_config, None, 2)
-        block = effective_block(example_placement, example_pattern, ch, 0, 3)
+        block = effective_block(example_pattern, ch, 0, 3)
         assert block.shape == (15, 8)
         assert matrix_rank(block) == 2
 
-    def test_zero_outside_occupied_slots(
-        self, example_placement, example_pattern, example_config
-    ):
+    def test_zero_outside_occupied_slots(self, example_pattern, example_config):
         # the desired block D the receiver pass assembles, against the oracle
         ch = draw_channels(example_config, None, 2)
-        slots = _stream_slots(example_placement)[0]
+        slots = example_pattern.streams[0]
         modes = np.array(example_pattern.users[0].physical_seq()) - 1
         block = _block(15, slots, _stream_gains(ch, 0, 0, slots, modes))
-        np.testing.assert_array_equal(
-            block, effective_block(example_placement, example_pattern, ch, 0, 0)
-        )
-        occupied = set(example_placement.users[0].slots[0])
+        np.testing.assert_array_equal(block, effective_block(example_pattern, ch, 0, 0))
+        occupied = set(slots[0] + 1)
         for t in range(1, 16):
             row_is_zero = not np.any(block[t - 1])
             assert row_is_zero == (t not in occupied)
@@ -205,14 +208,13 @@ pid = os.fork()
 if pid:
     sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 import json, resource
-from biasym import GroupingConfig, build_streams, draw_channels, grouped_pattern, random_symbols, verify_receivers
+from biasym import GroupingConfig, draw_channels, grouped_pattern, random_symbols, verify_receivers
 
 def run(config, coherence):
     pattern = grouped_pattern(config)
-    placement = build_streams(pattern)
     channels = draw_channels(config, coherence, 1)
-    symbols = random_symbols(placement, 2)
-    return verify_receivers(placement, pattern, channels, symbols)[0]
+    symbols = random_symbols(pattern, 2)
+    return verify_receivers(pattern, channels, symbols)[0]
 
 run(GroupingConfig.flat([3, 3]), None)  # loads LAPACK and warms the caches
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -230,15 +232,10 @@ print(json.dumps({{"growth": (after - before) * 1024, "match": report.all_match}
         estimate = receiver_memory_bytes(GroupingConfig.flat([5, 5, 5, 5]), coherence)
         assert measured["growth"] <= estimate <= 3 * measured["growth"]
 
-    def test_memory_estimate_covers_the_effective_blocks(
-        self, example_placement, example_pattern, example_config
-    ):
+    def test_memory_estimate_covers_the_effective_blocks(self, example_pattern, example_config):
         ch = draw_channels(example_config, None, 1)
         for rx in range(4):
-            built = sum(
-                effective_block(example_placement, example_pattern, ch, rx, tx).nbytes
-                for tx in range(4)
-            )
+            built = sum(effective_block(example_pattern, ch, rx, tx).nbytes for tx in range(4))
             assert built < receiver_memory_bytes(example_config)
 
     def test_matrix_rank_edge_cases(self):
@@ -251,67 +248,64 @@ class TestReceivedSignal:
     @pytest.mark.parametrize("cfg", small_configs(), ids=str)
     def test_matches_slot_loop_oracle(self, cfg):
         pattern = grouped_pattern(cfg)
-        placement = build_streams(pattern)
         for seed in (1, 2, 3):
             ch = draw_channels(cfg, None, seed)
-            symbols = random_symbols(placement, seed + 100)
+            symbols = random_symbols(pattern, seed + 100)
             # as returned, after each receiver's decode has nulled a copy
-            received = verify_receivers(placement, pattern, ch, symbols)[1]
-            for rx in range(len(placement.users)):
-                oracle = slot_loop_received(placement, pattern, ch, symbols, rx)
-                np.testing.assert_allclose(
-                    received[rx].samples, oracle, rtol=0, atol=1e-12
-                )
+            received = verify_receivers(pattern, ch, symbols)[1]
+            assert received.shape == (len(pattern.users), pattern.length)
+            for rx in range(len(pattern.users)):
+                oracle = slot_loop_received(pattern, ch, symbols, rx)
+                np.testing.assert_allclose(received[rx], oracle, rtol=0, atol=1e-12)
 
-    def test_oracle_under_short_coherence(self, example_config, example_pattern, example_placement):
+    def test_oracle_under_short_coherence(self, example_config, example_pattern):
         ch = draw_channels(example_config, 5, 4)
-        symbols = random_symbols(example_placement, 5)
-        received = verify_receivers(example_placement, example_pattern, ch, symbols)[1]
+        symbols = random_symbols(example_pattern, 5)
+        received = verify_receivers(example_pattern, ch, symbols)[1]
         for rx in range(4):
-            oracle = slot_loop_received(
-                example_placement, example_pattern, ch, symbols, rx
-            )
-            np.testing.assert_allclose(received[rx].samples, oracle, atol=1e-12)
+            oracle = slot_loop_received(example_pattern, ch, symbols, rx)
+            np.testing.assert_allclose(received[rx], oracle, atol=1e-12)
 
-    def test_noise_is_reproducible_and_scaled(
-        self, example_config, example_pattern, example_placement
+    def test_noise_is_drawn_receiver_by_receiver_from_its_seed(
+        self, example_config, example_pattern
     ):
         ch = draw_channels(example_config, None, 6)
-        symbols = random_symbols(example_placement, 7)
-        clean = verify_receivers(example_placement, example_pattern, ch, symbols)[1]
-        noisy1 = verify_receivers(
-            example_placement, example_pattern, ch, symbols, 0.01, 42
-        )[1]
-        noisy2 = verify_receivers(
-            example_placement, example_pattern, ch, symbols, 0.01, 42
-        )[1]
-        for c, n1, n2 in zip(clean, noisy1, noisy2):
-            np.testing.assert_array_equal(n1.samples, n2.samples)
-            assert n1.noise is not None
-            np.testing.assert_allclose(n1.samples - n1.noise, c.samples, atol=1e-12)
-            assert 0 < np.linalg.norm(n1.noise) < 1.0
+        symbols = random_symbols(example_pattern, 7)
+        clean = verify_receivers(example_pattern, ch, symbols)[1]
+        noisy = verify_receivers(example_pattern, ch, symbols, 0.01, 42)[1]
+        again = verify_receivers(example_pattern, ch, symbols, 0.01, 42)[1]
+        np.testing.assert_array_equal(noisy, again)
+        rng = np.random.default_rng(42)
+        L = example_pattern.length
+        for c, n in zip(clean, noisy):
+            noise = 0.01 * (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / np.sqrt(2)
+            np.testing.assert_allclose(n, c + noise, rtol=0, atol=1e-12)
 
-    def test_rejects_wrong_symbol_shapes(
-        self, example_config, example_pattern, example_placement
-    ):
+    def test_symbols_are_drawn_stream_by_stream(self, example_pattern):
+        rng = np.random.default_rng(3)
+        for x, slots in zip(random_symbols(example_pattern, 3), example_pattern.streams):
+            assert x.shape == slots.shape
+            for row in x:
+                v = rng.standard_normal(len(row)) + 1j * rng.standard_normal(len(row))
+                np.testing.assert_array_equal(row, v / np.linalg.norm(v))
+
+    def test_rejects_wrong_symbol_shapes(self, example_config, example_pattern):
         ch = draw_channels(example_config, None, 1)
-        symbols = random_symbols(example_placement, 1)
-        symbols[0] = []
-        with pytest.raises(ValueError):
-            verify_receivers(example_placement, example_pattern, ch, symbols)
-        symbols = random_symbols(example_placement, 1)
-        symbols[1][0] = symbols[1][0][:2]
-        with pytest.raises(ValueError):
-            verify_receivers(example_placement, example_pattern, ch, symbols)
-        symbols = random_symbols(example_placement, 1)[:-1]
-        with pytest.raises(ValueError, match="one symbol list per user"):
-            verify_receivers(example_placement, example_pattern, ch, symbols)
+        symbols = random_symbols(example_pattern, 1)
+        symbols[0] = symbols[0][:0]
+        with pytest.raises(ValueError, match="shape"):
+            verify_receivers(example_pattern, ch, symbols)
+        symbols = random_symbols(example_pattern, 1)
+        symbols[1] = symbols[1][:, :2]
+        with pytest.raises(ValueError, match="shape"):
+            verify_receivers(example_pattern, ch, symbols)
+        symbols = random_symbols(example_pattern, 1)[:-1]
+        with pytest.raises(ValueError, match="one symbol array per user"):
+            verify_receivers(example_pattern, ch, symbols)
 
 
 class TestSubtractionSchedule:
-    def test_example_combinations_isolate_desired_rows(
-        self, example_config, example_pattern, example_placement
-    ):
+    def test_example_combinations_isolate_desired_rows(self, example_config, example_pattern):
         # hand-derived per-slot add/subtract schedule that peels receiver
         # (1,1)'s first desired symbol out of the raw samples, one own
         # physical mode at a time
@@ -325,9 +319,8 @@ class TestSubtractionSchedule:
         }
         for seed in (1, 5, 9):
             ch = draw_channels(example_config, None, seed)
-            symbols = random_symbols(example_placement, seed + 50)
-            received = verify_receivers(example_placement, example_pattern, ch, symbols)[1]
-            y = received[0].samples
+            symbols = random_symbols(example_pattern, seed + 50)
+            y = verify_receivers(example_pattern, ch, symbols)[1][0]
             u11 = symbols[0][0]
             for mode, terms in schedule.items():
                 combo = sum(sign * y[t - 1] for t, sign in terms)
@@ -336,12 +329,10 @@ class TestSubtractionSchedule:
 
 
 class TestAlignmentReport:
-    def test_example_ranks_across_seeds(
-        self, example_config, example_pattern, example_placement
-    ):
+    def test_example_ranks_across_seeds(self, example_config, example_pattern):
         for seed in range(10):
             ch = draw_channels(example_config, None, seed)
-            report = alignment_report(example_placement, example_pattern, ch)
+            report = alignment_report(example_pattern, ch)
             by_label = {r.label: r for r in report.receivers}
             r11 = by_label[(1, 1)]
             assert (r11.desired_measured, r11.combined_measured, r11.joint_measured) == (6, 9, 15)
@@ -357,23 +348,20 @@ class TestAlignmentReport:
     @pytest.mark.parametrize("cfg", small_configs(), ids=str)
     def test_measured_equals_predicted(self, cfg):
         pattern = grouped_pattern(cfg)
-        placement = build_streams(pattern)
         for seed in (3, 4):
             ch = draw_channels(cfg, None, seed)
-            assert alignment_report(placement, pattern, ch).all_match
+            assert alignment_report(pattern, ch).all_match
 
-    def test_short_coherence_breaks_alignment(
-        self, example_config, example_pattern, example_placement
-    ):
+    def test_short_coherence_breaks_alignment(self, example_config, example_pattern):
         ch = draw_channels(example_config, 5, 2)
-        report = alignment_report(example_placement, example_pattern, ch)
+        report = alignment_report(example_pattern, ch)
         assert not report.all_match
         r11 = report.receivers[0]
         assert r11.combined_measured > r11.combined_predicted
 
-    def test_csv_rendering(self, example_config, example_pattern, example_placement):
+    def test_csv_rendering(self, example_config, example_pattern):
         ch = draw_channels(example_config, None, 1)
-        text = report_to_csv(alignment_report(example_placement, example_pattern, ch))
+        text = report_to_csv(alignment_report(example_pattern, ch))
         lines = text.strip().split("\n")
         assert lines[0] == "# biasym alignment report v1"
         assert lines[1].split(",") == [
@@ -395,23 +383,20 @@ class TestFullMatrixReference:
 
     def check(self, cfg, coherence, seed):
         pattern = grouped_pattern(cfg)
-        placement = build_streams(pattern)
         ch = draw_channels(cfg, coherence, seed)
-        report = alignment_report(placement, pattern, ch)
-        symbols = random_symbols(placement, seed + 1)
-        verified, _, result = verify_receivers(placement, pattern, ch, symbols)
+        report = alignment_report(pattern, ch)
+        symbols = random_symbols(pattern, seed + 1)
+        verified, _, result = verify_receivers(pattern, ch, symbols)
         assert verified == report
-        K = len(placement.users)
+        labels = [(u.position, u.group) for u in pattern.users]
+        K = len(labels)
         for rx in range(K):
-            desired = effective_block(placement, pattern, ch, rx, rx)
-            interference = [
-                effective_block(placement, pattern, ch, rx, tx)
-                for tx in range(K) if tx != rx
-            ]
+            desired = effective_block(pattern, ch, rx, rx)
+            interference = [effective_block(pattern, ch, rx, tx) for tx in range(K) if tx != rx]
             r = report.receivers[rx]
+            assert r.label == labels[rx]
             assert r.desired_measured == matrix_rank(desired)
-            others = [u.label for u in placement.users if u is not placement.users[rx]]
-            assert [x.label for x in r.interferers] == others
+            assert [x.label for x in r.interferers] == labels[:rx] + labels[rx + 1:]
             for x, block in zip(r.interferers, interference):
                 assert x.measured == matrix_rank(block)
             if interference:
@@ -450,19 +435,15 @@ class TestCompressedInterference:
     @pytest.mark.parametrize("cfg,coherence", stream_block_setups(), ids=str)
     def test_stream_spectra_union_is_the_block_spectrum(self, cfg, coherence):
         pattern = grouped_pattern(cfg)
-        placement = build_streams(pattern)
         ch = draw_channels(cfg, coherence, 7)
-        K = len(placement.users)
+        K = len(pattern.users)
         for rx in range(K):
             for tx in range(K):
-                block = effective_block(placement, pattern, ch, rx, tx)
-                dim = placement.users[tx].dim
+                block = effective_block(pattern, ch, rx, tx)
+                dim = pattern.streams[tx].shape[1]
                 union = np.concatenate([
-                    np.linalg.svd(
-                        block[np.array(stream) - 1, s * dim:(s + 1) * dim],
-                        compute_uv=False,
-                    )
-                    for s, stream in enumerate(placement.users[tx].slots)
+                    np.linalg.svd(block[stream, s * dim:(s + 1) * dim], compute_uv=False)
+                    for s, stream in enumerate(pattern.streams[tx])
                 ])
                 full = np.linalg.svd(block, compute_uv=False)
                 np.testing.assert_allclose(
@@ -472,17 +453,14 @@ class TestCompressedInterference:
     @pytest.mark.parametrize("cfg,coherence", stream_block_setups(), ids=str)
     def test_compressed_stack_keeps_nonzero_spectrum(self, cfg, coherence):
         pattern = grouped_pattern(cfg)
-        placement = build_streams(pattern)
         ch = draw_channels(cfg, coherence, 8)
-        slots = _stream_slots(placement)
-        K = len(placement.users)
+        slots = pattern.streams
+        K = len(pattern.users)
         for rx in range(K):
             modes = np.array(pattern.users[rx].physical_seq()) - 1
             gains = [_stream_gains(ch, rx, tx, s, modes) for tx, s in enumerate(slots)]
             ranks, compressed, width = _compress(pattern.length, slots, gains, rx)
-            interference = [
-                effective_block(placement, pattern, ch, rx, tx) for tx in range(K) if tx != rx
-            ]
+            interference = [effective_block(pattern, ch, rx, tx) for tx in range(K) if tx != rx]
             assert ranks == [matrix_rank(b) for b in interference]
             assert compressed.shape == (pattern.length, sum(ranks))
             assert width == sum(b.shape[1] for b in interference)
@@ -496,19 +474,15 @@ class TestCompressedInterference:
             # the rest of the compressed spectrum is below the full stack's cutoff
             assert np.all(kept[rank:] <= max(stack.shape) * full[0] * 1e-10)
 
-    def test_cutoffs_keep_full_shapes(
-        self, example_placement, example_pattern, monkeypatch
-    ):
+    def test_cutoffs_keep_full_shapes(self, example_pattern, monkeypatch):
         # per receiver: its desired block, each interferer's block and the
         # interference stack, each cut at the larger side of the full matrix
         sizes = []
         cutoff = signal._cutoff
         monkeypatch.setattr(signal, "_cutoff", lambda s, size: sizes.append(size) or cutoff(s, size))
-        alignment_report(example_placement, example_pattern, draw_channels(
-            example_pattern.config, None, 1
-        ))
+        alignment_report(example_pattern, draw_channels(example_pattern.config, None, 1))
         L = example_pattern.length
-        widths = [len(u.slots) * u.dim for u in example_placement.users]
+        widths = [s.size for s in example_pattern.streams]
         expected = []
         for rx, own in enumerate(widths):
             expected.append(max(L, own))
@@ -518,44 +492,36 @@ class TestCompressedInterference:
         assert max(L, sum(widths) - widths[0]) > L  # the stack is wider than L
 
 
+def relative_error(estimates, truth) -> float:
+    return np.linalg.norm(estimates - truth) / np.linalg.norm(truth)
+
+
 class TestDecode:
     @pytest.mark.parametrize("cfg", small_configs(), ids=str)
     def test_noiseless_round_trip(self, cfg):
         pattern = grouped_pattern(cfg)
-        placement = build_streams(pattern)
         for seed in (1, 2, 3):
             ch = draw_channels(cfg, None, seed)
-            symbols = random_symbols(placement, seed + 10)
-            result = verify_receivers(placement, pattern, ch, symbols)[2]
+            symbols = random_symbols(pattern, seed + 10)
+            result = verify_receivers(pattern, ch, symbols)[2]
             assert result.all_recoverable
             for truth, dec in zip(symbols, result.users):
-                err = np.linalg.norm(
-                    np.concatenate(dec.estimates) - np.concatenate(truth)
-                ) / np.linalg.norm(np.concatenate(truth))
-                assert err < 1e-9
+                assert dec.estimates.shape == truth.shape
+                assert relative_error(dec.estimates, truth) < 1e-9
 
-    def test_short_coherence_marks_unrecoverable(
-        self, example_config, example_pattern, example_placement
-    ):
+    def test_short_coherence_marks_unrecoverable(self, example_config, example_pattern):
         ch = draw_channels(example_config, 5, 1)
-        symbols = random_symbols(example_placement, 2)
-        result = verify_receivers(example_placement, example_pattern, ch, symbols)[2]
+        symbols = random_symbols(example_pattern, 2)
+        result = verify_receivers(example_pattern, ch, symbols)[2]
         assert not result.all_recoverable
         assert all(u.deficiency > 0 for u in result.users)
 
-    def test_noise_perturbs_but_structure_survives(
-        self, example_config, example_pattern, example_placement
-    ):
+    def test_noise_perturbs_but_structure_survives(self, example_config, example_pattern):
         ch = draw_channels(example_config, None, 4)
-        symbols = random_symbols(example_placement, 3)
-        result = verify_receivers(
-            example_placement, example_pattern, ch, symbols, 1e-6, 8
-        )[2]
+        symbols = random_symbols(example_pattern, 3)
+        result = verify_receivers(example_pattern, ch, symbols, 1e-6, 8)[2]
         assert result.all_recoverable
-        errs = [
-            np.linalg.norm(np.concatenate(d.estimates) - np.concatenate(t))
-            for d, t in zip(result.users, symbols)
-        ]
+        errs = [np.linalg.norm(d.estimates - t) for d, t in zip(result.users, symbols)]
         assert all(1e-9 < e < 1e-2 for e in errs)
 
 
@@ -569,19 +535,16 @@ class TestVerifyReceivers:
     @pytest.mark.parametrize("noise_scale", [0.0, 1e-3])
     def test_equals_report_received_and_decode(self, cfg, noise_scale):
         pattern = grouped_pattern(cfg)
-        placement = build_streams(pattern)
         channels = draw_channels(cfg, None, 5)
         symbol_seed, noise_seed = np.random.SeedSequence(5).spawn(2)
-        symbols = random_symbols(placement, symbol_seed)
+        symbols = random_symbols(pattern, symbol_seed)
         report, received, result = verify_receivers(
-            placement, pattern, channels, symbols, noise_scale, noise_seed
+            pattern, channels, symbols, noise_scale, noise_seed
         )
 
-        assert report == alignment_report(placement, pattern, channels)
+        assert report == alignment_report(pattern, channels)
         assert report.all_match
-        labels = [u.label for u in placement.users]
-        assert [got.label for got in received] == labels
-        for got in received:
-            assert (got.noise is None) == (noise_scale == 0.0)
+        assert received.shape == (len(pattern.users), pattern.length)
         assert result.all_recoverable
-        assert [u.label for u in result.users] == labels
+        assert [u.label for u in result.users] == [r.label for r in report.receivers]
+        assert [u.estimates.shape for u in result.users] == [s.shape for s in pattern.streams]
