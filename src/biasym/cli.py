@@ -152,8 +152,7 @@ def _resolve_config(rc: RunConfig) -> GroupingConfig:
     if rc.budget is not None and rc.groups != "auto":
         raise ValueError("--budget needs --groups auto")
     if rc.groups == "auto":
-        space = SearchSpace(tuple(rc.modes), length_budget=rc.budget)
-        best = optimize(space).grouped
+        best = optimize(SearchSpace(tuple(rc.modes)), rc.budget).grouped
         if best is None:
             raise InfeasibleError("no config fits the length budget")
         return best.config
@@ -206,11 +205,11 @@ def cmd_verify(rc: RunConfig) -> int:
     symbols = random_symbols(pattern, symbol_seed)
     report, _, result = verify_receivers(pattern, channels, symbols, rc.noise, noise_seed)
     for r in report.receivers:
+        m, p = r.measured, r.predicted
         print(
-            f"{user_label(*r.label)}: desired {r.desired_measured}/{r.desired_predicted}"
-            f" iui {r.iui_measured}/{r.iui_predicted} igi {r.igi_measured}/{r.igi_predicted}"
-            f" joint {r.joint_measured}/{r.joint_predicted}"
-            f" {'ok' if r.match else 'MISMATCH'}"
+            f"{user_label(*m.label)}: desired {m.desired}/{p.desired}"
+            f" iui {m.iui_total}/{p.iui_total} igi {m.igi_total}/{p.igi_total}"
+            f" joint {m.joint}/{p.joint} {'ok' if r.match else 'MISMATCH'}"
         )
     errors = [
         np.linalg.norm(dec.estimates - truth) / np.linalg.norm(truth)

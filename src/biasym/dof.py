@@ -14,7 +14,7 @@ from math import isqrt, prod
 from .patterns import GroupingConfig, flat_length, grouped_length
 
 __all__ = [
-    "ReceiverPrediction",
+    "ReceiverRanks",
     "ReductionRatio",
     "rank_predictions",
     "sum_dof_flat",
@@ -32,22 +32,30 @@ __all__ = [
 # ======================================================================
 
 @dataclass(frozen=True)
-class ReceiverPrediction:
-    """Predicted effective-matrix ranks at one receiver.
+class ReceiverRanks:
+    """Effective-matrix ranks at one receiver, predicted or measured.
 
     ``per_interferer`` maps a 1-based (position, group) transmitter label to
-    its predicted interference rank; ``kinds`` flags each entry as "IUI"
-    (same group) or "IGI" (other group).  The slot accounting identity
-    desired + iui_total + igi_total == length holds for every receiver.
+    its interference rank; ``combined`` ranks all interference stacked and
+    ``joint`` the desired block beside it.  An interferer is IUI when it
+    shares the receiver's group and IGI otherwise.  Alignment holds when
+    desired + combined == joint == length.
     """
 
     label: tuple[int, int]
-    desired: int
-    iui_total: int
-    igi_total: int
-    per_interferer: dict[tuple[int, int], int]
-    kinds: dict[tuple[int, int], str]
     length: int
+    desired: int
+    per_interferer: dict[tuple[int, int], int]
+    combined: int
+    joint: int
+
+    @property
+    def iui_total(self) -> int:
+        return sum(r for lab, r in self.per_interferer.items() if lab[1] == self.label[1])
+
+    @property
+    def igi_total(self) -> int:
+        return sum(self.per_interferer.values()) - self.iui_total
 
 
 def _others(counts) -> list[int]:
@@ -55,7 +63,7 @@ def _others(counts) -> list[int]:
     return [prod(m - 1 for q, m in enumerate(counts) if q != p) for p in range(len(counts))]
 
 
-def rank_predictions(config: GroupingConfig) -> list[ReceiverPrediction]:
+def rank_predictions(config: GroupingConfig) -> list[ReceiverRanks]:
     """Predicted ranks of desired and interfering signal spaces per receiver.
 
     One product gives every rank.  User (k', i') holds the share
@@ -65,6 +73,8 @@ def rank_predictions(config: GroupingConfig) -> list[ReceiverPrediction]:
     if i' = i: an element-level flat count times a group-level one.  At
     (k', i') = (k, i) this is the desired rank M'_{k,i} * E_k * G_i; an
     interferer is "IUI" exactly when it shares the group (i' = i).
+    Aligned interference fills exactly the slots the desired signal leaves,
+    so the combined rank is length - desired and the joint rank is length.
     """
     elem = config.element_counts
     grp = config.group_mode_counts
@@ -81,11 +91,9 @@ def rank_predictions(config: GroupingConfig) -> list[ReceiverPrediction]:
             for k2, i2 in users
         }
         desired = per.pop((k + 1, i + 1))
-        kinds = {lab: "IUI" if lab[1] == i + 1 else "IGI" for lab in per}
-        iui = sum(r for lab, r in per.items() if kinds[lab] == "IUI")
-        out.append(ReceiverPrediction(
-            label=(k + 1, i + 1), desired=desired, iui_total=iui,
-            igi_total=sum(per.values()) - iui, per_interferer=per, kinds=kinds, length=length,
+        out.append(ReceiverRanks(
+            label=(k + 1, i + 1), length=length, desired=desired, per_interferer=per,
+            combined=length - desired, joint=length,
         ))
     return out
 

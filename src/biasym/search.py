@@ -23,7 +23,6 @@ from .signal import alignment_report, draw_channels
 __all__ = [
     "SearchSpace",
     "BestEntry",
-    "OptimizeResult",
     "SweepRow",
     "SweepResult",
     "VerificationReport",
@@ -48,12 +47,10 @@ class SearchSpace:
     ``equipped`` fixes each user's available preset modes.  ``allow_reduction``
     admits using fewer modes than equipped (2 <= used <= equipped);
     ``require_grouping`` excludes the single-group fallback from the grouped
-    strategy, for studying pure grouping.  ``length_budget`` caps the
-    supersymbol length (None = none).
+    strategy, for studying pure grouping.
     """
 
     equipped: tuple[int, ...]
-    length_budget: int | None = None
     allow_reduction: bool = True
     require_grouping: bool = False
 
@@ -179,22 +176,27 @@ class BestEntry:
 
 
 @dataclass(frozen=True)
-class OptimizeResult:
-    """Best config per strategy; None marks an infeasible strategy."""
+class SweepRow:
+    """Best config per strategy within one length budget (None = no cap);
+    None in place of an entry marks an infeasible strategy."""
 
+    length_budget: int | None
     conventional: BestEntry | None
     grouped: BestEntry | None
 
 
-def _frontier(space: SearchSpace, budgets) -> list[tuple[BestEntry | None, BestEntry | None]]:
-    """(conventional, grouped) best entries at each budget, None = no cap.
+def _frontier(space: SearchSpace, budgets) -> list[SweepRow]:
+    """The best entries per strategy at each budget, None = no cap.
 
-    Enumerates once, skipping configs longer than every budget, and sorts
-    the rest by length.  A running best per strategy under the key
+    Refuses a budget below 1 before enumerating.  Then enumerates once,
+    skipping configs longer than every budget, and sorts the rest by
+    length.  A running best per strategy under the key
     (-dof, length, num_groups, canonical string) then answers each budget
     with one bisection.  Canonical strings are unique, so the minimum does
     not depend on enumeration order.
     """
+    if any(b is not None and b < 1 for b in budgets):
+        raise ValueError("every length budget must be >= 1")
     cap = None if None in budgets else max(budgets, default=0)
     entries = []
     for cfg in enumerate_configs(space):
@@ -219,12 +221,12 @@ def _frontier(space: SearchSpace, budgets) -> list[tuple[BestEntry | None, BestE
     out = []
     for budget in budgets:
         i = len(entries) if budget is None else bisect_right(lengths, budget)
-        out.append((conventional[i], grouped[i]))
+        out.append(SweepRow(budget, conventional[i], grouped[i]))
     return out
 
 
-def optimize(space: SearchSpace) -> OptimizeResult:
-    """Argmax of sum DoF within the length budget, per strategy.
+def optimize(space: SearchSpace, budget: int | None = None) -> SweepRow:
+    """Argmax of sum DoF within ``budget`` slots (None = no cap), per strategy.
 
     The conventional strategy only does mode reduction (single group); the
     grouped strategy may use any enumerated group count, or only proper
@@ -232,20 +234,12 @@ def optimize(space: SearchSpace) -> OptimizeResult:
     supersymbols, then fewer groups, then the lexicographically smallest
     canonical string, making the result independent of enumeration order.
     """
-    [(conventional, grouped)] = _frontier(space, [space.length_budget])
-    return OptimizeResult(conventional=conventional, grouped=grouped)
+    return _frontier(space, [budget])[0]
 
 
 # ======================================================================
 # Budget sweeps
 # ======================================================================
-
-@dataclass(frozen=True)
-class SweepRow:
-    length_budget: int
-    conventional: BestEntry | None
-    grouped: BestEntry | None
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -273,11 +267,7 @@ def sweep(space: SearchSpace, length_budgets) -> SweepResult:
     the feasible set.
     """
     budgets = sorted(int(b) for b in length_budgets)
-    rows = tuple(
-        SweepRow(length_budget=budget, conventional=conventional, grouped=grouped)
-        for budget, (conventional, grouped) in zip(budgets, _frontier(space, budgets))
-    )
-    return SweepResult(rows=rows)
+    return SweepResult(rows=tuple(_frontier(space, budgets)))
 
 
 # ======================================================================

@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dof import rank_predictions
+from .dof import ReceiverRanks, rank_predictions
 from .patterns import GroupingConfig, PresetPattern, grouped_length, user_label
 
 __all__ = [
     "ChannelSet",
-    "InterfererRank",
     "ReceiverReport",
     "AlignmentReport",
     "UserDecode",
@@ -56,7 +55,6 @@ class ChannelSet:
     Indices are group-major user positions, matching PresetPattern.users.
     """
 
-    seed: int
     coherence_length: int
     n_blocks: int
     gains: dict[tuple[int, int], np.ndarray] = field(repr=False)
@@ -95,7 +93,6 @@ def draw_channels(
                 rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             ) / np.sqrt(2.0)
     return ChannelSet(
-        seed=int(seed),
         coherence_length=int(coherence_length),
         n_blocks=int(n_blocks),
         gains=gains,
@@ -146,40 +143,15 @@ def random_symbols(
 # ======================================================================
 
 @dataclass(frozen=True)
-class InterfererRank:
-    label: tuple[int, int]
-    kind: str  # "IUI" or "IGI"
-    measured: int
-    predicted: int
-
-
-@dataclass(frozen=True)
 class ReceiverReport:
-    label: tuple[int, int]
-    desired_measured: int
-    desired_predicted: int
-    interferers: tuple[InterfererRank, ...]
-    combined_measured: int
-    combined_predicted: int
-    joint_measured: int
-    joint_predicted: int
+    """Predicted and measured ranks at one receiver; they match when equal."""
 
-    def _total(self, kind: str, attr: str) -> int:
-        return sum(getattr(r, attr) for r in self.interferers if r.kind == kind)
-
-    iui_measured = property(lambda self: self._total("IUI", "measured"))
-    iui_predicted = property(lambda self: self._total("IUI", "predicted"))
-    igi_measured = property(lambda self: self._total("IGI", "measured"))
-    igi_predicted = property(lambda self: self._total("IGI", "predicted"))
+    predicted: ReceiverRanks
+    measured: ReceiverRanks
 
     @property
     def match(self) -> bool:
-        return (
-            self.desired_measured == self.desired_predicted
-            and all(r.measured == r.predicted for r in self.interferers)
-            and self.combined_measured == self.combined_predicted
-            and self.joint_measured == self.joint_predicted
-        )
+        return self.measured == self.predicted
 
 
 @dataclass(frozen=True)
@@ -273,7 +245,7 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     stacks = 3 * sum(c * config.used[orig] for c, orig in zip(columns, config.user_order()))
     largest = 0
     for p, c in zip(preds, columns):
-        r = p.iui_total + p.igi_total if ideal else sum(columns) - c
+        r = p.combined if ideal else sum(columns) - c
         k = min(length, r)
         combine = 2 * length * r + svd(length, r)
         decode = length * k + 2 * length * c + svd(length, c)
@@ -332,28 +304,23 @@ def _receiver_pass(pattern, channels, rx, pred, sources=None, noise=None):
     desired_cutoff = _cutoff(s_desired, max(length, s_desired.size))
     ranks, compressed, width = _compress(length, slots, gains, rx)
     interfered, basis, s = _svd(compressed, compute_uv=True)[:3]
-    combined = np.count_nonzero(s > _cutoff(s, max(length, width)))
+    combined = int(np.count_nonzero(s > _cutoff(s, max(length, width))))
     basis = basis[:, :combined]
     del compressed  # before D is built: a tenth less peak memory on flat (5,5,5,5)
     projected = _block(length, slots[rx], gains[rx])
     projected[interfered] -= basis @ (basis.conj().T @ projected[interfered])
     kept, u_mat, s, vh = _svd(projected, compute_uv=sources is not None)
     # rank against D's scale: columns the nulling swallowed only look tiny next to it
-    surviving = np.count_nonzero(s > desired_cutoff)
+    surviving = int(np.count_nonzero(s > desired_cutoff))
     user = pattern.users[rx]
-    report = ReceiverReport(
+    report = ReceiverReport(predicted=pred, measured=ReceiverRanks(
         label=(user.position, user.group),
-        desired_measured=np.count_nonzero(s_desired > desired_cutoff),
-        desired_predicted=pred.desired,
-        interferers=tuple(
-            InterfererRank(label, pred.kinds[label], rank, predicted)
-            for rank, (label, predicted) in zip(ranks, pred.per_interferer.items())
-        ),
-        combined_measured=combined,
-        combined_predicted=pred.iui_total + pred.igi_total,
-        joint_measured=combined + surviving,
-        joint_predicted=pred.length,
-    )
+        length=length,
+        desired=int(np.count_nonzero(s_desired > desired_cutoff)),
+        per_interferer=dict(zip(pred.per_interferer, ranks)),
+        combined=combined,
+        joint=combined + surviving,
+    ))
     if sources is None:
         return report, None, None
     samples = np.zeros(length, dtype=complex)
@@ -370,7 +337,7 @@ def _receiver_pass(pattern, channels, rx, pred, sources=None, noise=None):
     solution = vh.conj().T @ ((u_mat.conj().T @ nulled[kept]) / s)
     deficiency = projected.shape[1] - surviving
     return report, samples, UserDecode(
-        label=report.label,
+        label=report.measured.label,
         estimates=solution.reshape(slots[rx].shape),
         recoverable=deficiency == 0,
         deficiency=deficiency,
@@ -399,10 +366,10 @@ def report_to_csv(report: AlignmentReport) -> str:
         "igi_meas,igi_pred,joint_meas,joint_pred,match",
     ]
     for r in report.receivers:
+        m, p = r.measured, r.predicted
         lines.append(
-            f"{user_label(*r.label)},{r.desired_measured},{r.desired_predicted},"
-            f"{r.iui_measured},{r.iui_predicted},{r.igi_measured},{r.igi_predicted},"
-            f"{r.joint_measured},{r.joint_predicted},{str(r.match).lower()}"
+            f"{user_label(*m.label)},{m.desired},{p.desired},{m.iui_total},{p.iui_total},"
+            f"{m.igi_total},{p.igi_total},{m.joint},{p.joint},{str(r.match).lower()}"
         )
     return "\n".join(lines) + "\n"
 

@@ -105,14 +105,11 @@ def test_criterion_02_worked_example_ranks(example_config, example_pattern):
     for seed in range(10):
         channels = draw_channels(example_config, None, seed)
         report = alignment_report(example_pattern, channels)
-        r11 = next(r for r in report.receivers if r.label == (1, 1))
-        assert r11.desired_measured == 6
-        assert {x.label: (x.kind, x.measured) for x in r11.interferers} == {
-            (2, 1): ("IUI", 4),
-            (1, 2): ("IGI", 3),
-            (2, 2): ("IGI", 2),
-        }
-        assert r11.joint_measured == 15
+        r11 = next(r.measured for r in report.receivers if r.measured.label == (1, 1))
+        assert r11.desired == 6
+        assert r11.per_interferer == {(2, 1): 4, (1, 2): 3, (2, 2): 2}
+        assert (r11.iui_total, r11.igi_total) == (4, 5)  # IUI: (2, 1); IGI: (1, 2), (2, 2)
+        assert r11.joint == 15
         assert report.all_match
     assert time.perf_counter() - start < 5.0
 
@@ -145,11 +142,11 @@ def test_criterion_04_rank_bridge(sampled_configs):
         channels = draw_channels(cfg, None, 77)
         report = alignment_report(pattern, channels)
         for rec, p in zip(report.receivers, predictions):
-            assert rec.desired_measured == p.desired
-            for x in rec.interferers:
-                assert x.measured == p.per_interferer[x.label]
-            assert rec.combined_measured == p.iui_total + p.igi_total
-            assert rec.joint_measured == length
+            rec = rec.measured
+            assert rec.desired == p.desired
+            assert rec.per_interferer == p.per_interferer
+            assert rec.combined == p.iui_total + p.igi_total
+            assert rec.joint == length
     assert time.perf_counter() - start < 60.0
 
 
@@ -280,9 +277,9 @@ def test_criterion_10_coherence_violation(example_config, example_pattern):
         # aligned dimension it was predicted to collapse into
         overflow = [
             r for r in report.receivers
-            if r.combined_measured > r.combined_predicted
+            if r.measured.combined > r.predicted.combined
         ]
         assert overflow
-        assert all(r.joint_measured <= r.joint_predicted for r in report.receivers)
+        assert all(r.measured.joint <= r.predicted.joint for r in report.receivers)
         symbols = random_symbols(example_pattern, seed)
         assert not verify_receivers(example_pattern, channels, symbols)[2].all_recoverable

@@ -72,6 +72,19 @@ class TestExitCodes:
                      "--budget", "3"]) == 4
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["dof", "--modes", "4,4", "--groups", "auto", "--budget", "-3"],
+        ["dof", "--modes", "4,4", "--groups", "auto", "--budget", "0"],
+        ["sweep", "--modes", "4,4", "--lmin", "0", "--lmax", "3"],
+    ], ids=["auto-negative", "auto-zero", "sweep-zero"])
+    def test_budget_below_one_is_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "invalid config: every length budget must be >= 1" in captured.err
+        assert captured.out == ""
+        # a budget of 1 is valid, though nothing fits it
+        assert main(["dof", "--modes", "4,4", "--groups", "auto", "--budget", "1"]) == 4
+
     def test_verify_over_memory_limit_is_2_before_building(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("channels must not be drawn")

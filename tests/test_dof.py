@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from biasym import (
     GroupingConfig,
+    SearchSpace,
     base_pattern,
     config_sum_dof,
+    enumerate_configs,
     flat_length,
     grouped_length,
     grouped_pattern,
@@ -101,7 +103,10 @@ class TestRankPredictions:
         p11 = by_label[(1, 1)]
         assert (p11.desired, p11.iui_total, p11.igi_total) == (6, 4, 5)
         assert p11.per_interferer == {(2, 1): 4, (1, 2): 3, (2, 2): 2}
-        assert p11.kinds == {(2, 1): "IUI", (1, 2): "IGI", (2, 2): "IGI"}
+        # the same-group interferer (2, 1) alone is IUI
+        assert p11.iui_total == p11.per_interferer[(2, 1)]
+        assert p11.igi_total == p11.per_interferer[(1, 2)] + p11.per_interferer[(2, 2)]
+        assert (p11.combined, p11.joint, p11.length) == (9, 15, 15)
         p21 = by_label[(2, 1)]
         assert (p21.desired, p21.iui_total, p21.igi_total) == (8, 2, 5)
         assert p21.per_interferer == {(1, 1): 2, (1, 2): 1, (2, 2): 4}
@@ -121,6 +126,18 @@ class TestRankPredictions:
             assert p.length == length
             assert p.desired + p.iui_total + p.igi_total == length
             assert sum(p.per_interferer.values()) == p.iui_total + p.igi_total
+
+    @pytest.mark.parametrize("equipped", [(6, 6, 4, 4), (6, 6, 6, 4, 4, 4), (9, 6)])
+    def test_combined_and_joint_identities_over_search_space(self, equipped):
+        # the combined rank is the IUI plus the IGI rank, and desired plus
+        # combined fills the joint rank, which spans every slot
+        configs = list(enumerate_configs(SearchSpace(equipped)))
+        assert any(cfg.num_groups >= 2 for cfg in configs)
+        for cfg in configs:
+            length = grouped_length(cfg)
+            for p in rank_predictions(cfg):
+                assert p.combined == p.iui_total + p.igi_total
+                assert p.desired + p.combined == p.joint == p.length == length
 
     @pytest.mark.parametrize("cfg", _config_cases(), ids=str)
     def test_per_user_dof_sums_to_config_dof(self, cfg):

@@ -234,7 +234,7 @@ class TestEnumerateConfigs:
 
 class TestOptimize:
     def test_mixed_example_at_budget_15(self):
-        result = optimize(SearchSpace((6, 6, 4, 4), length_budget=15))
+        result = optimize(SearchSpace((6, 6, 4, 4)), 15)
         assert result.grouped.dof == Fraction(28, 15)
         assert result.grouped.length == 15
         assert result.grouped.config.canonical_string() in (
@@ -246,7 +246,7 @@ class TestOptimize:
         assert result.conventional.length == 13
 
     def test_grouped_strictly_beats_conventional_at_15(self):
-        result = optimize(SearchSpace((6, 6, 4, 4), length_budget=15))
+        result = optimize(SearchSpace((6, 6, 4, 4)), 15)
         assert result.grouped.dof > result.conventional.dof
 
     def test_six_users_unconstrained(self):
@@ -266,19 +266,28 @@ class TestOptimize:
         # used count 5 is prime, so no proper grouping exists
         result = optimize(SearchSpace((5,) * 5, allow_reduction=False, require_grouping=True))
         assert result.conventional is not None and result.grouped is None
-        tight = optimize(SearchSpace((6, 6, 4, 4), length_budget=4))
+        tight = optimize(SearchSpace((6, 6, 4, 4)), 4)
         assert tight.conventional is None and tight.grouped is None
+
+    def test_budget_below_one_is_refused_before_enumerating(self, monkeypatch):
+        def refuse(space):
+            raise AssertionError("configs must not be enumerated")
+
+        monkeypatch.setattr("biasym.search.enumerate_configs", refuse)
+        space = SearchSpace((4, 4))
+        for budget in (0, -3):
+            with pytest.raises(ValueError, match="length budget must be >= 1"):
+                optimize(space, budget)
+        with pytest.raises(ValueError, match="length budget must be >= 1"):
+            sweep(space, range(0, 4))
 
     @pytest.mark.parametrize("budget", [5, 9, 13, 15, 40, 100, None])
     def test_matches_brute_force_oracle(self, budget):
-        space = SearchSpace((6, 6, 4, 4), length_budget=budget)
-        result = optimize(space)
+        result = optimize(SearchSpace((6, 6, 4, 4)), budget)
         expect = oracle_best([6, 6, 4, 4], budget)
         assert (result.grouped.dof, result.grouped.length) == expect
         expect_grouped_only = oracle_best([6, 6, 4, 4], budget, grouped_only=True)
-        restricted = optimize(
-            SearchSpace((6, 6, 4, 4), length_budget=budget, require_grouping=True)
-        )
+        restricted = optimize(SearchSpace((6, 6, 4, 4), require_grouping=True), budget)
         if expect_grouped_only is None:
             assert restricted.grouped is None
         else:
@@ -286,7 +295,7 @@ class TestOptimize:
 
     def test_matches_oracle_on_two_user_space(self):
         for budget in (3, 9, 20, None):
-            result = optimize(SearchSpace((9, 6), length_budget=budget))
+            result = optimize(SearchSpace((9, 6)), budget)
             assert result.grouped is not None
             assert (result.grouped.dof, result.grouped.length) == oracle_best(
                 [9, 6], budget
@@ -339,8 +348,9 @@ class TestSweep:
                    if e.config.num_groups >= 2 or not require_grouping]
             expect = (min(conv, key=tie_break_key, default=None),
                       min(grp, key=tie_break_key, default=None))
-            result = optimize(replace(space, length_budget=budget))
+            result = optimize(space, budget)
             assert (result.conventional, result.grouped) == expect
+            assert result == row
             assert (row.length_budget, row.conventional, row.grouped) == (budget, *expect)
 
     def test_infeasible_budgets_render_empty(self):
@@ -396,4 +406,4 @@ class TestVerifySweep:
         report = alignment_report(broken, channels)
         assert not report.all_match
         bad_rx = report.receivers[3]
-        assert bad_rx.desired_measured < bad_rx.desired_predicted
+        assert bad_rx.measured.desired < bad_rx.predicted.desired

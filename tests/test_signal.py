@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from conftest import channel_row, effective_block, matrix_rank, physical
 
 from biasym import (
     GroupingConfig,
+    ReceiverRanks,
     SearchSpace,
     alignment_report,
     draw_channels,
@@ -333,16 +335,16 @@ class TestAlignmentReport:
         for seed in range(10):
             ch = draw_channels(example_config, None, seed)
             report = alignment_report(example_pattern, ch)
-            by_label = {r.label: r for r in report.receivers}
+            by_label = {r.measured.label: r.measured for r in report.receivers}
             r11 = by_label[(1, 1)]
-            assert (r11.desired_measured, r11.combined_measured, r11.joint_measured) == (6, 9, 15)
-            assert {x.label: x.measured for x in r11.interferers} == {
+            assert (r11.desired, r11.combined, r11.joint) == (6, 9, 15)
+            assert r11.per_interferer == {
                 (2, 1): 4,
                 (1, 2): 3,
                 (2, 2): 2,
             }
             r21 = by_label[(2, 1)]
-            assert (r21.desired_measured, r21.combined_measured, r21.joint_measured) == (8, 7, 15)
+            assert (r21.desired, r21.combined, r21.joint) == (8, 7, 15)
             assert report.all_match
 
     @pytest.mark.parametrize("cfg", small_configs(), ids=str)
@@ -357,7 +359,21 @@ class TestAlignmentReport:
         report = alignment_report(example_pattern, ch)
         assert not report.all_match
         r11 = report.receivers[0]
-        assert r11.combined_measured > r11.combined_predicted
+        assert r11.measured.combined > r11.predicted.combined
+
+    @pytest.mark.parametrize("change", [
+        {"desired": 5},
+        {"per_interferer": {(2, 1): 4, (1, 2): 3, (2, 2): 1}},
+        {"combined": 8},
+        {"joint": 14},
+    ], ids=["desired", "per-interferer", "combined", "joint"])
+    def test_any_changed_measured_rank_breaks_the_match(
+        self, example_config, example_pattern, change
+    ):
+        report = alignment_report(example_pattern, draw_channels(example_config, None, 1))
+        r11 = report.receivers[0]
+        assert r11.match and r11.measured.label == (1, 1)
+        assert not replace(r11, measured=replace(r11.measured, **change)).match
 
     def test_csv_rendering(self, example_config, example_pattern):
         ch = draw_channels(example_config, None, 1)
@@ -393,18 +409,19 @@ class TestFullMatrixReference:
         for rx in range(K):
             desired = effective_block(pattern, ch, rx, rx)
             interference = [effective_block(pattern, ch, rx, tx) for tx in range(K) if tx != rx]
-            r = report.receivers[rx]
-            assert r.label == labels[rx]
-            assert r.desired_measured == matrix_rank(desired)
-            assert [x.label for x in r.interferers] == labels[:rx] + labels[rx + 1:]
-            for x, block in zip(r.interferers, interference):
-                assert x.measured == matrix_rank(block)
-            if interference:
-                assert r.combined_measured == matrix_rank(np.hstack(interference))
-            else:
-                assert r.combined_measured == 0
-            assert r.joint_measured == matrix_rank(np.hstack([desired, *interference]))
-            surviving = r.joint_measured - r.combined_measured
+            others = labels[:rx] + labels[rx + 1:]
+            dense = ReceiverRanks(
+                label=labels[rx],
+                length=pattern.length,
+                desired=matrix_rank(desired),
+                per_interferer={lab: matrix_rank(b) for lab, b in zip(others, interference)},
+                combined=matrix_rank(np.hstack(interference)) if interference else 0,
+                joint=matrix_rank(np.hstack([desired, *interference])),
+            )
+            measured = report.receivers[rx].measured
+            assert measured == dense
+            assert list(measured.per_interferer) == others
+            surviving = measured.joint - measured.combined
             assert result.users[rx].deficiency == desired.shape[1] - surviving
         return report, result
 
@@ -546,5 +563,5 @@ class TestVerifyReceivers:
         assert report.all_match
         assert received.shape == (len(pattern.users), pattern.length)
         assert result.all_recoverable
-        assert [u.label for u in result.users] == [r.label for r in report.receivers]
+        assert [u.label for u in result.users] == [r.measured.label for r in report.receivers]
         assert [u.estimates.shape for u in result.users] == [s.shape for s in pattern.streams]
