@@ -95,7 +95,7 @@ _switch = _strict(bool, bool)
 def _int_list(value) -> list[int]:
     """Comma text, as flags give it, or a JSON list, as config files do."""
     if isinstance(value, str):
-        value = [x for x in value.split(",") if x.strip()]
+        value = value.split(",")
     if not isinstance(value, list):
         raise ValueError(f"expected a list of integers, got {value!r}")
     return [_integer(x) for x in value]

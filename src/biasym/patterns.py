@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "GroupingConfig",
-    "member_order",
     "UserPattern",
     "PresetPattern",
     "base_pattern",
@@ -47,8 +46,8 @@ class GroupingConfig:
     """A validated grouping of users plus per-user used mode counts.
 
     ``groups`` holds original user indices (0-based), already in canonical
-    within-group order (see :func:`member_order`): descending used mode
-    count, then descending equipped mode count, then original index.
+    within-group order: descending used mode count, then descending
+    equipped mode count, then original index.
     ``element_counts[k]`` is the element-level mode count shared by the
     users at within-group position k of every group; it must satisfy
     ``used == element_counts[position] * group_mode_counts[group]`` for
@@ -99,7 +98,7 @@ class GroupingConfig:
         elif any(m < 2 for m in mgs):
             raise ValueError("group mode counts must be >= 2 when there are several groups")
 
-        if any(g != member_order(g, eq, us) for g in grs):
+        if any(g != _member_order(g, eq, us) for g in grs):
             raise ValueError("group members must be in descending used, then equipped, mode order")
 
         # alignment condition: element-level counts agree across groups per position
@@ -132,7 +131,7 @@ class GroupingConfig:
     def flat(cls, equipped, used=None) -> "GroupingConfig":
         """Single-group config: the plain flat construction over used modes."""
         eq, us = _mode_counts(equipped, equipped if used is None else used)
-        return cls(eq, us, (member_order(range(len(eq)), eq, us),), (1,))
+        return cls(eq, us, (_member_order(range(len(eq)), eq, us),), (1,))
 
     @classmethod
     def grouped(cls, equipped, groups, group_mode_counts, used=None) -> "GroupingConfig":
@@ -140,7 +139,7 @@ class GroupingConfig:
         eq, us = _mode_counts(equipped, equipped if used is None else used)
         if not all(0 <= j < len(eq) for g in groups for j in g):
             raise ValueError("groups must partition the users")
-        norm = tuple(member_order(g, eq, us) for g in groups)
+        norm = tuple(_member_order(g, eq, us) for g in groups)
         return cls(eq, us, norm, tuple(group_mode_counts))
 
     # ------------------------------------------------------------------
@@ -198,7 +197,7 @@ def _mode_counts(equipped, used) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return eq, us
 
 
-def member_order(members, equipped, used) -> tuple[int, ...]:
+def _member_order(members, equipped, used) -> tuple[int, ...]:
     """Canonical within-group order of user indices: descending used mode
     count, then descending equipped mode count, then index.
 

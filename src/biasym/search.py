@@ -14,10 +14,10 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .dof import config_sum_dof, render_decimal
-from .patterns import GroupingConfig, grouped_length, grouped_pattern, member_order
+from .patterns import GroupingConfig, grouped_length, grouped_pattern
 from .signal import alignment_report, draw_channels
 
 __all__ = [
@@ -88,17 +88,36 @@ def _used_assignments(equipped, allow_reduction):
         yield tuple(used)
 
 
-def _partitions(users, group_size):
-    """Set partitions into equal-size groups, each yielded exactly once."""
-    if not users:
-        yield []
+def _splits(pool, size):
+    """Each distinct ``size``-sub-multiset of the sorted list ``pool`` once,
+    as a sorted tuple, with the sorted list of what remains."""
+    if size == 0:
+        yield (), pool
         return
-    first, rest = users[0], users[1:]
-    for members in itertools.combinations(rest, group_size - 1):
-        group = (first,) + members
-        remaining = [u for u in rest if u not in members]
-        for tail in _partitions(remaining, group_size):
-            yield [group] + tail
+    for i, t in enumerate(pool):
+        if i == 0 or t != pool[i - 1]:
+            for group, rest in _splits(pool[i + 1:], size - 1):
+                yield (t,) + group, pool[:i] + rest
+
+
+def _type_partitions(pool, size, floor=((), ())):
+    """Each partition of the sorted type multiset ``pool`` into groups of
+    ``size`` once: groups in member order, their keys (used tuple, equipped
+    tuple) never decreasing from ``floor``; equal keys mean equal groups.
+    A group holding a largest remaining used count has the smallest key
+    possible, so a user of that count leads the next group.
+    """
+    if not pool:
+        yield ()
+        return
+    for group, rest in _splits(pool, size):
+        if group[0][0] != pool[0][0]:
+            break
+        key = (tuple(u for u, _ in group), tuple(e for _, e in group))
+        if key < floor:
+            continue
+        for tail in _type_partitions(rest, size, key):
+            yield (group,) + tail
 
 
 def _groupable(used) -> bool:
@@ -111,57 +130,37 @@ def _groupable(used) -> bool:
 
 
 def enumerate_configs(space: SearchSpace):
-    """Yield every valid config once, in canonical form.
+    """Yield every valid config exactly once, in canonical form.
 
     Covers all group counts dividing the user count, all used-mode
-    assignments when reduction is allowed, all user partitions, and all
-    group mode counts compatible with the cross-group alignment condition.
-    ``require_grouping`` does not filter here; it only affects which
-    configs the grouped strategy of :func:`optimize` may pick.  Flat configs
-    are unique per used-mode assignment; only grouped ones need
-    deduplicating.
+    assignments when reduction is allowed, all groupings and all group mode
+    counts.  Users of equal (used, equipped) counts are interchangeable, so a
+    grouping is a partition of the multiset of these types, built once in
+    canonical group order, each type's users assigned lowest index first.
+    Group mode counts are proposed per divisor of the lead used count, and
+    :class:`GroupingConfig` alone decides which satisfy the alignment
+    condition.  ``require_grouping`` does not filter here; it only affects
+    which configs the grouped strategy of :func:`optimize` may pick.
     """
-    seen: set[str] = set()
     K = len(space.equipped)
     for used in _used_assignments(space.equipped, space.allow_reduction):
-        groupable = _groupable(used)
-        for kg in (d for d in range(1, K + 1) if K % d == 0):
-            if kg == 1:
-                yield GroupingConfig.flat(space.equipped, used)
-                continue
-            if not groupable:
-                continue
-            for raw_parts in _partitions(list(range(K)), K // kg):
-                groups = [member_order(g, space.equipped, used) for g in raw_parts]
-                groups.sort(
-                    key=lambda g: (
-                        tuple(-used[j] for j in g),
-                        tuple(-space.equipped[j] for j in g),
-                        g,
-                    )
-                )
-                lead = [used[j] for j in groups[0]]
-                lead_gcd = gcd(*lead)
-                for div in range(2, lead_gcd + 1):
-                    if lead_gcd % div != 0:
+        yield GroupingConfig.flat(space.equipped, used)
+        if not _groupable(used):
+            continue
+        types = [(-u, -m) for u, m in zip(used, space.equipped)]
+        users_of = {t: [j for j in range(K) if types[j] == t] for t in types}
+        for kg in (d for d in range(2, K + 1) if K % d == 0):
+            for parts in _type_partitions(sorted(types), K // kg):
+                free = {t: iter(js) for t, js in users_of.items()}
+                groups = tuple(tuple(next(free[t]) for t in g) for g in parts)
+                u0 = -parts[0][0][0]
+                for d in (d for d in range(2, u0 + 1) if u0 % d == 0):
+                    mgs = tuple(-g[0][0] * d // u0 for g in parts)
+                    try:
+                        cfg = GroupingConfig(space.equipped, used, groups, mgs)
+                    except ValueError:
                         continue
-                    elem = [u // div for u in lead]
-                    if any(e < 2 for e in elem):
-                        continue
-                    counts = [div]
-                    for g in groups[1:]:
-                        mg = used[g[0]] // elem[0]
-                        if mg < 2 or any(used[j] != e * mg for j, e in zip(g, elem)):
-                            break
-                        counts.append(mg)
-                    else:
-                        cfg = GroupingConfig(
-                            space.equipped, used, tuple(groups), tuple(counts)
-                        )
-                        key = cfg.canonical_string()
-                        if key not in seen:
-                            seen.add(key)
-                            yield cfg
+                    yield cfg
 
 
 # ======================================================================

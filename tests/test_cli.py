@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from dataclasses import fields
 
 import pytest
@@ -249,6 +250,19 @@ class TestInputConversion:
         assert "invalid config" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("field,extra", [
+        ("modes", ["--modes", "6,,4,4", "--flat"]),
+        ("modes", ["--modes", "6,6,4,4,", "--flat"]),
+        ("modes", ["--modes", ""]),
+        ("used", ["--modes", "6,6,4,4", "--flat", "--used", "4,3,,2,2"]),
+        ("mg", ["--modes", "6,6,4,4", "--groups", "[6,4],[6,4]", "--mg", "2,,2"]),
+    ], ids=["inner", "trailing", "empty", "used", "mg"])
+    def test_empty_list_item_is_2(self, field, extra, capsys):
+        assert main(["dof", *extra]) == 2
+        captured = capsys.readouterr()
+        assert f"invalid config: {field}" in captured.err
+        assert captured.out == ""
+
     def test_config_file_switch_survives_unset_flag(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"modes": [6, 6, 4, 4], "per_user": True}), encoding="utf-8")
@@ -303,6 +317,13 @@ class TestDofCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[1] == "u1.1: 2/5 (0.400000)"
         assert lines[2] == "u2.1: 8/15 (0.533333)"
+
+    def test_sixteen_users_auto_grouping_at_budget_25(self, capsys):
+        start = time.perf_counter()
+        assert main(["dof", "--modes", ",".join("4" * 16), "--groups", "auto",
+                     "--budget", "25"]) == 0
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().out == "64/25 (2.560000), length 25\n"
 
 
 class TestOutputFiles:

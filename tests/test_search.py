@@ -9,11 +9,14 @@ the canonicalized enumeration under test.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import replace
 from fractions import Fraction
 from math import isqrt, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biasym import (
     BestEntry,
@@ -152,6 +155,14 @@ def reference_canonical_strings(equipped, allow_reduction):
     return out
 
 
+def assert_each_config_once(equipped, allow_reduction):
+    """The enumeration yields the oracle's canonical strings, each once."""
+    space = SearchSpace(equipped, allow_reduction=allow_reduction)
+    got = [c.canonical_string() for c in enumerate_configs(space)]
+    assert len(got) == len(set(got))
+    assert set(got) == reference_canonical_strings(equipped, allow_reduction)
+
+
 def tie_break_key(entry):
     return (-entry.dof, entry.length, entry.config.num_groups,
             entry.config.canonical_string())
@@ -194,13 +205,21 @@ class TestEnumerateConfigs:
         used = {c.used for c in enumerate_configs(space) if c.num_groups == 1}
         assert used == {(4, 4), (4, 3), (4, 2), (3, 3), (3, 2), (2, 2)}
 
-    @pytest.mark.parametrize("equipped", [(6, 6, 4, 4), (4, 6, 4, 6), (6,) * 6, (9, 6)])
+    @pytest.mark.parametrize("equipped", [(6, 6, 4, 4), (4, 6, 4, 6), (6,) * 6, (9, 6),
+                                          (4,) * 8])
     @pytest.mark.parametrize("allow_reduction", [True, False])
     def test_matches_brute_force_canonical_set(self, equipped, allow_reduction):
-        space = SearchSpace(equipped, allow_reduction=allow_reduction)
-        got = [c.canonical_string() for c in enumerate_configs(space)]
-        assert len(got) == len(set(got))
-        assert set(got) == reference_canonical_strings(equipped, allow_reduction)
+        assert_each_config_once(equipped, allow_reduction)
+
+    def test_matches_brute_force_on_eight_mixed_users(self):
+        # with reduction the oracle takes seconds here, so only the equipped counts
+        assert_each_config_once((6, 6, 6, 6, 4, 4, 4, 4), False)
+
+    @settings(max_examples=30, deadline=None)
+    @given(equipped=st.lists(st.integers(2, 12), min_size=1, max_size=4).map(tuple),
+           allow_reduction=st.booleans())
+    def test_each_config_once_on_random_spaces(self, equipped, allow_reduction):
+        assert_each_config_once(equipped, allow_reduction)
 
     def test_tied_used_counts_are_ordered_by_equipped_count(self):
         # at used 4,4,4,4 the pairings {4,6},{4,6} of (4,6,4,6) are one config
@@ -261,6 +280,23 @@ class TestOptimize:
         # the two-group one must win
         result = optimize(SearchSpace((6,) * 6, require_grouping=True))
         assert result.grouped.config.num_groups == 2
+
+    def test_sixteen_users_group_in_four_at_budget_25(self):
+        # the sqrt(K) grouping of the paper: four groups of four 4-mode users
+        # beat every mode reduction of the flat pattern at L = 25
+        start = time.perf_counter()
+        result = optimize(SearchSpace((4,) * 16), 25)
+        elapsed = time.perf_counter() - start
+        grouped, conventional = result.grouped, result.conventional
+        assert grouped.config.canonical_string() == ";".join(
+            ["KG=4", *(f"G{i}=[4,4,4,4]/MG2" for i in range(1, 5)), "used=" + ",".join("4" * 16)]
+        )
+        assert (grouped.dof, grouped.length) == (Fraction(64, 25), 25)
+        assert conventional.config.canonical_string() == (
+            "KG=1;G1=[" + ",".join("4" * 16) + "]/MG1;used=" + ",".join("2" * 16)
+        )
+        assert (conventional.dof, conventional.length) == (Fraction(32, 17), 17)
+        assert elapsed < 5
 
     def test_infeasible_returns_none(self):
         # used count 5 is prime, so no proper grouping exists
