@@ -17,19 +17,16 @@ from fractions import Fraction
 from math import isqrt
 
 from .dof import config_sum_dof, render_decimal
-from .patterns import GroupingConfig, grouped_length, grouped_pattern
-from .signal import alignment_report, draw_channels
+from .patterns import GroupingConfig, grouped_length
 
 __all__ = [
     "SearchSpace",
     "BestEntry",
     "SweepRow",
     "SweepResult",
-    "VerificationReport",
     "enumerate_configs",
     "optimize",
     "sweep",
-    "verify_sweep",
     "sweep_to_csv",
 ]
 
@@ -270,44 +267,8 @@ def sweep(space: SearchSpace, length_budgets) -> SweepResult:
 
 
 # ======================================================================
-# Verification and serialization
+# Serialization
 # ======================================================================
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Signal-level re-verification of every winning sweep config."""
-
-    checked: dict[str, bool]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(self.checked.values())
-
-
-def verify_sweep(result: SweepResult, seeds=(1, 2, 3)) -> VerificationReport:
-    """Re-measure alignment ranks for each distinct winning config.
-
-    Every winner is rebuilt, its channels redrawn per seed with one fading
-    block covering the supersymbol, and all measured ranks must match the
-    predictions.
-    """
-    checked: dict[str, bool] = {}
-    for row in result.rows:
-        for entry in (row.conventional, row.grouped):
-            if entry is None:
-                continue
-            key = entry.config.canonical_string()
-            if key in checked:
-                continue
-            pattern = grouped_pattern(entry.config)
-            ok = True
-            for seed in seeds:
-                channels = draw_channels(entry.config, None, seed)
-                report = alignment_report(pattern, channels)
-                ok = ok and report.all_match
-            checked[key] = ok
-    return VerificationReport(checked=checked)
-
 
 def _entry_fields(entry: BestEntry | None) -> list[str]:
     if entry is None:

@@ -3,9 +3,9 @@
 The transmitters know nothing about the channel; each symbol vector is
 simply repeated over the slots its stream occupies, one slot per own
 preset mode.  All alignment therefore has to come from the switching
-pattern itself, and this module measures whether it does: it assembles
-the effective (channel times repetition) matrices seen at each receiver,
-compares their numerical ranks against the exact predictions, and runs a
+pattern itself, and this module measures whether it does: in one pass
+per receiver, ``verify_receivers`` ranks the effective (channel times
+repetition) matrices against the exact predictions and runs a
 zero-forcing decode round trip.
 
 Channels are drawn i.i.d. CN(0, 1) per fading block; a block spans
@@ -29,7 +29,6 @@ __all__ = [
     "UserDecode",
     "DecodeResult",
     "draw_channels",
-    "alignment_report",
     "verify_receivers",
     "random_symbols",
     "receiver_memory_bytes",
@@ -203,16 +202,13 @@ def _cutoff(s: np.ndarray, size: int) -> float:
     return size * s.max(initial=0.0) * RANK_RTOL
 
 
-def _svd(matrix: np.ndarray, compute_uv: bool = False):
+def _svd(matrix: np.ndarray):
     """(rows, u, s, vh): a thin SVD of the nonzero ``rows`` only.
 
-    Zero rows change no singular value.  u and vh are None without
-    ``compute_uv``.
+    Zero rows change no singular value.
     """
     rows = matrix.any(axis=1).nonzero()[0]
-    if compute_uv:
-        return rows, *np.linalg.svd(matrix[rows], full_matrices=False)
-    return rows, None, np.linalg.svd(matrix[rows], compute_uv=False), None
+    return rows, *np.linalg.svd(matrix[rows], full_matrices=False)
 
 
 def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None = None) -> int:
@@ -282,12 +278,12 @@ def _compress(length: int, slots, gains, rx: int):
     return ranks, compressed, width
 
 
-def _receiver_pass(pattern, channels, rx, pred, sources=None, noise=None):
+def _receiver_pass(pattern, channels, rx, pred, sources, noise):
     """Gather receiver rx's per-stream channel blocks once and rank them.
 
-    Returns (rank report against ``pred``, received samples, their decode).
-    The last two are None unless ``sources`` (one (streams, used) symbol
-    array per transmitter) is given; ``noise`` is None or (scale, RNG).
+    Returns (rank report against ``pred``, received samples, their decode)
+    for ``sources``, one (streams, used) symbol array per transmitter;
+    ``noise`` is None or (scale, RNG).
 
     One batched SVD of each transmitter's stream blocks gives its rank (see
     ``_compress``); one SVD of the compressed interference I gives the
@@ -303,13 +299,13 @@ def _receiver_pass(pattern, channels, rx, pred, sources=None, noise=None):
     s_desired = np.linalg.svd(gains[rx], compute_uv=False)
     desired_cutoff = _cutoff(s_desired, max(length, s_desired.size))
     ranks, compressed, width = _compress(length, slots, gains, rx)
-    interfered, basis, s = _svd(compressed, compute_uv=True)[:3]
+    interfered, basis, s = _svd(compressed)[:3]
     combined = int(np.count_nonzero(s > _cutoff(s, max(length, width))))
     basis = basis[:, :combined]
     del compressed  # before D is built: a tenth less peak memory on flat (5,5,5,5)
     projected = _block(length, slots[rx], gains[rx])
     projected[interfered] -= basis @ (basis.conj().T @ projected[interfered])
-    kept, u_mat, s, vh = _svd(projected, compute_uv=sources is not None)
+    kept, u_mat, s, vh = _svd(projected)
     # rank against D's scale: columns the nulling swallowed only look tiny next to it
     surviving = int(np.count_nonzero(s > desired_cutoff))
     user = pattern.users[rx]
@@ -321,8 +317,6 @@ def _receiver_pass(pattern, channels, rx, pred, sources=None, noise=None):
         combined=combined,
         joint=combined + surviving,
     ))
-    if sources is None:
-        return report, None, None
     samples = np.zeros(length, dtype=complex)
     for tx_slots, g, x in zip(slots, gains, sources):
         samples[tx_slots] += (g @ x[..., None])[..., 0]
@@ -342,20 +336,6 @@ def _receiver_pass(pattern, channels, rx, pred, sources=None, noise=None):
         recoverable=deficiency == 0,
         deficiency=deficiency,
     )
-
-
-def alignment_report(pattern: PresetPattern, channels: ChannelSet) -> AlignmentReport:
-    """Measure effective-matrix ranks at every receiver against predictions.
-
-    Per receiver: rank of the desired block, rank of each interferer's
-    block, rank of all interference blocks stacked, and the joint rank of
-    [desired | interference].  Predictions assume one fading block per
-    supersymbol; shorter coherence shows up as measured > predicted.
-    """
-    return AlignmentReport(receivers=tuple(
-        _receiver_pass(pattern, channels, rx, pred)[0]
-        for rx, pred in enumerate(rank_predictions(pattern.config))
-    ))
 
 
 def report_to_csv(report: AlignmentReport) -> str:
@@ -381,16 +361,19 @@ def verify_receivers(
     noise_scale: float = 0.0,
     noise_seed: int | np.random.SeedSequence | None = None,
 ) -> tuple[AlignmentReport, np.ndarray, DecodeResult]:
-    """alignment_report, the received samples and their decode, one pass per receiver.
+    """Rank report, received samples and decode, one pass per receiver.
 
-    ``symbols[tx]`` has the shape of ``pattern.streams[tx]``: row s is
-    stream s's symbol vector.  The samples come back as one (K, length)
-    array, row rx as receiver rx got them.  Noise, when requested, is
-    CN(0, 1) scaled by ``noise_scale`` (use 1/sqrt(SNR)), drawn receiver by
-    receiver from one generator seeded with ``noise_seed``.  The decode
-    nulls interference at each receiver, then least-squares the rest; it is
-    exact up to numerical precision whenever the joint rank condition holds
-    and the samples are noiseless.
+    Per receiver, the report ranks the desired block, each interferer's
+    block, all interference stacked and [desired | interference] against
+    predictions that assume one fading block per supersymbol; shorter
+    coherence shows up as measured > predicted.  ``symbols[tx]`` has the
+    shape of ``pattern.streams[tx]``: row s is stream s's symbol vector.
+    The samples come back as one (K, length) array, row rx as receiver rx
+    got them.  Noise, when requested, is CN(0, 1) scaled by ``noise_scale``
+    (use 1/sqrt(SNR)), drawn receiver by receiver from one generator seeded
+    with ``noise_seed``.  The decode nulls interference at each receiver,
+    then least-squares the rest; it is exact up to numerical precision
+    whenever the joint rank condition holds and the samples are noiseless.
     """
     if not 0.0 <= noise_scale < np.inf:  # also rejects NaN
         raise ValueError("noise scale must be finite and >= 0")

@@ -8,11 +8,13 @@ supersymbol.  Most rank and decode math has hand-checkable numbers here.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from biasym import GroupingConfig, grouped_pattern
+from biasym.patterns import PresetPattern
 
 CRITERIA = {
     1: "pattern goldens reproduced exactly (string equality)",
@@ -103,3 +105,12 @@ def example_config() -> GroupingConfig:
 @pytest.fixture(scope="session")
 def example_pattern(example_config):
     return grouped_pattern(example_config)
+
+
+@pytest.fixture(scope="session")
+def misaligned_pattern(example_pattern):
+    """The example with u2.2's group-level sequence out of step with its group."""
+    broken_user = replace(example_pattern.users[3], group_seq=(1, 2, 1))
+    return PresetPattern(
+        config=example_pattern.config, users=example_pattern.users[:3] + (broken_user,)
+    )

@@ -17,7 +17,6 @@ from conftest import channel_row, factored
 from biasym import (
     GroupingConfig,
     SearchSpace,
-    alignment_report,
     base_pattern,
     draw_channels,
     flat_length,
@@ -32,7 +31,6 @@ from biasym import (
     sweep,
     sweep_to_csv,
     verify_receivers,
-    verify_sweep,
 )
 from biasym.search import enumerate_configs
 
@@ -104,7 +102,7 @@ def test_criterion_02_worked_example_ranks(example_config, example_pattern):
     start = time.perf_counter()
     for seed in range(10):
         channels = draw_channels(example_config, None, seed)
-        report = alignment_report(example_pattern, channels)
+        report = verify_receivers(example_pattern, channels, random_symbols(example_pattern))[0]
         r11 = next(r.measured for r in report.receivers if r.measured.label == (1, 1))
         assert r11.desired == 6
         assert r11.per_interferer == {(2, 1): 4, (1, 2): 3, (2, 2): 2}
@@ -140,7 +138,7 @@ def test_criterion_04_rank_bridge(sampled_configs):
             assert p.desired + p.iui_total + p.igi_total == length
         pattern = grouped_pattern(cfg)
         channels = draw_channels(cfg, None, 77)
-        report = alignment_report(pattern, channels)
+        report = verify_receivers(pattern, channels, random_symbols(pattern))[0]
         for rec, p in zip(report.receivers, predictions):
             rec = rec.measured
             assert rec.desired == p.desired
@@ -262,15 +260,20 @@ def test_criterion_09_budget_sweep():
         sweep_to_csv(result)
     )
 
-    verification = verify_sweep(result, seeds=(1, 2, 3))
-    assert verification.all_ok
+    # every distinct winner re-verified at the signal level on three seeds
+    winners = {e.config for r in result.rows for e in (r.conventional, r.grouped)}
+    for cfg in winners:
+        pattern = grouped_pattern(cfg)
+        for seed in (1, 2, 3):
+            channels = draw_channels(cfg, None, seed)
+            assert verify_receivers(pattern, channels, random_symbols(pattern))[0].all_match
     assert time.perf_counter() - start < 60.0
 
 
 def test_criterion_10_coherence_violation(example_config, example_pattern):
     for seed in range(10):
         channels = draw_channels(example_config, 5, seed)
-        report = alignment_report(example_pattern, channels)
+        report = verify_receivers(example_pattern, channels, random_symbols(example_pattern))[0]
         assert not report.all_match
         # the joint matrix has 15 rows, so its rank cannot exceed the 15-slot
         # prediction; the violation shows as interference outgrowing the

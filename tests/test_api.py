@@ -1,7 +1,11 @@
-"""The public surface: every exported name exists, and the package exports
-exactly the names its library modules declare."""
+"""The public surface: every exported name exists, the package exports
+exactly the names its library modules declare, and the search stays free of
+the signal layer."""
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import biasym
 from biasym import cli, dof, patterns, search, signal
@@ -25,3 +29,20 @@ def test_package_exports_exactly_the_library_modules_names():
     namespace: dict = {}
     exec("from biasym import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(declared)
+
+
+def test_search_imports_nothing_from_signal():
+    tree = ast.parse(Path(search.__file__).read_text(encoding="utf-8"))
+    imported = []  # (module, name) pairs, relative imports resolved against biasym
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["biasym" * node.level, node.module]))
+            imported += [(module, alias.name) for alias in node.names]
+    assert ("biasym.patterns", "GroupingConfig") in imported  # the walk sees relative imports
+    for module, name in imported:
+        assert module.split(".")[:2] != ["biasym", "signal"], module
+        assert (module, name) != ("biasym", "signal"), name
+        if module == "biasym":
+            assert name not in signal.__all__, name

@@ -14,11 +14,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biasym import GroupingConfig, SearchSpace, SweepResult, sweep, sweep_to_csv
+from biasym import (
+    GroupingConfig,
+    SearchSpace,
+    SweepResult,
+    draw_channels,
+    grouped_pattern,
+    sweep,
+    sweep_to_csv,
+)
 from biasym.cli import _CONVERT, RunConfig, main
 from biasym.signal import receiver_memory_bytes
 
 EXAMPLE = ["--modes", "6,6,4,4", "--groups", "[6,4],[6,4]", "--mg", "2,2"]
+SWEEP_6644 = ["--modes", "6,6,4,4", "--lmin", "5", "--lmax", "16"]
+
+
+def distinct_winners(modes, budgets) -> list[str]:
+    """Canonical strings of a sweep's distinct winners in row order, conventional first."""
+    rows = sweep(SearchSpace(modes), budgets).rows
+    winners = (e.config.canonical_string() for r in rows for e in (r.conventional, r.grouped) if e)
+    return list(dict.fromkeys(winners))
 
 
 class TestExitCodes:
@@ -132,7 +148,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("nothing may be verified")
 
-        monkeypatch.setattr("biasym.cli.verify_sweep", refuse)
+        monkeypatch.setattr("biasym.cli.draw_channels", refuse)
         argv = ["--modes", "4,4,4,4,4,4,4,4", "--lmin", "24057", "--lmax", "24057"]
         assert main(["sweep", *argv, "--verify"]) == 2
         captured = capsys.readouterr()
@@ -142,6 +158,41 @@ class TestExitCodes:
         assert "invalid config: verify needs about" in capsys.readouterr().err
         assert main(["sweep", *argv]) == 0  # without --verify the sweep is cheap
         assert "KG=1;G1=[4,4,4,4,4,4,4,4]/MG1;used=4,4,4,4,4,4,4,4" in capsys.readouterr().out
+
+    def test_sweep_verify_mismatch_is_3(
+        self, example_config, misaligned_pattern, monkeypatch, tmp_path, capsys
+    ):
+        # the L = 15 grouped winner is the example; rebuild it out of step
+        example = example_config.canonical_string()
+        assert example in distinct_winners((6, 6, 4, 4), range(5, 17))
+
+        def pattern_of(config):
+            if config.canonical_string() == example:
+                return misaligned_pattern
+            return grouped_pattern(config)
+
+        monkeypatch.setattr("biasym.cli.grouped_pattern", pattern_of)
+        assert main(["sweep", *SWEEP_6644, "--verify"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"verification mismatch for: {example}\n"
+        assert captured.out == ""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *SWEEP_6644, "--verify", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"verification mismatch for: {example}\n"
+        assert not out.exists()
+
+    def test_sweep_verify_checks_each_winner_once_at_seed(self, monkeypatch):
+        calls = []
+
+        def spy(config, coherence, seed):
+            calls.append((config.canonical_string(), coherence, seed))
+            return draw_channels(config, coherence, seed)
+
+        monkeypatch.setattr("biasym.cli.draw_channels", spy)
+        assert main(["sweep", *SWEEP_6644, "--verify", "--seed", "4"]) == 0
+        winners = distinct_winners((6, 6, 4, 4), range(5, 17))
+        assert len(winners) >= 3
+        assert calls == [(c, None, 4) for c in winners]
 
     def test_sweep_over_row_limit_is_2_before_enumerating(self, monkeypatch, capsys):
         def no_rows(space, budgets):
@@ -222,6 +273,37 @@ class TestInputConversion:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "file", "env"])
+    @pytest.mark.parametrize("command", [
+        ["verify", *EXAMPLE],
+        ["sweep", *SWEEP_6644, "--verify"],
+    ], ids=["verify", "sweep-verify"])
+    def test_negative_seed_is_2_before_anything_runs(
+        self, command, source, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nothing may run")
+
+        for name in ("sweep", "optimize", "grouped_pattern", "draw_channels"):
+            monkeypatch.setattr(f"biasym.cli.{name}", refuse)
+        argv = list(command)
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "file":
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+            argv += ["--config", str(path)]
+        else:
+            monkeypatch.setenv("BIASYM_SEED", "-1")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "invalid config: seed: expected a non-negative integer, got -1" in captured.err
+        assert captured.out == ""
+
+    def test_seed_zero_is_accepted(self, capsys):
+        assert main(["verify", *EXAMPLE, "--seed", "0"]) == 0
+        assert "result: OK" in capsys.readouterr().out
 
     def test_conversion_error_names_the_field(self, tmp_path, capsys):
         path = tmp_path / "run.json"

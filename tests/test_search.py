@@ -1,4 +1,4 @@
-"""Config enumeration, optimization, sweeps, and re-verification.
+"""Config enumeration, optimization, sweeps, and re-verification of winners.
 
 The optimizer oracle below re-derives best DoF by raw product enumeration
 (every used-mode vector, every partition, every group mode count, validity
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import replace
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -22,18 +21,17 @@ from biasym import (
     BestEntry,
     GroupingConfig,
     SearchSpace,
-    alignment_report,
     config_sum_dof,
     draw_channels,
     enumerate_configs,
     grouped_length,
     grouped_pattern,
     optimize,
+    random_symbols,
     sweep,
     sweep_to_csv,
-    verify_sweep,
+    verify_receivers,
 )
-from biasym.patterns import PresetPattern
 
 
 # ======================================================================
@@ -423,23 +421,25 @@ class TestSweep:
 class TestVerifySweep:
     def test_winning_configs_verify(self):
         result = sweep(SearchSpace((6, 6, 4, 4)), range(5, 17))
-        report = verify_sweep(result, seeds=(1, 2))
-        assert report.all_ok
-        assert len(report.checked) >= 3
+        winners = {e.config for r in result.rows for e in (r.conventional, r.grouped) if e}
+        for cfg in winners:
+            pattern = grouped_pattern(cfg)
+            for seed in (1, 2):
+                channels = draw_channels(cfg, None, seed)
+                assert verify_receivers(pattern, channels, random_symbols(pattern))[0].all_match
+        assert len(winners) >= 3
 
-    def test_misaligned_group_pattern_fails_verification(self, example_config):
-        # rebuild the supersymbol with one user's group-level sequence out of
-        # step with its group: measured ranks must disagree with predictions
-        good = grouped_pattern(example_config)
-        broken_user = replace(good.users[3], group_seq=(1, 2, 1))
-        broken = PresetPattern(
-            config=example_config, users=good.users[:3] + (broken_user,)
-        )
+    def test_misaligned_group_pattern_fails_verification(
+        self, example_config, example_pattern, misaligned_pattern
+    ):
+        # one user's group-level sequence out of step with its group:
+        # measured ranks must disagree with predictions
+        good, broken = example_pattern, misaligned_pattern
         # streams are read off the first user of each group and position, so
         # every stream keeps the good pattern's slots
         assert all((b == g).all() for b, g in zip(broken.streams, good.streams))
         channels = draw_channels(example_config, None, 1)
-        report = alignment_report(broken, channels)
+        report = verify_receivers(broken, channels, random_symbols(broken))[0]
         assert not report.all_match
         bad_rx = report.receivers[3]
         assert bad_rx.measured.desired < bad_rx.predicted.desired

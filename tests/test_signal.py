@@ -22,7 +22,6 @@ from biasym import (
     GroupingConfig,
     ReceiverRanks,
     SearchSpace,
-    alignment_report,
     draw_channels,
     enumerate_configs,
     grouped_length,
@@ -334,7 +333,7 @@ class TestAlignmentReport:
     def test_example_ranks_across_seeds(self, example_config, example_pattern):
         for seed in range(10):
             ch = draw_channels(example_config, None, seed)
-            report = alignment_report(example_pattern, ch)
+            report = verify_receivers(example_pattern, ch, random_symbols(example_pattern))[0]
             by_label = {r.measured.label: r.measured for r in report.receivers}
             r11 = by_label[(1, 1)]
             assert (r11.desired, r11.combined, r11.joint) == (6, 9, 15)
@@ -352,11 +351,11 @@ class TestAlignmentReport:
         pattern = grouped_pattern(cfg)
         for seed in (3, 4):
             ch = draw_channels(cfg, None, seed)
-            assert alignment_report(pattern, ch).all_match
+            assert verify_receivers(pattern, ch, random_symbols(pattern))[0].all_match
 
     def test_short_coherence_breaks_alignment(self, example_config, example_pattern):
         ch = draw_channels(example_config, 5, 2)
-        report = alignment_report(example_pattern, ch)
+        report = verify_receivers(example_pattern, ch, random_symbols(example_pattern))[0]
         assert not report.all_match
         r11 = report.receivers[0]
         assert r11.measured.combined > r11.predicted.combined
@@ -370,14 +369,16 @@ class TestAlignmentReport:
     def test_any_changed_measured_rank_breaks_the_match(
         self, example_config, example_pattern, change
     ):
-        report = alignment_report(example_pattern, draw_channels(example_config, None, 1))
+        ch = draw_channels(example_config, None, 1)
+        report = verify_receivers(example_pattern, ch, random_symbols(example_pattern))[0]
         r11 = report.receivers[0]
         assert r11.match and r11.measured.label == (1, 1)
         assert not replace(r11, measured=replace(r11.measured, **change)).match
 
     def test_csv_rendering(self, example_config, example_pattern):
         ch = draw_channels(example_config, None, 1)
-        text = report_to_csv(alignment_report(example_pattern, ch))
+        report = verify_receivers(example_pattern, ch, random_symbols(example_pattern))[0]
+        text = report_to_csv(report)
         lines = text.strip().split("\n")
         assert lines[0] == "# biasym alignment report v1"
         assert lines[1].split(",") == [
@@ -400,10 +401,8 @@ class TestFullMatrixReference:
     def check(self, cfg, coherence, seed):
         pattern = grouped_pattern(cfg)
         ch = draw_channels(cfg, coherence, seed)
-        report = alignment_report(pattern, ch)
         symbols = random_symbols(pattern, seed + 1)
-        verified, _, result = verify_receivers(pattern, ch, symbols)
-        assert verified == report
+        report, _, result = verify_receivers(pattern, ch, symbols)
         labels = [(u.position, u.group) for u in pattern.users]
         K = len(labels)
         for rx in range(K):
@@ -497,7 +496,8 @@ class TestCompressedInterference:
         sizes = []
         cutoff = signal._cutoff
         monkeypatch.setattr(signal, "_cutoff", lambda s, size: sizes.append(size) or cutoff(s, size))
-        alignment_report(example_pattern, draw_channels(example_pattern.config, None, 1))
+        ch = draw_channels(example_pattern.config, None, 1)
+        verify_receivers(example_pattern, ch, random_symbols(example_pattern))
         L = example_pattern.length
         widths = [s.size for s in example_pattern.streams]
         expected = []
@@ -543,14 +543,14 @@ class TestDecode:
 
 
 class TestVerifyReceivers:
-    """The one-pass path ``biasym verify`` runs against the rank-only report."""
+    """The one pass ``biasym verify`` and ``sweep --verify`` run per receiver."""
 
     @pytest.mark.parametrize("cfg", [
         GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2]),
         GroupingConfig.flat([6, 6, 4, 4], used=[3, 2, 2, 2]),
     ], ids=str)
     @pytest.mark.parametrize("noise_scale", [0.0, 1e-3])
-    def test_equals_report_received_and_decode(self, cfg, noise_scale):
+    def test_report_received_and_decode(self, cfg, noise_scale):
         pattern = grouped_pattern(cfg)
         channels = draw_channels(cfg, None, 5)
         symbol_seed, noise_seed = np.random.SeedSequence(5).spawn(2)
@@ -559,7 +559,6 @@ class TestVerifyReceivers:
             pattern, channels, symbols, noise_scale, noise_seed
         )
 
-        assert report == alignment_report(pattern, channels)
         assert report.all_match
         assert received.shape == (len(pattern.users), pattern.length)
         assert result.all_recoverable
