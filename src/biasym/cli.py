@@ -203,29 +203,32 @@ def cmd_pattern(rc: RunConfig) -> int:
 
 
 def _verify_config(config: GroupingConfig, coherence: int | None, seed: int, noise: float):
-    """verify's check of one config on the channels of ``seed``: (rank
-    report, decode result, max relative decode error, verdict)."""
+    """verify's check of one config on the channels of ``seed``: (one
+    record per receiver, max relative decode error, verdict)."""
     pattern = grouped_pattern(config)
     channels = draw_channels(config, coherence, seed)
     # own streams for symbols and noise: seed + 1 would replay the next seed's channels
     symbol_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
     symbols = random_symbols(pattern, symbol_seed)
-    report, _, result = verify_receivers(pattern, channels, symbols, noise, noise_seed)
+    receivers = verify_receivers(pattern, channels, symbols, noise, noise_seed)
     errors = [
-        np.linalg.norm(dec.estimates - truth) / np.linalg.norm(truth)
-        for truth, dec in zip(symbols, result.users)
+        np.linalg.norm(r.estimates - truth) / np.linalg.norm(truth)
+        for truth, r in zip(symbols, receivers)
     ]
     max_err = float(np.max(errors))  # unlike max(), np.max lets a NaN error through
     tolerance = DECODE_RTOL if noise == 0.0 else np.inf  # NaN or inf fails at any noise
-    ok = report.all_match and result.all_recoverable and max_err < tolerance
-    return report, result, max_err, ok
+    # matching ranks leave no receiver a deficiency, so they imply a full decode
+    ok = all(r.match for r in receivers) and max_err < tolerance
+    return receivers, max_err, ok
 
 
 def cmd_verify(rc: RunConfig) -> int:
     config = _resolve_config(rc)
     _refuse_oversized_verify(config, rc.coherence)
-    report, result, max_err, ok = _verify_config(config, rc.coherence, rc.seed, rc.noise)
-    for r in report.receivers:
+    receivers, max_err, ok = _verify_config(config, rc.coherence, rc.seed, rc.noise)
+    if rc.out:  # first, so a failed write prints nothing
+        _write_output(rc, report_to_csv(receivers))
+    for r in receivers:
         m, p = r.measured, r.predicted
         print(
             f"{user_label(*m.label)}: desired {m.desired}/{p.desired}"
@@ -233,11 +236,9 @@ def cmd_verify(rc: RunConfig) -> int:
             f" joint {m.joint}/{p.joint} {'ok' if r.match else 'MISMATCH'}"
         )
     print(f"decode: max relative error {max_err:.3e}")
-    if not result.all_recoverable:
-        bad = [user_label(*u.label) for u in result.users if not u.recoverable]
+    bad = [user_label(*r.measured.label) for r in receivers if r.deficiency]
+    if bad:
         print(f"decode: unrecoverable streams at {' '.join(bad)}")
-    if rc.out:
-        _write_output(rc, report_to_csv(report))
     print(f"result: {'OK' if ok else 'MISMATCH'}")
     return EXIT_OK if ok else EXIT_MISMATCH
 
@@ -279,7 +280,7 @@ def cmd_sweep(rc: RunConfig) -> int:
             _refuse_oversized_verify(config, None)
         bad = [
             c.canonical_string() for c in winners
-            if not _verify_config(c, None, rc.seed, 0.0)[3]
+            if not _verify_config(c, None, rc.seed, 0.0)[2]
         ]
         if bad:
             print("verification mismatch for: " + "; ".join(bad), file=sys.stderr)

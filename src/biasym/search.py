@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .dof import config_sum_dof, render_decimal
-from .patterns import GroupingConfig, grouped_length
+from .patterns import GroupingConfig, _mode_counts, grouped_length
 
 __all__ = [
     "SearchSpace",
@@ -52,9 +52,8 @@ class SearchSpace:
     require_grouping: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "equipped", tuple(int(m) for m in self.equipped))
-        if any(m < 2 for m in self.equipped):
-            raise ValueError("every equipped mode count must be >= 2")
+        # the checks GroupingConfig makes of equipped counts, made before enumerating
+        object.__setattr__(self, "equipped", _mode_counts(self.equipped, self.equipped)[0])
 
 
 # ======================================================================

@@ -25,9 +25,6 @@ from .patterns import GroupingConfig, PresetPattern, grouped_length, user_label
 __all__ = [
     "ChannelSet",
     "ReceiverReport",
-    "AlignmentReport",
-    "UserDecode",
-    "DecodeResult",
     "draw_channels",
     "verify_receivers",
     "random_symbols",
@@ -138,54 +135,38 @@ def random_symbols(
 
 
 # ======================================================================
-# Reports and decode results
+# One record per receiver
 # ======================================================================
 
 @dataclass(frozen=True)
 class ReceiverReport:
-    """Predicted and measured ranks at one receiver; they match when equal."""
+    """What one receiver's pass found: ranks, samples and decode.
+
+    ``predicted`` and ``measured`` are its rank records; they match when
+    equal.  ``samples`` holds the length-L samples as the receiver got
+    them.  ``estimates`` has the (streams, used) shape of the user's
+    symbols; row s estimates stream s's symbol vector.  The record holds
+    arrays, so compare its fields, not whole records.
+    """
 
     predicted: ReceiverRanks
     measured: ReceiverRanks
+    samples: np.ndarray
+    estimates: np.ndarray
 
     @property
     def match(self) -> bool:
         return self.measured == self.predicted
 
-
-@dataclass(frozen=True)
-class AlignmentReport:
-    receivers: tuple[ReceiverReport, ...]
-
     @property
-    def all_match(self) -> bool:
-        return all(r.match for r in self.receivers)
+    def deficiency(self) -> int:
+        """Desired dimensions that fell inside the interference span.
 
-
-@dataclass(frozen=True)
-class UserDecode:
-    """Zero-forcing decode outcome for one receiver.
-
-    ``estimates`` has the (streams, used) shape of the user's symbols; row
-    s estimates stream s's symbol vector.  ``deficiency`` is
-    how many desired dimensions fell inside the interference span; any
-    deficiency marks the whole receiver unrecoverable since no stream's
-    estimate can then be trusted.
-    """
-
-    label: tuple[int, int]
-    estimates: np.ndarray
-    recoverable: bool
-    deficiency: int
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    users: tuple[UserDecode, ...]
-
-    @property
-    def all_recoverable(self) -> bool:
-        return all(u.recoverable for u in self.users)
+        The decode resolves joint - combined of them.  Any deficiency leaves
+        the whole receiver unrecoverable, since no stream's estimate can
+        then be trusted; matching ranks leave none.
+        """
+        return self.estimates.size - (self.measured.joint - self.measured.combined)
 
 
 # ======================================================================
@@ -281,9 +262,9 @@ def _compress(length: int, slots, gains, rx: int):
 def _receiver_pass(pattern, channels, rx, pred, sources, noise):
     """Gather receiver rx's per-stream channel blocks once and rank them.
 
-    Returns (rank report against ``pred``, received samples, their decode)
-    for ``sources``, one (streams, used) symbol array per transmitter;
-    ``noise`` is None or (scale, RNG).
+    Returns rx's record: its ranks against ``pred``, and the samples of
+    ``sources`` (one (streams, used) symbol array per transmitter) and
+    their decode; ``noise`` is None or (scale, RNG).
 
     One batched SVD of each transmitter's stream blocks gives its rank (see
     ``_compress``); one SVD of the compressed interference I gives the
@@ -308,15 +289,6 @@ def _receiver_pass(pattern, channels, rx, pred, sources, noise):
     kept, u_mat, s, vh = _svd(projected)
     # rank against D's scale: columns the nulling swallowed only look tiny next to it
     surviving = int(np.count_nonzero(s > desired_cutoff))
-    user = pattern.users[rx]
-    report = ReceiverReport(predicted=pred, measured=ReceiverRanks(
-        label=(user.position, user.group),
-        length=length,
-        desired=int(np.count_nonzero(s_desired > desired_cutoff)),
-        per_interferer=dict(zip(pred.per_interferer, ranks)),
-        combined=combined,
-        joint=combined + surviving,
-    ))
     samples = np.zeros(length, dtype=complex)
     for tx_slots, g, x in zip(slots, gains, sources):
         samples[tx_slots] += (g @ x[..., None])[..., 0]
@@ -329,23 +301,30 @@ def _receiver_pass(pattern, channels, rx, pred, sources, noise):
     nulled[interfered] -= basis @ (basis.conj().T @ nulled[interfered])
     u_mat, s, vh = u_mat[:, :surviving], s[:surviving], vh[:surviving]
     solution = vh.conj().T @ ((u_mat.conj().T @ nulled[kept]) / s)
-    deficiency = projected.shape[1] - surviving
-    return report, samples, UserDecode(
-        label=report.measured.label,
+    user = pattern.users[rx]
+    return ReceiverReport(
+        predicted=pred,
+        measured=ReceiverRanks(
+            label=(user.position, user.group),
+            length=length,
+            desired=int(np.count_nonzero(s_desired > desired_cutoff)),
+            per_interferer=dict(zip(pred.per_interferer, ranks)),
+            combined=combined,
+            joint=combined + surviving,
+        ),
+        samples=samples,
         estimates=solution.reshape(slots[rx].shape),
-        recoverable=deficiency == 0,
-        deficiency=deficiency,
     )
 
 
-def report_to_csv(report: AlignmentReport) -> str:
+def report_to_csv(receivers: tuple[ReceiverReport, ...]) -> str:
     """Flat CSV: receiver, measured/predicted rank quadruple, match flag."""
     lines = [
         ALIGNMENT_CSV_HEADER,
         "receiver,desired_meas,desired_pred,iui_meas,iui_pred,"
         "igi_meas,igi_pred,joint_meas,joint_pred,match",
     ]
-    for r in report.receivers:
+    for r in receivers:
         m, p = r.measured, r.predicted
         lines.append(
             f"{user_label(*m.label)},{m.desired},{p.desired},{m.iui_total},{p.iui_total},"
@@ -360,16 +339,16 @@ def verify_receivers(
     symbols: list[np.ndarray],
     noise_scale: float = 0.0,
     noise_seed: int | np.random.SeedSequence | None = None,
-) -> tuple[AlignmentReport, np.ndarray, DecodeResult]:
-    """Rank report, received samples and decode, one pass per receiver.
+) -> tuple[ReceiverReport, ...]:
+    """One record per receiver, group-major, from one pass each.
 
-    Per receiver, the report ranks the desired block, each interferer's
-    block, all interference stacked and [desired | interference] against
-    predictions that assume one fading block per supersymbol; shorter
-    coherence shows up as measured > predicted.  ``symbols[tx]`` has the
-    shape of ``pattern.streams[tx]``: row s is stream s's symbol vector.
-    The samples come back as one (K, length) array, row rx as receiver rx
-    got them.  Noise, when requested, is CN(0, 1) scaled by ``noise_scale``
+    Each record ranks the desired block, each interferer's block, all
+    interference stacked and [desired | interference] against predictions
+    that assume one fading block per supersymbol; shorter coherence shows
+    up as measured > predicted.  ``symbols[tx]`` has the shape of
+    ``pattern.streams[tx]``: row s is stream s's symbol vector.  Each
+    record also holds its receiver's samples and their decode.
+    Noise, when requested, is CN(0, 1) scaled by ``noise_scale``
     (use 1/sqrt(SNR)), drawn receiver by receiver from one generator seeded
     with ``noise_seed``.  The decode nulls interference at each receiver,
     then least-squares the rest; it is exact up to numerical precision
@@ -383,8 +362,7 @@ def verify_receivers(
     if any(x.shape != slots.shape for x, slots in zip(sources, pattern.streams)):
         raise ValueError("each user's symbols must have its (streams, used) slot shape")
     noise = (noise_scale, np.random.default_rng(noise_seed)) if noise_scale > 0.0 else None
-    reports, samples, users = zip(*(
+    return tuple(
         _receiver_pass(pattern, channels, rx, pred, sources, noise)
         for rx, pred in enumerate(rank_predictions(pattern.config))
-    ))
-    return AlignmentReport(receivers=reports), np.array(samples), DecodeResult(users=users)
+    )

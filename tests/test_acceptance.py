@@ -102,13 +102,13 @@ def test_criterion_02_worked_example_ranks(example_config, example_pattern):
     start = time.perf_counter()
     for seed in range(10):
         channels = draw_channels(example_config, None, seed)
-        report = verify_receivers(example_pattern, channels, random_symbols(example_pattern))[0]
-        r11 = next(r.measured for r in report.receivers if r.measured.label == (1, 1))
+        receivers = verify_receivers(example_pattern, channels, random_symbols(example_pattern))
+        r11 = next(r.measured for r in receivers if r.measured.label == (1, 1))
         assert r11.desired == 6
         assert r11.per_interferer == {(2, 1): 4, (1, 2): 3, (2, 2): 2}
         assert (r11.iui_total, r11.igi_total) == (4, 5)  # IUI: (2, 1); IGI: (1, 2), (2, 2)
         assert r11.joint == 15
-        assert report.all_match
+        assert all(r.match for r in receivers)
     assert time.perf_counter() - start < 5.0
 
 
@@ -138,8 +138,8 @@ def test_criterion_04_rank_bridge(sampled_configs):
             assert p.desired + p.iui_total + p.igi_total == length
         pattern = grouped_pattern(cfg)
         channels = draw_channels(cfg, None, 77)
-        report = verify_receivers(pattern, channels, random_symbols(pattern))[0]
-        for rec, p in zip(report.receivers, predictions):
+        receivers = verify_receivers(pattern, channels, random_symbols(pattern))
+        for rec, p in zip(receivers, predictions):
             rec = rec.measured
             assert rec.desired == p.desired
             assert rec.per_interferer == p.per_interferer
@@ -151,15 +151,15 @@ def test_criterion_04_rank_bridge(sampled_configs):
 def test_criterion_05_decode_round_trip(example_config, example_pattern):
     channels = draw_channels(example_config, None, 3)
     symbols = random_symbols(example_pattern, 4)
-    _, received, result = verify_receivers(example_pattern, channels, symbols)
-    assert result.all_recoverable
-    for truth, dec in zip(symbols, result.users):
-        err = np.linalg.norm(dec.estimates - truth) / np.linalg.norm(truth)
+    receivers = verify_receivers(example_pattern, channels, symbols)
+    assert all(r.deficiency == 0 for r in receivers)
+    for truth, r in zip(symbols, receivers):
+        err = np.linalg.norm(r.estimates - truth) / np.linalg.norm(truth)
         assert err < 1e-9
 
     # combination check: receiver (1,1)'s samples at slots 1, 4, 11, 14
     # cancel all interference and leave its first desired row
-    y = received[0]
+    y = receivers[0].samples
     combo = y[0] - y[3] - y[10] + y[13]
     expected = channel_row(channels, 0, 0, 1, 1) @ symbols[0][0]
     assert abs(combo - expected) / abs(expected) < 1e-9
@@ -266,23 +266,25 @@ def test_criterion_09_budget_sweep():
         pattern = grouped_pattern(cfg)
         for seed in (1, 2, 3):
             channels = draw_channels(cfg, None, seed)
-            assert verify_receivers(pattern, channels, random_symbols(pattern))[0].all_match
+            receivers = verify_receivers(pattern, channels, random_symbols(pattern))
+            assert all(r.match for r in receivers)
     assert time.perf_counter() - start < 60.0
 
 
 def test_criterion_10_coherence_violation(example_config, example_pattern):
     for seed in range(10):
         channels = draw_channels(example_config, 5, seed)
-        report = verify_receivers(example_pattern, channels, random_symbols(example_pattern))[0]
-        assert not report.all_match
+        receivers = verify_receivers(example_pattern, channels, random_symbols(example_pattern))
+        assert not all(r.match for r in receivers)
         # the joint matrix has 15 rows, so its rank cannot exceed the 15-slot
         # prediction; the violation shows as interference outgrowing the
         # aligned dimension it was predicted to collapse into
         overflow = [
-            r for r in report.receivers
+            r for r in receivers
             if r.measured.combined > r.predicted.combined
         ]
         assert overflow
-        assert all(r.measured.joint <= r.predicted.joint for r in report.receivers)
+        assert all(r.measured.joint <= r.predicted.joint for r in receivers)
         symbols = random_symbols(example_pattern, seed)
-        assert not verify_receivers(example_pattern, channels, symbols)[2].all_recoverable
+        decoded = verify_receivers(example_pattern, channels, symbols)
+        assert not all(r.deficiency == 0 for r in decoded)

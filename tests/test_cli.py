@@ -434,6 +434,14 @@ class TestOutputFiles:
         assert lines[0] == "# biasym alignment report v1"
         assert lines[2].startswith("u1.1,6,6,4,4,5,5,15,15,true")
 
+    def test_verify_to_unwritable_path_prints_nothing(self, tmp_path, capsys):
+        # the report is written before any line is printed: no half report
+        out = tmp_path / "missing" / "report.csv"
+        assert main(["verify", *EXAMPLE, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid config: [Errno 2]")
+
     def test_sweep_rows_re_derivable_from_library(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--modes", "6,6,4,4", "--lmin", "5", "--lmax",

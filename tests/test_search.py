@@ -170,6 +170,16 @@ def tie_break_key(entry):
 # Enumeration
 # ======================================================================
 
+class TestSearchSpace:
+    @pytest.mark.parametrize("equipped,message", [
+        ((), "equipped mode list must be nonempty"),
+        ((6, 1, 4), "every equipped mode count must be >= 2"),
+    ])
+    def test_refuses_before_enumerating(self, equipped, message):
+        with pytest.raises(ValueError, match=message):
+            SearchSpace(equipped)
+
+
 class TestEnumerateConfigs:
     def test_without_reduction_exact_set(self):
         space = SearchSpace((6, 6, 4, 4), allow_reduction=False)
@@ -426,7 +436,8 @@ class TestVerifySweep:
             pattern = grouped_pattern(cfg)
             for seed in (1, 2):
                 channels = draw_channels(cfg, None, seed)
-                assert verify_receivers(pattern, channels, random_symbols(pattern))[0].all_match
+                receivers = verify_receivers(pattern, channels, random_symbols(pattern))
+                assert all(r.match for r in receivers)
         assert len(winners) >= 3
 
     def test_misaligned_group_pattern_fails_verification(
@@ -439,7 +450,7 @@ class TestVerifySweep:
         # every stream keeps the good pattern's slots
         assert all((b == g).all() for b, g in zip(broken.streams, good.streams))
         channels = draw_channels(example_config, None, 1)
-        report = verify_receivers(broken, channels, random_symbols(broken))[0]
-        assert not report.all_match
-        bad_rx = report.receivers[3]
+        receivers = verify_receivers(broken, channels, random_symbols(broken))
+        assert not all(r.match for r in receivers)
+        bad_rx = receivers[3]
         assert bad_rx.measured.desired < bad_rx.predicted.desired

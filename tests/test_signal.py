@@ -215,13 +215,14 @@ def run(config, coherence):
     pattern = grouped_pattern(config)
     channels = draw_channels(config, coherence, 1)
     symbols = random_symbols(pattern, 2)
-    return verify_receivers(pattern, channels, symbols)[0]
+    return verify_receivers(pattern, channels, symbols)
 
 run(GroupingConfig.flat([3, 3]), None)  # loads LAPACK and warms the caches
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-report = run(GroupingConfig.flat([5, 5, 5, 5]), {coherence})
+receivers = run(GroupingConfig.flat([5, 5, 5, 5]), {coherence})
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({{"growth": (after - before) * 1024, "match": report.all_match}}))
+match = all(r.match for r in receivers)
+print(json.dumps({{"growth": (after - before) * 1024, "match": match}}))
 """
         src = str(Path(__file__).resolve().parents[1] / "src")
         paths = [src, os.environ.get("PYTHONPATH")]
@@ -253,28 +254,32 @@ class TestReceivedSignal:
             ch = draw_channels(cfg, None, seed)
             symbols = random_symbols(pattern, seed + 100)
             # as returned, after each receiver's decode has nulled a copy
-            received = verify_receivers(pattern, ch, symbols)[1]
-            assert received.shape == (len(pattern.users), pattern.length)
-            for rx in range(len(pattern.users)):
+            receivers = verify_receivers(pattern, ch, symbols)
+            assert len(receivers) == len(pattern.users)
+            for rx, r in enumerate(receivers):
+                assert r.samples.shape == (pattern.length,)
                 oracle = slot_loop_received(pattern, ch, symbols, rx)
-                np.testing.assert_allclose(received[rx], oracle, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(r.samples, oracle, rtol=0, atol=1e-12)
 
     def test_oracle_under_short_coherence(self, example_config, example_pattern):
         ch = draw_channels(example_config, 5, 4)
         symbols = random_symbols(example_pattern, 5)
-        received = verify_receivers(example_pattern, ch, symbols)[1]
+        receivers = verify_receivers(example_pattern, ch, symbols)
         for rx in range(4):
             oracle = slot_loop_received(example_pattern, ch, symbols, rx)
-            np.testing.assert_allclose(received[rx], oracle, atol=1e-12)
+            np.testing.assert_allclose(receivers[rx].samples, oracle, atol=1e-12)
 
     def test_noise_is_drawn_receiver_by_receiver_from_its_seed(
         self, example_config, example_pattern
     ):
         ch = draw_channels(example_config, None, 6)
         symbols = random_symbols(example_pattern, 7)
-        clean = verify_receivers(example_pattern, ch, symbols)[1]
-        noisy = verify_receivers(example_pattern, ch, symbols, 0.01, 42)[1]
-        again = verify_receivers(example_pattern, ch, symbols, 0.01, 42)[1]
+        def samples(*noise):
+            return [r.samples for r in verify_receivers(example_pattern, ch, symbols, *noise)]
+
+        clean = samples()
+        noisy = samples(0.01, 42)
+        again = samples(0.01, 42)
         np.testing.assert_array_equal(noisy, again)
         rng = np.random.default_rng(42)
         L = example_pattern.length
@@ -321,7 +326,7 @@ class TestSubtractionSchedule:
         for seed in (1, 5, 9):
             ch = draw_channels(example_config, None, seed)
             symbols = random_symbols(example_pattern, seed + 50)
-            y = verify_receivers(example_pattern, ch, symbols)[1][0]
+            y = verify_receivers(example_pattern, ch, symbols)[0].samples
             u11 = symbols[0][0]
             for mode, terms in schedule.items():
                 combo = sum(sign * y[t - 1] for t, sign in terms)
@@ -333,8 +338,8 @@ class TestAlignmentReport:
     def test_example_ranks_across_seeds(self, example_config, example_pattern):
         for seed in range(10):
             ch = draw_channels(example_config, None, seed)
-            report = verify_receivers(example_pattern, ch, random_symbols(example_pattern))[0]
-            by_label = {r.measured.label: r.measured for r in report.receivers}
+            receivers = verify_receivers(example_pattern, ch, random_symbols(example_pattern))
+            by_label = {r.measured.label: r.measured for r in receivers}
             r11 = by_label[(1, 1)]
             assert (r11.desired, r11.combined, r11.joint) == (6, 9, 15)
             assert r11.per_interferer == {
@@ -344,20 +349,20 @@ class TestAlignmentReport:
             }
             r21 = by_label[(2, 1)]
             assert (r21.desired, r21.combined, r21.joint) == (8, 7, 15)
-            assert report.all_match
+            assert all(r.match for r in receivers)
 
     @pytest.mark.parametrize("cfg", small_configs(), ids=str)
     def test_measured_equals_predicted(self, cfg):
         pattern = grouped_pattern(cfg)
         for seed in (3, 4):
             ch = draw_channels(cfg, None, seed)
-            assert verify_receivers(pattern, ch, random_symbols(pattern))[0].all_match
+            assert all(r.match for r in verify_receivers(pattern, ch, random_symbols(pattern)))
 
     def test_short_coherence_breaks_alignment(self, example_config, example_pattern):
         ch = draw_channels(example_config, 5, 2)
-        report = verify_receivers(example_pattern, ch, random_symbols(example_pattern))[0]
-        assert not report.all_match
-        r11 = report.receivers[0]
+        receivers = verify_receivers(example_pattern, ch, random_symbols(example_pattern))
+        assert not all(r.match for r in receivers)
+        r11 = receivers[0]
         assert r11.measured.combined > r11.predicted.combined
 
     @pytest.mark.parametrize("change", [
@@ -370,15 +375,13 @@ class TestAlignmentReport:
         self, example_config, example_pattern, change
     ):
         ch = draw_channels(example_config, None, 1)
-        report = verify_receivers(example_pattern, ch, random_symbols(example_pattern))[0]
-        r11 = report.receivers[0]
+        r11 = verify_receivers(example_pattern, ch, random_symbols(example_pattern))[0]
         assert r11.match and r11.measured.label == (1, 1)
         assert not replace(r11, measured=replace(r11.measured, **change)).match
 
     def test_csv_rendering(self, example_config, example_pattern):
         ch = draw_channels(example_config, None, 1)
-        report = verify_receivers(example_pattern, ch, random_symbols(example_pattern))[0]
-        text = report_to_csv(report)
+        text = report_to_csv(verify_receivers(example_pattern, ch, random_symbols(example_pattern)))
         lines = text.strip().split("\n")
         assert lines[0] == "# biasym alignment report v1"
         assert lines[1].split(",") == [
@@ -395,14 +398,16 @@ class TestFullMatrixReference:
     The library never forms an interferer's block, the combined or the
     joint matrix: it ranks each interferer from its stream blocks, takes one
     SVD of the compressed interference and gets the joint rank as
-    rank I + rank(P⊥D).  These checks form every matrix directly.
+    rank I + rank(P⊥D).  These checks form every matrix directly.  They
+    also check that matching ranks leave no deficiency, which lets a
+    verdict of matching ranks stand for a full decode.
     """
 
     def check(self, cfg, coherence, seed):
         pattern = grouped_pattern(cfg)
         ch = draw_channels(cfg, coherence, seed)
         symbols = random_symbols(pattern, seed + 1)
-        report, _, result = verify_receivers(pattern, ch, symbols)
+        receivers = verify_receivers(pattern, ch, symbols)
         labels = [(u.position, u.group) for u in pattern.users]
         K = len(labels)
         for rx in range(K):
@@ -417,23 +422,33 @@ class TestFullMatrixReference:
                 combined=matrix_rank(np.hstack(interference)) if interference else 0,
                 joint=matrix_rank(np.hstack([desired, *interference])),
             )
-            measured = report.receivers[rx].measured
-            assert measured == dense
-            assert list(measured.per_interferer) == others
-            surviving = measured.joint - measured.combined
-            assert result.users[rx].deficiency == desired.shape[1] - surviving
-        return report, result
+            r = receivers[rx]
+            assert r.measured == dense
+            assert list(r.measured.per_interferer) == others
+            assert r.deficiency == desired.shape[1] - (dense.joint - dense.combined)
+            assert not r.match or r.deficiency == 0
+        return receivers
 
     @pytest.mark.parametrize("cfg", small_configs(), ids=str)
     def test_ideal_fading(self, cfg):
         for seed in (1, 2):
-            report, result = self.check(cfg, None, seed)
-            assert report.all_match and result.all_recoverable
+            receivers = self.check(cfg, None, seed)
+            assert all(r.match for r in receivers)
+            assert all(r.deficiency == 0 for r in receivers)
 
     def test_example_under_short_coherence(self, example_config):
         for seed in range(5):
-            report, result = self.check(example_config, 5, seed)
-            assert not report.all_match and not result.all_recoverable
+            receivers = self.check(example_config, 5, seed)
+            assert not all(r.match for r in receivers)
+            assert not all(r.deficiency == 0 for r in receivers)
+
+    @pytest.mark.parametrize("cfg", small_configs(), ids=str)
+    @pytest.mark.parametrize("coherence", [1, 5, "half"])  # None: test_ideal_fading
+    def test_short_coherence(self, cfg, coherence):
+        if coherence == "half":
+            coherence = max(1, grouped_length(cfg) // 2)
+        for seed in (1, 2):
+            self.check(cfg, coherence, seed)
 
 
 def stream_block_setups():
@@ -520,25 +535,25 @@ class TestDecode:
         for seed in (1, 2, 3):
             ch = draw_channels(cfg, None, seed)
             symbols = random_symbols(pattern, seed + 10)
-            result = verify_receivers(pattern, ch, symbols)[2]
-            assert result.all_recoverable
-            for truth, dec in zip(symbols, result.users):
-                assert dec.estimates.shape == truth.shape
-                assert relative_error(dec.estimates, truth) < 1e-9
+            receivers = verify_receivers(pattern, ch, symbols)
+            assert all(r.deficiency == 0 for r in receivers)
+            for truth, r in zip(symbols, receivers):
+                assert r.estimates.shape == truth.shape
+                assert relative_error(r.estimates, truth) < 1e-9
 
     def test_short_coherence_marks_unrecoverable(self, example_config, example_pattern):
         ch = draw_channels(example_config, 5, 1)
         symbols = random_symbols(example_pattern, 2)
-        result = verify_receivers(example_pattern, ch, symbols)[2]
-        assert not result.all_recoverable
-        assert all(u.deficiency > 0 for u in result.users)
+        receivers = verify_receivers(example_pattern, ch, symbols)
+        assert not all(r.deficiency == 0 for r in receivers)
+        assert all(r.deficiency > 0 for r in receivers)
 
     def test_noise_perturbs_but_structure_survives(self, example_config, example_pattern):
         ch = draw_channels(example_config, None, 4)
         symbols = random_symbols(example_pattern, 3)
-        result = verify_receivers(example_pattern, ch, symbols, 1e-6, 8)[2]
-        assert result.all_recoverable
-        errs = [np.linalg.norm(d.estimates - t) for d, t in zip(result.users, symbols)]
+        receivers = verify_receivers(example_pattern, ch, symbols, 1e-6, 8)
+        assert all(r.deficiency == 0 for r in receivers)
+        errs = [np.linalg.norm(r.estimates - t) for r, t in zip(receivers, symbols)]
         assert all(1e-9 < e < 1e-2 for e in errs)
 
 
@@ -555,12 +570,10 @@ class TestVerifyReceivers:
         channels = draw_channels(cfg, None, 5)
         symbol_seed, noise_seed = np.random.SeedSequence(5).spawn(2)
         symbols = random_symbols(pattern, symbol_seed)
-        report, received, result = verify_receivers(
-            pattern, channels, symbols, noise_scale, noise_seed
-        )
+        receivers = verify_receivers(pattern, channels, symbols, noise_scale, noise_seed)
 
-        assert report.all_match
-        assert received.shape == (len(pattern.users), pattern.length)
-        assert result.all_recoverable
-        assert [u.label for u in result.users] == [r.measured.label for r in report.receivers]
-        assert [u.estimates.shape for u in result.users] == [s.shape for s in pattern.streams]
+        assert all(r.match for r in receivers)
+        assert [r.samples.shape for r in receivers] == [(pattern.length,)] * len(pattern.users)
+        assert all(r.deficiency == 0 for r in receivers)
+        assert [r.measured.label for r in receivers] == cfg.labels()
+        assert [r.estimates.shape for r in receivers] == [s.shape for s in pattern.streams]
