@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,19 +68,26 @@ class GroupingConfig:
 
     def __post_init__(self) -> None:
         eq, us = _mode_counts(self.equipped, self.used)
-        grs = tuple(tuple(int(u) for u in g) for g in self.groups)
-        mgs = tuple(int(m) for m in self.group_mode_counts)
+        one_group = self.groups is _ALL_USERS
+        if one_group:
+            grs, mgs = (_member_order(range(len(eq)), eq, us),), (1,)
+        else:
+            grs = tuple(tuple(int(u) for u in g) for g in self.groups)
+            mgs = tuple(int(m) for m in self.group_mode_counts)
         object.__setattr__(self, "equipped", eq)
         object.__setattr__(self, "used", us)
         object.__setattr__(self, "groups", grs)
         object.__setattr__(self, "group_mode_counts", mgs)
 
-        K = len(eq)
         if any(u < 2 for u in us):
             raise ValueError("every used mode count must be >= 2")
         if any(u > m for u, m in zip(us, eq)):
             raise ValueError("used mode counts cannot exceed equipped mode counts")
+        if one_group:  # every user in member order under count 1 aligns as it stands
+            object.__setattr__(self, "element_counts", tuple(us[j] for j in grs[0]))
+            return
 
+        K = len(eq)
         kg = len(grs)
         if kg < 1 or len(mgs) != kg:
             raise ValueError("one group mode count is required per group")
@@ -130,8 +138,7 @@ class GroupingConfig:
     @classmethod
     def flat(cls, equipped, used=None) -> "GroupingConfig":
         """Single-group config: the plain flat construction over used modes."""
-        eq, us = _mode_counts(equipped, equipped if used is None else used)
-        return cls(eq, us, (_member_order(range(len(eq)), eq, us),), (1,))
+        return cls(equipped, equipped if used is None else used, _ALL_USERS, (1,))
 
     @classmethod
     def grouped(cls, equipped, groups, group_mode_counts, used=None) -> "GroupingConfig":
@@ -183,11 +190,24 @@ class GroupingConfig:
         return self.canonical_string()
 
 
+# the ``groups`` GroupingConfig.flat passes: one group of every user, which
+# the constructor puts in member order after converting the counts
+_ALL_USERS = object()
+
+
+def _mode_count(m) -> int:
+    """One mode count as an int; a fraction or text is refused, not truncated."""
+    try:
+        return operator.index(m)
+    except TypeError:
+        raise ValueError(f"mode counts must be integers, got {m!r}") from None
+
+
 def _mode_counts(equipped, used) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Equipped and used mode counts as ints, checked to be a nonempty
     equipped list and to agree in length before anything indexes them by user."""
-    eq = tuple(int(m) for m in equipped)
-    us = tuple(int(m) for m in used)
+    eq = tuple(_mode_count(m) for m in equipped)
+    us = tuple(_mode_count(m) for m in used)
     if not eq:
         raise ValueError("equipped mode list must be nonempty")
     if any(m < 2 for m in eq):

@@ -10,14 +10,14 @@ that relabelings of interchangeable users or groups never appear twice.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import islice
+from math import comb, prod
 
 from .dof import config_sum_dof, render_decimal
-from .patterns import GroupingConfig, _mode_counts, grouped_length
+from .patterns import GroupingConfig, _mode_counts, flat_length, grouped_length
 
 __all__ = [
     "SearchSpace",
@@ -29,6 +29,8 @@ __all__ = [
     "sweep",
     "sweep_to_csv",
 ]
+
+USED_VECTOR_LIMIT = 2**16  # flat used vectors one search may enumerate, about 70 us each
 
 SWEEP_CSV_HEADER = "# biasym sweep v1"
 SWEEP_COLUMNS = (
@@ -60,28 +62,118 @@ class SearchSpace:
 # Canonical enumeration
 # ======================================================================
 
-def _used_assignments(equipped, allow_reduction):
-    """Canonical used-mode assignments: one per multiset of used values
-    within each class of equal equipped counts (such users are
-    interchangeable, so descending assignment inside a class loses nothing).
+def _count_vectors(slots, cap):
+    """Each vector of counts with one count from ``lo`` to ``hi`` per
+    ``(lo, hi, tied)`` slot, no larger than the previous count where
+    ``tied``, whose flat length is at most ``cap`` (None = no cap).
+
+    The flat length grows with every count, so once a prefix filled up
+    with 2s is over the cap, so is every vector that extends it.  The
+    depth-first search folds the length one count at a time, as
+    :func:`flat_length` does, and cuts the prefix there.
     """
-    if not allow_reduction:
-        yield tuple(equipped)
-        return
+    prefix = []
+
+    def extend(block, holds, prev):
+        p = len(prefix)
+        if p == len(slots):
+            yield tuple(prefix)
+            return
+        lo, hi, tied = slots[p]
+        rest = len(slots) - p - 1  # 2s add one block each
+        for v in range(lo, min(hi, prev) + 1 if tied else hi + 1):
+            b, h = block * (v - 1), holds * (v - 1) + block
+            if cap is not None and b * (1 + rest) + h > cap:
+                break
+            prefix.append(v)
+            yield from extend(b, h, v)
+            prefix.pop()
+
+    return extend(1, 0, 0)
+
+
+def _classes(equipped) -> list[tuple[int, list[int]]]:
+    """Users by equipped count, smallest count first: users of one class are
+    interchangeable, so their used values are taken non-increasing by index."""
     classes: dict[int, list[int]] = {}
     for j, m in enumerate(equipped):
         classes.setdefault(m, []).append(j)
-    ordered = sorted(classes.items())
-    option_lists = [
-        list(itertools.combinations_with_replacement(range(m, 1, -1), len(members)))
-        for m, members in ordered
+    return sorted(classes.items())
+
+
+def _flat_used(space: SearchSpace, cap):
+    """Canonical used vectors whose flat config fits ``cap``: one per
+    multiset of used values within each class of equal equipped counts."""
+    classes = _classes(space.equipped)
+    users = [j for _, members in classes for j in members]
+    slots = [
+        (2 if space.allow_reduction else m, m, i > 0)
+        for m, members in classes for i in range(len(members))
     ]
-    for combo in itertools.product(*option_lists):
-        used = [0] * len(equipped)
-        for (_, members), choice in zip(ordered, combo):
-            for j, value in zip(members, choice):
-                used[j] = value
+    for counts in _count_vectors(slots, cap):
+        used = [0] * len(users)
+        for j, u in zip(users, counts):
+            used[j] = u
         yield tuple(used)
+
+
+def _grouped_values(space: SearchSpace, kg: int, cap) -> list[tuple[int, ...]]:
+    """Multisets of used values {e_k * g_i}, sorted descending, over the
+    count classes of ``kg`` groups that fit the equipped counts: element
+    counts e and group counts g, each >= 2, whose length
+    ``flat_length(e) * flat_length(g)`` is at most ``cap``.
+
+    A flat length is at least one more than its number of counts, so the
+    group counts get the cap over the element level's least length (none
+    at all when ``(ke + 1) * (kg + 1)`` is over the cap), and the element
+    counts the cap over the group level's actual one.  Counts are taken
+    non-increasing, and a class fits when its values, sorted, fit under
+    the sorted equipped counts: the j-th group count times 2 needs j * ke
+    users equipped with as much, and the k-th element count times the j-th
+    group count needs k * j.  Without reduction the one used vector is the
+    equipped one.
+    """
+    ke = len(space.equipped) // kg
+    eq = sorted(space.equipped, reverse=True)
+    if not space.allow_reduction:
+        return [tuple(eq)] if cap is None or (ke + 1) * (kg + 1) <= cap else []
+    out = set()
+    g_slots = [(2, eq[(j + 1) * ke - 1] // 2, j > 0) for j in range(kg)]
+    for g in _count_vectors(g_slots, None if cap is None else cap // (ke + 1)):
+        e_slots = [
+            (2, min(eq[(k + 1) * (j + 1) - 1] // gj for j, gj in enumerate(g)), k > 0)
+            for k in range(ke)
+        ]
+        for e in _count_vectors(e_slots, None if cap is None else cap // flat_length(g)):
+            values = sorted((x * y for x in e for y in g), reverse=True)
+            if all(v <= m for v, m in zip(values, eq)):
+                out.add(tuple(values))
+    return sorted(out, reverse=True)
+
+
+def _used_of_values(space: SearchSpace, values):
+    """Canonical used vectors holding exactly the multiset ``values`` (sorted
+    descending): each class of equal equipped counts m takes a sub-multiset
+    of the values at most m (equal to m without reduction)."""
+    classes = _classes(space.equipped)
+    used = [0] * len(space.equipped)
+
+    def place(c, pool):
+        if c == len(classes):
+            yield tuple(used)
+            return
+        m, members = classes[c]
+
+        def fits(v):
+            return v == m or (v < m and space.allow_reduction)
+
+        others = [v for v in pool if not fits(v)]
+        for chosen, rest in _splits([v for v in pool if fits(v)], len(members)):
+            for j, v in zip(members, chosen):
+                used[j] = v
+            yield from place(c + 1, sorted(others + rest, reverse=True))
+
+    return place(0, list(values))
 
 
 def _splits(pool, size):
@@ -116,47 +208,53 @@ def _type_partitions(pool, size, floor=((), ())):
             yield (group,) + tail
 
 
-def _groupable(used) -> bool:
-    """Whether two or more groups can carry these used counts at all.
-
-    Every user's used count must factor as element count times group mode
-    count, both >= 2, so each must be a composite number >= 4.
-    """
-    return all(any(u % d == 0 for d in range(2, isqrt(u) + 1)) for u in used)
-
-
-def enumerate_configs(space: SearchSpace):
-    """Yield every valid config exactly once, in canonical form.
+def enumerate_configs(space: SearchSpace, cap: int | None = None):
+    """Yield every valid config of length at most ``cap`` (None = no cap)
+    exactly once, in canonical form.
 
     Covers all group counts dividing the user count, all used-mode
     assignments when reduction is allowed, all groupings and all group mode
-    counts.  Users of equal (used, equipped) counts are interchangeable, so a
-    grouping is a partition of the multiset of these types, built once in
-    canonical group order, each type's users assigned lowest index first.
-    Group mode counts are proposed per divisor of the lead used count, and
-    :class:`GroupingConfig` alone decides which satisfy the alignment
-    condition.  ``require_grouping`` does not filter here; it only affects
-    which configs the grouped strategy of :func:`optimize` may pick.
+    counts.  Flat configs come from a depth-first search over used values
+    that cuts every prefix whose least flat length is over the cap.  A
+    grouped config's length is ``flat_length(e) * flat_length(g)`` for its
+    element counts e and group counts g, so a group count is tried only
+    when ``flat_length((2,) * ke) * flat_length((2,) * kg)`` fits, and a
+    used vector only when its values are the products e_k * g_i of a count
+    class that fits.  Users of equal (used, equipped) counts are
+    interchangeable, so a grouping is a partition of the multiset of these
+    types, built once in canonical group order, each type's users assigned
+    lowest index first.  Group mode counts are proposed per divisor of the
+    lead used count, and :class:`GroupingConfig` alone decides which
+    satisfy the alignment condition.  ``require_grouping`` does not filter
+    here; it only affects which configs the grouped strategy of
+    :func:`optimize` may pick.
     """
-    K = len(space.equipped)
-    for used in _used_assignments(space.equipped, space.allow_reduction):
+    for used in _flat_used(space, cap):
         yield GroupingConfig.flat(space.equipped, used)
-        if not _groupable(used):
-            continue
-        types = [(-u, -m) for u, m in zip(used, space.equipped)]
-        users_of = {t: [j for j in range(K) if types[j] == t] for t in types}
-        for kg in (d for d in range(2, K + 1) if K % d == 0):
-            for parts in _type_partitions(sorted(types), K // kg):
-                free = {t: iter(js) for t, js in users_of.items()}
-                groups = tuple(tuple(next(free[t]) for t in g) for g in parts)
-                u0 = -parts[0][0][0]
-                for d in (d for d in range(2, u0 + 1) if u0 % d == 0):
-                    mgs = tuple(-g[0][0] * d // u0 for g in parts)
-                    try:
-                        cfg = GroupingConfig(space.equipped, used, groups, mgs)
-                    except ValueError:
-                        continue
-                    yield cfg
+    K = len(space.equipped)
+    for kg in (d for d in range(2, K + 1) if K % d == 0):
+        for values in _grouped_values(space, kg, cap):
+            for used in _used_of_values(space, values):
+                yield from _groupings(space, used, kg, cap)
+
+
+def _groupings(space: SearchSpace, used, kg: int, cap):
+    """The configs of ``kg`` groups over these used counts within ``cap``."""
+    K = len(used)
+    types = [(-u, -m) for u, m in zip(used, space.equipped)]
+    users_of = {t: [j for j in range(K) if types[j] == t] for t in types}
+    for parts in _type_partitions(sorted(types), K // kg):
+        free = {t: iter(js) for t, js in users_of.items()}
+        groups = tuple(tuple(next(free[t]) for t in g) for g in parts)
+        u0 = -parts[0][0][0]
+        for d in (d for d in range(2, u0 + 1) if u0 % d == 0):
+            mgs = tuple(-g[0][0] * d // u0 for g in parts)
+            try:
+                cfg = GroupingConfig(space.equipped, used, groups, mgs)
+            except ValueError:
+                continue
+            if cap is None or grouped_length(cfg) <= cap:
+                yield cfg
 
 
 # ======================================================================
@@ -183,21 +281,33 @@ class SweepRow:
 def _frontier(space: SearchSpace, budgets) -> list[SweepRow]:
     """The best entries per strategy at each budget, None = no cap.
 
-    Refuses a budget below 1 before enumerating.  Then enumerates once,
-    skipping configs longer than every budget, and sorts the rest by
-    length.  A running best per strategy under the key
-    (-dof, length, num_groups, canonical string) then answers each budget
-    with one bisection.  Canonical strings are unique, so the minimum does
-    not depend on enumeration order.
+    Refuses a budget below 1, and a search with more than
+    ``USED_VECTOR_LIMIT`` flat used vectors within the largest budget,
+    before building any config; they are counted only when the space
+    holds that many in all.  Then enumerates once, up to the largest
+    budget, and sorts the configs by length.  A running best per strategy
+    under the key (-dof, length, num_groups, canonical string) then
+    answers each budget with one bisection.  Canonical strings are unique,
+    so the minimum does not depend on enumeration order.
     """
     if any(b is not None and b < 1 for b in budgets):
         raise ValueError("every length budget must be >= 1")
     cap = None if None in budgets else max(budgets, default=0)
-    entries = []
-    for cfg in enumerate_configs(space):
-        length = grouped_length(cfg)
-        if cap is None or length <= cap:
-            entries.append(BestEntry(cfg, config_sum_dof(cfg), length))
+    # n users equipped with m modes take C(m + n - 2, n) multisets of 2..m
+    total = prod(comb(m + len(js) - 2, len(js)) for m, js in _classes(space.equipped))
+    if space.allow_reduction and total > USED_VECTOR_LIMIT and (
+        cap is None
+        or sum(1 for _ in islice(_flat_used(space, cap), USED_VECTOR_LIMIT + 1))
+        > USED_VECTOR_LIMIT
+    ):
+        raise ValueError(
+            f"search has more than {USED_VECTOR_LIMIT} used-mode vectors within the budget, "
+            f"above the {USED_VECTOR_LIMIT} limit; give a smaller length budget"
+        )
+    entries = [
+        BestEntry(cfg, config_sum_dof(cfg), grouped_length(cfg))
+        for cfg in enumerate_configs(space, cap)
+    ]
     entries.sort(key=lambda e: e.length)
     conventional, grouped = [None], [None]
     conv_key = grp_key = None

@@ -407,6 +407,22 @@ class TestDofCommand:
         assert time.perf_counter() - start < 5
         assert capsys.readouterr().out == "64/25 (2.560000), length 25\n"
 
+    def test_sixteen_nine_mode_users_auto_grouping_at_budget_25(self, capsys):
+        # the budget prunes the search before it builds anything longer
+        start = time.perf_counter()
+        assert main(["dof", "--modes", ",".join("9" * 16), "--groups", "auto",
+                     "--budget", "25"]) == 0
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == "64/25 (2.560000), length 25\n"
+
+    def test_unbounded_auto_search_over_the_limit_is_2(self, capsys):
+        start = time.perf_counter()
+        assert main(["dof", "--modes", ",".join("9" * 16), "--groups", "auto"]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "above the 65536 limit" in captured.err
+
 
 class TestOutputFiles:
     def test_pattern_table_versioned_header(self, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from conftest import composite, factored, physical
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from biasym import (
     GroupingConfig,
+    patterns,
     base_pattern,
     flat_length,
     grouped_length,
@@ -162,6 +164,35 @@ class TestGroupingConfig:
             GroupingConfig.grouped((4, 4), [[0], [1]], (2, 2), (4,))
         with pytest.raises(ValueError, match="user count"):
             GroupingConfig((3, 3), (3,), ((0, 1),), (1,))
+
+    def test_fractional_or_text_mode_counts_are_refused(self):
+        # refused, where int() would truncate 4.9 to 4
+        with pytest.raises(ValueError, match="mode counts must be integers, got 4.9"):
+            GroupingConfig.flat([4.9, 3])
+        with pytest.raises(ValueError, match="mode counts must be integers, got 2.5"):
+            GroupingConfig.flat([4, 3], used=[2.5, 3])
+        with pytest.raises(ValueError, match="mode counts must be integers, got '4'"):
+            GroupingConfig((4, 4), ("4", 4), ((0, 1),), (1,))
+
+    def test_numpy_integer_mode_counts_are_accepted(self):
+        cfg = GroupingConfig.flat(np.array([6, 4]), used=np.array([4, 4]))
+        assert str(cfg) == "KG=1;G1=[6,4]/MG1;used=4,4"
+        assert all(type(m) is int for m in cfg.equipped + cfg.used)
+
+    def test_flat_config_is_validated_once(self, monkeypatch):
+        calls = []
+        for name in ("_mode_counts", "_member_order"):
+            original = getattr(patterns, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(patterns, name, counted)
+        cfg = GroupingConfig.flat((4, 6, 4), (3, 4, 4))
+        assert calls == ["_mode_counts", "_member_order"]
+        assert cfg.groups == ((1, 2, 0),) and cfg.element_counts == (4, 4, 3)
+        assert cfg == GroupingConfig((4, 6, 4), (3, 4, 4), ((1, 2, 0),), (1,))
 
     def test_constructor_requires_both_mode_lists(self):
         with pytest.raises(TypeError):

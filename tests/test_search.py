@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 from math import isqrt, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from biasym import (
     sweep_to_csv,
     verify_receivers,
 )
+from biasym.search import USED_VECTOR_LIMIT
 
 
 # ======================================================================
@@ -174,10 +176,17 @@ class TestSearchSpace:
     @pytest.mark.parametrize("equipped,message", [
         ((), "equipped mode list must be nonempty"),
         ((6, 1, 4), "every equipped mode count must be >= 2"),
+        ((4.7, 4), "mode counts must be integers, got 4.7"),
+        (("6", 4), "mode counts must be integers, got '6'"),
     ])
     def test_refuses_before_enumerating(self, equipped, message):
         with pytest.raises(ValueError, match=message):
             SearchSpace(equipped)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        space = SearchSpace(tuple(np.array([6, 6, 4, 4])))
+        assert space.equipped == (6, 6, 4, 4)
+        assert all(type(m) is int for m in space.equipped)
 
 
 class TestEnumerateConfigs:
@@ -245,6 +254,34 @@ class TestEnumerateConfigs:
         space = SearchSpace(equipped, allow_reduction=False)
         assert list(enumerate_configs(space)) == [GroupingConfig.flat(equipped)]
 
+    @pytest.mark.parametrize("equipped", [(6, 6, 4, 4), (6, 6, 6, 4, 4, 4), (4, 6, 4, 6),
+                                          (9, 6), (3, 2), (8,) * 6])
+    @pytest.mark.parametrize("allow_reduction", [True, False])
+    def test_cap_yields_the_uncapped_configs_that_fit(self, equipped, allow_reduction):
+        space = SearchSpace(equipped, allow_reduction=allow_reduction)
+        every = list(enumerate_configs(space))
+        for cap in (1, 4, 9, 15, 25, 40, 64, 200, None):
+            got = [c.canonical_string() for c in enumerate_configs(space, cap)]
+            assert len(got) == len(set(got))
+            assert set(got) == {
+                c.canonical_string() for c in every
+                if cap is None or grouped_length(c) <= cap
+            }
+
+    def test_cap_prunes_configs_before_building_them(self, monkeypatch):
+        # the uncapped search of this space builds 417 configs
+        built = []
+        post_init = GroupingConfig.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(GroupingConfig, "__post_init__", counted)
+        result = optimize(SearchSpace((6, 6, 6, 4, 4, 4)), 64)
+        assert len(built) <= 100
+        assert (result.grouped.dof, result.grouped.length) == (Fraction(21, 10), 20)
+
     def test_grouped_configs_use_only_composite_counts(self):
         def composite(u):
             return any(u % d == 0 for d in range(2, isqrt(u) + 1))
@@ -305,6 +342,34 @@ class TestOptimize:
         )
         assert (conventional.dof, conventional.length) == (Fraction(32, 17), 17)
         assert elapsed < 5
+
+    @pytest.mark.parametrize("equipped", [(9,) * 8, (8,) * 12])
+    def test_large_spaces_answer_without_a_cap(self, equipped):
+        # the flat pattern over every equipped mode wins both strategies
+        result = optimize(SearchSpace(equipped))
+        flat = GroupingConfig.flat(equipped)
+        assert result.conventional.config == result.grouped.config == flat
+        assert result.grouped.dof == config_sum_dof(flat)
+
+    def test_search_over_the_used_vector_limit_is_refused_before_building(self, monkeypatch):
+        def refuse(space, cap=None):
+            raise AssertionError("configs must not be enumerated")
+
+        monkeypatch.setattr("biasym.search.enumerate_configs", refuse)
+        space = SearchSpace((9,) * 16)  # 245,157 used vectors, all within 10**12 slots
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"above the {USED_VECTOR_LIMIT} limit"):
+            optimize(space)
+        assert time.perf_counter() - start < 1
+        with pytest.raises(ValueError, match=f"above the {USED_VECTOR_LIMIT} limit"):
+            sweep(space, [25, 10**12])
+
+    def test_sixteen_users_with_nine_modes_at_budget_25(self):
+        start = time.perf_counter()
+        result = optimize(SearchSpace((9,) * 16), 25)
+        assert time.perf_counter() - start < 1
+        assert (result.grouped.dof, result.grouped.length) == (Fraction(64, 25), 25)
+        assert result.grouped.config.num_groups == 4
 
     def test_infeasible_returns_none(self):
         # used count 5 is prime, so no proper grouping exists
