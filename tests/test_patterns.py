@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from biasym import (
     GroupingConfig,
-    patterns,
     base_pattern,
     flat_length,
     grouped_length,
@@ -20,6 +19,7 @@ from biasym import (
     pattern_table,
     user_label,
 )
+from biasym import patterns
 
 mode_lists = st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=5)
 
