@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
 
-from .patterns import GroupingConfig, flat_length, grouped_length
+from .patterns import GroupingConfig, _flat_counts, _integer, flat_length, grouped_length
 
 __all__ = [
     "ReceiverRanks",
@@ -112,7 +112,7 @@ def sum_dof_flat(mode_counts) -> Fraction:
     DoF is (L + (K - 1) * B) / L with L = ``flat_length``: the textbook
     (sum of M_k / (M_k - 1)) / (1 + sum of 1 / (M_k - 1)), and 1 for (1,).
     """
-    counts = tuple(int(m) for m in mode_counts)
+    counts = _flat_counts(mode_counts)
     length = flat_length(counts)
     return Fraction(length + (len(counts) - 1) * prod(m - 1 for m in counts), length)
 
@@ -169,8 +169,8 @@ def reduction_ratio(modes: int, num_users: int) -> ReductionRatio:
     user cannot be grouped, so K = 1 returns the flat length for both and
     a ratio of 1.
     """
-    M = int(modes)
-    K = int(num_users)
+    M = _integer(modes, "mode count must be an integer")
+    K = _integer(num_users, "user count must be an integer")
     rm = isqrt(M)
     rk = isqrt(K)
     if rm * rm != M or M < 4:

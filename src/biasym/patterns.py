@@ -73,7 +73,7 @@ class GroupingConfig:
             grs, mgs = (_member_order(range(len(eq)), eq, us),), (1,)
         else:
             grs = tuple(tuple(int(u) for u in g) for g in self.groups)
-            mgs = tuple(int(m) for m in self.group_mode_counts)
+            mgs = tuple(map(_mode_count, self.group_mode_counts))
         object.__setattr__(self, "equipped", eq)
         object.__setattr__(self, "used", us)
         object.__setattr__(self, "groups", grs)
@@ -195,8 +195,17 @@ class GroupingConfig:
 _ALL_USERS = object()
 
 
+def _integer(value, rule: str) -> int:
+    """``value`` as an int; a fraction or text is refused with ``rule``, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{rule}, got {value!r}") from None
+
+
 def _mode_count(m) -> int:
-    """One mode count as an int; a fraction or text is refused, not truncated."""
+    """One mode count as an int, refused as by :func:`_integer`; written out,
+    since every config built converts each of its counts."""
     try:
         return operator.index(m)
     except TypeError:
@@ -206,8 +215,8 @@ def _mode_count(m) -> int:
 def _mode_counts(equipped, used) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Equipped and used mode counts as ints, checked to be a nonempty
     equipped list and to agree in length before anything indexes them by user."""
-    eq = tuple(_mode_count(m) for m in equipped)
-    us = tuple(_mode_count(m) for m in used)
+    eq = tuple(map(_mode_count, equipped))
+    us = tuple(map(_mode_count, used))
     if not eq:
         raise ValueError("equipped mode list must be nonempty")
     if any(m < 2 for m in eq):
@@ -234,7 +243,7 @@ def _member_order(members, equipped, used) -> tuple[int, ...]:
 def _flat_counts(mode_counts) -> tuple[int, ...]:
     """Mode counts of one flat level as ints: each >= 2, or the lone (1,),
     one user with one mode (a single group's level)."""
-    counts = tuple(int(m) for m in mode_counts)
+    counts = tuple(map(_mode_count, mode_counts))
     if not counts:
         raise ValueError("mode list must be nonempty")
     if counts != (1,) and any(m < 2 for m in counts):

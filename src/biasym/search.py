@@ -17,7 +17,7 @@ from itertools import islice
 from math import comb, prod
 
 from .dof import config_sum_dof, render_decimal
-from .patterns import GroupingConfig, _mode_counts, flat_length, grouped_length
+from .patterns import GroupingConfig, _integer, _mode_counts, flat_length, grouped_length
 
 __all__ = [
     "SearchSpace",
@@ -117,95 +117,104 @@ def _flat_used(space: SearchSpace, cap):
         yield tuple(used)
 
 
-def _grouped_values(space: SearchSpace, kg: int, cap) -> list[tuple[int, ...]]:
-    """Multisets of used values {e_k * g_i}, sorted descending, over the
-    count classes of ``kg`` groups that fit the equipped counts: element
-    counts e and group counts g, each >= 2, whose length
-    ``flat_length(e) * flat_length(g)`` is at most ``cap``.
+def _grouped_classes(space: SearchSpace, kg: int, cap):
+    """The count classes ``(g, e)`` of ``kg`` groups that fit the equipped
+    counts and the cap: group counts g and element counts e, each >= 2 and
+    non-increasing, with used count e_k * g_j in the cell of position k of
+    group j and length ``flat_length(e) * flat_length(g)``.
 
     A flat length is at least one more than its number of counts, so the
-    group counts get the cap over the element level's least length (none
-    at all when ``(ke + 1) * (kg + 1)`` is over the cap), and the element
-    counts the cap over the group level's actual one.  Counts are taken
-    non-increasing, and a class fits when its values, sorted, fit under
-    the sorted equipped counts: the j-th group count times 2 needs j * ke
-    users equipped with as much, and the k-th element count times the j-th
-    group count needs k * j.  Without reduction the one used vector is the
-    equipped one.
+    group counts get the cap over the element level's least length and
+    the element counts the cap over the group level's actual one.  With
+    the equipped counts eq sorted descending and k, j counted from 0, a
+    cell that n cells are at least is at most eq[n - 1]: g_j * 2 <=
+    eq[(j + 1) * ke - 1] and e_k * g_j <= eq[(k + 1) * (j + 1) - 1].
+    Without reduction every cell is its user's equipped count, so a cell
+    that n cells are at most is at least eq[K - n]: e_k * g_j >=
+    eq[K - (ke - k) * (kg - j)].  There the largest cell e_0 * g_0 is
+    eq[0], which fixes e_0 and puts e_0 * g_j between eq[K - ke * (kg - j)]
+    and eq[j].  A class fits when its cells, sorted, are at most eq (equal
+    to it without reduction).
     """
-    ke = len(space.equipped) // kg
+    K = len(space.equipped)
+    ke = K // kg
     eq = sorted(space.equipped, reverse=True)
-    if not space.allow_reduction:
-        return [tuple(eq)] if cap is None or (ke + 1) * (kg + 1) <= cap else []
-    out = set()
+    exact = not space.allow_reduction
     g_slots = [(2, eq[(j + 1) * ke - 1] // 2, j > 0) for j in range(kg)]
-    for g in _count_vectors(g_slots, None if cap is None else cap // (ke + 1)):
-        e_slots = [
-            (2, min(eq[(k + 1) * (j + 1) - 1] // gj for j, gj in enumerate(g)), k > 0)
-            for k in range(ke)
-        ]
-        for e in _count_vectors(e_slots, None if cap is None else cap // flat_length(g)):
-            values = sorted((x * y for x in e for y in g), reverse=True)
-            if all(v <= m for v, m in zip(values, eq)):
-                out.add(tuple(values))
-    return sorted(out, reverse=True)
+    walks = [g_slots]
+    if exact:  # one walk per lead group count g_0, with e_0 = eq[0] / g_0
+        walks = []
+        for g0 in range(2, g_slots[0][1] + 1):
+            if eq[0] % g0 == 0:
+                e0 = eq[0] // g0
+                walks.append([(g0, g0, False)] + [
+                    (max(2, -(-eq[K - ke * (kg - j)] // e0)), min(hi, eq[j] // e0), True)
+                    for j, (_, hi, _) in enumerate(g_slots) if j > 0
+                ])
+    for slots in walks:
+        for g in _count_vectors(slots, None if cap is None else cap // (ke + 1)):
+            e_slots = [(
+                max(2, *(-(-eq[K - (ke - k) * (kg - j)] // gj) for j, gj in enumerate(g)))
+                if exact else 2,
+                min(eq[(k + 1) * (j + 1) - 1] // gj for j, gj in enumerate(g)),
+                k > 0,
+            ) for k in range(ke)]
+            for e in _count_vectors(e_slots, None if cap is None else cap // flat_length(g)):
+                values = sorted((x * y for x in e for y in g), reverse=True)
+                if values == eq if exact else all(v <= m for v, m in zip(values, eq)):
+                    yield g, e
 
 
-def _used_of_values(space: SearchSpace, values):
-    """Canonical used vectors holding exactly the multiset ``values`` (sorted
-    descending): each class of equal equipped counts m takes a sub-multiset
-    of the values at most m (equal to m without reduction)."""
-    classes = _classes(space.equipped)
-    used = [0] * len(space.equipped)
+def _grid_configs(space: SearchSpace, g, e):
+    """The configs of the class ``(g, e)``, each once in canonical form.
 
-    def place(c, pool):
-        if c == len(classes):
-            yield tuple(used)
-            return
-        m, members = classes[c]
-
-        def fits(v):
-            return v == m or (v < m and space.allow_reduction)
-
-        others = [v for v in pool if not fits(v)]
-        for chosen, rest in _splits([v for v in pool if fits(v)], len(members)):
-            for j, v in zip(members, chosen):
-                used[j] = v
-            yield from place(c + 1, sorted(others + rest, reverse=True))
-
-    return place(0, list(values))
-
-
-def _splits(pool, size):
-    """Each distinct ``size``-sub-multiset of the sorted list ``pool`` once,
-    as a sorted tuple, with the sorted list of what remains."""
-    if size == 0:
-        yield (), pool
-        return
-    for i, t in enumerate(pool):
-        if i == 0 or t != pool[i - 1]:
-            for group, rest in _splits(pool[i + 1:], size - 1):
-                yield (t,) + group, pool[:i] + rest
-
-
-def _type_partitions(pool, size, floor=((), ())):
-    """Each partition of the sorted type multiset ``pool`` into groups of
-    ``size`` once: groups in member order, their keys (used tuple, equipped
-    tuple) never decreasing from ``floor``; equal keys mean equal groups.
-    A group holding a largest remaining used count has the smallest key
-    possible, so a user of that count leads the next group.
+    A grid fill gives every cell an equipped count at least its used count
+    (equal without reduction) from a pool of users left per equipped count.
+    Members are ordered by used, then equipped count, so equipped counts do
+    not increase along a run of equal element counts in a group; groups by
+    used, then equipped tuple, so equipped tuples do not increase across a
+    run of equal group counts.  Cells are filled by decreasing used count,
+    then group-major position, each taking the lowest index left of its
+    equipped count, as the canonical used vectors and groupings need.  In
+    this order any count that fits a cell leaves a fill for the cells after
+    it, which need no more, so the one check is that enough counts between
+    the cell's used count and the one it takes are left for its run.
     """
-    if not pool:
-        yield ()
-        return
-    for group, rest in _splits(pool, size):
-        if group[0][0] != pool[0][0]:
-            break
-        key = (tuple(u for u, _ in group), tuple(e for _, e in group))
-        if key < floor:
-            continue
-        for tail in _type_partitions(rest, size, key):
-            yield (group,) + tail
+    K, ke = len(space.equipped), len(e)
+    used = [x * y for y in g for x in e]
+    order = sorted(range(K), key=lambda c: -used[c])  # stable: group-major within a count
+    members = dict(_classes(space.equipped))
+    pool = {m: len(js) for m, js in reversed(members.items())}  # largest count first
+    run = [e[k:].count(x) for k, x in enumerate(e)]  # cells from position k on in its run
+    largest = max(space.equipped)
+    cells, users = [0] * K, [0] * K
+
+    def fill(n):
+        if n == K:
+            by_user = [0] * K
+            for c, j in enumerate(users):
+                by_user[j] = used[c]
+            groups = tuple(tuple(users[i:i + ke]) for i in range(0, K, ke))
+            yield GroupingConfig(space.equipped, tuple(by_user), groups, g)
+            return
+        c = order[n]
+        i, k = divmod(c, ke)
+        v = used[c]
+        top = cells[c - 1] if k > 0 and e[k] == e[k - 1] else largest
+        if i > 0 and g[i] == g[i - 1] and cells[c - k:c] == cells[c - ke - k:c - ke]:
+            top = min(top, cells[c - ke])
+        spare = sum(left for m, left in pool.items() if m >= v) - run[k]
+        for m, left in pool.items():
+            if m < v or spare < 0:
+                break
+            if left and m <= top and (m == v or space.allow_reduction):
+                cells[c], users[c] = m, members[m][-left]  # lowest index left
+                pool[m] -= 1
+                yield from fill(n + 1)
+                pool[m] += 1
+            spare -= left
+
+    return fill(0)
 
 
 def enumerate_configs(space: SearchSpace, cap: int | None = None):
@@ -216,16 +225,12 @@ def enumerate_configs(space: SearchSpace, cap: int | None = None):
     assignments when reduction is allowed, all groupings and all group mode
     counts.  Flat configs come from a depth-first search over used values
     that cuts every prefix whose least flat length is over the cap.  A
-    grouped config's length is ``flat_length(e) * flat_length(g)`` for its
-    element counts e and group counts g, so a group count is tried only
-    when ``flat_length((2,) * ke) * flat_length((2,) * kg)`` fits, and a
-    used vector only when its values are the products e_k * g_i of a count
-    class that fits.  Users of equal (used, equipped) counts are
-    interchangeable, so a grouping is a partition of the multiset of these
-    types, built once in canonical group order, each type's users assigned
-    lowest index first.  Group mode counts are proposed per divisor of the
-    lead used count, and :class:`GroupingConfig` alone decides which
-    satisfy the alignment condition.  ``require_grouping`` does not filter
+    grouped config is fixed by its (g, e) class, group counts g and element
+    counts e, and by which user takes each cell of that grid.  The classes
+    that fit the equipped counts and the cap are walked depth first, and a
+    grid fill gives each class's cells their users in canonical form, so
+    every config handed to :class:`GroupingConfig` is valid and within the
+    cap: none is built to be refused.  ``require_grouping`` does not filter
     here; it only affects which configs the grouped strategy of
     :func:`optimize` may pick.
     """
@@ -233,28 +238,8 @@ def enumerate_configs(space: SearchSpace, cap: int | None = None):
         yield GroupingConfig.flat(space.equipped, used)
     K = len(space.equipped)
     for kg in (d for d in range(2, K + 1) if K % d == 0):
-        for values in _grouped_values(space, kg, cap):
-            for used in _used_of_values(space, values):
-                yield from _groupings(space, used, kg, cap)
-
-
-def _groupings(space: SearchSpace, used, kg: int, cap):
-    """The configs of ``kg`` groups over these used counts within ``cap``."""
-    K = len(used)
-    types = [(-u, -m) for u, m in zip(used, space.equipped)]
-    users_of = {t: [j for j in range(K) if types[j] == t] for t in types}
-    for parts in _type_partitions(sorted(types), K // kg):
-        free = {t: iter(js) for t, js in users_of.items()}
-        groups = tuple(tuple(next(free[t]) for t in g) for g in parts)
-        u0 = -parts[0][0][0]
-        for d in (d for d in range(2, u0 + 1) if u0 % d == 0):
-            mgs = tuple(-g[0][0] * d // u0 for g in parts)
-            try:
-                cfg = GroupingConfig(space.equipped, used, groups, mgs)
-            except ValueError:
-                continue
-            if cap is None or grouped_length(cfg) <= cap:
-                yield cfg
+        for g, e in _grouped_classes(space, kg, cap):
+            yield from _grid_configs(space, g, e)
 
 
 # ======================================================================
@@ -339,6 +324,8 @@ def optimize(space: SearchSpace, budget: int | None = None) -> SweepRow:
     supersymbols, then fewer groups, then the lexicographically smallest
     canonical string, making the result independent of enumeration order.
     """
+    if budget is not None:
+        budget = _integer(budget, "length budget must be an integer")
     return _frontier(space, [budget])[0]
 
 
@@ -371,7 +358,7 @@ def sweep(space: SearchSpace, length_budgets) -> SweepResult:
     DoF is nondecreasing in the budget, since a larger budget only widens
     the feasible set.
     """
-    budgets = sorted(int(b) for b in length_budgets)
+    budgets = sorted(_integer(b, "length budget must be an integer") for b in length_budgets)
     return SweepResult(rows=tuple(_frontier(space, budgets)))
 
 

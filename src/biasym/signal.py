@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dof import ReceiverRanks, rank_predictions
-from .patterns import GroupingConfig, PresetPattern, grouped_length, user_label
+from .patterns import GroupingConfig, PresetPattern, _integer, grouped_length, user_label
 
 __all__ = [
     "ChannelSet",
@@ -74,6 +74,8 @@ def draw_channels(
     length = grouped_length(config)
     if coherence_length is None:
         coherence_length = length
+    else:
+        coherence_length = _integer(coherence_length, "coherence length must be an integer")
     if coherence_length < 1:
         raise ValueError("coherence length must be >= 1")
     n_blocks = -(-length // coherence_length)
@@ -89,8 +91,8 @@ def draw_channels(
                 rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             ) / np.sqrt(2.0)
     return ChannelSet(
-        coherence_length=int(coherence_length),
-        n_blocks=int(n_blocks),
+        coherence_length=coherence_length,
+        n_blocks=n_blocks,
         gains=gains,
     )
 

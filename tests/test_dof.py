@@ -47,6 +47,13 @@ class TestSumDof:
         assert isinstance(sum_dof_flat([6, 6, 4, 4]), Fraction)
         assert isinstance(sum_dof_grouped([3, 2], [2, 2]), Fraction)
 
+    def test_fractional_mode_counts_are_refused(self):
+        # int() would read [4.9, 3] as [4, 3], 17/11
+        with pytest.raises(ValueError, match="mode counts must be integers, got 4.9"):
+            sum_dof_flat([4.9, 3])
+        with pytest.raises(ValueError, match="mode counts must be integers, got 2.5"):
+            sum_dof_grouped([3, 2], [2.5, 2])
+
     def test_single_group_degenerates_to_flat(self):
         for modes in ([3, 2], [6, 6, 4, 4], [5]):
             assert sum_dof_grouped(modes, (1,)) == sum_dof_flat(modes)
@@ -196,6 +203,13 @@ class TestReductionRatio:
             reduction_ratio(4, 2)
         with pytest.raises(ValueError):
             reduction_ratio(1, 4)
+
+    def test_rejects_non_integers(self):
+        # int() would read 4.5 modes as 4
+        with pytest.raises(ValueError, match="mode count must be an integer, got 4.5"):
+            reduction_ratio(4.5, 4)
+        with pytest.raises(ValueError, match="user count must be an integer, got 4.0"):
+            reduction_ratio(4, 4.0)
 
 
 class TestRendering:

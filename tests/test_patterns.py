@@ -115,6 +115,15 @@ class TestFlatConstruction:
             for own_modes in groups.values():
                 assert sorted(own_modes) == list(range(1, modes[k] + 1))
 
+    @pytest.mark.parametrize("build", [flat_length, base_pattern])
+    def test_fractional_mode_counts_are_refused(self, build):
+        # refused, where int() would truncate 4.9 to 4
+        with pytest.raises(ValueError, match="mode counts must be integers, got 4.9"):
+            build([4.9, 3])
+        with pytest.raises(ValueError, match="mode counts must be integers, got '3'"):
+            build([3, "3"])
+        assert build(np.array([3, 2])) == build([3, 2])
+
 
 class TestGroupingConfig:
     def test_canonical_string(self, example_config):
@@ -173,6 +182,8 @@ class TestGroupingConfig:
             GroupingConfig.flat([4, 3], used=[2.5, 3])
         with pytest.raises(ValueError, match="mode counts must be integers, got '4'"):
             GroupingConfig((4, 4), ("4", 4), ((0, 1),), (1,))
+        with pytest.raises(ValueError, match="mode counts must be integers, got 2.5"):
+            GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2.5, 2])
 
     def test_numpy_integer_mode_counts_are_accepted(self):
         cfg = GroupingConfig.flat(np.array([6, 4]), used=np.array([4, 4]))

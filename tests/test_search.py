@@ -228,9 +228,12 @@ class TestEnumerateConfigs:
     def test_matches_brute_force_canonical_set(self, equipped, allow_reduction):
         assert_each_config_once(equipped, allow_reduction)
 
-    def test_matches_brute_force_on_eight_mixed_users(self):
-        # with reduction the oracle takes seconds here, so only the equipped counts
-        assert_each_config_once((6, 6, 6, 6, 4, 4, 4, 4), False)
+    @pytest.mark.parametrize("equipped", [(6, 6, 6, 6, 4, 4, 4, 4), (4, 6, 8, 9, 12, 16),
+                                          (12, 12, 8, 6, 6, 4), (16, 8, 4, 4, 8, 16)])
+    def test_matches_brute_force_without_reduction(self, equipped):
+        # with reduction the oracle takes seconds here, so only the equipped
+        # counts: every cell of a grid fill then takes exactly its used count
+        assert_each_config_once(equipped, False)
 
     @settings(max_examples=30, deadline=None)
     @given(equipped=st.lists(st.integers(2, 12), min_size=1, max_size=4).map(tuple),
@@ -268,19 +271,34 @@ class TestEnumerateConfigs:
                 if cap is None or grouped_length(c) <= cap
             }
 
-    def test_cap_prunes_configs_before_building_them(self, monkeypatch):
-        # the uncapped search of this space builds 417 configs
-        built = []
+    @pytest.mark.parametrize("equipped,cap,yielded,best", [
+        ((6, 6, 6, 4, 4, 4), 64, 42, (Fraction(21, 10), 20)),
+        ((6, 6, 4, 4), None, 97, None),
+        ((8,) * 6, 400, 131, None),
+    ], ids=["666444-cap64", "6644-uncapped", "8x6-cap400"])
+    def test_cap_prunes_configs_before_building_them(self, monkeypatch, equipped, cap,
+                                                     yielded, best):
+        # every config built is yielded: none is refused by its constructor or
+        # dropped over the cap (the partition search built 77, 108 and 283 here)
+        built, refused = [], []
         post_init = GroupingConfig.__post_init__
 
         def counted(self):
+            try:
+                post_init(self)
+            except ValueError:
+                refused.append(self)
+                raise
             built.append(self)
-            post_init(self)
 
         monkeypatch.setattr(GroupingConfig, "__post_init__", counted)
-        result = optimize(SearchSpace((6, 6, 6, 4, 4, 4)), 64)
-        assert len(built) <= 100
-        assert (result.grouped.dof, result.grouped.length) == (Fraction(21, 10), 20)
+        configs = list(enumerate_configs(SearchSpace(equipped), cap))
+        assert refused == []
+        assert len(built) == len(configs) == yielded
+        assert all(b is c for b, c in zip(built, configs))
+        if best is not None:
+            result = optimize(SearchSpace(equipped), cap)
+            assert (result.grouped.dof, result.grouped.length) == best
 
     def test_grouped_configs_use_only_composite_counts(self):
         def composite(u):
@@ -351,6 +369,17 @@ class TestOptimize:
         assert result.conventional.config == result.grouped.config == flat
         assert result.grouped.dof == config_sum_dof(flat)
 
+    def test_many_distinct_composite_counts_answer_without_reduction(self):
+        # twelve users of distinct equipped counts, many composite: the
+        # search walks count classes, not partitions of the users
+        equipped = (4, 6, 8, 9, 10, 12, 14, 15, 16, 18, 20, 21)
+        start = time.perf_counter()
+        result = optimize(SearchSpace(equipped, allow_reduction=False))
+        elapsed = time.perf_counter() - start
+        flat = GroupingConfig.flat(equipped)
+        assert result.conventional.config == result.grouped.config == flat
+        assert elapsed < 1
+
     def test_search_over_the_used_vector_limit_is_refused_before_building(self, monkeypatch):
         def refuse(space, cap=None):
             raise AssertionError("configs must not be enumerated")
@@ -382,6 +411,20 @@ class TestOptimize:
                 optimize(space, budget)
         with pytest.raises(ValueError, match="length budget must be >= 1"):
             sweep(space, range(0, 4))
+
+    def test_fractional_budget_is_refused_before_enumerating(self, monkeypatch):
+        def refuse(space, cap=None):
+            raise AssertionError("configs must not be enumerated")
+
+        monkeypatch.setattr("biasym.search.enumerate_configs", refuse)
+        space = SearchSpace((4, 4))
+        # refused, where int() would answer budget 9
+        with pytest.raises(ValueError, match="length budget must be an integer, got 9.8"):
+            sweep(space, [9.8])
+        with pytest.raises(ValueError, match="length budget must be an integer, got 9.8"):
+            optimize(space, 9.8)
+        with pytest.raises(ValueError, match="length budget must be an integer, got '9'"):
+            sweep(space, [5, "9"])
 
     @pytest.mark.parametrize("budget", [5, 9, 13, 15, 40, 100, None])
     def test_matches_brute_force_oracle(self, budget):

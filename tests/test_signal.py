@@ -152,6 +152,13 @@ class TestChannels:
     def test_rejects_bad_coherence(self, example_config):
         with pytest.raises(ValueError):
             draw_channels(example_config, 0, 1)
+        with pytest.raises(ValueError, match="coherence length must be an integer, got 2.5"):
+            draw_channels(GroupingConfig.flat((3, 2)), 2.5)
+
+    def test_numpy_integer_coherence_is_accepted(self, example_config):
+        ch = draw_channels(example_config, np.int64(5), 3)
+        assert (ch.coherence_length, ch.n_blocks) == (5, 3)
+        assert type(ch.coherence_length) is int
 
 
 class TestEffectiveMatrix:
