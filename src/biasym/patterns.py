@@ -312,7 +312,6 @@ def user_label(position: int, group: int) -> str:
 class UserPattern:
     """One user's switching schedule inside a two-level supersymbol."""
 
-    orig_index: int
     position: int  # 1-based within-group position
     group: int  # 1-based group index
     used: int
@@ -415,7 +414,6 @@ def grouped_pattern(config: GroupingConfig) -> PresetPattern:
         for k, orig in enumerate(group):
             users.append(
                 UserPattern(
-                    orig_index=orig,
                     position=k + 1,
                     group=i + 1,
                     used=config.used[orig],

@@ -4,8 +4,11 @@ The coherence time of the channel caps how long a supersymbol can be, so
 the interesting question is which construction squeezes the most sum DoF
 into at most L slots: plain mode reduction (use fewer presets than
 equipped, no grouping) or a two-level grouping.  Both strategies are
-searched exhaustively; configs are enumerated once in a canonical form so
-that relabelings of interchangeable users or groups never appear twice.
+searched exhaustively.  A config's length and sum DoF depend only on its
+count class (g, e), group counts g and element counts e, a flat config's
+g being (1,); the search ranks the classes that fit and fills only the
+winners with users.  Each fill yields its configs once, in canonical form,
+so relabelings of interchangeable users or groups never appear twice.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, prod
 
-from .dof import config_sum_dof, render_decimal
-from .patterns import GroupingConfig, _integer, _mode_counts, flat_length, grouped_length
+from .dof import render_decimal, sum_dof_grouped
+from .patterns import GroupingConfig, _integer, _mode_counts, flat_length
 
 __all__ = [
     "SearchSpace",
@@ -30,7 +32,7 @@ __all__ = [
     "sweep_to_csv",
 ]
 
-USED_VECTOR_LIMIT = 2**16  # flat used vectors one search may enumerate, about 70 us each
+CLASS_LIMIT = 2**16  # count classes one search may walk
 
 SWEEP_CSV_HEADER = "# biasym sweep v1"
 SWEEP_COLUMNS = (
@@ -92,29 +94,19 @@ def _count_vectors(slots, cap):
     return extend(1, 0, 0)
 
 
-def _classes(equipped) -> list[tuple[int, list[int]]]:
-    """Users by equipped count, smallest count first: users of one class are
-    interchangeable, so their used values are taken non-increasing by index."""
-    classes: dict[int, list[int]] = {}
-    for j, m in enumerate(equipped):
-        classes.setdefault(m, []).append(j)
-    return sorted(classes.items())
-
-
-def _flat_used(space: SearchSpace, cap):
-    """Canonical used vectors whose flat config fits ``cap``: one per
-    multiset of used values within each class of equal equipped counts."""
-    classes = _classes(space.equipped)
-    users = [j for _, members in classes for j in members]
-    slots = [
-        (2 if space.allow_reduction else m, m, i > 0)
-        for m, members in classes for i in range(len(members))
-    ]
-    for counts in _count_vectors(slots, cap):
-        used = [0] * len(users)
-        for j, u in zip(users, counts):
-            used[j] = u
-        yield tuple(used)
+def _count_classes(space: SearchSpace, cap):
+    """Every count class ``(g, e)`` that fits the equipped counts and the
+    cap: the flat ones first, as g = (1,), then the grouped ones by group
+    count.  A flat class takes the used counts sorted descending as e:
+    e_k is at most the k-th largest equipped count, and equal to it
+    without reduction."""
+    eq = sorted(space.equipped, reverse=True)
+    flat = [(2 if space.allow_reduction else m, m, k > 0) for k, m in enumerate(eq)]
+    for e in _count_vectors(flat, cap):
+        yield (1,), e
+    K = len(eq)
+    for kg in (d for d in range(2, K + 1) if K % d == 0):
+        yield from _grouped_classes(space, kg, cap)
 
 
 def _grouped_classes(space: SearchSpace, kg: int, cap):
@@ -165,81 +157,91 @@ def _grouped_classes(space: SearchSpace, kg: int, cap):
                     yield g, e
 
 
-def _grid_configs(space: SearchSpace, g, e):
-    """The configs of the class ``(g, e)``, each once in canonical form.
+def _class_configs(space: SearchSpace, g, e):
+    """The configs of the class ``(g, e)``, each once in canonical form, in
+    ascending canonical-string order: the first is the class's least.
 
-    A grid fill gives every cell an equipped count at least its used count
-    (equal without reduction) from a pool of users left per equipped count.
-    Members are ordered by used, then equipped count, so equipped counts do
-    not increase along a run of equal element counts in a group; groups by
-    used, then equipped tuple, so equipped tuples do not increase across a
-    run of equal group counts.  Cells are filled by decreasing used count,
-    then group-major position, each taking the lowest index left of its
-    equipped count, as the canonical used vectors and groupings need.  In
-    this order any count that fits a cell leaves a fill for the cells after
-    it, which need no more, so the one check is that enough counts between
-    the cell's used count and the one it takes are left for its run.
+    Within a class the string varies only in the groups' equipped lists,
+    so the cells are filled group-major, each with an equipped count at
+    least its used count (equal without reduction), tried in the order of
+    its text in the string: the count and then ``,``, or ``]`` at a
+    group's last position, so "12," < "4," and "21]" < "2]".  Equipped
+    counts do not increase along a run of equal element counts in a group,
+    nor equipped tuples across a run of equal group counts.  A count is
+    kept only while the counts left can still fill the cells left (a Hall
+    check), so few branches die.  Users of one equipped count then take
+    its cells by decreasing used count, then group-major position, lowest
+    index first, as the canonical used vectors and groupings need.
     """
     K, ke = len(space.equipped), len(e)
     used = [x * y for y in g for x in e]
     order = sorted(range(K), key=lambda c: -used[c])  # stable: group-major within a count
-    members = dict(_classes(space.equipped))
-    pool = {m: len(js) for m, js in reversed(members.items())}  # largest count first
-    run = [e[k:].count(x) for k, x in enumerate(e)]  # cells from position k on in its run
-    largest = max(space.equipped)
-    cells, users = [0] * K, [0] * K
+    members = {m: [j for j, x in enumerate(space.equipped) if x == m]  # largest count first
+               for m in sorted(set(space.equipped), reverse=True)}
+    pool = {m: len(js) for m, js in members.items()}
+    by_text = {end: sorted(pool, key=lambda m: f"{m}{end}") for end in ",]"}
+    run = [e[k:].count(x) - 1 for k, x in enumerate(e)]  # cells after k in its run
+    # cells after c that must not take more than c: the rest of its run and, at
+    # a group's first position, the first runs of the later groups of its count
+    capped = [run[k] + (k == 0) * (run[0] + 1) * g[i + 1:].count(g[i])
+              for i in range(len(g)) for k in range(ke)]
+    above = []  # per cell: (t, cells after it of used count >= t) for each larger count t after it
+    for c, v in enumerate(used):
+        after = used[c + 1:]
+        above.append([(t, sum(u >= t for u in after)) for t in set(after) if t > v])
+    cells = [0] * K
 
-    def fill(n):
-        if n == K:
-            by_user = [0] * K
-            for c, j in enumerate(users):
-                by_user[j] = used[c]
+    def fits(c, v, m):
+        # the pool filled cells c.. before taking m, so the cells after c can
+        # be short only of counts in (v, m], and its capped cells, whose used
+        # count is v, of counts in [v, m]
+        r = capped[c]
+        return (not r or r <= sum(n for x, n in pool.items() if v <= x <= m)) and all(
+            sum(n for x, n in pool.items() if x >= t) >= need
+            for t, need in above[c] if t <= m
+        )
+
+    def fill(c):
+        if c == K:
+            left = {m: iter(js) for m, js in members.items()}
+            users, by_user = [0] * K, [0] * K
+            for d in order:
+                users[d] = j = next(left[cells[d]])
+                by_user[j] = used[d]
             groups = tuple(tuple(users[i:i + ke]) for i in range(0, K, ke))
-            yield GroupingConfig(space.equipped, tuple(by_user), groups, g)
+            # the flat constructor skips the alignment check one group passes
+            yield (GroupingConfig.flat(space.equipped, by_user) if g == (1,)
+                   else GroupingConfig(space.equipped, tuple(by_user), groups, g))
             return
-        c = order[n]
         i, k = divmod(c, ke)
-        v = used[c]
-        top = cells[c - 1] if k > 0 and e[k] == e[k - 1] else largest
+        top = cells[c - 1] if k > 0 and e[k] == e[k - 1] else max(pool)
         if i > 0 and g[i] == g[i - 1] and cells[c - k:c] == cells[c - ke - k:c - ke]:
             top = min(top, cells[c - ke])
-        spare = sum(left for m, left in pool.items() if m >= v) - run[k]
-        for m, left in pool.items():
-            if m < v or spare < 0:
-                break
-            if left and m <= top and (m == v or space.allow_reduction):
-                cells[c], users[c] = m, members[m][-left]  # lowest index left
+        v = used[c]
+        for m in by_text["]" if k == ke - 1 else ","]:
+            if pool[m] and v <= m <= top and (m == v or space.allow_reduction):
                 pool[m] -= 1
-                yield from fill(n + 1)
+                if fits(c, v, m):
+                    cells[c] = m
+                    yield from fill(c + 1)
                 pool[m] += 1
-            spare -= left
 
     return fill(0)
 
 
 def enumerate_configs(space: SearchSpace, cap: int | None = None):
     """Yield every valid config of length at most ``cap`` (None = no cap)
-    exactly once, in canonical form.
+    exactly once, in canonical form: every count class times its fill.
 
     Covers all group counts dividing the user count, all used-mode
     assignments when reduction is allowed, all groupings and all group mode
-    counts.  Flat configs come from a depth-first search over used values
-    that cuts every prefix whose least flat length is over the cap.  A
-    grouped config is fixed by its (g, e) class, group counts g and element
-    counts e, and by which user takes each cell of that grid.  The classes
-    that fit the equipped counts and the cap are walked depth first, and a
-    grid fill gives each class's cells their users in canonical form, so
-    every config handed to :class:`GroupingConfig` is valid and within the
-    cap: none is built to be refused.  ``require_grouping`` does not filter
-    here; it only affects which configs the grouped strategy of
+    counts.  Every config handed to :class:`GroupingConfig` is valid and
+    within the cap: none is built to be refused.  ``require_grouping`` does
+    not filter here; it only affects which configs the grouped strategy of
     :func:`optimize` may pick.
     """
-    for used in _flat_used(space, cap):
-        yield GroupingConfig.flat(space.equipped, used)
-    K = len(space.equipped)
-    for kg in (d for d in range(2, K + 1) if K % d == 0):
-        for g, e in _grouped_classes(space, kg, cap):
-            yield from _grid_configs(space, g, e)
+    for g, e in _count_classes(space, cap):
+        yield from _class_configs(space, g, e)
 
 
 # ======================================================================
@@ -266,53 +268,46 @@ class SweepRow:
 def _frontier(space: SearchSpace, budgets) -> list[SweepRow]:
     """The best entries per strategy at each budget, None = no cap.
 
-    Refuses a budget below 1, and a search with more than
-    ``USED_VECTOR_LIMIT`` flat used vectors within the largest budget,
-    before building any config; they are counted only when the space
-    holds that many in all.  Then enumerates once, up to the largest
-    budget, and sorts the configs by length.  A running best per strategy
-    under the key (-dof, length, num_groups, canonical string) then
-    answers each budget with one bisection.  Canonical strings are unique,
-    so the minimum does not depend on enumeration order.
+    Refuses a budget below 1, and a search with more than ``CLASS_LIMIT``
+    count classes within the largest budget, before building any config.
+    A config's DoF, length and group count depend only on its class (g, e):
+    ``sum_dof_flat(e) * sum_dof_flat(g)``, ``flat_length(e) *
+    flat_length(g)`` and len(g).  So the classes are sorted by length, and
+    a running best per strategy under the key (-dof, length, num_groups,
+    canonical string) answers each budget with one bisection.  Only a
+    class whose key takes or ties the best so far is filled, and only
+    once: its first config is its least string.  Canonical strings are
+    unique, so the minimum does not depend on the order of the walk.
     """
     if any(b is not None and b < 1 for b in budgets):
         raise ValueError("every length budget must be >= 1")
     cap = None if None in budgets else max(budgets, default=0)
-    # n users equipped with m modes take C(m + n - 2, n) multisets of 2..m
-    total = prod(comb(m + len(js) - 2, len(js)) for m, js in _classes(space.equipped))
-    if space.allow_reduction and total > USED_VECTOR_LIMIT and (
-        cap is None
-        or sum(1 for _ in islice(_flat_used(space, cap), USED_VECTOR_LIMIT + 1))
-        > USED_VECTOR_LIMIT
-    ):
+    classes = list(islice(_count_classes(space, cap), CLASS_LIMIT + 1))
+    if len(classes) > CLASS_LIMIT:
         raise ValueError(
-            f"search has more than {USED_VECTOR_LIMIT} used-mode vectors within the budget, "
-            f"above the {USED_VECTOR_LIMIT} limit; give a smaller length budget"
+            f"search has more than {CLASS_LIMIT} count classes within the budget, "
+            f"above the {CLASS_LIMIT} limit; give a smaller length budget"
         )
-    entries = [
-        BestEntry(cfg, config_sum_dof(cfg), grouped_length(cfg))
-        for cfg in enumerate_configs(space, cap)
+    ranked = sorted(
+        (flat_length(e) * flat_length(g), -sum_dof_grouped(e, g), len(g), g, e)
+        for g, e in classes
+    )
+    best = [None, None]  # (key, canonical string, entry): conventional, grouped
+    rows = [(None, None)]
+    for length, neg_dof, kg, g, e in ranked:
+        key, new = (neg_dof, length, kg), None
+        for i, admits in enumerate((kg == 1, kg >= 2 or not space.require_grouping)):
+            if admits and (best[i] is None or key <= best[i][0]):
+                if new is None:
+                    config = next(_class_configs(space, g, e))
+                    new = (key, config.canonical_string(), BestEntry(config, -neg_dof, length))
+                best[i] = min(best[i] or new, new, key=lambda b: b[:2])
+        rows.append(tuple(b and b[2] for b in best))
+    lengths = [r[0] for r in ranked]
+    return [
+        SweepRow(budget, *rows[len(ranked) if budget is None else bisect_right(lengths, budget)])
+        for budget in budgets
     ]
-    entries.sort(key=lambda e: e.length)
-    conventional, grouped = [None], [None]
-    conv_key = grp_key = None
-    for e in entries:
-        key = (-e.dof, e.length, e.config.num_groups, e.config.canonical_string())
-        conv, grp = conventional[-1], grouped[-1]
-        if e.config.num_groups == 1 and (conv_key is None or key < conv_key):
-            conv, conv_key = e, key
-        if (e.config.num_groups >= 2 or not space.require_grouping) and (
-            grp_key is None or key < grp_key
-        ):
-            grp, grp_key = e, key
-        conventional.append(conv)
-        grouped.append(grp)
-    lengths = [e.length for e in entries]
-    out = []
-    for budget in budgets:
-        i = len(entries) if budget is None else bisect_right(lengths, budget)
-        out.append(SweepRow(budget, conventional[i], grouped[i]))
-    return out
 
 
 def optimize(space: SearchSpace, budget: int | None = None) -> SweepRow:

@@ -45,14 +45,13 @@ RANK_RTOL = 1e-10  # singular values below max_dim * smax * RANK_RTOL count as z
 class ChannelSet:
     """Block-fading channel draws for every (receiver, transmitter) pair.
 
-    ``gains[(rx, tx)]`` has shape (n_blocks, rx used modes, tx used modes):
+    ``gains[(rx, tx)]`` has shape (blocks, rx used modes, tx used modes):
     one row vector per receive preset mode, one column per transmit antenna
     dimension, redrawn independently every ``coherence_length`` slots.
     Indices are group-major user positions, matching PresetPattern.users.
     """
 
     coherence_length: int
-    n_blocks: int
     gains: dict[tuple[int, int], np.ndarray] = field(repr=False)
 
 
@@ -90,11 +89,7 @@ def draw_channels(
             gains[(rx, tx)] = (
                 rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             ) / np.sqrt(2.0)
-    return ChannelSet(
-        coherence_length=coherence_length,
-        n_blocks=n_blocks,
-        gains=gains,
-    )
+    return ChannelSet(coherence_length=coherence_length, gains=gains)
 
 
 # ======================================================================

@@ -415,6 +415,23 @@ class TestDofCommand:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().out == "64/25 (2.560000), length 25\n"
 
+    @pytest.mark.parametrize("budget,line", [
+        (25, "12/5 (2.400000), length 20"),
+        (40, "88/35 (2.514286), length 35"),
+        (64, "8/3 (2.666667), length 60"),
+        (100, "232/85 (2.729412), length 85"),
+        (300, "209/70 (2.985714), length 280"),
+        (1000, "10/3 (3.333333), length 972"),
+    ])
+    def test_twelve_distinct_composites_auto_grouping_answers(self, capsys, budget, line):
+        # one class of these modes within 300 slots holds over a million
+        # configs: the search ranks classes by their counts and builds winners
+        start = time.perf_counter()
+        assert main(["dof", "--modes", "4,6,8,9,10,12,14,15,16,18,20,21",
+                     "--groups", "auto", "--budget", str(budget)]) == 0
+        assert time.perf_counter() - start < 3
+        assert capsys.readouterr().out == line + "\n"
+
     def test_unbounded_auto_search_over_the_limit_is_2(self, capsys):
         start = time.perf_counter()
         assert main(["dof", "--modes", ",".join("9" * 16), "--groups", "auto"]) == 2

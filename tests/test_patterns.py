@@ -285,8 +285,8 @@ class TestGroupedPattern:
             cfg = GroupingConfig.flat(modes)
             pattern = grouped_pattern(cfg)
             flat = base_pattern(modes)
-            for u in pattern.users:
-                assert u.physical_seq() == flat[u.orig_index]
+            for u, orig in zip(pattern.users, cfg.user_order()):
+                assert u.physical_seq() == flat[orig]
             assert pattern.length == flat_length(modes)
 
     def test_grouped_length_equals_construction(self):
@@ -306,8 +306,8 @@ class TestGroupedPattern:
         cfg = GroupingConfig.flat([6, 6, 4, 4], used=[3, 2, 2, 2])
         pattern = grouped_pattern(cfg)
         assert pattern.length == 9
-        for u in pattern.users:
-            assert max(u.physical_seq()) == cfg.used[u.orig_index]
+        for u, orig in zip(pattern.users, cfg.user_order()):
+            assert max(u.physical_seq()) == cfg.used[orig]
 
     def test_table_round_trips_slot_entries(self, example_pattern):
         text = pattern_table(example_pattern)

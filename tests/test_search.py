@@ -33,7 +33,7 @@ from biasym import (
     sweep_to_csv,
     verify_receivers,
 )
-from biasym.search import USED_VECTOR_LIMIT
+from biasym.search import CLASS_LIMIT, _class_configs, _count_classes
 
 
 # ======================================================================
@@ -156,11 +156,16 @@ def reference_canonical_strings(equipped, allow_reduction):
 
 
 def assert_each_config_once(equipped, allow_reduction):
-    """The enumeration yields the oracle's canonical strings, each once."""
+    """The enumeration yields the oracle's canonical strings, each once, and
+    each class fills its configs in ascending canonical-string order."""
     space = SearchSpace(equipped, allow_reduction=allow_reduction)
     got = [c.canonical_string() for c in enumerate_configs(space)]
     assert len(got) == len(set(got))
     assert set(got) == reference_canonical_strings(equipped, allow_reduction)
+    for g, e in _count_classes(space, None):
+        fill = [c.canonical_string() for c in _class_configs(space, g, e)]
+        assert fill == sorted(fill)
+        assert fill[0] == min(fill)
 
 
 def tie_break_key(entry):
@@ -380,18 +385,24 @@ class TestOptimize:
         assert result.conventional.config == result.grouped.config == flat
         assert elapsed < 1
 
-    def test_search_over_the_used_vector_limit_is_refused_before_building(self, monkeypatch):
-        def refuse(space, cap=None):
-            raise AssertionError("configs must not be enumerated")
+    def test_search_over_the_class_limit_is_refused_before_building(self, monkeypatch):
+        def refuse(space, g, e):
+            raise AssertionError("configs must not be built")
 
-        monkeypatch.setattr("biasym.search.enumerate_configs", refuse)
-        space = SearchSpace((9,) * 16)  # 245,157 used vectors, over 2**16 within 10**12 slots
+        monkeypatch.setattr("biasym.search._class_configs", refuse)
+        space = SearchSpace((9,) * 16)  # 245,157 flat classes, over 2**16 within 10**12 slots
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"above the {USED_VECTOR_LIMIT} limit"):
+        with pytest.raises(ValueError, match=f"above the {CLASS_LIMIT} limit"):
             optimize(space)
         assert time.perf_counter() - start < 1
-        with pytest.raises(ValueError, match=f"above the {USED_VECTOR_LIMIT} limit"):
+        with pytest.raises(ValueError, match=f"above the {CLASS_LIMIT} limit"):
             sweep(space, [25, 10**12])
+
+    def test_users_of_one_count_are_indexed_by_decreasing_used_count(self):
+        # group-major indexing would give (8, 6, 6, 8, 6, 6): the same string,
+        # but not the canonical config
+        result = optimize(SearchSpace((8,) * 6), 100)
+        assert result.grouped.config.used == (8, 8, 6, 6, 6, 6)
 
     def test_infeasible_returns_none(self):
         # used count 5 is prime, so no proper grouping exists
@@ -401,10 +412,11 @@ class TestOptimize:
         assert tight.conventional is None and tight.grouped is None
 
     def test_budget_below_one_is_refused_before_enumerating(self, monkeypatch):
-        def refuse(space):
-            raise AssertionError("configs must not be enumerated")
+        def refuse(*args):
+            raise AssertionError("classes must not be walked, nor configs built")
 
-        monkeypatch.setattr("biasym.search.enumerate_configs", refuse)
+        monkeypatch.setattr("biasym.search._count_classes", refuse)
+        monkeypatch.setattr("biasym.search._class_configs", refuse)
         space = SearchSpace((4, 4))
         for budget in (0, -3):
             with pytest.raises(ValueError, match="length budget must be >= 1"):
@@ -413,10 +425,11 @@ class TestOptimize:
             sweep(space, range(0, 4))
 
     def test_fractional_budget_is_refused_before_enumerating(self, monkeypatch):
-        def refuse(space, cap=None):
-            raise AssertionError("configs must not be enumerated")
+        def refuse(*args):
+            raise AssertionError("classes must not be walked, nor configs built")
 
-        monkeypatch.setattr("biasym.search.enumerate_configs", refuse)
+        monkeypatch.setattr("biasym.search._count_classes", refuse)
+        monkeypatch.setattr("biasym.search._class_configs", refuse)
         space = SearchSpace((4, 4))
         # refused, where int() would answer budget 9
         with pytest.raises(ValueError, match="length budget must be an integer, got 9.8"):

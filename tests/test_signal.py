@@ -123,7 +123,7 @@ class TestChannels:
         again = draw_channels(example_config, None, 11)
         other = draw_channels(example_config, None, 12)
         dims = [6, 4, 6, 4]  # group-major user order
-        assert ch.n_blocks == 1
+        assert ch.gains[(0, 0)].shape[0] == 1
         for rx in range(4):
             for tx in range(4):
                 assert ch.gains[(rx, tx)].shape == (1, dims[rx], dims[tx])
@@ -134,7 +134,6 @@ class TestChannels:
 
     def test_block_fading_boundaries(self, example_config):
         ch = draw_channels(example_config, 5, 3)
-        assert ch.n_blocks == 3
         assert ch.gains[(0, 0)].shape[0] == 3
         # rows hold inside a fading block and change across its boundaries
         rows = [channel_row(ch, 0, 0, t, 1) for t in (1, 5, 6, 10, 11, 15)]
@@ -157,7 +156,7 @@ class TestChannels:
 
     def test_numpy_integer_coherence_is_accepted(self, example_config):
         ch = draw_channels(example_config, np.int64(5), 3)
-        assert (ch.coherence_length, ch.n_blocks) == (5, 3)
+        assert (ch.coherence_length, ch.gains[(0, 0)].shape[0]) == (5, 3)
         assert type(ch.coherence_length) is int
 
 
