@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -127,6 +127,10 @@ _CONVERT = {
     "coherence": _integer, "verify": _switch, "per_user": _switch,
     "require_grouping": _switch, "no_reduction": _switch,
 }
+
+
+# fields whose default is None take null from a config file; the converters refuse it elsewhere
+_NULLABLE = {f.name for f in fields(RunConfig) if f.default is None}
 
 
 def _groups_to_indices(equipped, value_groups) -> list[list[int]]:
@@ -361,7 +365,7 @@ def _merge_run_config(args: argparse.Namespace) -> RunConfig:
     converted = {}
     for name, v in values.items():
         try:
-            converted[name] = None if v is None else _CONVERT[name](v)
+            converted[name] = None if v is None and name in _NULLABLE else _CONVERT[name](v)
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
     return RunConfig(command=args.command, **converted)

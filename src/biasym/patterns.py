@@ -68,12 +68,9 @@ class GroupingConfig:
 
     def __post_init__(self) -> None:
         eq, us = _mode_counts(self.equipped, self.used)
-        one_group = self.groups is _ALL_USERS
-        if one_group:
-            grs, mgs = (_member_order(range(len(eq)), eq, us),), (1,)
-        else:
-            grs = tuple(tuple(int(u) for u in g) for g in self.groups)
-            mgs = tuple(map(_mode_count, self.group_mode_counts))
+        grs = tuple(tuple(_integer(u, "user indices must be integers") for u in g)
+                    for g in self.groups)
+        mgs = tuple(map(_mode_count, self.group_mode_counts))
         object.__setattr__(self, "equipped", eq)
         object.__setattr__(self, "used", us)
         object.__setattr__(self, "groups", grs)
@@ -83,9 +80,6 @@ class GroupingConfig:
             raise ValueError("every used mode count must be >= 2")
         if any(u > m for u, m in zip(us, eq)):
             raise ValueError("used mode counts cannot exceed equipped mode counts")
-        if one_group:  # every user in member order under count 1 aligns as it stands
-            object.__setattr__(self, "element_counts", tuple(us[j] for j in grs[0]))
-            return
 
         K = len(eq)
         kg = len(grs)
@@ -138,12 +132,13 @@ class GroupingConfig:
     @classmethod
     def flat(cls, equipped, used=None) -> "GroupingConfig":
         """Single-group config: the plain flat construction over used modes."""
-        return cls(equipped, equipped if used is None else used, _ALL_USERS, (1,))
+        return cls.grouped(equipped, [range(len(equipped))], (1,), used)
 
     @classmethod
     def grouped(cls, equipped, groups, group_mode_counts, used=None) -> "GroupingConfig":
         """Build a config from explicit user-index groups, normalizing order."""
         eq, us = _mode_counts(equipped, equipped if used is None else used)
+        groups = [[_integer(j, "user indices must be integers") for j in g] for g in groups]
         if not all(0 <= j < len(eq) for g in groups for j in g):
             raise ValueError("groups must partition the users")
         norm = tuple(_member_order(g, eq, us) for g in groups)
@@ -188,11 +183,6 @@ class GroupingConfig:
 
     def __str__(self) -> str:
         return self.canonical_string()
-
-
-# the ``groups`` GroupingConfig.flat passes: one group of every user, which
-# the constructor puts in member order after converting the counts
-_ALL_USERS = object()
 
 
 def _integer(value, rule: str) -> int:

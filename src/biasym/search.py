@@ -5,9 +5,11 @@ the interesting question is which construction squeezes the most sum DoF
 into at most L slots: plain mode reduction (use fewer presets than
 equipped, no grouping) or a two-level grouping.  Both strategies are
 searched exhaustively.  A config's length and sum DoF depend only on its
-count class (g, e), group counts g and element counts e, a flat config's
-g being (1,); the search ranks the classes that fit and fills only the
-winners with users.  Each fill yields its configs once, in canonical form,
+count class (g, e), group counts g and element counts e, a flat config
+being the one-group class g = (1,).  One walk yields the classes that fit,
+group count 1 first; the search ranks them and fills users into only the
+classes that answer a budget, once per answered key.  Each fill yields its
+configs once, in canonical form, through the one validating constructor,
 so relabelings of interchangeable users or groups never appear twice.
 """
 
@@ -16,7 +18,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import cache
+from itertools import groupby, islice
+from operator import itemgetter
 
 from .dof import render_decimal, sum_dof_grouped
 from .patterns import GroupingConfig, _integer, _mode_counts, flat_length
@@ -96,24 +100,11 @@ def _count_vectors(slots, cap):
 
 def _count_classes(space: SearchSpace, cap):
     """Every count class ``(g, e)`` that fits the equipped counts and the
-    cap: the flat ones first, as g = (1,), then the grouped ones by group
-    count.  A flat class takes the used counts sorted descending as e:
-    e_k is at most the k-th largest equipped count, and equal to it
-    without reduction."""
-    eq = sorted(space.equipped, reverse=True)
-    flat = [(2 if space.allow_reduction else m, m, k > 0) for k, m in enumerate(eq)]
-    for e in _count_vectors(flat, cap):
-        yield (1,), e
-    K = len(eq)
-    for kg in (d for d in range(2, K + 1) if K % d == 0):
-        yield from _grouped_classes(space, kg, cap)
-
-
-def _grouped_classes(space: SearchSpace, kg: int, cap):
-    """The count classes ``(g, e)`` of ``kg`` groups that fit the equipped
-    counts and the cap: group counts g and element counts e, each >= 2 and
-    non-increasing, with used count e_k * g_j in the cell of position k of
-    group j and length ``flat_length(e) * flat_length(g)``.
+    cap, by group count kg, each divisor of the user count from 1 up:
+    group counts g and element counts e, non-increasing, with used count
+    e_k * g_j in the cell of position k of group j and length
+    ``flat_length(e) * flat_length(g)``.  One group is g = (1,), its e the
+    used counts sorted descending; more groups take group counts >= 2.
 
     A flat length is at least one more than its number of counts, so the
     group counts get the cap over the element level's least length and
@@ -126,35 +117,42 @@ def _grouped_classes(space: SearchSpace, kg: int, cap):
     eq[K - (ke - k) * (kg - j)].  There the largest cell e_0 * g_0 is
     eq[0], which fixes e_0 and puts e_0 * g_j between eq[K - ke * (kg - j)]
     and eq[j].  A class fits when its cells, sorted, are at most eq (equal
-    to it without reduction).
+    to it without reduction).  A single row or column of cells, kg or ke
+    of 1, is sorted as it stands, so there the bounds alone make it fit.
     """
     K = len(space.equipped)
-    ke = K // kg
     eq = sorted(space.equipped, reverse=True)
     exact = not space.allow_reduction
-    g_slots = [(2, eq[(j + 1) * ke - 1] // 2, j > 0) for j in range(kg)]
-    walks = [g_slots]
-    if exact:  # one walk per lead group count g_0, with e_0 = eq[0] / g_0
-        walks = []
-        for g0 in range(2, g_slots[0][1] + 1):
-            if eq[0] % g0 == 0:
-                e0 = eq[0] // g0
-                walks.append([(g0, g0, False)] + [
-                    (max(2, -(-eq[K - ke * (kg - j)] // e0)), min(hi, eq[j] // e0), True)
-                    for j, (_, hi, _) in enumerate(g_slots) if j > 0
-                ])
-    for slots in walks:
-        for g in _count_vectors(slots, None if cap is None else cap // (ke + 1)):
-            e_slots = [(
-                max(2, *(-(-eq[K - (ke - k) * (kg - j)] // gj) for j, gj in enumerate(g)))
-                if exact else 2,
-                min(eq[(k + 1) * (j + 1) - 1] // gj for j, gj in enumerate(g)),
-                k > 0,
-            ) for k in range(ke)]
-            for e in _count_vectors(e_slots, None if cap is None else cap // flat_length(g)):
-                values = sorted((x * y for x in e for y in g), reverse=True)
-                if values == eq if exact else all(v <= m for v, m in zip(values, eq)):
-                    yield g, e
+    for kg in (d for d in range(1, K + 1) if K % d == 0):
+        ke = K // kg
+        g_slots = [(1, 1, False)] if kg == 1 else [
+            (2, eq[(j + 1) * ke - 1] // 2, j > 0) for j in range(kg)
+        ]
+        walks = [g_slots]
+        if exact:  # one walk per lead group count g_0, with e_0 = eq[0] / g_0
+            walks = []
+            for g0 in range(g_slots[0][0], g_slots[0][1] + 1):
+                if eq[0] % g0 == 0:
+                    e0 = eq[0] // g0
+                    walks.append([(g0, g0, False)] + [
+                        (max(2, -(-eq[K - ke * (kg - j)] // e0)), min(hi, eq[j] // e0), True)
+                        for j, (_, hi, _) in enumerate(g_slots) if j > 0
+                    ])
+        for slots in walks:
+            for g in _count_vectors(slots, None if cap is None else cap // (ke + 1)):
+                e_slots = [(
+                    max(2, *(-(-eq[K - (ke - k) * (kg - j)] // gj) for j, gj in enumerate(g)))
+                    if exact else 2,
+                    min(eq[(k + 1) * (j + 1) - 1] // gj for j, gj in enumerate(g)),
+                    k > 0,
+                ) for k in range(ke)]
+                for e in _count_vectors(e_slots, None if cap is None else cap // flat_length(g)):
+                    if min(kg, ke) == 1:
+                        yield g, e
+                        continue
+                    values = sorted((x * y for x in e for y in g), reverse=True)
+                    if values == eq if exact else all(v <= m for v, m in zip(values, eq)):
+                        yield g, e
 
 
 def _class_configs(space: SearchSpace, g, e):
@@ -209,9 +207,7 @@ def _class_configs(space: SearchSpace, g, e):
                 users[d] = j = next(left[cells[d]])
                 by_user[j] = used[d]
             groups = tuple(tuple(users[i:i + ke]) for i in range(0, K, ke))
-            # the flat constructor skips the alignment check one group passes
-            yield (GroupingConfig.flat(space.equipped, by_user) if g == (1,)
-                   else GroupingConfig(space.equipped, tuple(by_user), groups, g))
+            yield GroupingConfig(space.equipped, tuple(by_user), groups, g)
             return
         i, k = divmod(c, ke)
         top = cells[c - 1] if k > 0 and e[k] == e[k - 1] else max(pool)
@@ -272,12 +268,14 @@ def _frontier(space: SearchSpace, budgets) -> list[SweepRow]:
     count classes within the largest budget, before building any config.
     A config's DoF, length and group count depend only on its class (g, e):
     ``sum_dof_flat(e) * sum_dof_flat(g)``, ``flat_length(e) *
-    flat_length(g)`` and len(g).  So the classes are sorted by length, and
-    a running best per strategy under the key (-dof, length, num_groups,
-    canonical string) answers each budget with one bisection.  Only a
-    class whose key takes or ties the best so far is filled, and only
-    once: its first config is its least string.  Canonical strings are
-    unique, so the minimum does not depend on the order of the walk.
+    flat_length(g)`` and len(g).  So the classes are sorted by length and
+    cut into runs of equal key (-dof, length, num_groups); a budget takes
+    a whole run or none of it.  A running best run per strategy, the least
+    key so far, answers each budget with one bisection, and nothing is
+    filled until then.  Each run that answers a budget is filled once,
+    for the least canonical string of its classes' first configs, on
+    which ties break; canonical strings are unique, so the answer does
+    not depend on the order of the walk.
     """
     if any(b is not None and b < 1 for b in budgets):
         raise ValueError("every length budget must be >= 1")
@@ -292,22 +290,27 @@ def _frontier(space: SearchSpace, budgets) -> list[SweepRow]:
         (flat_length(e) * flat_length(g), -sum_dof_grouped(e, g), len(g), g, e)
         for g, e in classes
     )
-    best = [None, None]  # (key, canonical string, entry): conventional, grouped
-    rows = [(None, None)]
-    for length, neg_dof, kg, g, e in ranked:
-        key, new = (neg_dof, length, kg), None
+    best = [None, None]  # (key, run) of the best run: conventional, grouped
+    rows, lengths = [(None, None)], []
+    for (length, neg_dof, kg), run in groupby(ranked, itemgetter(0, 1, 2)):
+        key, run = (neg_dof, length, kg), tuple(r[3:] for r in run)
         for i, admits in enumerate((kg == 1, kg >= 2 or not space.require_grouping)):
-            if admits and (best[i] is None or key <= best[i][0]):
-                if new is None:
-                    config = next(_class_configs(space, g, e))
-                    new = (key, config.canonical_string(), BestEntry(config, -neg_dof, length))
-                best[i] = min(best[i] or new, new, key=lambda b: b[:2])
-        rows.append(tuple(b and b[2] for b in best))
-    lengths = [r[0] for r in ranked]
-    return [
-        SweepRow(budget, *rows[len(ranked) if budget is None else bisect_right(lengths, budget)])
-        for budget in budgets
-    ]
+            if admits and (best[i] is None or key < best[i][0]):
+                best[i] = (key, run)
+        rows.append(tuple(best))
+        lengths.append(length)
+
+    @cache  # a key has one run, so each answered key is filled once
+    def answer(best):
+        if best is None:
+            return None
+        (neg_dof, length, _), run = best
+        config = min((next(_class_configs(space, g, e)) for g, e in run), key=str)
+        return BestEntry(config, -neg_dof, length)
+
+    at = [len(lengths) if b is None else bisect_right(lengths, b) for b in budgets]
+    answers = {n: tuple(map(answer, rows[n])) for n in set(at)}
+    return [SweepRow(budget, *answers[n]) for budget, n in zip(budgets, at)]
 
 
 def optimize(space: SearchSpace, budget: int | None = None) -> SweepRow:

@@ -312,6 +312,41 @@ class TestInputConversion:
         assert main(["verify", "--config", str(path)]) == 2
         assert "invalid config: seed: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", sorted(_CONVERT))
+    def test_any_json_value_of_a_field_exits_with_a_code(
+        self, name, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)  # an "out" value writes a file here
+        path = tmp_path / "run.json"
+        for value in (None, True, False, 0, -1, 1.5, "x", "", [], {}):
+            for command in ("pattern", "verify", "dof", "sweep"):
+                # a sweep gets a range, so that its other fields are read too
+                base = {"modes": [4, 4], **({"lmin": 1, "lmax": 20} if command == "sweep" else {})}
+                path.write_text(json.dumps({**base, name: value}), encoding="utf-8")
+                assert main([command, "--config", str(path)]) in (0, 2, 3, 4), (command, value)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("name", sorted(
+        f.name for f in fields(RunConfig) if f.name != "command" and f.default is not None
+    ))
+    def test_null_is_2_for_a_field_that_defaults_to_a_value(self, name, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"modes": [4, 4], name: None}), encoding="utf-8")
+        assert main(["verify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"invalid config: {name}: expected " in captured.err
+        assert captured.out == ""
+
+    def test_null_keeps_the_default_of_a_field_that_defaults_to_none(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"modes": [6, 6, 4, 4], "flat": True, "used": None,
+                                    "budget": None, "out": None, "coherence": None}),
+                        encoding="utf-8")
+        assert main(["verify", "--config", str(path)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["verify", "--modes", "6,6,4,4", "--flat"]) == 0
+        assert from_file == capsys.readouterr().out
+
     def test_unreadable_config_file_is_named(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text("", encoding="utf-8")

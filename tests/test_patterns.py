@@ -19,7 +19,6 @@ from biasym import (
     pattern_table,
     user_label,
 )
-from biasym import patterns
 
 mode_lists = st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=5)
 
@@ -190,18 +189,8 @@ class TestGroupingConfig:
         assert str(cfg) == "KG=1;G1=[6,4]/MG1;used=4,4"
         assert all(type(m) is int for m in cfg.equipped + cfg.used)
 
-    def test_flat_config_is_validated_once(self, monkeypatch):
-        calls = []
-        for name in ("_mode_counts", "_member_order"):
-            original = getattr(patterns, name)
-
-            def counted(*args, _original=original, _name=name):
-                calls.append(_name)
-                return _original(*args)
-
-            monkeypatch.setattr(patterns, name, counted)
+    def test_flat_config_is_the_one_group_config(self):
         cfg = GroupingConfig.flat((4, 6, 4), (3, 4, 4))
-        assert calls == ["_mode_counts", "_member_order"]
         assert cfg.groups == ((1, 2, 0),) and cfg.element_counts == (4, 4, 3)
         assert cfg == GroupingConfig((4, 6, 4), (3, 4, 4), ((1, 2, 0),), (1,))
 
@@ -220,6 +209,16 @@ class TestGroupingConfig:
         for bad in ([[0], [5]], [[0], [-1]]):
             with pytest.raises(ValueError, match="groups must partition the users"):
                 GroupingConfig.grouped((4, 4), bad, (2, 2))
+
+    def test_non_integer_user_indices_are_refused(self):
+        # refused, where int() would truncate 0.9 to 0 and read '0' as 0
+        with pytest.raises(ValueError, match="user indices must be integers, got 0.9"):
+            GroupingConfig((4,) * 4, (4,) * 4, ((0.9, 1.2), (2, 3.5)), (2, 2))
+        with pytest.raises(ValueError, match="user indices must be integers, got '0'"):
+            GroupingConfig((4, 4), (4, 4), (("0", 1),), (1,))
+        # converted before the range check, so both entry points refuse alike
+        with pytest.raises(ValueError, match="user indices must be integers, got 0.2"):
+            GroupingConfig.grouped((4, 4), [[0.2, 1.9]], (1,))
 
     def test_descending_order_enforced_and_normalized(self):
         with pytest.raises(ValueError, match="descending"):

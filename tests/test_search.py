@@ -404,6 +404,43 @@ class TestOptimize:
         result = optimize(SearchSpace((8,) * 6), 100)
         assert result.grouped.config.used == (8, 8, 6, 6, 6, 6)
 
+    @staticmethod
+    def spy_on_fills(monkeypatch) -> list:
+        fills = []
+
+        def spy(space, g, e):
+            fills.append((g, e))
+            return _class_configs(space, g, e)
+
+        monkeypatch.setattr("biasym.search._class_configs", spy)
+        return fills
+
+    @pytest.mark.parametrize("equipped,budget,filled", [
+        ((6, 6, 6, 4, 4, 4), 64, 2),  # one winning class per strategy
+        ((9,) * 8, None, 1),  # the flat class over every mode wins both
+    ])
+    def test_only_the_answering_classes_are_filled(self, equipped, budget, filled, monkeypatch):
+        fills = self.spy_on_fills(monkeypatch)
+        optimize(SearchSpace(equipped), budget)
+        assert len(fills) == filled
+
+    @pytest.mark.parametrize("budgets", [range(1, 121), range(10, 121, 10)], ids=["every", "tenth"])
+    def test_a_sweep_fills_only_its_winners_and_their_ties(self, budgets, monkeypatch):
+        space = SearchSpace((6, 6, 4, 4))
+
+        def key(config):
+            return config_sum_dof(config), grouped_length(config), config.num_groups
+
+        winners = {
+            key(e.config) for r in sweep(space, budgets).rows
+            for e in (r.conventional, r.grouped) if e
+        }
+        ties = {(g, e) for g, e in _count_classes(space, max(budgets))
+                if key(next(_class_configs(space, g, e))) in winners}
+        fills = self.spy_on_fills(monkeypatch)
+        sweep(space, budgets)
+        assert len(fills) == len(set(fills)) and set(fills) <= ties
+
     def test_infeasible_returns_none(self):
         # used count 5 is prime, so no proper grouping exists
         result = optimize(SearchSpace((5,) * 5, allow_reduction=False, require_grouping=True))
