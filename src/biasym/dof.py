@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
 
-from .patterns import GroupingConfig, _flat_counts, _integer, flat_length, grouped_length
+from .patterns import GroupingConfig, _flat_counts, _holds, _integer, flat_length, grouped_length
 
 __all__ = [
     "ReceiverRanks",
@@ -58,11 +58,6 @@ class ReceiverRanks:
         return sum(self.per_interferer.values()) - self.iui_total
 
 
-def _others(counts) -> list[int]:
-    """For every entry p, the product over q != p of (counts[q] - 1)."""
-    return [prod(m - 1 for q, m in enumerate(counts) if q != p) for p in range(len(counts))]
-
-
 def rank_predictions(config: GroupingConfig) -> list[ReceiverRanks]:
     """Predicted ranks of desired and interfering signal spaces per receiver.
 
@@ -78,7 +73,7 @@ def rank_predictions(config: GroupingConfig) -> list[ReceiverRanks]:
     """
     elem = config.element_counts
     grp = config.group_mode_counts
-    e_share, g_share = _others(elem), _others(grp)
+    e_share, g_share = _holds(elem), _holds(grp)
     users = [(k, i) for i in range(len(grp)) for k in range(len(elem))]
     share = {(k, i): e_share[k] * g_share[i] for k, i in users}
     length = grouped_length(config)

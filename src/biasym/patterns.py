@@ -20,6 +20,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -344,47 +345,46 @@ class PresetPattern:
         array per user, group-major.
 
         Row s lists the slots over which stream s repeats its one
-        used-dimensional symbol vector.  Two-level streams are products of an
-        element-level stream (digits of the other in-group positions) and a
-        group-level replication (digits of the other groups); a stream
-        occupies the element slots inside each of its group-level slots, so
-        it sees every own physical mode exactly once, and two streams of one
-        user never share a slot.
+        used-dimensional symbol vector.  The config's counts alone fix them:
+        a two-level stream is a group-level stream (outer) times an
+        element-level one, each from ``_flat_streams``, and takes its
+        element slots inside each of its group slots.  So a stream sees every
+        own physical mode once, and two streams of one user share no slot.
         """
-        config = self.config
-        l1 = len(self.users[0].element_seq)
-        per_group = config.users_per_group
-        m1_family = [u.element_seq for u in self.users[:per_group]]
-        m2_family = [u.group_seq for u in self.users[::per_group]]
+        elem, grp = self.config.element_counts, self.config.group_mode_counts
+        l1 = flat_length(elem)
+        s1 = [_flat_streams(elem, k) for k in range(len(elem))]
+        s2 = [_flat_streams(grp, i) for i in range(len(grp))]
         out = []
-        for u in self.users:
-            m1_slots = _flat_stream_slots(m1_family, config.element_counts, u.position - 1)
-            m2_slots = _flat_stream_slots(m2_family, config.group_mode_counts, u.group - 1)
-            slots = np.array([
-                sorted(s2 * l1 + s1 for s2 in m2_slots[b_key] for s1 in m1_slots[a_key])
-                for b_key in sorted(m2_slots)
-                for a_key in sorted(m1_slots)
-            ], dtype=np.intp)
+        for k, i in self.config.labels():
+            a, b = s1[k - 1], s2[i - 1]
+            slots = (b[:, None, :, None] * l1 + a[None, :, None, :]).reshape(len(b) * len(a), -1)
             slots.flags.writeable = False
             out.append(slots)
         return tuple(out)
 
 
-def _flat_stream_slots(family, counts, k: int) -> dict[tuple, list[int]]:
-    """0-based slots of user k's streams in a flat ``family`` of mode sequences.
+def _holds(counts) -> list[int]:
+    """Hold-segment length of every user of one flat level: for user k,
+    H_k = prod over q != k of (counts[q] - 1), its stream count."""
+    return [prod(m - 1 for q, m in enumerate(counts) if q != k) for k in range(len(counts))]
 
-    Streams are keyed by the other users' modes: slot t joins the stream
-    keyed by their modes at t unless one holds its final mode (another
-    user's hold segment).  A stream thus repeats over M_k - 1 slots of the
-    interleaving block and one slot of user k's own hold segment.
+
+def _flat_streams(counts, k: int) -> np.ndarray:
+    """0-based slots of user k's streams in the flat pattern of ``counts``,
+    one ascending row per stream.
+
+    With radix r_q = M_q - 1, the interleaving block numbers its B = prod r_q
+    slots in mixed radix, and stream s is where the other users' digits spell
+    s: the r_k block slots along user k's axis, then slot s of user k's own
+    hold segment, which starts at B + sum over q < k of H_q.  The lone count
+    (1,) has B = 0 and H = 1: the one stream [[0]].
     """
-    others = counts[:k] + counts[k + 1:]
-    slots: dict[tuple, list[int]] = {}
-    for t, modes in enumerate(zip(*family)):
-        key = modes[:k] + modes[k + 1:]
-        if all(m < c for m, c in zip(key, others)):
-            slots.setdefault(key, []).append(t)
-    return slots
+    radix = [m - 1 for m in counts]
+    block = prod(radix)
+    holds = _holds(counts)
+    slots = np.moveaxis(np.arange(block).reshape(radix), k, -1).reshape(holds[k], radix[k])
+    return np.column_stack([slots, block + sum(holds[:k]) + np.arange(holds[k])])
 
 
 def grouped_pattern(config: GroupingConfig) -> PresetPattern:

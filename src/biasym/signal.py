@@ -65,16 +65,16 @@ def draw_channels(
     Args:
         config: validated grouping config; transmit antenna dimensions equal
             the used mode count of the paired receiver.
-        coherence_length: slots per fading block; None means one block spans
-            the whole supersymbol (the ideal staggered-fading case).
+        coherence_length: slots per fading block; None, or any length of at
+            least the supersymbol's, means one block spans the whole
+            supersymbol (the ideal staggered-fading case).
         seed: numpy default_rng seed; draws are made pair by pair in
             row-major (rx, tx) order, so a seed pins the whole set.
     """
     length = grouped_length(config)
     if coherence_length is None:
         coherence_length = length
-    else:
-        coherence_length = _integer(coherence_length, "coherence length must be an integer")
+    coherence_length = min(_integer(coherence_length, "coherence length must be an integer"), length)
     if coherence_length < 1:
         raise ValueError("coherence length must be >= 1")
     n_blocks = -(-length // coherence_length)

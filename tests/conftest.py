@@ -97,6 +97,39 @@ def effective_block(pattern, channels, rx: int, tx: int) -> np.ndarray:
     return block
 
 
+def reference_streams(pattern) -> list[np.ndarray]:
+    """Oracle: every user's stream slots, scanned off the built sequences.
+
+    A level's family is its distinct sequences in user order, and a user's
+    mode count is its largest mode, the final one it holds.  Within a level,
+    slot t joins user k's stream keyed by the other users' modes at t,
+    unless one of them holds its final mode there.  A two-level stream pairs
+    a group-level stream (outer) with an element-level one, keys ascending,
+    and takes the element slots inside each of its group slots.
+    """
+    def scan(family, seq) -> list[list[int]]:
+        others = [s for s in family if s != seq]
+        finals = [max(s) for s in others]
+        slots: dict[tuple, list[int]] = {}
+        for t in range(len(seq)):
+            key = tuple(s[t] for s in others)
+            if all(m < final for m, final in zip(key, finals)):
+                slots.setdefault(key, []).append(t)
+        return [slots[key] for key in sorted(slots)]
+
+    elements = list(dict.fromkeys(u.element_seq for u in pattern.users))
+    groups = list(dict.fromkeys(u.group_seq for u in pattern.users))
+    out = []
+    for u in pattern.users:
+        l1 = len(u.element_seq)
+        m1, m2 = scan(elements, u.element_seq), scan(groups, u.group_seq)
+        out.append(np.array(
+            [sorted(s2 * l1 + s1 for s2 in b for s1 in a) for b in m2 for a in m1],
+            dtype=np.intp,
+        ))
+    return out
+
+
 @pytest.fixture(scope="session")
 def example_config() -> GroupingConfig:
     return GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2])

@@ -46,3 +46,20 @@ def test_search_imports_nothing_from_signal():
         assert (module, name) != ("biasym", "signal"), name
         if module == "biasym":
             assert name not in signal.__all__, name
+
+
+def test_bench_imports_only_exported_names():
+    # the benchmark is kept apart from the library: what it imports by name
+    # must stay public, or deleting it would break the benchmark unseen
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    imported = set()
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported |= {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "biasym" and not node.level
+            for alias in node.names
+        }
+    assert {"GroupingConfig", "enumerate_configs", "rank_predictions"} <= imported
+    assert sorted(imported - set(biasym.__all__)) == []

@@ -48,12 +48,30 @@ class TestExitCodes:
                      "[6,6],[4,4]", "--mg", "2,2"]) == 2
         assert "invalid config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("groups,mg,message", [
+        ("[6,6],[6,4]", "2,2", "no unassigned user with equipped mode count 6"),
+        ("[6,4]", "2", "groups must cover every user exactly once"),
+    ], ids=["count-used-up", "user-left-over"])
+    def test_groups_that_miss_the_equipped_users_are_2(self, groups, mg, message, capsys):
+        assert main(["dof", "--modes", "6,6,4,4", "--groups", groups, "--mg", mg]) == 2
+        captured = capsys.readouterr()
+        assert f"invalid config: {message}" in captured.err
+        assert captured.out == ""
+
     def test_unknown_command_is_2(self):
         assert main([]) == 2
 
     def test_coherence_violation_is_3(self, capsys):
         assert main(["verify", *EXAMPLE, "--seed", "1", "--coherence", "5"]) == 3
         assert "MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("coherence", ["9223372036854775808", "1000000000000000000000"])
+    def test_coherence_past_int64_is_the_whole_supersymbol(self, coherence, capsys):
+        argv = ["verify", "--modes", "4,4", "--flat"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        assert main([*argv, "--coherence", coherence]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_sweep_without_feasible_config_is_4(self, capsys):
         assert main(["sweep", "--modes", "6,6,4,4", "--lmin", "2", "--lmax", "4"]) == 4

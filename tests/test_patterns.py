@@ -153,6 +153,14 @@ class TestGroupingConfig:
         with pytest.raises(ValueError, match="match across groups"):
             GroupingConfig.grouped([6, 6, 4, 4], [[0, 1], [2, 3]], [2, 2])
 
+    def test_groups_of_unequal_size_are_refused(self):
+        with pytest.raises(ValueError, match="all groups must have exactly users-per-group members"):
+            GroupingConfig((4,) * 4, (4,) * 4, ((0, 1, 2), (3,)), (2, 2))
+
+    def test_several_groups_need_group_mode_counts_of_two(self):
+        with pytest.raises(ValueError, match="must be >= 2 when there are several groups"):
+            GroupingConfig.grouped((4,) * 4, [[0, 1], [2, 3]], (1, 2))
+
     def test_single_group_requires_unit_group_count(self):
         with pytest.raises(ValueError, match="group mode count 1"):
             GroupingConfig([6, 6], (6, 6), ((0, 1),), (2,))

@@ -597,8 +597,8 @@ class TestVerifySweep:
         # one user's group-level sequence out of step with its group:
         # measured ranks must disagree with predictions
         good, broken = example_pattern, misaligned_pattern
-        # streams are read off the first user of each group and position, so
-        # every stream keeps the good pattern's slots
+        # streams depend on the config alone, so the misaligned pattern keeps
+        # the good pattern's slots
         assert all((b == g).all() for b, g in zip(broken.streams, good.streams))
         channels = draw_channels(example_config, None, 1)
         receivers = verify_receivers(broken, channels, random_symbols(broken))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import channel_row, effective_block, matrix_rank, physical
+from conftest import channel_row, effective_block, matrix_rank, physical, reference_streams
 
 from biasym import (
     GroupingConfig,
@@ -56,6 +56,8 @@ def small_configs():
     return [
         GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2]),
         GroupingConfig.grouped([9, 9], [[0], [1]], [3, 3]),
+        # several streams at both levels: pins their row order, group level outer
+        GroupingConfig.grouped([9, 9, 9, 9], [[0, 1], [2, 3]], [3, 3]),
         GroupingConfig.flat([3, 2]),
         GroupingConfig.flat([6, 6, 4, 4], used=[3, 2, 2, 2]),
         GroupingConfig.flat([4]),
@@ -89,6 +91,9 @@ class TestStreams:
     @pytest.mark.parametrize("cfg", small_configs(), ids=str)
     def test_stream_invariants(self, cfg):
         pattern = grouped_pattern(cfg)
+        # the slots the built sequences give, array for array and in row order
+        for got, want in zip(pattern.streams, reference_streams(pattern), strict=True):
+            np.testing.assert_array_equal(got, want, strict=True)
         for slots, pu in zip(pattern.streams, pattern.users):
             seen: set[int] = set()
             for stream in slots + 1:
@@ -108,6 +113,8 @@ class TestStreams:
             if grouped_length(cfg) > 600:
                 continue
             pattern = grouped_pattern(cfg)
+            for got, want in zip(pattern.streams, reference_streams(pattern), strict=True):
+                np.testing.assert_array_equal(got, want, err_msg=str(cfg), strict=True)
             for slots, pu in zip(pattern.streams, pattern.users):
                 assert slots.shape[1] == pu.used, cfg
                 assert len(np.unique(slots)) == slots.size, cfg
@@ -153,6 +160,18 @@ class TestChannels:
             draw_channels(example_config, 0, 1)
         with pytest.raises(ValueError, match="coherence length must be an integer, got 2.5"):
             draw_channels(GroupingConfig.flat((3, 2)), 2.5)
+
+    @pytest.mark.parametrize("coherence", [15, 16, 2**63, 10**21])
+    def test_coherence_of_the_supersymbol_or_longer_draws_as_one_block(
+        self, example_config, example_pattern, coherence
+    ):
+        ch = draw_channels(example_config, coherence, 4)
+        ideal = draw_channels(example_config, None, 4)
+        assert ch.coherence_length == 15
+        for pair, gains in ideal.gains.items():
+            np.testing.assert_array_equal(ch.gains[pair], gains)
+        receivers = verify_receivers(example_pattern, ch, random_symbols(example_pattern))
+        assert all(r.match for r in receivers)
 
     def test_numpy_integer_coherence_is_accepted(self, example_config):
         ch = draw_channels(example_config, np.int64(5), 3)
