@@ -23,7 +23,7 @@ from itertools import groupby, islice
 from operator import itemgetter
 
 from .dof import render_decimal, sum_dof_grouped
-from .patterns import GroupingConfig, _integer, _mode_counts, flat_length
+from .patterns import GroupingConfig, _integer, _mode_counts
 
 __all__ = [
     "SearchSpace",
@@ -69,25 +69,26 @@ class SearchSpace:
 # ======================================================================
 
 def _count_vectors(slots, cap):
-    """Each vector of counts with one count from ``lo`` to ``hi`` per
-    ``(lo, hi, tied)`` slot, no larger than the previous count where
-    ``tied``, whose flat length is at most ``cap`` (None = no cap).
+    """Each non-increasing vector of counts with one count from ``lo`` to
+    ``hi`` per ``(lo, hi)`` slot whose flat length is at most ``cap``
+    (None = no cap), as (vector, length).
 
     The flat length grows with every count, so once a prefix filled up
     with 2s is over the cap, so is every vector that extends it.  The
-    depth-first search folds the length one count at a time, as
-    :func:`flat_length` does, and cuts the prefix there.
+    depth-first search folds the length one count at a time, block and
+    holds as in the flat construction, cuts the prefix there, and yields
+    each vector with the length of its own fold.
     """
     prefix = []
 
     def extend(block, holds, prev):
         p = len(prefix)
         if p == len(slots):
-            yield tuple(prefix)
+            yield tuple(prefix), block + holds
             return
-        lo, hi, tied = slots[p]
+        lo, hi = slots[p]
         rest = len(slots) - p - 1  # 2s add one block each
-        for v in range(lo, min(hi, prev) + 1 if tied else hi + 1):
+        for v in range(lo, min(hi, prev) + 1):
             b, h = block * (v - 1), holds * (v - 1) + block
             if cap is not None and b * (1 + rest) + h > cap:
                 break
@@ -95,20 +96,21 @@ def _count_vectors(slots, cap):
             yield from extend(b, h, v)
             prefix.pop()
 
-    return extend(1, 0, 0)
+    return extend(1, 0, slots[0][1])
 
 
 def _count_classes(space: SearchSpace, cap):
-    """Every count class ``(g, e)`` that fits the equipped counts and the
-    cap, by group count kg, each divisor of the user count from 1 up:
-    group counts g and element counts e, non-increasing, with used count
-    e_k * g_j in the cell of position k of group j and length
-    ``flat_length(e) * flat_length(g)``.  One group is g = (1,), its e the
-    used counts sorted descending; more groups take group counts >= 2.
+    """Every count class that fits the equipped counts and the cap, as
+    ``(g, e, length)``, by group count kg, each divisor of the user count
+    from 1 up: group counts g and element counts e, non-increasing, with
+    used count e_k * g_j in the cell of position k of group j, and length
+    the product of the two levels' lengths, each from its own walk.  One
+    group is g = (1,), its e the used counts sorted descending; more
+    groups take group counts >= 2.
 
     A flat length is at least one more than its number of counts, so the
     group counts get the cap over the element level's least length and
-    the element counts the cap over the group level's actual one.  With
+    the element counts the cap over the group level's walked one.  With
     the equipped counts eq sorted descending and k, j counted from 0, a
     cell that n cells are at least is at most eq[n - 1]: g_j * 2 <=
     eq[(j + 1) * ke - 1] and e_k * g_j <= eq[(k + 1) * (j + 1) - 1].
@@ -125,34 +127,30 @@ def _count_classes(space: SearchSpace, cap):
     exact = not space.allow_reduction
     for kg in (d for d in range(1, K + 1) if K % d == 0):
         ke = K // kg
-        g_slots = [(1, 1, False)] if kg == 1 else [
-            (2, eq[(j + 1) * ke - 1] // 2, j > 0) for j in range(kg)
-        ]
+        g_slots = [(1, 1)] if kg == 1 else [(2, eq[(j + 1) * ke - 1] // 2) for j in range(kg)]
         walks = [g_slots]
         if exact:  # one walk per lead group count g_0, with e_0 = eq[0] / g_0
             walks = []
             for g0 in range(g_slots[0][0], g_slots[0][1] + 1):
                 if eq[0] % g0 == 0:
                     e0 = eq[0] // g0
-                    walks.append([(g0, g0, False)] + [
-                        (max(2, -(-eq[K - ke * (kg - j)] // e0)), min(hi, eq[j] // e0), True)
-                        for j, (_, hi, _) in enumerate(g_slots) if j > 0
+                    walks.append([(g0, g0)] + [
+                        (max(2, -(-eq[K - ke * (kg - j)] // e0)), min(hi, eq[j] // e0))
+                        for j, (_, hi) in enumerate(g_slots) if j > 0
                     ])
         for slots in walks:
-            for g in _count_vectors(slots, None if cap is None else cap // (ke + 1)):
+            for g, lg in _count_vectors(slots, None if cap is None else cap // (ke + 1)):
                 e_slots = [(
                     max(2, *(-(-eq[K - (ke - k) * (kg - j)] // gj) for j, gj in enumerate(g)))
                     if exact else 2,
                     min(eq[(k + 1) * (j + 1) - 1] // gj for j, gj in enumerate(g)),
-                    k > 0,
                 ) for k in range(ke)]
-                for e in _count_vectors(e_slots, None if cap is None else cap // flat_length(g)):
-                    if min(kg, ke) == 1:
-                        yield g, e
-                        continue
-                    values = sorted((x * y for x in e for y in g), reverse=True)
-                    if values == eq if exact else all(v <= m for v, m in zip(values, eq)):
-                        yield g, e
+                for e, le in _count_vectors(e_slots, None if cap is None else cap // lg):
+                    if min(kg, ke) > 1:
+                        cells = sorted((x * y for x in e for y in g), reverse=True)
+                        if cells != eq if exact else any(v > m for v, m in zip(cells, eq)):
+                            continue
+                    yield g, e, lg * le
 
 
 def _class_configs(space: SearchSpace, g, e):
@@ -236,7 +234,7 @@ def enumerate_configs(space: SearchSpace, cap: int | None = None):
     not filter here; it only affects which configs the grouped strategy of
     :func:`optimize` may pick.
     """
-    for g, e in _count_classes(space, cap):
+    for g, e, _ in _count_classes(space, cap):
         yield from _class_configs(space, g, e)
 
 
@@ -267,15 +265,15 @@ def _frontier(space: SearchSpace, budgets) -> list[SweepRow]:
     Refuses a budget below 1, and a search with more than ``CLASS_LIMIT``
     count classes within the largest budget, before building any config.
     A config's DoF, length and group count depend only on its class (g, e):
-    ``sum_dof_flat(e) * sum_dof_flat(g)``, ``flat_length(e) *
-    flat_length(g)`` and len(g).  So the classes are sorted by length and
-    cut into runs of equal key (-dof, length, num_groups); a budget takes
-    a whole run or none of it.  A running best run per strategy, the least
-    key so far, answers each budget with one bisection, and nothing is
-    filled until then.  Each run that answers a budget is filled once,
-    for the least canonical string of its classes' first configs, on
-    which ties break; canonical strings are unique, so the answer does
-    not depend on the order of the walk.
+    ``sum_dof_grouped(e, g)``, the length the walk yields with the class,
+    and len(g).  So the classes are sorted by length and cut into runs of
+    equal key (-dof, length, num_groups); a budget takes a whole run or
+    none of it.  A running best run per strategy, the least key so far,
+    answers each budget with one bisection, and nothing is filled until
+    then.  Each run that answers a budget is filled once, for the least
+    canonical string of its classes' first configs, on which ties break;
+    canonical strings are unique, so the answer does not depend on the
+    order of the walk.
     """
     if any(b is not None and b < 1 for b in budgets):
         raise ValueError("every length budget must be >= 1")
@@ -287,8 +285,7 @@ def _frontier(space: SearchSpace, budgets) -> list[SweepRow]:
             f"above the {CLASS_LIMIT} limit; give a smaller length budget"
         )
     ranked = sorted(
-        (flat_length(e) * flat_length(g), -sum_dof_grouped(e, g), len(g), g, e)
-        for g, e in classes
+        (length, -sum_dof_grouped(e, g), len(g), g, e) for g, e, length in classes
     )
     best = [None, None]  # (key, run) of the best run: conventional, grouped
     rows, lengths = [(None, None)], []

@@ -55,6 +55,17 @@ class ChannelSet:
     gains: dict[tuple[int, int], np.ndarray] = field(repr=False)
 
 
+def _coherence(coherence_length, length: int) -> int:
+    """Slots per fading block over a supersymbol of ``length`` slots: None,
+    or any length at or past the supersymbol's, is one block."""
+    if coherence_length is None:
+        return length
+    coherence = min(_integer(coherence_length, "coherence length must be an integer"), length)
+    if coherence < 1:
+        raise ValueError("coherence length must be >= 1")
+    return coherence
+
+
 def draw_channels(
     config: GroupingConfig,
     coherence_length: int | None = None,
@@ -72,11 +83,7 @@ def draw_channels(
             row-major (rx, tx) order, so a seed pins the whole set.
     """
     length = grouped_length(config)
-    if coherence_length is None:
-        coherence_length = length
-    coherence_length = min(_integer(coherence_length, "coherence length must be an integer"), length)
-    if coherence_length < 1:
-        raise ValueError("coherence length must be >= 1")
+    coherence_length = _coherence(coherence_length, length)
     n_blocks = -(-length // coherence_length)
     rng = np.random.default_rng(seed)
     order = config.user_order()
@@ -350,6 +357,10 @@ def verify_receivers(
     with ``noise_seed``.  The decode nulls interference at each receiver,
     then least-squares the rest; it is exact up to numerical precision
     whenever the joint rank condition holds and the samples are noiseless.
+    Channels not drawn for ``pattern`` are refused before any rank is
+    measured: their coherence length must be an integer >= 1, read as one
+    block at or past the supersymbol's length, and their gains must hold
+    each pair's (blocks, used rx, used tx) draws over enough blocks.
     """
     if not 0.0 <= noise_scale < np.inf:  # also rejects NaN
         raise ValueError("noise scale must be finite and >= 0")
@@ -358,6 +369,17 @@ def verify_receivers(
         raise ValueError("one symbol array per user is required")
     if any(x.shape != slots.shape for x, slots in zip(sources, pattern.streams)):
         raise ValueError("each user's symbols must have its (streams, used) slot shape")
+    coherence = _coherence(channels.coherence_length, pattern.length)
+    blocks = -(-pattern.length // coherence)
+    dims = [user.used for user in pattern.users]
+    pairs = {(rx, tx) for rx in range(len(dims)) for tx in range(len(dims))}
+    if channels.gains.keys() != pairs or any(
+        np.ndim(g) != 3 or len(g) < blocks or np.shape(g)[1:] != (dims[rx], dims[tx])
+        for (rx, tx), g in channels.gains.items()
+    ):
+        raise ValueError("channels must hold each (rx, tx) pair's (blocks, used rx, used tx) "
+                         "gains, enough blocks to cover the supersymbol")
+    channels = ChannelSet(coherence, channels.gains)
     noise = (noise_scale, np.random.default_rng(noise_seed)) if noise_scale > 0.0 else None
     return tuple(
         _receiver_pass(pattern, channels, rx, pred, sources, noise)

@@ -1,6 +1,6 @@
 """The public surface: every exported name exists, the package exports
-exactly the names its library modules declare, and the search stays free of
-the signal layer."""
+exactly the names its library modules declare, every module uses what it
+imports, and the search stays free of the signal layer."""
 
 from __future__ import annotations
 
@@ -29,6 +29,23 @@ def test_package_exports_exactly_the_library_modules_names():
     namespace: dict = {}
     exec("from biasym import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(declared)
+
+
+def test_modules_use_every_name_they_import():
+    for path in sorted(Path(biasym.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]  # the name the import binds
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported, path.name
+        assert sorted(imported - used) == [], path.name
 
 
 def test_search_imports_nothing_from_signal():

@@ -59,6 +59,16 @@ def test_python_quick_start():
     assert out.getvalue().splitlines() == shown
 
 
+def test_flag_table_lists_each_subcommands_flags(capsys):
+    rows = re.findall(r"^\| `(\w+)` \| `(--[^`]*)` \|$", README, re.M)
+    assert [command for command, _ in rows] == ["pattern", "verify", "dof", "sweep"]
+    for command, flags in rows:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert flags.split() == re.findall(r"\[(--[\w-]+)", usage), command
+
+
 def test_every_subcommand_has_an_example():
     assert sorted(case.id for case in cli_examples()) == ["dof", "pattern", "sweep", "verify"]
 

@@ -33,7 +33,8 @@ from biasym import (
     sweep_to_csv,
     verify_receivers,
 )
-from biasym.search import CLASS_LIMIT, _class_configs, _count_classes
+from biasym.patterns import flat_length
+from biasym.search import CLASS_LIMIT, _class_configs, _count_classes, _count_vectors
 
 
 # ======================================================================
@@ -162,8 +163,10 @@ def assert_each_config_once(equipped, allow_reduction):
     got = [c.canonical_string() for c in enumerate_configs(space)]
     assert len(got) == len(set(got))
     assert set(got) == reference_canonical_strings(equipped, allow_reduction)
-    for g, e in _count_classes(space, None):
-        fill = [c.canonical_string() for c in _class_configs(space, g, e)]
+    for g, e, length in _count_classes(space, None):
+        configs = list(_class_configs(space, g, e))
+        assert all(grouped_length(c) == length for c in configs)
+        fill = [c.canonical_string() for c in configs]
         assert fill == sorted(fill)
         assert fill[0] == min(fill)
 
@@ -275,6 +278,17 @@ class TestEnumerateConfigs:
                 c.canonical_string() for c in every
                 if cap is None or grouped_length(c) <= cap
             }
+
+    @pytest.mark.parametrize("slots", [[(1, 1)], [(5, 3)], [(2, 6), (2, 5), (3, 6)],
+                                       [(4, 4), (2, 7), (2, 3), (2, 9)]])
+    def test_count_vectors_match_brute_force_over_the_slot_box(self, slots):
+        box = list(itertools.product(*(range(lo, hi + 1) for lo, hi in slots)))
+        for cap in (None, 1, 4, 12, 40, 60, 150):
+            assert list(_count_vectors(slots, cap)) == [
+                (v, flat_length(v)) for v in box
+                if all(a >= b for a, b in itertools.pairwise(v))
+                and (cap is None or flat_length(v) <= cap)
+            ]
 
     @pytest.mark.parametrize("equipped,cap,yielded,best", [
         ((6, 6, 6, 4, 4, 4), 64, 42, (Fraction(21, 10), 20)),
@@ -435,7 +449,7 @@ class TestOptimize:
             key(e.config) for r in sweep(space, budgets).rows
             for e in (r.conventional, r.grouped) if e
         }
-        ties = {(g, e) for g, e in _count_classes(space, max(budgets))
+        ties = {(g, e) for g, e, _ in _count_classes(space, max(budgets))
                 if key(next(_class_configs(space, g, e))) in winners}
         fills = self.spy_on_fills(monkeypatch)
         sweep(space, budgets)

@@ -334,6 +334,26 @@ class TestReceivedSignal:
         with pytest.raises(ValueError, match="one symbol array per user"):
             verify_receivers(example_pattern, ch, symbols)
 
+    @pytest.mark.parametrize("coherence,drawn_for", [
+        (0, (4, 4)), (-1, (4, 4)), (5, (4, 4)), (2**63, (4, 4)), (None, (4, 4, 4)),
+        (None, (3, 3)),
+    ], ids=["zero", "negative", "short-of-blocks", "huge", "more-users", "fewer-modes"])
+    def test_channels_not_drawn_for_the_pattern(self, coherence, drawn_for):
+        # flat (4,4) has L = 15: a length at or past it is one block, as drawn
+        pattern = grouped_pattern(GroupingConfig.flat((4, 4)))
+        symbols = random_symbols(pattern, 1)
+        ch = draw_channels(GroupingConfig.flat(drawn_for), None, 1)
+        if coherence is not None:
+            ch = replace(ch, coherence_length=coherence)
+        if coherence != 2**63:
+            with pytest.raises(ValueError, match="coherence length|channels must hold"):
+                verify_receivers(pattern, ch, symbols)
+            return
+        ideal = verify_receivers(pattern, draw_channels(pattern.config, None, 1), symbols)
+        for got, want in zip(verify_receivers(pattern, ch, symbols), ideal, strict=True):
+            assert got.measured == want.measured and got.match
+            np.testing.assert_array_equal(got.estimates, want.estimates)
+
 
 class TestSubtractionSchedule:
     def test_example_combinations_isolate_desired_rows(self, example_config, example_pattern):
