@@ -16,11 +16,20 @@ a whole supersymbol fits inside one block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .dof import ReceiverRanks, rank_predictions
-from .patterns import GroupingConfig, PresetPattern, _integer, grouped_length, user_label
+from .patterns import (
+    GroupingConfig,
+    PresetPattern,
+    _holds,
+    _integer,
+    flat_length,
+    grouped_length,
+    user_label,
+)
 
 __all__ = [
     "ChannelSet",
@@ -103,23 +112,71 @@ def draw_channels(
 # Effective matrices and received signal
 # ======================================================================
 
-def _stream_gains(channels: ChannelSet, rx: int, tx: int, slots, modes) -> np.ndarray:
-    """tx's stream blocks at rx, shape (streams, dim, dim) for tx's dim.
+@dataclass(frozen=True)
+class _StreamBatch:
+    """The stream blocks every receiver sees from the transmitters of one dim.
 
-    Row j of stream s is the channel row rx sees from tx at slot
-    ``slots[s, j]``, in rx's 0-based mode ``modes[slots[s, j]]``.
+    ``users`` lists those transmitters in order, ``starts`` and ``counts``
+    where each one's streams begin and how many there are, and ``slots``
+    stacks their stream slots, (streams, dim).
+    ``gains[rx, s]`` is stream s's dim x dim block at receiver rx: row j is
+    the channel row rx sees at slot ``slots[s, j]``, in its own mode there.
+    ``values`` and ``columns`` hold each block's SVD: its singular values,
+    and U's columns scaled by them, one per row (``columns[rx, s, j]`` is
+    U[:, j] * S[j]).  ``rows[rx, s, j]`` is the row of slot ``slots[s, j]``
+    among rx's component rows (see ``_slot_components``).
     """
-    return channels.gains[(rx, tx)][slots // channels.coherence_length, modes[slots]]
+
+    users: tuple[int, ...]
+    starts: np.ndarray
+    counts: np.ndarray
+    slots: np.ndarray
+    gains: np.ndarray
+    values: np.ndarray
+    columns: np.ndarray
+    rows: np.ndarray
 
 
-def _block(length: int, slots: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """The effective block of stream blocks ``gains`` on their ``slots``.
+def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.ndarray):
+    """(batches, where): every (rx, tx) pair's stream blocks, one
+    ``_StreamBatch`` per distinct transmitter dim, each decomposed by one
+    batched SVD; ``where[tx]`` is (batch index, slice of tx's streams).
+    ``position`` is ``_slot_components``'s row of every slot at every receiver.
+    """
+    streams = pattern.streams
+    blocks = -(-pattern.length // channels.coherence_length)
+    modes = [np.array(user.physical_seq(), dtype=np.intp) - 1 for user in pattern.users]
+    batches, where = [], [None] * len(streams)
+    for dim in sorted({s.shape[1] for s in streams}):
+        users = tuple(tx for tx, s in enumerate(streams) if s.shape[1] == dim)
+        counts = np.array([len(streams[tx]) for tx in users])
+        starts = np.cumsum(counts) - counts
+        for tx, start, count in zip(users, starts.tolist(), counts.tolist()):
+            where[tx] = len(batches), slice(start, start + count)
+        slots = np.concatenate([streams[tx] for tx in users])
+        user = np.repeat(np.arange(len(users)), counts)[:, None]
+        block = slots // channels.coherence_length
+        gains = np.stack([
+            np.stack([channels.gains[rx, tx][:blocks] for tx in users])[user, block, mode[slots]]
+            for rx, mode in enumerate(modes)
+        ])
+        u, s, _ = np.linalg.svd(gains)
+        batches.append(_StreamBatch(
+            users, starts, counts, slots, gains, s, np.swapaxes(u * s[..., None, :], -1, -2),
+            position[:, slots],
+        ))
+    return batches, where
+
+
+def _block(length: int, rows: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """The effective block of stream blocks ``gains`` on their ``rows``.
 
     Shape (length, streams * dim): row t holds, in the columns of stream s,
-    the channel row of slot t if the stream occupies it, and zeros otherwise.
+    the channel row of slot t if the stream occupies it, and zeros
+    otherwise; ``rows`` are the streams' slots, or any renumbering of them.
     """
     out = np.zeros((length, len(gains), gains.shape[2]), dtype=complex)
-    out[slots, np.arange(len(gains))[:, None]] = gains
+    out[rows, np.arange(len(gains))[:, None]] = gains
     return out.reshape(length, -1)
 
 
@@ -187,124 +244,252 @@ def _cutoff(s: np.ndarray, size: int) -> float:
     return size * s.max(initial=0.0) * RANK_RTOL
 
 
-def _svd(matrix: np.ndarray):
-    """(rows, u, s, vh): a thin SVD of the nonzero ``rows`` only.
+def _component_shapes(config: GroupingConfig) -> list[tuple[int, int, int]]:
+    """(components, slots per component, untouched slots) at every receiver,
+    in closed form: what ``_slot_components`` finds on the built pattern.
 
-    Zero rows change no singular value.
+    A stream is a group-level stream times an element-level one.  At
+    receiver (k, i) the element-level streams of the other positions link
+    the element slots outside k's hold segment into e_k - 1 classes, one
+    per digit k of the interleaving block, and the group-level streams of
+    the other groups link the group slots outside i's hold segment into
+    g_i - 1 classes.  With other positions and other groups, the streams
+    of (k', i) and (k, i') merge every class into one component, which
+    leaves only the product of the two hold segments untouched.  With one
+    level of other users only, each of its classes times the whole other
+    level is a component.
     """
-    rows = matrix.any(axis=1).nonzero()[0]
-    return rows, *np.linalg.svd(matrix[rows], full_matrices=False)
+    elem, grp = config.element_counts, config.group_mode_counts
+    hold1, hold2 = _holds(elem), _holds(grp)
+    lengths = flat_length(elem), flat_length(grp)
+    out = []
+    for k, i in config.labels():
+        shared = len(elem) > 1, len(grp) > 1  # other positions, other groups
+        free = (hold1[k - 1] if shared[0] else lengths[0]) * (hold2[i - 1] if shared[1] else lengths[1])
+        count = 1 if all(shared) else elem[k - 1] - 1 if shared[0] else grp[i - 1] - 1 if shared[1] else 0
+        out.append((count, (lengths[0] * lengths[1] - free) // max(count, 1), free))
+    return out
 
 
 def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None = None) -> int:
     """Closed-form bound on the largest one-receiver working set, in bytes.
 
-    Receiver rx has L slots, c desired columns and r compressed
-    interference columns: its predicted combined rank, or every interfering
-    column when ``coherence_length`` is shorter than L.  Rows are bounded
-    by L and k = min(L, r).  An SVD with U of an m x n matrix (p = min(m, n))
-    holds LAPACK's copy of it, U and Vh both in LAPACK's buffer and as
-    results, and LAPACK's workspace: m n + 2 (m p + p n) + m p + 3 p^2
-    complex entries.  The two SVD stages are summed, since the first one's
-    buffers can stay resident in the heap while the second runs:
+    Receiver rx has L slots, c desired columns and r kept interference
+    columns: L - c, its predicted combined rank, or every interfering
+    column when ``coherence_length`` is shorter than L.  They split over m
+    slot components of n rows each (``_component_shapes``), w = ceil(r / m)
+    columns to a component, of rank p <= min(n, w).  At most c rows are
+    left in complement coordinates: the interference rank only grows past
+    its aligned value L - c when fading breaks the alignment.  An SVD of an
+    a x b matrix with a k-column U (p = min(a, b)) holds LAPACK's copy of
+    it, U and Vh both in LAPACK's buffer and as results, and LAPACK's
+    workspace: a b + 2 (a k + p b) + a p + 3 p^2 complex entries; a batch
+    of such matrices adds the results of the others.  The two SVD stages
+    are summed, since the first one's buffers can stay resident in the heap
+    while the second runs:
 
-    * the compressed stack and its row gather (2 L r), and its SVD;
-    * the nulling basis (L k), D and its row gather (2 L c), and the SVD of
-      P⊥D.
+    * the component blocks (m n w) and their batched SVD with all of U;
+    * D in row order (L c), the reduced block it is carried into (c c),
+      one component's conjugated complement basis (n (n - p)), and the
+      reduced block's thin SVD.
 
-    The projection between them needs less than either.  Every transmitter
-    adds its stream blocks, their U and the kept columns (3 c_tx dim_tx).
+    Every receiver's stream blocks stay resident for the whole verify:
+    gains, U, Vh and the scaled U (4 K c_tx dim_tx for each transmitter),
+    with each stream slot's component row (K c_tx integers, half an entry
+    each); so do the slot labels of every receiver and the samples (4 K L).
     """
-    def svd(m: int, n: int) -> int:
-        p = min(m, n)
-        return m * n + 2 * (m * p + p * n) + m * p + 3 * p * p
+    def svd(a: int, b: int, k: int, count: int = 1) -> int:
+        p = min(a, b)
+        return a * b + 2 * (a * k + p * b) + a * p + 3 * p * p + (count - 1) * (a * k + p * b)
 
     length = grouped_length(config)
     ideal = coherence_length is None or coherence_length >= length
-    preds = rank_predictions(config)
-    columns = [p.desired for p in preds]
-    stacks = 3 * sum(c * config.used[orig] for c, orig in zip(columns, config.user_order()))
+    elem, grp = config.element_counts, config.group_mode_counts
+    hold1, hold2 = _holds(elem), _holds(grp)
+    labels = config.labels()
+    dims = [elem[k - 1] * grp[i - 1] for k, i in labels]
+    columns = [d * hold1[k - 1] * hold2[i - 1] for d, (k, i) in zip(dims, labels)]
+    K = len(labels)
+    resident = K * sum(4 * c * d + c // 2 for c, d in zip(columns, dims)) + 4 * K * length
     largest = 0
-    for p, c in zip(preds, columns):
-        r = p.combined if ideal else sum(columns) - c
-        k = min(length, r)
-        combine = 2 * length * r + svd(length, r)
-        decode = length * k + 2 * length * c + svd(length, c)
+    for (m, n, _), c in zip(_component_shapes(config), columns):
+        r = length - c if ideal else sum(columns) - c
+        w = -(-r // m) if m else 0
+        p = min(n, w)
+        combine = m * n * w + svd(n, w, n, m)
+        decode = (length + c) * c + n * (n - p) + svd(c, c, c)
         largest = max(largest, combine + decode)
-    return (largest + stacks) * np.dtype(complex).itemsize
+    return (largest + resident) * np.dtype(complex).itemsize
 
 
-def _compress(length: int, slots, gains, rx: int):
-    """(per-interferer ranks, compressed interference, full stack width) at rx.
+class _Layout(NamedTuple):
+    """One receiver's slot components, as rows of its reduced problem.
+
+    ``order`` lists the slots by row: each component's slots in a run,
+    ascending, components in order of their smallest slots, then the slots
+    no interferer occupies; ``position`` is its inverse, slot t's row.
+    ``count`` components of ``size`` slots each fill the first
+    count * size rows.
+    """
+
+    position: np.ndarray
+    order: np.ndarray
+    count: int
+    size: int
+
+
+def _slot_components(streams, length: int):
+    """Every receiver's slot components: (position, layouts).
+
+    At receiver rx each interferer stream fills only its own slots, so the
+    interference splits into independent groups of slots: two slots share a
+    component when a chain of streams of users other than rx links them.
+    ``layouts[rx]`` is rx's ``_Layout`` and ``position[rx]`` its
+    ``position``.  The product construction gives every component of a
+    receiver the same number of slots (see ``_component_shapes``).
+
+    Labels are found for all receivers at once: each round lowers every
+    stream's slots to the smallest label among them and lets each label
+    follow its own label, until a round changes nothing.
+    """
+    K = len(streams)
+    users = np.arange(K)[:, None, None]
+    # every stream padded to the widest dim by repeating its last slot
+    width = range(max(s.shape[1] for s in streams))
+    padded = np.concatenate([np.take(s, width, axis=1, mode="clip") for s in streams])
+    owner = np.repeat(np.arange(K), [len(s) for s in streams])
+    occupied = np.zeros((K, length), dtype=bool)
+    occupied[owner[:, None], padded] = True
+    touched = occupied.sum(axis=0) > occupied  # some other user occupies the slot
+    own = owner == users[:, :, 0]  # a receiver's own streams join nothing
+    label = np.tile(np.arange(length), (K, 1))
+    while True:
+        lowered = label.copy()
+        low = np.where(own, length, label[:, padded].min(axis=2))
+        np.minimum.at(lowered, (users, padded), low[..., None])
+        lowered = lowered[users[:, :, 0], lowered]
+        if (lowered == label).all():
+            break
+        label = lowered
+    order = np.argsort(np.where(touched, label, length), axis=1, kind="stable")
+    position = np.empty_like(order)
+    position[users[:, :, 0], order] = np.arange(length)
+    counts = (touched & (label == np.arange(length))).sum(axis=1).tolist()
+    sizes = touched.sum(axis=1).tolist()
+    return position, [
+        _Layout(position[rx], order[rx], count, size // max(count, 1))
+        for rx, (count, size) in enumerate(zip(counts, sizes))
+    ]
+
+
+def _received(batches, sources, length: int) -> np.ndarray:
+    """Every receiver's noiseless samples of ``sources``: (receivers, length)."""
+    users = np.arange(len(sources))[:, None, None]
+    samples = np.zeros((len(sources), length), dtype=complex)
+    for b in batches:
+        x = np.concatenate([sources[tx] for tx in b.users])
+        np.add.at(samples, (users, b.slots), (b.gains @ x[..., None])[..., 0])
+    return samples
+
+
+def _component_blocks(length: int, batches, where, layout: _Layout, rx: int):
+    """(per-interferer ranks, component blocks, full stack width) at rx.
 
     Up to a row and column permutation, tx's effective block is
-    block-diagonal in its dim x dim stream blocks ``gains[tx]``, so its
-    singular values are the union of theirs; its rank counts them against
-    the cutoff of the full (length x streams * dim) block.  Each stream's
-    U*S columns above that cutoff, placed on the stream's slots, keep the
-    Gram matrix of the stacked interference but for the dropped columns,
-    which lie below the cutoff, and with it the stack's nonzero singular
-    values and left singular vectors.
+    block-diagonal in its dim x dim stream blocks, so its singular values
+    are the union of theirs; its rank counts them against the cutoff of the
+    full (length x streams * dim) block.  Each stream's U*S columns above
+    that cutoff, placed on the stream's rows of its component, keep the Gram
+    matrix of the stacked interference but for the dropped columns, which
+    lie below the cutoff, and with it the stack's nonzero singular values
+    and left singular vectors.  Up to a permutation the kept stack is
+    block-diagonal in the components: one (components, slots, columns)
+    array, where a component with fewer kept columns is padded with zero
+    columns, which only add zero singular values.
     """
-    ranks, rows, columns, width = [], [], [], 0
-    for tx, (tx_slots, g) in enumerate(zip(slots, gains)):
+    count, size = layout.count, layout.size
+    cuts = [[] for _ in batches]
+    width = 0
+    for tx, (b, streams) in enumerate(where):
+        cut = np.inf  # rx's own streams keep nothing
         if tx != rx:
-            u, s, _ = np.linalg.svd(g, full_matrices=False)
-            stream, col = (s > _cutoff(s, max(length, s.size))).nonzero()
-            ranks.append(len(stream))
-            rows.append(tx_slots[stream])
-            columns.append(u[stream, :, col] * s[stream, col, None])
+            s = batches[b].values[rx, streams]
+            cut = _cutoff(s, max(length, s.size))
             width += s.size
-    compressed = np.zeros((length, sum(ranks)), dtype=complex)
+        cuts[b].append(cut)
+    kept, rows, columns = [0] * len(where), [], []
+    for b, cut in zip(batches, cuts):
+        keep = b.values[rx] > np.repeat(np.array(cut), b.counts)[:, None]
+        kept_by_user = np.add.reduceat(keep.sum(axis=1), b.starts).tolist()
+        for tx, k in zip(b.users, kept_by_user):
+            kept[tx] = k
+        stream, col = keep.nonzero()
+        rows.append(b.rows[rx, stream])
+        columns.append(b.columns[rx, stream, col])
+    # each kept column's place among its component's columns
+    owner = np.concatenate([r[:, 0] for r in rows]) // max(size, 1)
+    seen = np.cumsum(owner[:, None] == np.arange(count), axis=0)
+    place = seen[np.arange(len(owner)), owner] - 1
+    blocks = np.zeros((count * size, seen.max(initial=0)), dtype=complex)
     start = 0
     for r, c in zip(rows, columns):
-        compressed[r, start + np.arange(len(c))[:, None]] = c
-        start += len(c)
-    return ranks, compressed, width
+        blocks[r, place[start:start + len(r), None]] = c
+        start += len(r)
+    return kept[:rx] + kept[rx + 1:], blocks.reshape(count, size, blocks.shape[1]), width
 
 
-def _receiver_pass(pattern, channels, rx, pred, sources, noise):
-    """Gather receiver rx's per-stream channel blocks once and rank them.
+def _receiver_pass(pattern, batches, where, layout, rx, pred, samples, noise):
+    """Rank receiver rx's blocks and decode its samples, component by component.
 
-    Returns rx's record: its ranks against ``pred``, and the samples of
-    ``sources`` (one (streams, used) symbol array per transmitter) and
-    their decode; ``noise`` is None or (scale, RNG).
+    Returns rx's record: its ranks against ``pred``, and ``samples`` (its
+    noiseless samples) with noise added and their decode; ``noise`` is None
+    or (scale, RNG).
 
-    One batched SVD of each transmitter's stream blocks gives its rank (see
-    ``_compress``); one SVD of the compressed interference I gives the
-    combined rank and the nulling basis; one SVD of the desired block D
-    with that span projected out gives the joint rank, rank I + rank(P⊥D),
-    and the least-squares decode.  Every cutoff keeps the shape of the full
-    matrix it speaks about, so each verdict is the dense rank's.
+    The stream blocks' SVDs (``batches``) give the desired and
+    per-interferer ranks (see ``_component_blocks``).  One batched SVD of
+    the component blocks gives the combined rank, the union of their values
+    counted against the full stack's cutoff, and, with all of U, each
+    component's complement of the interference span.  In complement
+    coordinates, each component's rows of D and of the samples multiplied
+    by U_i[:, r_i:]^H and the untouched rows kept as they are, D becomes a
+    (length - combined) x c block with the singular values of P⊥D: its one
+    SVD gives the joint rank, rank I + rank(P⊥D), and the least-squares
+    decode.  Every cutoff keeps the shape of the full matrix it speaks
+    about, so each verdict is the dense rank's.
     """
-    slots = pattern.streams
     length = pattern.length
-    modes = np.array(pattern.users[rx].physical_seq(), dtype=np.intp) - 1
-    gains = [_stream_gains(channels, rx, tx, s, modes) for tx, s in enumerate(slots)]
-    s_desired = np.linalg.svd(gains[rx], compute_uv=False)
+    b, own = where[rx]
+    s_desired = batches[b].values[rx, own]
     desired_cutoff = _cutoff(s_desired, max(length, s_desired.size))
-    ranks, compressed, width = _compress(length, slots, gains, rx)
-    interfered, basis, s = _svd(compressed)[:3]
-    combined = int(np.count_nonzero(s > _cutoff(s, max(length, width))))
-    basis = basis[:, :combined]
-    del compressed  # before D is built: a tenth less peak memory on flat (5,5,5,5)
-    projected = _block(length, slots[rx], gains[rx])
-    projected[interfered] -= basis @ (basis.conj().T @ projected[interfered])
-    kept, u_mat, s, vh = _svd(projected)
-    # rank against D's scale: columns the nulling swallowed only look tiny next to it
-    surviving = int(np.count_nonzero(s > desired_cutoff))
-    samples = np.zeros(length, dtype=complex)
-    for tx_slots, g, x in zip(slots, gains, sources):
-        samples[tx_slots] += (g @ x[..., None])[..., 0]
+    ranks, blocks, width = _component_blocks(length, batches, where, layout, rx)
+    count, size = layout.count, layout.size
+    basis, s, _ = np.linalg.svd(blocks, full_matrices=size > blocks.shape[2])  # U is size x size
+    spans = (s > _cutoff(s, max(length, width))).sum(axis=1)
+    combined = int(spans.sum())
     if noise is not None:
         scale, rng = noise
-        samples += scale * (
+        samples = samples + scale * (
             rng.standard_normal(length) + 1j * rng.standard_normal(length)
         ) / 2**0.5
-    nulled = samples.copy()  # the returned samples stay as received
-    nulled[interfered] -= basis @ (basis.conj().T @ nulled[interfered])
+    # D and the samples in complement coordinates: U_i[:, r_i:]^H times
+    # each component's rows, then the untouched rows as they are
+    desired = _block(length, layout.position[pattern.streams[rx]], batches[b].gains[rx, own])
+    received = samples[layout.order]
+    reduced = np.empty((length - combined, desired.shape[1]), dtype=complex)
+    nulled = np.empty(length - combined, dtype=complex)
+    start = 0
+    for i, r in enumerate(spans.tolist()):
+        rows, stop = slice(i * size, (i + 1) * size), start + size - r
+        complement = basis[i, :, r:].conj().T
+        np.matmul(complement, desired[rows], out=reduced[start:stop])
+        np.matmul(complement, received[rows], out=nulled[start:stop])
+        start = stop
+    reduced[start:], nulled[start:] = desired[count * size:], received[count * size:]
+    u_mat, s, vh = np.linalg.svd(reduced, full_matrices=False)
+    # rank against D's scale: columns the nulling swallowed only look tiny next to it
+    surviving = int(np.count_nonzero(s > desired_cutoff))
     u_mat, s, vh = u_mat[:, :surviving], s[:surviving], vh[:surviving]
-    solution = vh.conj().T @ ((u_mat.conj().T @ nulled[kept]) / s)
+    solution = vh.conj().T @ ((u_mat.conj().T @ nulled) / s)
     user = pattern.users[rx]
     return ReceiverReport(
         predicted=pred,
@@ -317,7 +502,7 @@ def _receiver_pass(pattern, channels, rx, pred, sources, noise):
             joint=combined + surviving,
         ),
         samples=samples,
-        estimates=solution.reshape(slots[rx].shape),
+        estimates=solution.reshape(pattern.streams[rx].shape),
     )
 
 
@@ -379,9 +564,11 @@ def verify_receivers(
     ):
         raise ValueError("channels must hold each (rx, tx) pair's (blocks, used rx, used tx) "
                          "gains, enough blocks to cover the supersymbol")
-    channels = ChannelSet(coherence, channels.gains)
     noise = (noise_scale, np.random.default_rng(noise_seed)) if noise_scale > 0.0 else None
+    position, layouts = _slot_components(pattern.streams, pattern.length)
+    batches, where = _stream_batches(pattern, ChannelSet(coherence, channels.gains), position)
+    samples = _received(batches, sources, pattern.length)
     return tuple(
-        _receiver_pass(pattern, channels, rx, pred, sources, noise)
+        _receiver_pass(pattern, batches, where, layouts[rx], rx, pred, samples[rx], noise)
         for rx, pred in enumerate(rank_predictions(pattern.config))
     )

@@ -33,7 +33,13 @@ from biasym import (
     verify_receivers,
 )
 from biasym import signal
-from biasym.signal import _block, _compress, _stream_gains, receiver_memory_bytes
+from biasym.signal import (
+    _block,
+    _component_blocks,
+    _slot_components,
+    _stream_batches,
+    receiver_memory_bytes,
+)
 
 
 def slot_loop_received(pattern, channels, symbols, rx):
@@ -191,8 +197,10 @@ class TestEffectiveMatrix:
         # the desired block D the receiver pass assembles, against the oracle
         ch = draw_channels(example_config, None, 2)
         slots = example_pattern.streams[0]
-        modes = np.array(example_pattern.users[0].physical_seq()) - 1
-        block = _block(15, slots, _stream_gains(ch, 0, 0, slots, modes))
+        position, _ = _slot_components(example_pattern.streams, 15)
+        batches, where = _stream_batches(example_pattern, ch, position)
+        b, streams = where[0]
+        block = _block(15, slots, batches[b].gains[0, streams])
         np.testing.assert_array_equal(block, effective_block(example_pattern, ch, 0, 0))
         occupied = set(slots[0] + 1)
         for t in range(1, 16):
@@ -200,27 +208,33 @@ class TestEffectiveMatrix:
             assert row_is_zero == (t not in occupied)
 
     def test_memory_estimate_of_flat_eight_users_by_arithmetic(self):
-        # flat (4,)*8: L = 3^8 + 8 * 3^7, 4 * 3^7 desired columns per user,
-        # and the interference fills the rest of the L joint dimensions
+        # flat (4,)*8: L = 3^8 + 8 * 3^7, 4 * 3^7 desired columns per user; at
+        # each receiver the other users' streams link the slots outside its
+        # 3^7-slot hold segment into 3 components, one per digit of its own
         config = GroupingConfig.flat([4] * 8)
-        length, columns = 24057, 8748
-        rank = length - columns
+        length, columns, untouched = 24057, 8748, 2187
+        count, size = 3, (length - untouched) // 3
 
-        def svd(m, n):
+        def svd(m, n, k, copies=1):
             p = min(m, n)
-            return m * n + 2 * (m * p + p * n) + m * p + 3 * p * p
+            return m * n + 2 * (m * k + p * n) + m * p + 3 * p * p + (copies - 1) * (m * k + p * n)
 
-        combine = 2 * length * rank + svd(length, rank)
-        decode = length * rank + 2 * length * columns + svd(length, columns)
-        stacks = 3 * 8 * columns * 4
-        expected = 16 * (combine + decode + stacks)
+        # every pair's stream blocks, gains, U, Vh and U*S, and slot rows; labels and samples
+        resident = 8 * 8 * (4 * columns * 4 + columns // 2) + 4 * 8 * length
+
+        def working_set(kept):
+            width = -(-kept // count)  # kept columns per component
+            combine = count * size * width + svd(size, width, size, count)
+            # D, the columns x columns reduced block, one conjugated complement basis
+            decode = (length + columns) * columns + size * (size - min(size, width))
+            return 16 * (combine + decode + svd(columns, columns, columns) + resident)
+
+        # ideal fading: the interference fills the other L - c joint dimensions
+        expected = working_set(length - columns)
         assert receiver_memory_bytes(config) == expected
-        assert expected > 80 * 2**30  # far above the CLI's 2 GiB limit
+        assert expected > 20 * 2**30  # far above the CLI's 2 GiB limit
         # with a fading block shorter than L, every interfering column counts
-        rank = 7 * columns
-        combine = 2 * length * rank + svd(length, rank)
-        decode = length * length + 2 * length * columns + svd(length, columns)
-        assert receiver_memory_bytes(config, 100) == 16 * (combine + decode + stacks)
+        assert receiver_memory_bytes(config, 100) == working_set(7 * columns)
 
     @pytest.mark.parametrize("coherence", [None, 100])
     def test_memory_estimate_bounds_measured_growth(self, coherence):
@@ -527,27 +541,28 @@ class TestCompressedInterference:
                 )
 
     @pytest.mark.parametrize("cfg,coherence", stream_block_setups(), ids=str)
-    def test_compressed_stack_keeps_nonzero_spectrum(self, cfg, coherence):
+    def test_component_blocks_keep_nonzero_spectrum(self, cfg, coherence):
         pattern = grouped_pattern(cfg)
         ch = draw_channels(cfg, coherence, 8)
-        slots = pattern.streams
+        position, layouts = _slot_components(pattern.streams, pattern.length)
+        batches, where = _stream_batches(pattern, ch, position)
         K = len(pattern.users)
-        for rx in range(K):
-            modes = np.array(pattern.users[rx].physical_seq()) - 1
-            gains = [_stream_gains(ch, rx, tx, s, modes) for tx, s in enumerate(slots)]
-            ranks, compressed, width = _compress(pattern.length, slots, gains, rx)
+        for rx, layout in enumerate(layouts):
+            ranks, blocks, width = _component_blocks(pattern.length, batches, where, layout, rx)
             interference = [effective_block(pattern, ch, rx, tx) for tx in range(K) if tx != rx]
             assert ranks == [matrix_rank(b) for b in interference]
-            assert compressed.shape == (pattern.length, sum(ranks))
+            assert blocks.shape[:2] == (layout.count, layout.size)
             assert width == sum(b.shape[1] for b in interference)
             if not interference:
+                assert blocks.size == 0
                 continue
             stack = np.hstack(interference)
             rank = matrix_rank(stack)
             full = np.linalg.svd(stack, compute_uv=False)
-            kept = np.linalg.svd(compressed, compute_uv=False)
+            # a block-diagonal matrix has the union of its blocks' singular values
+            kept = np.sort(np.linalg.svd(blocks, compute_uv=False).ravel())[::-1]
             np.testing.assert_allclose(kept[:rank], full[:rank], rtol=0, atol=1e-10 * full[0])
-            # the rest of the compressed spectrum is below the full stack's cutoff
+            # the rest of the components' spectra is below the full stack's cutoff
             assert np.all(kept[rank:] <= max(stack.shape) * full[0] * 1e-10)
 
     def test_cutoffs_keep_full_shapes(self, example_pattern, monkeypatch):
