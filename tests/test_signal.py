@@ -36,6 +36,7 @@ from biasym import signal
 from biasym.signal import (
     _block,
     _component_blocks,
+    _component_shapes,
     _slot_components,
     _stream_batches,
     receiver_memory_bytes,
@@ -456,10 +457,11 @@ class TestFullMatrixReference:
 
     The library never forms an interferer's block, the combined or the
     joint matrix: it ranks each interferer from its stream blocks, takes one
-    SVD of the compressed interference and gets the joint rank as
-    rank I + rank(P⊥D).  These checks form every matrix directly.  They
-    also check that matching ranks leave no deficiency, which lets a
-    verdict of matching ranks stand for a full decode.
+    batched SVD of each receiver's slot-component blocks and gets the joint
+    rank as rank I + rank(P⊥D) in complement coordinates.  These checks form
+    every matrix directly.  They also check that matching ranks leave no
+    deficiency, which lets a verdict of matching ranks stand for a full
+    decode.
     """
 
     def check(self, cfg, coherence, seed):
@@ -508,6 +510,105 @@ class TestFullMatrixReference:
             coherence = max(1, grouped_length(cfg) // 2)
         for seed in (1, 2):
             self.check(cfg, coherence, seed)
+
+
+    @pytest.mark.parametrize("coherence", [None, 7])
+    def test_flat_four_users_across_components(self, coherence):
+        # three slot components at every receiver, against dense ranks of the
+        # 189-row matrices
+        receivers = self.check(GroupingConfig.flat([4, 4, 4, 4]), coherence, 1)
+        assert all(r.match for r in receivers) == (coherence is None)
+
+
+def reference_components(pattern, rx) -> list[set[int]]:
+    """Oracle: receiver rx's slot components by union-find over the slots
+    of every stream of the other users, smallest slot first."""
+    parent = list(range(pattern.length))
+
+    def root(t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    touched = set()
+    for tx, slots in enumerate(pattern.streams):
+        if tx != rx:
+            for stream in slots.tolist():
+                touched.update(stream)
+                for t in stream[1:]:
+                    a, b = root(stream[0]), root(t)
+                    parent[max(a, b)] = min(a, b)
+    groups: dict[int, set[int]] = {}
+    for t in sorted(touched):
+        groups.setdefault(root(t), set()).add(t)
+    return [groups[r] for r in sorted(groups)]
+
+
+class TestSlotComponents:
+    """Each receiver's interference split into independent slot components."""
+
+    @pytest.mark.parametrize("cfg", [*small_configs(), GroupingConfig.flat([4, 4, 4, 4])], ids=str)
+    def test_components_match_union_find(self, cfg):
+        pattern = grouped_pattern(cfg)
+        position, layouts = _slot_components(pattern.streams, pattern.length)
+        for rx, layout in enumerate(layouts):
+            rows = layout.count * layout.size
+            members = layout.order[:rows].reshape(layout.count, layout.size)
+            assert [set(m.tolist()) for m in members] == reference_components(pattern, rx)
+            assert (np.diff(members, axis=1) > 0).all()  # ascending within a component
+            np.testing.assert_array_equal(position[rx][layout.order], np.arange(pattern.length))
+
+    @pytest.mark.parametrize("cfg", [
+        *small_configs(), GroupingConfig.flat([4, 4, 4, 4]), GroupingConfig.flat([5, 5, 5, 5]),
+    ], ids=str)
+    def test_no_interferer_stream_spans_two_components(self, cfg):
+        pattern = grouped_pattern(cfg)
+        position, layouts = _slot_components(pattern.streams, pattern.length)
+        for rx, layout in enumerate(layouts):
+            for tx, slots in enumerate(pattern.streams):
+                if tx != rx:
+                    rows = position[rx][slots]
+                    assert (rows < layout.count * layout.size).all()
+                    component = rows // layout.size
+                    assert (component == component[:, :1]).all(), (rx, tx)
+
+    @pytest.mark.parametrize("modes,count,size", [((5, 5, 5, 5), 4, 112), ((4, 4, 4, 4), 3, 54)])
+    def test_flat_component_counts(self, modes, count, size):
+        pattern = grouped_pattern(GroupingConfig.flat(modes))
+        _, layouts = _slot_components(pattern.streams, pattern.length)
+        assert [(layout.count, layout.size) for layout in layouts] == [(count, size)] * 4
+
+    @pytest.mark.parametrize("modes", [(6, 6, 4, 4), (6, 6, 6, 4, 4, 4), (4, 6, 4, 6), (9, 6), (8, 8, 8)])
+    def test_closed_form_shapes_match_the_built_pattern(self, modes):
+        # the memory estimate reads the shapes off the counts, before any build
+        checked = 0
+        for cfg in enumerate_configs(SearchSpace(modes)):
+            if grouped_length(cfg) > 600:
+                continue
+            pattern = grouped_pattern(cfg)
+            _, layouts = _slot_components(pattern.streams, pattern.length)
+            built = [(l.count, l.size, pattern.length - l.count * l.size) for l in layouts]
+            assert _component_shapes(cfg) == built, cfg
+            checked += 1
+        assert checked >= 20
+
+    def test_no_decomposition_spans_the_interference_stack(self, monkeypatch):
+        # flat (5,5,5,5): L = 512, 320 desired columns, combined rank 192;
+        # shapes only, so the guard holds on any host
+        config = GroupingConfig.flat([5, 5, 5, 5])
+        pattern = grouped_pattern(config)
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+            shapes.append(np.shape(a)) or svd(a, *args, **kwargs)
+        ))
+        receivers = verify_receivers(pattern, draw_channels(config, None, 1), random_symbols(pattern))
+        assert all(r.match for r in receivers)
+        length, columns, combined = 512, 320, 192
+        matrices = [shape[-2:] for shape in shapes]
+        assert all(rows <= length - combined for rows, cols in matrices if cols == columns)
+        assert all(rows < length for rows, _ in matrices)  # no L-row interference stack
+        assert sum(shape == (5, 5) for shape in matrices) <= 1  # one call per distinct dim
 
 
 def stream_block_setups():
