@@ -8,6 +8,14 @@ per receiver, ``verify_receivers`` ranks the effective (channel times
 repetition) matrices against the exact predictions and runs a
 zero-forcing decode round trip.
 
+Each interferer stream fills only its own slots, so a receiver's
+interference splits into independent slot components: groups of slots
+that chains of interferer streams link.  The pass ranks the interference
+component by component, one small block each, and ranks and decodes the
+desired block in complement coordinates, where each component's rows
+are multiplied by a basis of what its interference leaves free.  No
+matrix as tall as the supersymbol is decomposed.
+
 Channels are drawn i.i.d. CN(0, 1) per fading block; a block spans
 ``coherence_length`` consecutive slots, so alignment only survives when
 a whole supersymbol fits inside one block.
@@ -16,7 +24,6 @@ a whole supersymbol fits inside one block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -261,13 +268,20 @@ def _component_shapes(config: GroupingConfig) -> list[tuple[int, int, int]]:
     """
     elem, grp = config.element_counts, config.group_mode_counts
     hold1, hold2 = _holds(elem), _holds(grp)
-    lengths = flat_length(elem), flat_length(grp)
+    length1, length2 = flat_length(elem), flat_length(grp)
+    positions, groups = len(elem) > 1, len(grp) > 1  # is there another user at that level
     out = []
     for k, i in config.labels():
-        shared = len(elem) > 1, len(grp) > 1  # other positions, other groups
-        free = (hold1[k - 1] if shared[0] else lengths[0]) * (hold2[i - 1] if shared[1] else lengths[1])
-        count = 1 if all(shared) else elem[k - 1] - 1 if shared[0] else grp[i - 1] - 1 if shared[1] else 0
-        out.append((count, (lengths[0] * lengths[1] - free) // max(count, 1), free))
+        free = (hold1[k - 1] if positions else length1) * (hold2[i - 1] if groups else length2)
+        if positions and groups:
+            count = 1
+        elif positions:
+            count = elem[k - 1] - 1
+        elif groups:
+            count = grp[i - 1] - 1
+        else:
+            count = 0
+        out.append((count, (length1 * length2 - free) // max(count, 1), free))
     return out
 
 
@@ -304,12 +318,10 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
 
     length = grouped_length(config)
     ideal = coherence_length is None or coherence_length >= length
-    elem, grp = config.element_counts, config.group_mode_counts
-    hold1, hold2 = _holds(elem), _holds(grp)
-    labels = config.labels()
-    dims = [elem[k - 1] * grp[i - 1] for k, i in labels]
-    columns = [d * hold1[k - 1] * hold2[i - 1] for d, (k, i) in zip(dims, labels)]
-    K = len(labels)
+    hold1, hold2 = _holds(config.element_counts), _holds(config.group_mode_counts)
+    dims = [config.used[orig] for orig in config.user_order()]
+    columns = [d * hold1[k - 1] * hold2[i - 1] for d, (k, i) in zip(dims, config.labels())]
+    K = len(dims)
     resident = K * sum(4 * c * d + c // 2 for c, d in zip(columns, dims)) + 4 * K * length
     largest = 0
     for (m, n, _), c in zip(_component_shapes(config), columns):
@@ -322,7 +334,8 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     return (largest + resident) * np.dtype(complex).itemsize
 
 
-class _Layout(NamedTuple):
+@dataclass(frozen=True)
+class _Layout:
     """One receiver's slot components, as rows of its reduced problem.
 
     ``order`` lists the slots by row: each component's slots in a run,
@@ -534,7 +547,11 @@ def verify_receivers(
     Each record ranks the desired block, each interferer's block, all
     interference stacked and [desired | interference] against predictions
     that assume one fading block per supersymbol; shorter coherence shows
-    up as measured > predicted.  ``symbols[tx]`` has the shape of
+    up as measured > predicted.  The slot components of every receiver
+    are found once, from ``pattern.streams`` alone, and the stream blocks
+    of all (rx, tx) pairs are decomposed in one batched SVD per distinct
+    dim; each receiver's pass then works component by component (see
+    ``_receiver_pass``).  ``symbols[tx]`` has the shape of
     ``pattern.streams[tx]``: row s is stream s's symbol vector.  Each
     record also holds its receiver's samples and their decode.
     Noise, when requested, is CN(0, 1) scaled by ``noise_scale``
