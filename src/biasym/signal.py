@@ -119,7 +119,6 @@ def draw_channels(
 # Effective matrices and received signal
 # ======================================================================
 
-@dataclass(frozen=True)
 class _StreamBatch:
     """The stream blocks every receiver sees from the transmitters of one dim.
 
@@ -134,14 +133,11 @@ class _StreamBatch:
     among rx's component rows (see ``_slot_components``).
     """
 
-    users: tuple[int, ...]
-    starts: np.ndarray
-    counts: np.ndarray
-    slots: np.ndarray
-    gains: np.ndarray
-    values: np.ndarray
-    columns: np.ndarray
-    rows: np.ndarray
+    __slots__ = ("users", "starts", "counts", "slots", "gains", "values", "columns", "rows")
+
+    def __init__(self, users, starts, counts, slots, gains, values, columns, rows):
+        self.users, self.starts, self.counts, self.slots = users, starts, counts, slots
+        self.gains, self.values, self.columns, self.rows = gains, values, columns, rows
 
 
 def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.ndarray):
@@ -334,7 +330,6 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     return (largest + resident) * np.dtype(complex).itemsize
 
 
-@dataclass(frozen=True)
 class _Layout:
     """One receiver's slot components, as rows of its reduced problem.
 
@@ -345,10 +340,10 @@ class _Layout:
     count * size rows.
     """
 
-    position: np.ndarray
-    order: np.ndarray
-    count: int
-    size: int
+    __slots__ = ("position", "order", "count", "size")
+
+    def __init__(self, position: np.ndarray, order: np.ndarray, count: int, size: int):
+        self.position, self.order, self.count, self.size = position, order, count, size
 
 
 def _slot_components(streams, length: int):
