@@ -11,10 +11,12 @@ zero-forcing decode round trip.
 Each interferer stream fills only its own slots, so a receiver's
 interference splits into independent slot components: groups of slots
 that chains of interferer streams link.  The pass ranks the interference
-component by component, one small block each, and ranks and decodes the
-desired block in complement coordinates, where each component's rows
-are multiplied by a basis of what its interference leaves free.  No
-matrix as tall as the supersymbol is decomposed.
+component by component, one small block each.  The desired block is
+never built: each own stream repeats over its own slots through a
+full-rank dim x dim block, so the joint rank is the desired rank plus
+the rank of the interference with the receiver's own slot rows removed,
+and the decode needs only those same blocks.  No matrix as tall as the
+supersymbol is decomposed.
 
 Channels are drawn i.i.d. CN(0, 1) per fading block; a block spans
 ``coherence_length`` consecutive slots, so alignment only survives when
@@ -127,17 +129,18 @@ class _StreamBatch:
     stacks their stream slots, (streams, dim).
     ``gains[rx, s]`` is stream s's dim x dim block at receiver rx: row j is
     the channel row rx sees at slot ``slots[s, j]``, in its own mode there.
-    ``values`` and ``columns`` hold each block's SVD: its singular values,
-    and U's columns scaled by them, one per row (``columns[rx, s, j]`` is
-    U[:, j] * S[j]).  ``rows[rx, s, j]`` is the row of slot ``slots[s, j]``
-    among rx's component rows (see ``_slot_components``).
+    ``values``, ``columns`` and ``vh`` hold each block's SVD: its singular
+    values, U's columns scaled by them, one per row (``columns[rx, s, j]``
+    is U[:, j] * S[j]), and Vh.  ``rows[rx, s, j]`` is the row of slot
+    ``slots[s, j]`` among rx's component rows (see ``_slot_components``).
     """
 
-    __slots__ = ("users", "starts", "counts", "slots", "gains", "values", "columns", "rows")
+    __slots__ = ("users", "starts", "counts", "slots", "gains", "values", "columns", "vh", "rows")
 
-    def __init__(self, users, starts, counts, slots, gains, values, columns, rows):
+    def __init__(self, users, starts, counts, slots, gains, values, columns, vh, rows):
         self.users, self.starts, self.counts, self.slots = users, starts, counts, slots
-        self.gains, self.values, self.columns, self.rows = gains, values, columns, rows
+        self.gains, self.values, self.columns, self.vh = gains, values, columns, vh
+        self.rows = rows
 
 
 def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.ndarray):
@@ -163,24 +166,12 @@ def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.n
             np.stack([channels.gains[rx, tx][:blocks] for tx in users])[user, block, mode[slots]]
             for rx, mode in enumerate(modes)
         ])
-        u, s, _ = np.linalg.svd(gains)
+        u, s, vh = np.linalg.svd(gains)
         batches.append(_StreamBatch(
-            users, starts, counts, slots, gains, s, np.swapaxes(u * s[..., None, :], -1, -2),
+            users, starts, counts, slots, gains, s, np.swapaxes(u * s[..., None, :], -1, -2), vh,
             position[:, slots],
         ))
     return batches, where
-
-
-def _block(length: int, rows: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """The effective block of stream blocks ``gains`` on their ``rows``.
-
-    Shape (length, streams * dim): row t holds, in the columns of stream s,
-    the channel row of slot t if the stream occupies it, and zeros
-    otherwise; ``rows`` are the streams' slots, or any renumbering of them.
-    """
-    out = np.zeros((length, len(gains), gains.shape[2]), dtype=complex)
-    out[rows, np.arange(len(gains))[:, None]] = gains
-    return out.reshape(length, -1)
 
 
 def random_symbols(
@@ -242,14 +233,17 @@ def _cutoff(s: np.ndarray, size: int) -> float:
 
     ``size`` is the larger side of the full matrix and ``s`` any set of its
     singular values that holds the largest, so the verdict is the one a
-    dense rank of the whole matrix would give.
+    dense rank of the whole matrix would give.  A receiver's free blocks
+    are counted against the cutoff of its whole interference stack (see
+    ``_receiver_pass``).
     """
     return size * s.max(initial=0.0) * RANK_RTOL
 
 
-def _component_shapes(config: GroupingConfig) -> list[tuple[int, int, int]]:
-    """(components, slots per component, untouched slots) at every receiver,
-    in closed form: what ``_slot_components`` finds on the built pattern.
+def _component_shapes(config: GroupingConfig) -> list[tuple[int, int, int, int]]:
+    """(components, slots per component, own slots per component, untouched
+    slots) at every receiver, in closed form: what ``_slot_components``
+    finds on the built pattern.
 
     A stream is a group-level stream times an element-level one.  At
     receiver (k, i) the element-level streams of the other positions link
@@ -260,14 +254,17 @@ def _component_shapes(config: GroupingConfig) -> list[tuple[int, int, int]]:
     of (k', i) and (k, i') merge every class into one component, which
     leaves only the product of the two hold segments untouched.  With one
     level of other users only, each of its classes times the whole other
-    level is a component.
+    level is a component.  Every untouched slot is one of the receiver's
+    c own slots, and the rest split evenly: (c - untouched) / components
+    to each component.
     """
     elem, grp = config.element_counts, config.group_mode_counts
     hold1, hold2 = _holds(elem), _holds(grp)
     length1, length2 = flat_length(elem), flat_length(grp)
     positions, groups = len(elem) > 1, len(grp) > 1  # is there another user at that level
+    dims = [config.used[orig] for orig in config.user_order()]
     out = []
-    for k, i in config.labels():
+    for d, (k, i) in zip(dims, config.labels()):
         free = (hold1[k - 1] if positions else length1) * (hold2[i - 1] if groups else length2)
         if positions and groups:
             count = 1
@@ -277,7 +274,8 @@ def _component_shapes(config: GroupingConfig) -> list[tuple[int, int, int]]:
             count = grp[i - 1] - 1
         else:
             count = 0
-        out.append((count, (length1 * length2 - free) // max(count, 1), free))
+        own = (d * hold1[k - 1] * hold2[i - 1] - free) // count if count else 0
+        out.append((count, (length1 * length2 - free) // max(count, 1), own, free))
     return out
 
 
@@ -287,46 +285,42 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     Receiver rx has L slots, c desired columns and r kept interference
     columns: L - c, its predicted combined rank, or every interfering
     column when ``coherence_length`` is shorter than L.  They split over m
-    slot components of n rows each (``_component_shapes``), w = ceil(r / m)
-    columns to a component, of rank p <= min(n, w).  At most c rows are
-    left in complement coordinates: the interference rank only grows past
-    its aligned value L - c when fading breaks the alignment.  An SVD of an
-    a x b matrix with a k-column U (p = min(a, b)) holds LAPACK's copy of
-    it, U and Vh both in LAPACK's buffer and as results, and LAPACK's
-    workspace: a b + 2 (a k + p b) + a p + 3 p^2 complex entries; a batch
-    of such matrices adds the results of the others.  The two SVD stages
-    are summed, since the first one's buffers can stay resident in the heap
-    while the second runs:
+    slot components of n rows each, ``own`` of them rx's own slots
+    (``_component_shapes``), w = ceil(r / m) columns to a component.  An
+    SVD of an a x b matrix (p = min(a, b)) holds LAPACK's copy of it and
+    its workspace, a b + a p + 3 p^2 complex entries; one with k columns of
+    U and k rows of Vh adds them in LAPACK's buffer and as results,
+    2 k (a + b), and a batch of such matrices the results of the others.
+    The pass holds, and this sums:
 
-    * the component blocks (m n w) and their batched SVD with all of U;
-    * D in row order (L c), the reduced block it is carried into (c c),
-      one component's conjugated complement basis (n (n - p)), and the
-      reduced block's thin SVD.
+    * the component blocks (m n w) and their values-only SVD;
+    * the free blocks (m (n - own) w) and their thin SVD with U and Vh.
 
     Every receiver's stream blocks stay resident for the whole verify:
-    gains, U, Vh and the scaled U (4 K c_tx dim_tx for each transmitter),
-    with each stream slot's component row (K c_tx integers, half an entry
-    each); so do the slot labels of every receiver and the samples (4 K L).
+    gains, Vh and the scaled U, with U while they are decomposed
+    (4 K c_tx dim_tx for each transmitter), and each stream slot's
+    component row (K c_tx integers, half an entry each); so do the slot
+    labels of every receiver and the samples (4 K L).
     """
-    def svd(a: int, b: int, k: int, count: int = 1) -> int:
+    def svd(a: int, b: int, k: int = 0, count: int = 1) -> int:
         p = min(a, b)
-        return a * b + 2 * (a * k + p * b) + a * p + 3 * p * p + (count - 1) * (a * k + p * b)
+        return a * b + a * p + 3 * p * p + (count + 1) * k * (a + b)
 
     length = grouped_length(config)
     ideal = coherence_length is None or coherence_length >= length
-    hold1, hold2 = _holds(config.element_counts), _holds(config.group_mode_counts)
+    shapes = _component_shapes(config)
+    columns = [m * own + untouched for m, _, own, untouched in shapes]
     dims = [config.used[orig] for orig in config.user_order()]
-    columns = [d * hold1[k - 1] * hold2[i - 1] for d, (k, i) in zip(dims, config.labels())]
     K = len(dims)
     resident = K * sum(4 * c * d + c // 2 for c, d in zip(columns, dims)) + 4 * K * length
     largest = 0
-    for (m, n, _), c in zip(_component_shapes(config), columns):
+    for (m, n, own, _), c in zip(shapes, columns):
         r = length - c if ideal else sum(columns) - c
         w = -(-r // m) if m else 0
-        p = min(n, w)
-        combine = m * n * w + svd(n, w, n, m)
-        decode = (length + c) * c + n * (n - p) + svd(c, c, c)
-        largest = max(largest, combine + decode)
+        a = n - own
+        ranked = m * n * w + svd(n, w)
+        decoded = m * a * w + svd(a, w, min(a, w), m)
+        largest = max(largest, ranked + decoded)
     return (largest + resident) * np.dtype(complex).itemsize
 
 
@@ -334,16 +328,18 @@ class _Layout:
     """One receiver's slot components, as rows of its reduced problem.
 
     ``order`` lists the slots by row: each component's slots in a run,
-    ascending, components in order of their smallest slots, then the slots
-    no interferer occupies; ``position`` is its inverse, slot t's row.
+    first those that are not the receiver's own and then its own ones,
+    each ascending, components in order of their smallest slots, then the
+    slots no interferer occupies; ``position`` is its inverse, slot t's row.
     ``count`` components of ``size`` slots each fill the first
-    count * size rows.
+    count * size rows; the last ``own`` rows of each are own slots.
     """
 
-    __slots__ = ("position", "order", "count", "size")
+    __slots__ = ("position", "order", "count", "size", "own")
 
-    def __init__(self, position: np.ndarray, order: np.ndarray, count: int, size: int):
-        self.position, self.order, self.count, self.size = position, order, count, size
+    def __init__(self, position: np.ndarray, order: np.ndarray, count: int, size: int, own: int):
+        self.position, self.order = position, order
+        self.count, self.size, self.own = count, size, own
 
 
 def _slot_components(streams, length: int):
@@ -354,7 +350,8 @@ def _slot_components(streams, length: int):
     component when a chain of streams of users other than rx links them.
     ``layouts[rx]`` is rx's ``_Layout`` and ``position[rx]`` its
     ``position``.  The product construction gives every component of a
-    receiver the same number of slots (see ``_component_shapes``).
+    receiver the same number of slots, and the same number of own slots
+    (see ``_component_shapes``).
 
     Labels are found for all receivers at once: each round lowers every
     stream's slots to the smallest label among them and lets each label
@@ -379,14 +376,16 @@ def _slot_components(streams, length: int):
         if (lowered == label).all():
             break
         label = lowered
-    order = np.argsort(np.where(touched, label, length), axis=1, kind="stable")
+    # within a component, the receiver's own slots sort after the others
+    order = np.argsort(np.where(touched, 2 * label + occupied, 2 * length), axis=1, kind="stable")
     position = np.empty_like(order)
     position[users[:, :, 0], order] = np.arange(length)
     counts = (touched & (label == np.arange(length))).sum(axis=1).tolist()
     sizes = touched.sum(axis=1).tolist()
+    mine = (touched & occupied).sum(axis=1).tolist()
     return position, [
-        _Layout(position[rx], order[rx], count, size // max(count, 1))
-        for rx, (count, size) in enumerate(zip(counts, sizes))
+        _Layout(position[rx], order[rx], count, size // max(count, 1), own // max(count, 1))
+        for rx, (count, size, own) in enumerate(zip(counts, sizes, mine))
     ]
 
 
@@ -454,63 +453,62 @@ def _receiver_pass(pattern, batches, where, layout, rx, pred, samples, noise):
     or (scale, RNG).
 
     The stream blocks' SVDs (``batches``) give the desired and
-    per-interferer ranks (see ``_component_blocks``).  One batched SVD of
-    the component blocks gives the combined rank, the union of their values
-    counted against the full stack's cutoff, and, with all of U, each
-    component's complement of the interference span.  In complement
-    coordinates, each component's rows of D and of the samples multiplied
-    by U_i[:, r_i:]^H and the untouched rows kept as they are, D becomes a
-    (length - combined) x c block with the singular values of P⊥D: its one
-    SVD gives the joint rank, rank I + rank(P⊥D), and the least-squares
-    decode.  Every cutoff keeps the shape of the full matrix it speaks
-    about, so each verdict is the dense rank's.
+    per-interferer ranks (see ``_component_blocks``).  The desired block is
+    D = Π (⊕_s G_s): Π holds the unit vectors of rx's c own slots and G_s is
+    own stream s's dim x dim block.  When every G_s has full rank, an own
+    row can take any value, so rank [D | I] = c + rank(I without rx's own
+    rows), summed over the components.  Two batched SVDs of the component
+    blocks I_i give the ranks, each counted against the full interference
+    stack's cutoff: a values-only one gives the combined rank, and a thin
+    one of the free blocks (I_i without its own rows) gives joint - c.
+    Drawn channels give full-rank G_s with probability 1; a G_s short of
+    full rank (a pattern that repeats a mode inside an own stream, or
+    channels built by hand) shows as desired < c, a mismatch, and then
+    joint = desired + rank(free) is a lower bound on the dense rank.
+
+    The thin SVD also decodes, by least squares on [D | I]: z_i is the
+    pseudo-inverse of free_i applied to the samples on its rows, an own
+    row's value is its sample minus I_i's own rows times z_i, an own row no
+    interferer touches keeps its sample, and each stream's symbol is the
+    pseudo-inverse of G_s applied to the values on its slots.
     """
-    length = pattern.length
-    b, own = where[rx]
-    s_desired = batches[b].values[rx, own]
-    desired_cutoff = _cutoff(s_desired, max(length, s_desired.size))
+    length, count, size, own = pattern.length, layout.count, layout.size, layout.own
+    b, streams = where[rx]
+    batch = batches[b]
+    s_desired = batch.values[rx, streams]
+    desired = s_desired > _cutoff(s_desired, max(length, s_desired.size))
     ranks, blocks, width = _component_blocks(length, batches, where, layout, rx)
-    count, size = layout.count, layout.size
-    basis, s, _ = np.linalg.svd(blocks, full_matrices=size > blocks.shape[2])  # U is size x size
-    spans = (s > _cutoff(s, max(length, width))).sum(axis=1)
-    combined = int(spans.sum())
+    s = np.linalg.svd(blocks, compute_uv=False)
+    cutoff = _cutoff(s, max(length, width))
+    free = size - own  # each component's first rows (see _Layout)
+    u, t, vh = np.linalg.svd(blocks[:, :free], full_matrices=False)
     if noise is not None:
         scale, rng = noise
         samples = samples + scale * (
             rng.standard_normal(length) + 1j * rng.standard_normal(length)
         ) / 2**0.5
-    # D and the samples in complement coordinates: U_i[:, r_i:]^H times
-    # each component's rows, then the untouched rows as they are
-    desired = _block(length, layout.position[pattern.streams[rx]], batches[b].gains[rx, own])
-    received = samples[layout.order]
-    reduced = np.empty((length - combined, desired.shape[1]), dtype=complex)
-    nulled = np.empty(length - combined, dtype=complex)
-    start = 0
-    for i, r in enumerate(spans.tolist()):
-        rows, stop = slice(i * size, (i + 1) * size), start + size - r
-        complement = basis[i, :, r:].conj().T
-        np.matmul(complement, desired[rows], out=reduced[start:stop])
-        np.matmul(complement, received[rows], out=nulled[start:stop])
-        start = stop
-    reduced[start:], nulled[start:] = desired[count * size:], received[count * size:]
-    u_mat, s, vh = np.linalg.svd(reduced, full_matrices=False)
-    # rank against D's scale: columns the nulling swallowed only look tiny next to it
-    surviving = int(np.count_nonzero(s > desired_cutoff))
-    u_mat, s, vh = u_mat[:, :surviving], s[:surviving], vh[:surviving]
-    solution = vh.conj().T @ ((u_mat.conj().T @ nulled) / s)
+    values = samples[layout.order]
+    components = values[:count * size].reshape(count, size, 1)  # a view into values
+    # pseudo-inverses weigh the values at or below their cutoff 0
+    projected = np.swapaxes(u.conj(), -1, -2) @ components[:, :free]
+    z = np.swapaxes(vh.conj(), -1, -2) @ (projected / np.where(t > cutoff, t, np.inf)[..., None])
+    components[:, free:] -= blocks[:, free:] @ z
+    # pinv(G_s) v = Vh^H S^-1 U^H v, with S U^H the conjugated scaled columns
+    solved = batch.columns[rx, streams].conj() @ values[batch.rows[rx, streams], None]
+    solved /= np.where(desired, s_desired, np.inf)[..., None] ** 2
     user = pattern.users[rx]
     return ReceiverReport(
         predicted=pred,
         measured=ReceiverRanks(
             label=(user.position, user.group),
             length=length,
-            desired=int(np.count_nonzero(s_desired > desired_cutoff)),
+            desired=int(np.count_nonzero(desired)),
             per_interferer=dict(zip(pred.per_interferer, ranks)),
-            combined=combined,
-            joint=combined + surviving,
+            combined=int(np.count_nonzero(s > cutoff)),
+            joint=int(np.count_nonzero(desired) + np.count_nonzero(t > cutoff)),
         ),
         samples=samples,
-        estimates=solution.reshape(pattern.streams[rx].shape),
+        estimates=(np.swapaxes(batch.vh[rx, streams].conj(), -1, -2) @ solved)[..., 0],
     )
 
 
@@ -545,19 +543,20 @@ def verify_receivers(
     up as measured > predicted.  The slot components of every receiver
     are found once, from ``pattern.streams`` alone, and the stream blocks
     of all (rx, tx) pairs are decomposed in one batched SVD per distinct
-    dim; each receiver's pass then works component by component (see
-    ``_receiver_pass``).  ``symbols[tx]`` has the shape of
-    ``pattern.streams[tx]``: row s is stream s's symbol vector.  Each
-    record also holds its receiver's samples and their decode.
-    Noise, when requested, is CN(0, 1) scaled by ``noise_scale``
-    (use 1/sqrt(SNR)), drawn receiver by receiver from one generator seeded
-    with ``noise_seed``.  The decode nulls interference at each receiver,
-    then least-squares the rest; it is exact up to numerical precision
-    whenever the joint rank condition holds and the samples are noiseless.
-    Channels not drawn for ``pattern`` are refused before any rank is
-    measured: their coherence length must be an integer >= 1, read as one
-    block at or past the supersymbol's length, and their gains must hold
-    each pair's (blocks, used rx, used tx) draws over enough blocks.
+    dim; each receiver's pass then works component by component, and reads
+    the joint rank as the desired rank plus the rank of the interference
+    without the receiver's own rows (see ``_receiver_pass``).
+    ``symbols[tx]`` has the shape of ``pattern.streams[tx]``: row s is
+    stream s's symbol vector.  Each record also holds its receiver's
+    samples and their decode.  Noise, when requested, is CN(0, 1) scaled
+    by ``noise_scale`` (use 1/sqrt(SNR)), drawn receiver by receiver from
+    one generator seeded with ``noise_seed``.  The decode is the least
+    squares of [desired | interference]; it is exact up to numerical
+    precision whenever the joint rank condition holds and the samples are
+    noiseless.  Channels not drawn for ``pattern`` are refused before any
+    rank is measured: their coherence length must be an integer >= 1, read
+    as one block at or past the supersymbol's length, and their gains must
+    hold each pair's (blocks, used rx, used tx) draws over enough blocks.
     """
     if not 0.0 <= noise_scale < np.inf:  # also rejects NaN
         raise ValueError("noise scale must be finite and >= 0")

@@ -34,7 +34,6 @@ from biasym import (
 )
 from biasym import signal
 from biasym.signal import (
-    _block,
     _component_blocks,
     _component_shapes,
     _slot_components,
@@ -195,45 +194,50 @@ class TestEffectiveMatrix:
         assert matrix_rank(block) == 2
 
     def test_zero_outside_occupied_slots(self, example_pattern, example_config):
-        # the desired block D the receiver pass assembles, against the oracle
+        # the oracle's desired block holds the stream blocks the receiver
+        # pass decomposes on their slots, and zeros everywhere else
         ch = draw_channels(example_config, None, 2)
         slots = example_pattern.streams[0]
         position, _ = _slot_components(example_pattern.streams, 15)
         batches, where = _stream_batches(example_pattern, ch, position)
         b, streams = where[0]
-        block = _block(15, slots, batches[b].gains[0, streams])
-        np.testing.assert_array_equal(block, effective_block(example_pattern, ch, 0, 0))
-        occupied = set(slots[0] + 1)
-        for t in range(1, 16):
-            row_is_zero = not np.any(block[t - 1])
-            assert row_is_zero == (t not in occupied)
+        block = effective_block(example_pattern, ch, 0, 0).reshape(15, len(slots), -1)
+        for s, stream in enumerate(slots):
+            np.testing.assert_array_equal(block[stream, s], batches[b].gains[0, streams][s])
+            block[stream, s] = 0
+        assert not block.any()
 
     def test_memory_estimate_of_flat_eight_users_by_arithmetic(self):
         # flat (4,)*8: L = 3^8 + 8 * 3^7, 4 * 3^7 desired columns per user; at
         # each receiver the other users' streams link the slots outside its
-        # 3^7-slot hold segment into 3 components, one per digit of its own
+        # 3^7-slot hold segment into 3 components, one per digit of its own,
+        # and the other own slots split evenly over them
         config = GroupingConfig.flat([4] * 8)
         length, columns, untouched = 24057, 8748, 2187
-        count, size = 3, (length - untouched) // 3
+        count, size, own = 3, (length - untouched) // 3, (columns - untouched) // 3
+        free = size - own
+        assert (size, own, free) == (7290, 2187, 5103)
 
-        def svd(m, n, k, copies=1):
+        def copy_and_workspace(m, n):
             p = min(m, n)
-            return m * n + 2 * (m * k + p * n) + m * p + 3 * p * p + (copies - 1) * (m * k + p * n)
+            return m * n + m * p + 3 * p * p
 
-        # every pair's stream blocks, gains, U, Vh and U*S, and slot rows; labels and samples
+        # every pair's stream blocks (gains, U, Vh and U*S) and slot rows; labels and samples
         resident = 8 * 8 * (4 * columns * 4 + columns // 2) + 4 * 8 * length
 
         def working_set(kept):
             width = -(-kept // count)  # kept columns per component
-            combine = count * size * width + svd(size, width, size, count)
-            # D, the columns x columns reduced block, one conjugated complement basis
-            decode = (length + columns) * columns + size * (size - min(size, width))
-            return 16 * (combine + decode + svd(columns, columns, columns) + resident)
+            blocks = count * size * width
+            values_only = copy_and_workspace(size, width)
+            free_blocks = count * free * width
+            p = min(free, width)  # columns of U, rows of Vh
+            thin = copy_and_workspace(free, width) + (count + 1) * p * (free + width)
+            return 16 * (blocks + values_only + free_blocks + thin + resident)
 
         # ideal fading: the interference fills the other L - c joint dimensions
         expected = working_set(length - columns)
         assert receiver_memory_bytes(config) == expected
-        assert expected > 20 * 2**30  # far above the CLI's 2 GiB limit
+        assert expected > 8 * 2**30  # far above the CLI's 2 GiB limit
         # with a fading block shorter than L, every interfering column counts
         assert receiver_memory_bytes(config, 100) == working_set(7 * columns)
 
@@ -369,6 +373,30 @@ class TestReceivedSignal:
             assert got.measured == want.measured and got.match
             np.testing.assert_array_equal(got.estimates, want.estimates)
 
+    def test_rank_deficient_own_blocks_read_as_a_mismatch(self, example_config, example_pattern):
+        # u1.1's own stream blocks zeroed, or of rank dim - 1: its desired
+        # rank falls short, and the joint rank read from the interference
+        # without u1.1's own rows is a lower bound on the dense one; the
+        # other receivers are untouched
+        ch = draw_channels(example_config, 5, 1)
+        symbols = random_symbols(example_pattern, 2)
+        drawn = verify_receivers(example_pattern, ch, symbols)
+        zeroed, rank_short = dict(ch.gains), dict(ch.gains)
+        zeroed[0, 0] = np.zeros_like(ch.gains[0, 0])
+        rank_short[0, 0] = ch.gains[0, 0].copy()
+        rank_short[0, 0][..., -1] = rank_short[0, 0][..., 0]
+        for gains, desired, joint, dense_joint in ((zeroed, 0, 9, 12), (rank_short, 5, 14, 15)):
+            built = replace(ch, gains=gains)
+            receivers = verify_receivers(example_pattern, built, symbols)
+            r = receivers[0]
+            blocks = [effective_block(example_pattern, built, 0, tx) for tx in range(4)]
+            dense = matrix_rank(np.hstack(blocks))
+            assert (r.measured.desired, r.measured.joint, dense) == (desired, joint, dense_joint)
+            assert not r.match and r.deficiency > 0
+            assert np.isfinite(r.estimates).all()
+            for got, want in zip(receivers[1:], drawn[1:]):
+                assert got.measured == want.measured
+
 
 class TestSubtractionSchedule:
     def test_example_combinations_isolate_desired_rows(self, example_config, example_pattern):
@@ -455,11 +483,13 @@ class TestAlignmentReport:
 class TestFullMatrixReference:
     """Ranks and deficiencies against matrix_rank on the full dense matrices.
 
-    The library never forms an interferer's block, the combined or the
-    joint matrix: it ranks each interferer from its stream blocks, takes one
-    batched SVD of each receiver's slot-component blocks and gets the joint
-    rank as rank I + rank(P⊥D) in complement coordinates.  These checks form
-    every matrix directly.  They also check that matching ranks leave no
+    The library never forms the desired block, an interferer's block, the
+    combined or the joint matrix: it ranks each interferer from its stream
+    blocks and takes two batched SVDs of each receiver's slot-component
+    blocks, and it reads the joint rank as the desired rank plus the rank
+    of the interference without the receiver's own rows, which holds when
+    the own stream blocks have full rank.  These checks form every matrix
+    directly.  They also check that matching ranks leave no
     deficiency, which lets a verdict of matching ranks stand for a full
     decode.
     """
@@ -555,7 +585,12 @@ class TestSlotComponents:
             rows = layout.count * layout.size
             members = layout.order[:rows].reshape(layout.count, layout.size)
             assert [set(m.tolist()) for m in members] == reference_components(pattern, rx)
-            assert (np.diff(members, axis=1) > 0).all()  # ascending within a component
+            # each component's slots of other users first, then rx's own, each ascending
+            own = set(pattern.streams[rx].ravel().tolist())
+            free = layout.size - layout.own
+            for part, mine in ((members[:, :free], False), (members[:, free:], True)):
+                assert (np.diff(part, axis=1) > 0).all()
+                assert all((t in own) == mine for t in part.ravel().tolist())
             np.testing.assert_array_equal(position[rx][layout.order], np.arange(pattern.length))
 
     @pytest.mark.parametrize("cfg", [
@@ -587,14 +622,16 @@ class TestSlotComponents:
                 continue
             pattern = grouped_pattern(cfg)
             _, layouts = _slot_components(pattern.streams, pattern.length)
-            built = [(l.count, l.size, pattern.length - l.count * l.size) for l in layouts]
+            built = [
+                (l.count, l.size, l.own, pattern.length - l.count * l.size) for l in layouts
+            ]
             assert _component_shapes(cfg) == built, cfg
             checked += 1
         assert checked >= 20
 
     def test_no_decomposition_spans_the_interference_stack(self, monkeypatch):
-        # flat (5,5,5,5): L = 512, 320 desired columns, combined rank 192;
-        # shapes only, so the guard holds on any host
+        # flat (5,5,5,5): L = 512, 320 desired columns, 4 components of 112
+        # slots; shapes only, so the guard holds on any host
         config = GroupingConfig.flat([5, 5, 5, 5])
         pattern = grouped_pattern(config)
         shapes = []
@@ -604,11 +641,12 @@ class TestSlotComponents:
         ))
         receivers = verify_receivers(pattern, draw_channels(config, None, 1), random_symbols(pattern))
         assert all(r.match for r in receivers)
-        length, columns, combined = 512, 320, 192
+        size, columns = 112, 320
         matrices = [shape[-2:] for shape in shapes]
-        assert all(rows <= length - combined for rows, cols in matrices if cols == columns)
-        assert all(rows < length for rows, _ in matrices)  # no L-row interference stack
+        assert all(rows <= size for rows, _ in matrices)  # nothing taller than one component
+        assert all(columns not in shape for shape in matrices)  # no desired block
         assert sum(shape == (5, 5) for shape in matrices) <= 1  # one call per distinct dim
+        assert len(shapes) == 1 + 2 * 4  # the stream blocks, then two per receiver
 
 
 def stream_block_setups():
@@ -708,6 +746,29 @@ class TestDecode:
         receivers = verify_receivers(example_pattern, ch, symbols)
         assert not all(r.deficiency == 0 for r in receivers)
         assert all(r.deficiency > 0 for r in receivers)
+
+    @pytest.mark.parametrize("cfg", [*small_configs(), GroupingConfig.flat([4, 4, 4, 4])], ids=str)
+    def test_noisy_decode_is_dense_least_squares(self, cfg):
+        # oracle: lstsq(P⊥D, P⊥y), with P⊥ the projector off the span of the
+        # dense interference stack, on aligned channels and noisy samples
+        pattern = grouped_pattern(cfg)
+        ch = draw_channels(cfg, None, 3)
+        symbols = random_symbols(pattern, 4)
+        receivers = verify_receivers(pattern, ch, symbols, 1e-3, 5)
+        K = len(pattern.users)
+        for rx, r in enumerate(receivers):
+            desired = effective_block(pattern, ch, rx, rx)
+            complement = np.eye(pattern.length)
+            if K > 1:
+                stack = np.hstack([
+                    effective_block(pattern, ch, rx, tx) for tx in range(K) if tx != rx
+                ])
+                basis = np.linalg.svd(stack)[0][:, :matrix_rank(stack)]
+                complement = complement - basis @ basis.conj().T
+            dense = np.linalg.lstsq(complement @ desired, complement @ r.samples, rcond=None)[0]
+            assert r.match
+            assert relative_error(r.estimates.ravel(), dense) < 1e-9
+            assert relative_error(r.estimates, symbols[rx]) > 1e-9  # the noise shows
 
     def test_noise_perturbs_but_structure_survives(self, example_config, example_pattern):
         ch = draw_channels(example_config, None, 4)
