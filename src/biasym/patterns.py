@@ -71,7 +71,7 @@ class GroupingConfig:
         eq, us = _mode_counts(self.equipped, self.used)
         grs = tuple(tuple(_integer(u, "user indices must be integers") for u in g)
                     for g in self.groups)
-        mgs = tuple(map(_mode_count, self.group_mode_counts))
+        mgs = tuple(_integer(m, "mode counts must be integers") for m in self.group_mode_counts)
         object.__setattr__(self, "equipped", eq)
         object.__setattr__(self, "used", us)
         object.__setattr__(self, "groups", grs)
@@ -194,20 +194,11 @@ def _integer(value, rule: str) -> int:
         raise ValueError(f"{rule}, got {value!r}") from None
 
 
-def _mode_count(m) -> int:
-    """One mode count as an int, refused as by :func:`_integer`; written out,
-    since every config built converts each of its counts."""
-    try:
-        return operator.index(m)
-    except TypeError:
-        raise ValueError(f"mode counts must be integers, got {m!r}") from None
-
-
 def _mode_counts(equipped, used) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Equipped and used mode counts as ints, checked to be a nonempty
     equipped list and to agree in length before anything indexes them by user."""
-    eq = tuple(map(_mode_count, equipped))
-    us = tuple(map(_mode_count, used))
+    eq = tuple(_integer(m, "mode counts must be integers") for m in equipped)
+    us = tuple(_integer(m, "mode counts must be integers") for m in used)
     if not eq:
         raise ValueError("equipped mode list must be nonempty")
     if any(m < 2 for m in eq):
@@ -234,7 +225,7 @@ def _member_order(members, equipped, used) -> tuple[int, ...]:
 def _flat_counts(mode_counts) -> tuple[int, ...]:
     """Mode counts of one flat level as ints: each >= 2, or the lone (1,),
     one user with one mode (a single group's level)."""
-    counts = tuple(map(_mode_count, mode_counts))
+    counts = tuple(_integer(m, "mode counts must be integers") for m in mode_counts)
     if not counts:
         raise ValueError("mode list must be nonempty")
     if counts != (1,) and any(m < 2 for m in counts):
