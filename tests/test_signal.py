@@ -770,6 +770,26 @@ class TestDecode:
             assert relative_error(r.estimates.ravel(), dense) < 1e-9
             assert relative_error(r.estimates, symbols[rx]) > 1e-9  # the noise shows
 
+    def test_free_blocks_short_of_full_rank(self):
+        # flat (4,4,4,4) at coherence 7 with u2.1's gains at u1.1 zeroed past
+        # the third fading block: u1.1's free blocks get singular values of
+        # zero, which the pseudo-inverse must drop; the ranks stay the dense ones
+        config = GroupingConfig.flat([4, 4, 4, 4])
+        pattern = grouped_pattern(config)
+        ch = draw_channels(config, 7, 1)
+        gains = dict(ch.gains)
+        gains[0, 1] = ch.gains[0, 1].copy()
+        gains[0, 1][3:] = 0
+        ch = replace(ch, gains=gains)
+        r = verify_receivers(pattern, ch, random_symbols(pattern, 2), 1e-3, 3)[0]
+        desired = effective_block(pattern, ch, 0, 0)
+        stack = np.hstack([effective_block(pattern, ch, 0, tx) for tx in (1, 2, 3)])
+        assert (r.measured.desired, r.measured.combined, r.measured.joint) == (
+            matrix_rank(desired), matrix_rank(stack), matrix_rank(np.hstack([desired, stack]))
+        )
+        # kept, the zero values would blow the 1e-3 noise up past 1e10
+        assert np.abs(r.estimates).max() < 1e3
+
     def test_noise_perturbs_but_structure_survives(self, example_config, example_pattern):
         ch = draw_channels(example_config, None, 4)
         symbols = random_symbols(example_pattern, 3)
