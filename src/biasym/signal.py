@@ -12,11 +12,11 @@ Each interferer stream fills only its own slots, so a receiver's
 interference splits into independent slot components: groups of slots
 that chains of interferer streams link.  The pass ranks the interference
 component by component, one small block each.  The desired block is
-never built: each own stream repeats over its own slots through a
-full-rank dim x dim block, so the joint rank is the desired rank plus
-the rank of the interference with the receiver's own slot rows removed,
-and the decode needs only those same blocks.  No matrix as tall as the
-supersymbol is decomposed.
+never built: each own stream reaches its own slots through a dim x dim
+block, and when these have full rank the joint rank is the desired rank
+plus the rank of the interference with the receiver's own slot rows
+removed, and the decode needs only those same blocks.  No matrix as tall
+as the supersymbol is decomposed.
 
 Channels are drawn i.i.d. CN(0, 1) per fading block; a block spans
 ``coherence_length`` consecutive slots, so alignment only survives when
