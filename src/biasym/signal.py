@@ -16,7 +16,10 @@ never built: each own stream reaches its own slots through a dim x dim
 block, and when these have full rank the joint rank is the desired rank
 plus the rank of the interference with the receiver's own slot rows
 removed, and the decode needs only those same blocks.  No matrix as tall
-as the supersymbol is decomposed.
+as the supersymbol is decomposed.  Those dim x dim stream blocks repeat:
+a receiver holds one mode across an interferer's stream, which is what
+aligns it, so a few channel-row patterns recur, and each distinct block
+is decomposed once per verify.
 
 Channels are drawn i.i.d. CN(0, 1) per fading block; a block spans
 ``coherence_length`` consecutive slots, so alignment only survives when
@@ -26,6 +29,7 @@ a whole supersymbol fits inside one block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -127,32 +131,51 @@ class _StreamBatch:
     ``users`` lists those transmitters in order, ``starts`` and ``counts``
     where each one's streams begin and how many there are, and ``slots``
     stacks their stream slots, (streams, dim).
-    ``gains[rx, s]`` is stream s's dim x dim block at receiver rx: row j is
-    the channel row rx sees at slot ``slots[s, j]``, in its own mode there.
-    ``values``, ``columns`` and ``vh`` hold each block's SVD: its singular
-    values, U's columns scaled by them, one per row (``columns[rx, s, j]``
-    is U[:, j] * S[j]), and Vh.  ``rows[rx, s, j]`` is the row of slot
-    ``slots[s, j]`` among rx's component rows (see ``_slot_components``).
+    Stream s's dim x dim block at receiver rx has as row j the channel row
+    rx sees at slot ``slots[s, j]``, in its own mode there.  Blocks that
+    read the same rows are equal, so each is kept once: ``index[rx, s]`` is
+    the (rx, s) block's place among the distinct ones, ``gains[index[rx,
+    s]]``.  ``values``, ``columns`` and ``vh`` hold each distinct block's
+    SVD: its singular values, U's columns scaled by them, one per row
+    (``columns[i, j]`` is U[:, j] * S[j]), and Vh.  ``rows[rx, s, j]`` is
+    the row of slot ``slots[s, j]`` among rx's component rows (see
+    ``_slot_components``).
     """
 
-    __slots__ = ("users", "starts", "counts", "slots", "gains", "values", "columns", "vh", "rows")
+    __slots__ = (
+        "users", "starts", "counts", "slots", "index", "gains", "values", "columns", "vh", "rows",
+    )
 
-    def __init__(self, users, starts, counts, slots, gains, values, columns, vh, rows):
+    def __init__(self, users, starts, counts, slots, index, gains, values, columns, vh, rows):
         self.users, self.starts, self.counts, self.slots = users, starts, counts, slots
-        self.gains, self.values, self.columns, self.vh = gains, values, columns, vh
+        self.index, self.gains, self.values, self.columns, self.vh = index, gains, values, columns, vh
         self.rows = rows
 
 
 def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.ndarray):
     """(batches, where): every (rx, tx) pair's stream blocks, one
-    ``_StreamBatch`` per distinct transmitter dim, each decomposed by one
-    batched SVD; ``where[tx]`` is (batch index, slice of tx's streams).
-    ``position`` is ``_slot_components``'s row of every slot at every receiver.
+    ``_StreamBatch`` per distinct transmitter dim, its distinct blocks
+    decomposed by one batched SVD; ``where[tx]`` is (batch index, slice of
+    tx's streams).  ``position`` is ``_slot_components``'s row of every
+    slot at every receiver.
+
+    An (rx, s) block reads row (fading block, rx's mode) of
+    ``channels.gains[rx, tx]`` at each of its slots, so blocks with equal
+    receiver, transmitter and per-slot (fading block, mode) are equal,
+    whatever the gains.  Each slot's pair is one integer below
+    blocks x modes <= L x modes; a lexicographic sort of the keys, receiver
+    first, finds the distinct blocks.  A receiver holds one mode across
+    most interferer streams, so few keys remain: flat (5,5,5,5) decomposes
+    52 blocks of 1,024 at ideal fading.
     """
     streams = pattern.streams
-    blocks = -(-pattern.length // channels.coherence_length)
-    modes = [np.array(user.physical_seq(), dtype=np.intp) - 1 for user in pattern.users]
-    batches, where = [], [None] * len(streams)
+    coherence = channels.coherence_length
+    blocks = -(-pattern.length // coherence)
+    dims = np.array([user.used for user in pattern.users])
+    modes = np.array([user.physical_seq() for user in pattern.users], dtype=np.intp) - 1
+    used = max(user.used for user in pattern.users)
+    K = len(streams)
+    batches, where = [], [None] * K
     for dim in sorted({s.shape[1] for s in streams}):
         users = tuple(tx for tx, s in enumerate(streams) if s.shape[1] == dim)
         counts = np.array([len(streams[tx]) for tx in users])
@@ -160,16 +183,34 @@ def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.n
         for tx, start, count in zip(users, starts.tolist(), counts.tolist()):
             where[tx] = len(batches), slice(start, start + count)
         slots = np.concatenate([streams[tx] for tx in users])
-        user = np.repeat(np.arange(len(users)), counts)[:, None]
-        block = slots // channels.coherence_length
-        gains = np.stack([
-            np.stack([channels.gains[rx, tx][:blocks] for tx in users])[user, block, mode[slots]]
-            for rx, mode in enumerate(modes)
+        n = len(slots)
+        user = np.repeat(np.arange(len(users)), counts)
+        fading, mode = slots // coherence, modes[:, slots]  # (streams, dim), (K, streams, dim)
+        # keys, (receiver, transmitter, one (fading block, mode) per slot), row by (rx, s)
+        key = np.empty((2 + dim, K, n), dtype=np.intp)
+        key[0] = np.arange(K)[:, None]
+        key[1] = user
+        key[2:] = np.moveaxis(fading * used + mode, -1, 0)
+        key = key.reshape(2 + dim, K * n)
+        order = np.lexsort(key[::-1])
+        ordered = key[:, order]
+        first = np.ones(K * n, dtype=bool)
+        first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        index = np.empty(K * n, dtype=np.intp)
+        index[order] = np.cumsum(first) - 1
+        # the distinct blocks' rows, read from every (rx, tx) pair's gains in one table
+        rx_of, s_of = np.divmod(order[first], n)
+        table = np.concatenate([
+            channels.gains[rx, tx][:blocks].reshape(-1, dim) for rx in range(K) for tx in users
         ])
+        sizes = np.repeat(blocks * dims, len(users))  # rows of each pair's gains
+        base = (np.cumsum(sizes) - sizes).reshape(K, len(users))
+        rows = fading[s_of] * dims[rx_of, None] + mode[rx_of, s_of]  # within the pair's gains
+        gains = table[rows + base[rx_of, user[s_of]][:, None]]
         u, s, vh = np.linalg.svd(gains)
         batches.append(_StreamBatch(
-            users, starts, counts, slots, gains, s, np.swapaxes(u * s[..., None, :], -1, -2), vh,
-            position[:, slots],
+            users, starts, counts, slots, index.reshape(K, n), gains, s,
+            np.swapaxes(u * s[..., None, :], -1, -2), vh, position[:, slots],
         ))
     return batches, where
 
@@ -279,6 +320,63 @@ def _component_shapes(config: GroupingConfig) -> list[tuple[int, int, int, int]]
     return out
 
 
+def _stream_block_counts(config: GroupingConfig, coherence_length: int | None = None):
+    """Bound on the distinct stream blocks of every (rx, tx) pair, in closed
+    form: ``counts[rx][tx]``, exact at one fading block.
+
+    A block is fixed by its slots' (fading block, rx mode) pairs (see
+    ``_stream_batches``), so the count is at most tx's stream count and
+    at most rx's mode tuples times the fading-block tuples over tx's
+    streams.
+
+    * Mode tuples: a two-level stream is a group-level stream times an
+      element-level one, and rx's mode pairs an element and a group mode,
+      so its tuples are pairs of one tuple per level.  At one level a
+      stream of another user lies where the others' digits spell it, so
+      rx holds one mode across it, one of M - 1 over the streams; rx's own
+      streams each run through its M modes in slot order, one tuple.
+    * Fading-block tuples: every slot column of tx's streams rises from
+      stream to stream, so the tuples take at most 1 + the number of
+      fading-block boundaries each column's slots cross.  At one level the
+      first M - 1 columns lie in the interleaving block, the last in the
+      user's hold segment.
+    """
+    length = grouped_length(config)
+    coherence = _coherence(coherence_length, length)
+    elem, grp = config.element_counts, config.group_mode_counts
+    length1 = flat_length(elem)
+
+    def spans(counts):  # (first, last) slot of each stream column, for each user of one level
+        block, holds = prod(m - 1 for m in counts), _holds(counts)
+        starts = [block + sum(holds[:k]) for k in range(len(counts))]
+        return holds, [
+            [(0, block - 1)] * (m - 1) + [(start, start + hold - 1)]
+            for m, start, hold in zip(counts, starts, holds)
+        ]
+
+    (hold1, spans1), (hold2, spans2) = spans(elem), spans(grp)
+    labels = config.labels()
+    fading = [
+        1 + sum(
+            (last2 * length1 + last1) // coherence - (first2 * length1 + first1) // coherence
+            for first2, last2 in spans2[i - 1]
+            for first1, last1 in spans1[k - 1]
+        )
+        for k, i in labels
+    ]
+    # rx's mode tuples over one level's streams of a user: 1 for its own, M - 1 else
+    return [
+        [
+            min(
+                hold1[k2 - 1] * hold2[i2 - 1],  # tx's streams
+                (1 if k == k2 else elem[k - 1] - 1) * (1 if i == i2 else grp[i - 1] - 1) * f,
+            )
+            for (k2, i2), f in zip(labels, fading)
+        ]
+        for k, i in labels
+    ]
+
+
 def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None = None) -> int:
     """Closed-form bound on the largest one-receiver working set, in bytes.
 
@@ -291,36 +389,41 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     its workspace, a b + a p + 3 p^2 complex entries; one with k columns of
     U and k rows of Vh adds them in LAPACK's buffer and as results,
     2 k (a + b), and a batch of such matrices the results of the others.
-    The pass holds, and this sums:
+    The pass holds the component blocks (m n w) throughout, and this sums
+    them with the larger of their two SVDs, one after the other:
 
-    * the component blocks (m n w) and their values-only SVD;
-    * the free blocks (m (n - own) w) and their thin SVD with U and Vh.
+    * values only, of the component blocks;
+    * thin, with U and Vh, of the free blocks (m (n - own) w), a view of
+      the component blocks.
 
-    Every receiver's stream blocks stay resident for the whole verify:
-    gains, Vh and the scaled U, with U while they are decomposed
-    (4 K c_tx dim_tx for each transmitter), and each stream slot's
-    component row (K c_tx integers, half an entry each); so do the slot
-    labels of every receiver and the samples (4 K L).
+    The distinct stream blocks stay resident for the whole verify
+    (``_stream_block_counts``): gains, Vh and the scaled U, with U while
+    they are decomposed (4 dim_tx^2 each).  So do the channels (blocks x
+    used_rx x used_tx for every pair), each (rx, stream)'s index among the
+    blocks and each stream slot's component row (K (c_tx + c_tx / dim_tx)
+    integers, half an entry each), the slot labels of every receiver and
+    the samples (4 K L).
     """
     def svd(a: int, b: int, k: int = 0, count: int = 1) -> int:
         p = min(a, b)
         return a * b + a * p + 3 * p * p + (count + 1) * k * (a + b)
 
     length = grouped_length(config)
-    ideal = coherence_length is None or coherence_length >= length
+    blocks = -(-length // _coherence(coherence_length, length))
     shapes = _component_shapes(config)
     columns = [m * own + untouched for m, _, own, untouched in shapes]
     dims = [config.used[orig] for orig in config.user_order()]
-    K = len(dims)
-    resident = K * sum(4 * c * d + c // 2 for c, d in zip(columns, dims)) + 4 * K * length
+    resident = sum(
+        4 * d * d * n + (c + c // d) // 2
+        for counts in _stream_block_counts(config, coherence_length)
+        for n, c, d in zip(counts, columns, dims)
+    ) + blocks * sum(dims) ** 2 + 4 * len(dims) * length
     largest = 0
     for (m, n, own, _), c in zip(shapes, columns):
-        r = length - c if ideal else sum(columns) - c
+        r = length - c if blocks == 1 else sum(columns) - c
         w = -(-r // m) if m else 0
         a = n - own
-        ranked = m * n * w + svd(n, w)
-        decoded = m * a * w + svd(a, w, min(a, w), m)
-        largest = max(largest, ranked + decoded)
+        largest = max(largest, m * n * w + max(svd(n, w), svd(a, w, min(a, w), m)))
     return (largest + resident) * np.dtype(complex).itemsize
 
 
@@ -395,7 +498,7 @@ def _received(batches, sources, length: int) -> np.ndarray:
     samples = np.zeros((len(sources), length), dtype=complex)
     for b in batches:
         x = np.concatenate([sources[tx] for tx in b.users])
-        np.add.at(samples, (users, b.slots), (b.gains @ x[..., None])[..., 0])
+        np.add.at(samples, (users, b.slots), (b.gains[b.index] @ x[..., None])[..., 0])
     return samples
 
 
@@ -415,24 +518,25 @@ def _component_blocks(length: int, batches, where, layout: _Layout, rx: int):
     columns, which only add zero singular values.
     """
     count, size = layout.count, layout.size
+    values = [b.values[b.index[rx]] for b in batches]  # (streams, dim) per batch
     cuts = [[] for _ in batches]
     width = 0
     for tx, (b, streams) in enumerate(where):
         cut = np.inf  # rx's own streams keep nothing
         if tx != rx:
-            s = batches[b].values[rx, streams]
+            s = values[b][streams]
             cut = _cutoff(s, max(length, s.size))
             width += s.size
         cuts[b].append(cut)
     kept, rows, columns = [0] * len(where), [], []
-    for b, cut in zip(batches, cuts):
-        keep = b.values[rx] > np.repeat(np.array(cut), b.counts)[:, None]
+    for b, v, cut in zip(batches, values, cuts):
+        keep = v > np.repeat(np.array(cut), b.counts)[:, None]
         kept_by_user = np.add.reduceat(keep.sum(axis=1), b.starts).tolist()
         for tx, k in zip(b.users, kept_by_user):
             kept[tx] = k
         stream, col = keep.nonzero()
         rows.append(b.rows[rx, stream])
-        columns.append(b.columns[rx, stream, col])
+        columns.append(b.columns[b.index[rx, stream], col])
     # each kept column's place among its component's columns
     owner = np.concatenate([r[:, 0] for r in rows]) // max(size, 1)
     seen = np.cumsum(owner[:, None] == np.arange(count), axis=0)
@@ -475,7 +579,8 @@ def _receiver_pass(pattern, batches, where, layout, rx, pred, samples, noise):
     length, count, size, own = pattern.length, layout.count, layout.size, layout.own
     b, streams = where[rx]
     batch = batches[b]
-    s_desired = batch.values[rx, streams]
+    index = batch.index[rx, streams]
+    s_desired = batch.values[index]
     desired = s_desired > _cutoff(s_desired, max(length, s_desired.size))
     ranks, blocks, width = _component_blocks(length, batches, where, layout, rx)
     s = np.linalg.svd(blocks, compute_uv=False)
@@ -489,12 +594,15 @@ def _receiver_pass(pattern, batches, where, layout, rx, pred, samples, noise):
         ) / 2**0.5
     values = samples[layout.order]
     components = values[:count * size].reshape(count, size, 1)  # a view into values
-    # pseudo-inverses weigh the values at or below their cutoff 0
-    projected = np.swapaxes(u.conj(), -1, -2) @ components[:, :free]
-    z = np.swapaxes(vh.conj(), -1, -2) @ (projected / np.where(t > cutoff, t, np.inf)[..., None])
+    # pseudo-inverses weigh the values at or below their cutoff 0; nothing
+    # else reads U and Vh, so they are conjugated in place
+    projected = np.swapaxes(np.conjugate(u, out=u), -1, -2) @ components[:, :free]
+    z = np.swapaxes(np.conjugate(vh, out=vh), -1, -2) @ (
+        projected / np.where(t > cutoff, t, np.inf)[..., None]
+    )
     components[:, free:] -= blocks[:, free:] @ z
     # pinv(G_s) v = Vh^H S^-1 U^H v, with S U^H the conjugated scaled columns
-    solved = batch.columns[rx, streams].conj() @ values[batch.rows[rx, streams], None]
+    solved = batch.columns[index].conj() @ values[batch.rows[rx, streams], None]
     solved /= np.where(desired, s_desired, np.inf)[..., None] ** 2
     user = pattern.users[rx]
     return ReceiverReport(
@@ -508,7 +616,7 @@ def _receiver_pass(pattern, batches, where, layout, rx, pred, samples, noise):
             joint=int(np.count_nonzero(desired) + np.count_nonzero(t > cutoff)),
         ),
         samples=samples,
-        estimates=(np.swapaxes(batch.vh[rx, streams].conj(), -1, -2) @ solved)[..., 0],
+        estimates=(np.swapaxes(batch.vh[index].conj(), -1, -2) @ solved)[..., 0],
     )
 
 
@@ -541,8 +649,8 @@ def verify_receivers(
     interference stacked and [desired | interference] against predictions
     that assume one fading block per supersymbol; shorter coherence shows
     up as measured > predicted.  The slot components of every receiver
-    are found once, from ``pattern.streams`` alone, and the stream blocks
-    of all (rx, tx) pairs are decomposed in one batched SVD per distinct
+    are found once, from ``pattern.streams`` alone, and the distinct stream
+    blocks of all (rx, tx) pairs are decomposed in one batched SVD per
     dim; each receiver's pass then works component by component, and reads
     the joint rank as the desired rank plus the rank of the interference
     without the receiver's own rows (see ``_receiver_pass``).

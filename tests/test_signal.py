@@ -38,6 +38,7 @@ from biasym.signal import (
     _component_shapes,
     _slot_components,
     _stream_batches,
+    _stream_block_counts,
     receiver_memory_bytes,
 )
 
@@ -201,19 +202,21 @@ class TestEffectiveMatrix:
         position, _ = _slot_components(example_pattern.streams, 15)
         batches, where = _stream_batches(example_pattern, ch, position)
         b, streams = where[0]
+        gains = batches[b].gains[batches[b].index[0, streams]]
         block = effective_block(example_pattern, ch, 0, 0).reshape(15, len(slots), -1)
         for s, stream in enumerate(slots):
-            np.testing.assert_array_equal(block[stream, s], batches[b].gains[0, streams][s])
+            np.testing.assert_array_equal(block[stream, s], gains[s])
             block[stream, s] = 0
         assert not block.any()
 
     def test_memory_estimate_of_flat_eight_users_by_arithmetic(self):
-        # flat (4,)*8: L = 3^8 + 8 * 3^7, 4 * 3^7 desired columns per user; at
-        # each receiver the other users' streams link the slots outside its
-        # 3^7-slot hold segment into 3 components, one per digit of its own,
-        # and the other own slots split evenly over them
+        # flat (4,)*8: L = 3^8 + 8 * 3^7, 4 * 3^7 desired columns per user in
+        # 3^7 streams of 4 slots; at each receiver the other users' streams
+        # link the slots outside its 3^7-slot hold segment into 3
+        # components, one per digit of its own, and the other own slots
+        # split evenly over them
         config = GroupingConfig.flat([4] * 8)
-        length, columns, untouched = 24057, 8748, 2187
+        length, block, columns, streams, untouched = 24057, 3**8, 8748, 2187, 2187
         count, size, own = 3, (length - untouched) // 3, (columns - untouched) // 3
         free = size - own
         assert (size, own, free) == (7290, 2187, 5103)
@@ -222,24 +225,46 @@ class TestEffectiveMatrix:
             p = min(m, n)
             return m * n + m * p + 3 * p * p
 
-        # every pair's stream blocks (gains, U, Vh and U*S) and slot rows; labels and samples
-        resident = 8 * 8 * (4 * columns * 4 + columns // 2) + 4 * 8 * length
+        def distinct(coherence):
+            # a stream's first 3 slots lie in the interleaving block, its last
+            # in its user's hold segment, each rising from stream to stream;
+            # a receiver holds one of its 3 modes across another user's
+            # stream and runs through its 4 modes along its own
+            fading = [
+                1 + 3 * ((block - 1) // coherence)
+                + (block + (k + 1) * streams - 1) // coherence - (block + k * streams) // coherence
+                for k in range(8)
+            ]
+            return sum(
+                min(streams, f * (1 if rx == tx else 3))
+                for rx in range(8) for tx, f in enumerate(fading)
+            )
 
-        def working_set(kept):
+        def working_set(kept, coherence):
+            # the distinct stream blocks (gains, U, Vh and U*S), the channels
+            # (4 x 4 per pair and fading block), each stream's index and slot
+            # rows; labels and samples
+            resident = (
+                4 * 16 * distinct(coherence) + -(-length // coherence) * 64 * 16
+                + 64 * ((columns + streams) // 2) + 4 * 8 * length
+            )
             width = -(-kept // count)  # kept columns per component
             blocks = count * size * width
             values_only = copy_and_workspace(size, width)
-            free_blocks = count * free * width
             p = min(free, width)  # columns of U, rows of Vh
             thin = copy_and_workspace(free, width) + (count + 1) * p * (free + width)
-            return 16 * (blocks + values_only + free_blocks + thin + resident)
+            return 16 * (blocks + max(values_only, thin) + resident)
 
-        # ideal fading: the interference fills the other L - c joint dimensions
-        expected = working_set(length - columns)
+        # ideal fading: the interference fills the other L - c joint
+        # dimensions, and 8 * (1 + 7 * 3) stream blocks are distinct
+        assert distinct(length) == 176
+        expected = working_set(length - columns, length)
         assert receiver_memory_bytes(config) == expected
-        assert expected > 8 * 2**30  # far above the CLI's 2 GiB limit
-        # with a fading block shorter than L, every interfering column counts
-        assert receiver_memory_bytes(config, 100) == working_set(7 * columns)
+        assert expected > 3 * 2**30  # far above the CLI's 2 GiB limit
+        # with a fading block shorter than L, every interfering column counts;
+        # the hold segment of user 5 crosses one boundary fewer than the others
+        assert distinct(100) == 8 * 218 * (1 + 7 * 3) - 22
+        assert receiver_memory_bytes(config, 100) == working_set(7 * columns, 100)
 
     @pytest.mark.parametrize("coherence", [None, 100])
     def test_memory_estimate_bounds_measured_growth(self, coherence):
@@ -703,6 +728,85 @@ class TestCompressedInterference:
             np.testing.assert_allclose(kept[:rank], full[:rank], rtol=0, atol=1e-10 * full[0])
             # the rest of the components' spectra is below the full stack's cutoff
             assert np.all(kept[rank:] <= max(stack.shape) * full[0] * 1e-10)
+
+    @staticmethod
+    def check_stream_blocks(pattern, ch):
+        """Each (rx, stream) block, read through its batch's index, is bit
+        for bit the block built alone from the gains, with its own SVD."""
+        position, _ = _slot_components(pattern.streams, pattern.length)
+        batches, where = _stream_batches(pattern, ch, position)
+        for rx, user in enumerate(pattern.users):
+            seq = user.physical_seq()
+            for tx, (b, streams) in enumerate(where):
+                batch = batches[b]
+                for slots, i in zip(pattern.streams[tx], batch.index[rx, streams].tolist()):
+                    block = np.array([channel_row(ch, rx, tx, t + 1, seq[t]) for t in slots])
+                    u, s, vh = np.linalg.svd(block)
+                    np.testing.assert_array_equal(batch.gains[i], block, strict=True)
+                    np.testing.assert_array_equal(batch.values[i], s, strict=True)
+                    np.testing.assert_array_equal(batch.columns[i], (u * s).T, strict=True)
+                    np.testing.assert_array_equal(batch.vh[i], vh, strict=True)
+        return batches
+
+    @pytest.mark.parametrize("cfg,coherence", [
+        *stream_block_setups(), *((cfg, 1) for cfg in small_configs()),
+    ], ids=str)
+    def test_distinct_stream_blocks_are_exact(self, cfg, coherence):
+        self.check_stream_blocks(grouped_pattern(cfg), draw_channels(cfg, coherence, 9))
+
+    @pytest.mark.parametrize("modes,coherence,distinct,blocks", [
+        ((5, 5, 5, 5), None, 52, 1024),
+        ((5, 5, 5, 5), 170, 135, 1024),
+        ((4, 4, 4, 4), None, 40, 432),
+        # every slot its own fading block: no two blocks are equal, and a
+        # mixed-radix key of 1,125 x 6 values per slot would pass 2^63
+        ((6, 6, 6, 6), 1, 2000, 2000),
+    ], ids=str)
+    def test_each_distinct_stream_block_is_decomposed_once(
+        self, modes, coherence, distinct, blocks, monkeypatch
+    ):
+        config = GroupingConfig.flat(modes)
+        pattern = grouped_pattern(config)
+        ch = draw_channels(config, coherence, 1)
+        if coherence == 1:
+            self.check_stream_blocks(pattern, ch)
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+            shapes.append(np.shape(a)) or svd(a, *args, **kwargs)
+        ))
+        position, _ = _slot_components(pattern.streams, pattern.length)
+        batches, _ = _stream_batches(pattern, ch, position)
+        assert len(shapes) == len(batches) == 1  # one batched call for the one dim
+        assert shapes[0][0] == distinct
+        assert sum(b.index.size for b in batches) == blocks
+        for b in batches:  # every distinct block is some (rx, stream)'s
+            np.testing.assert_array_equal(np.unique(b.index), np.arange(len(b.gains)))
+
+    @pytest.mark.parametrize("modes", [(6, 6, 4, 4), (6, 6, 6, 4, 4, 4), (4, 6, 4, 6), (9, 6), (8, 8, 8)])
+    def test_closed_form_block_counts_bound_the_built_ones(self, modes):
+        # the memory estimate reads the distinct stream blocks off the counts:
+        # exact at one fading block and at one slot per block, a bound between
+        checked = 0
+        for cfg in enumerate_configs(SearchSpace(modes)):
+            length = grouped_length(cfg)
+            if length > 300:
+                continue
+            pattern = grouped_pattern(cfg)
+            position, _ = _slot_components(pattern.streams, length)
+            for coherence in (None, 1, 5, max(1, length // 3)):
+                ch = draw_channels(cfg, coherence, 1)
+                batches, where = _stream_batches(pattern, ch, position)
+                built = np.array([
+                    [len(np.unique(batches[b].index[rx, streams])) for b, streams in where]
+                    for rx in range(len(where))
+                ])
+                bound = np.array(_stream_block_counts(cfg, coherence))
+                if coherence in (None, 1):
+                    np.testing.assert_array_equal(built, bound, err_msg=str(cfg))
+                assert (built <= bound).all(), (cfg, coherence)
+            checked += 1
+        assert checked >= 20
 
     def test_cutoffs_keep_full_shapes(self, example_pattern, monkeypatch):
         # per receiver: its desired block, each interferer's block and the
