@@ -746,7 +746,6 @@ class TestCompressedInterference:
                     np.testing.assert_array_equal(batch.values[i], s, strict=True)
                     np.testing.assert_array_equal(batch.columns[i], (u * s).T, strict=True)
                     np.testing.assert_array_equal(batch.vh[i], vh, strict=True)
-        return batches
 
     @pytest.mark.parametrize("cfg,coherence", [
         *stream_block_setups(), *((cfg, 1) for cfg in small_configs()),
