@@ -8,18 +8,19 @@ per receiver, ``verify_receivers`` ranks the effective (channel times
 repetition) matrices against the exact predictions and runs a
 zero-forcing decode round trip.
 
-Each interferer stream fills only its own slots, so a receiver's
-interference splits into independent slot components: groups of slots
-that chains of interferer streams link.  The pass ranks the interference
-component by component, one small block each.  The desired block is
-never built: each own stream reaches its own slots through a dim x dim
-block, and when these have full rank the joint rank is the desired rank
-plus the rank of the interference with the receiver's own slot rows
-removed, and the decode needs only those same blocks.  No matrix as tall
-as the supersymbol is decomposed.  Those dim x dim stream blocks repeat:
-a receiver holds one mode across an interferer's stream, which is what
-aligns it, so a few channel-row patterns recur, and each distinct block
-is decomposed once per verify.
+Each interferer stream fills only its own slots, and a receiver holds
+one mode across it at each level that has other users, so the receiver's
+own modes split its interference into independent slot components: one
+per mode it holds when only one level has other users, one when both do,
+and the slots where it holds its final modes untouched.  The pass ranks
+the interference component by component, one small block each.  The
+desired block is never built: each own stream reaches its own slots
+through a dim x dim block, and when these have full rank the joint rank
+is the desired rank plus the rank of the interference with the
+receiver's own slot rows removed, and the decode needs only those same
+blocks.  No matrix as tall as the supersymbol is decomposed.  Those
+dim x dim stream blocks repeat: the held modes make a few channel-row
+patterns recur, and each distinct block is decomposed once per verify.
 
 Channels are drawn i.i.d. CN(0, 1) per fading block; a block spans
 ``coherence_length`` consecutive slots, so alignment only survives when
@@ -39,6 +40,7 @@ from .patterns import (
     PresetPattern,
     _holds,
     _integer,
+    base_pattern,
     flat_length,
     grouped_length,
     user_label,
@@ -283,8 +285,7 @@ def _cutoff(s: np.ndarray, size: int) -> float:
 
 def _component_shapes(config: GroupingConfig) -> list[tuple[int, int, int, int]]:
     """(components, slots per component, own slots per component, untouched
-    slots) at every receiver, in closed form: what ``_slot_components``
-    finds on the built pattern.
+    slots) at every receiver, in closed form.
 
     A stream is a group-level stream times an element-level one.  At
     receiver (k, i) the element-level streams of the other positions link
@@ -338,19 +339,20 @@ def _stream_block_counts(config: GroupingConfig, coherence_length: int | None = 
     * Fading-block tuples: every slot column of tx's streams rises from
       stream to stream, so the tuples take at most 1 + the number of
       fading-block boundaries each column's slots cross.  At one level the
-      first M - 1 columns lie in the interleaving block, the last in the
-      user's hold segment.
+      first M - 1 columns span the interleaving block alike, so they are
+      counted once and weighed M - 1, and the last lies in the user's hold
+      segment; the bound costs O(users^2) whatever the counts.
     """
     length = grouped_length(config)
     coherence = _coherence(coherence_length, length)
     elem, grp = config.element_counts, config.group_mode_counts
     length1 = flat_length(elem)
 
-    def spans(counts):  # (first, last) slot of each stream column, for each user of one level
+    def spans(counts):  # (columns, first, last slot) of each user's stream columns at one level
         block, holds = prod(m - 1 for m in counts), _holds(counts)
         starts = [block + sum(holds[:k]) for k in range(len(counts))]
         return holds, [
-            [(0, block - 1)] * (m - 1) + [(start, start + hold - 1)]
+            [(m - 1, 0, block - 1), (1, start, start + hold - 1)]
             for m, start, hold in zip(counts, starts, holds)
         ]
 
@@ -358,9 +360,11 @@ def _stream_block_counts(config: GroupingConfig, coherence_length: int | None = 
     labels = config.labels()
     fading = [
         1 + sum(
-            (last2 * length1 + last1) // coherence - (first2 * length1 + first1) // coherence
-            for first2, last2 in spans2[i - 1]
-            for first1, last1 in spans1[k - 1]
+            n2 * n1 * (
+                (last2 * length1 + last1) // coherence - (first2 * length1 + first1) // coherence
+            )
+            for n2, first2, last2 in spans2[i - 1]
+            for n1, first1, last1 in spans1[k - 1]
         )
         for k, i in labels
     ]
@@ -433,62 +437,55 @@ class _Layout:
     ``order`` lists the slots by row: each component's slots in a run,
     first those that are not the receiver's own and then its own ones,
     each ascending, components in order of their smallest slots, then the
-    slots no interferer occupies; ``position`` is its inverse, slot t's row.
-    ``count`` components of ``size`` slots each fill the first
-    count * size rows; the last ``own`` rows of each are own slots.
+    slots no interferer occupies.  ``count`` components of ``size`` slots
+    each fill the first count * size rows; the last ``own`` rows of each
+    are own slots.
     """
 
-    __slots__ = ("position", "order", "count", "size", "own")
+    __slots__ = ("order", "count", "size", "own")
 
-    def __init__(self, position: np.ndarray, order: np.ndarray, count: int, size: int, own: int):
-        self.position, self.order = position, order
-        self.count, self.size, self.own = count, size, own
+    def __init__(self, order: np.ndarray, count: int, size: int, own: int):
+        self.order, self.count, self.size, self.own = order, count, size, own
 
 
-def _slot_components(streams, length: int):
+def _slot_components(pattern: PresetPattern):
     """Every receiver's slot components: (position, layouts).
 
     At receiver rx each interferer stream fills only its own slots, so the
-    interference splits into independent groups of slots: two slots share a
-    component when a chain of streams of users other than rx links them.
-    ``layouts[rx]`` is rx's ``_Layout`` and ``position[rx]`` its
-    ``position``.  The product construction gives every component of a
-    receiver the same number of slots, and the same number of own slots
-    (see ``_component_shapes``).
+    interference splits into independent groups of slots, its components.
+    ``layouts[rx]`` is rx's ``_Layout``, its shapes ``_component_shapes``',
+    and ``position[rx]`` the inverse of its order, slot t's row.
 
-    Labels are found for all receivers at once: each round lowers every
-    stream's slots to the smallest label among them and lets each label
-    follow its own label, until a round changes nothing.
+    rx holds one mode across every interferer stream at each level that
+    has other users, which is what aligns it, so its own modes fix the
+    split.  A slot is untouched where rx holds its final mode at every such
+    level.  The rest form one component when both levels have other users,
+    and one per mode rx holds there when only one level has them.  The
+    modes come from the config's counts, as the streams do.  One stable
+    sort by (untouched, component, own) orders the rows; untouched slots
+    are own slots in final modes, so they keep slot order.
     """
-    K = len(streams)
-    users = np.arange(K)[:, None, None]
-    # every stream padded to the widest dim by repeating its last slot
-    width = range(max(s.shape[1] for s in streams))
-    padded = np.concatenate([np.take(s, width, axis=1, mode="clip") for s in streams])
-    owner = np.repeat(np.arange(K), [len(s) for s in streams])
-    occupied = np.zeros((K, length), dtype=bool)
-    occupied[owner[:, None], padded] = True
-    touched = occupied.sum(axis=0) > occupied  # some other user occupies the slot
-    own = owner == users[:, :, 0]  # a receiver's own streams join nothing
-    label = np.tile(np.arange(length), (K, 1))
-    while True:
-        lowered = label.copy()
-        low = np.where(own, length, label[:, padded].min(axis=2))
-        np.minimum.at(lowered, (users, padded), low[..., None])
-        lowered = lowered[users[:, :, 0], lowered]
-        if (lowered == label).all():
-            break
-        label = lowered
-    # within a component, the receiver's own slots sort after the others
-    order = np.argsort(np.where(touched, 2 * label + occupied, 2 * length), axis=1, kind="stable")
+    config = pattern.config
+    elem, grp = config.element_counts, config.group_mode_counts
+    k, i = (np.array(config.labels()) - 1).T
+    # rx's modes by slot; a level without other users counts as final throughout
+    mode1 = np.tile(np.array(base_pattern(elem))[k], flat_length(grp))
+    mode2 = np.repeat(np.array(base_pattern(grp))[i], flat_length(elem), axis=1)
+    final1 = (mode1 == np.array(elem)[k, None]) | (len(elem) == 1)
+    final2 = (mode2 == np.array(grp)[i, None]) | (len(grp) == 1)
+    if len(elem) > 1 and len(grp) > 1:
+        component = 0
+    else:
+        component = mode2 if len(elem) == 1 else mode1
+    occupied = np.zeros(mode1.shape, dtype=bool)
+    for rx, slots in enumerate(pattern.streams):
+        occupied[rx, slots] = True
+    order = np.lexsort(np.broadcast_arrays(occupied, component, final1 & final2))
     position = np.empty_like(order)
-    position[users[:, :, 0], order] = np.arange(length)
-    counts = (touched & (label == np.arange(length))).sum(axis=1).tolist()
-    sizes = touched.sum(axis=1).tolist()
-    mine = (touched & occupied).sum(axis=1).tolist()
+    np.put_along_axis(position, order, np.arange(pattern.length), axis=1)
     return position, [
-        _Layout(position[rx], order[rx], count, size // max(count, 1), own // max(count, 1))
-        for rx, (count, size, own) in enumerate(zip(counts, sizes, mine))
+        _Layout(rows, count, size, own)
+        for rows, (count, size, own, _) in zip(order, _component_shapes(config))
     ]
 
 
@@ -684,7 +681,7 @@ def verify_receivers(
         raise ValueError("channels must hold each (rx, tx) pair's (blocks, used rx, used tx) "
                          "gains, enough blocks to cover the supersymbol")
     noise = (noise_scale, np.random.default_rng(noise_seed)) if noise_scale > 0.0 else None
-    position, layouts = _slot_components(pattern.streams, pattern.length)
+    position, layouts = _slot_components(pattern)
     batches, where = _stream_batches(pattern, ChannelSet(coherence, channels.gains), position)
     samples = _received(batches, sources, pattern.length)
     return tuple(

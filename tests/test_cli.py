@@ -131,6 +131,13 @@ class TestExitCodes:
         assert "invalid config: verify needs about" in captured.err
         assert captured.out == ""
 
+    def test_verify_of_a_huge_mode_count_is_2(self, capsys):
+        # the estimate's cost does not grow with the mode counts
+        assert main(["verify", "--modes", "1000000000000,4", "--flat"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid config: verify needs about" in captured.err
+        assert captured.out == ""
+
     def test_pattern_over_cell_limit_is_2_before_building(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("the pattern must not be built")

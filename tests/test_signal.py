@@ -199,7 +199,7 @@ class TestEffectiveMatrix:
         # pass decomposes on their slots, and zeros everywhere else
         ch = draw_channels(example_config, None, 2)
         slots = example_pattern.streams[0]
-        position, _ = _slot_components(example_pattern.streams, 15)
+        position, _ = _slot_components(example_pattern)
         batches, where = _stream_batches(example_pattern, ch, position)
         b, streams = where[0]
         gains = batches[b].gains[batches[b].index[0, streams]]
@@ -266,10 +266,12 @@ class TestEffectiveMatrix:
         assert distinct(100) == 8 * 218 * (1 + 7 * 3) - 22
         assert receiver_memory_bytes(config, 100) == working_set(7 * columns, 100)
 
-    @pytest.mark.parametrize("coherence", [None, 100])
-    def test_memory_estimate_bounds_measured_growth(self, coherence):
-        # one verify pass over flat (5,5,5,5) in a fresh interpreter: the
-        # growth of its peak RSS stays below the estimate, within a factor 3
+    @pytest.mark.parametrize("modes,coherence", [((3,) * 8, None), ((6, 6, 6, 6), 100)],
+                             ids=["flat-3x8-ideal", "flat-6666-coherence-100"])
+    def test_memory_estimate_bounds_measured_growth(self, modes, coherence):
+        # one verify pass in a fresh interpreter: the growth of its peak RSS
+        # stays below the estimate, within a factor 3; the configs' working
+        # sets (tens of MiB) dwarf the heap an interpreter frees after import
         script = f"""
 import os, sys
 # Linux carries ru_maxrss across exec, so this interpreter starts at the
@@ -288,7 +290,7 @@ def run(config, coherence):
 
 run(GroupingConfig.flat([3, 3]), None)  # loads LAPACK and warms the caches
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-receivers = run(GroupingConfig.flat([5, 5, 5, 5]), {coherence})
+receivers = run(GroupingConfig.flat({list(modes)}), {coherence})
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 match = all(r.match for r in receivers)
 print(json.dumps({{"growth": (after - before) * 1024, "match": match}}))
@@ -300,7 +302,7 @@ print(json.dumps({{"growth": (after - before) * 1024, "match": match}}))
                               capture_output=True, text=True, timeout=120, check=True)
         measured = json.loads(proc.stdout)
         assert measured["match"] == (coherence is None)
-        estimate = receiver_memory_bytes(GroupingConfig.flat([5, 5, 5, 5]), coherence)
+        estimate = receiver_memory_bytes(GroupingConfig.flat(modes), coherence)
         assert measured["growth"] <= estimate <= 3 * measured["growth"]
 
     def test_memory_estimate_covers_the_effective_blocks(self, example_pattern, example_config):
@@ -599,13 +601,21 @@ def reference_components(pattern, rx) -> list[set[int]]:
     return [groups[r] for r in sorted(groups)]
 
 
+def enumerated_configs(modes) -> list[GroupingConfig]:
+    """Every config the search yields for ``modes`` with L <= 600, short
+    enough for the pure-Python union-find."""
+    return [cfg for cfg in enumerate_configs(SearchSpace(modes)) if grouped_length(cfg) <= 600]
+
+
+ENUMERATED_MODES = [(6, 6, 4, 4), (6, 6, 6, 4, 4, 4), (4, 6, 4, 6), (9, 6), (8, 8, 8)]
+
+
 class TestSlotComponents:
     """Each receiver's interference split into independent slot components."""
 
-    @pytest.mark.parametrize("cfg", [*small_configs(), GroupingConfig.flat([4, 4, 4, 4])], ids=str)
-    def test_components_match_union_find(self, cfg):
-        pattern = grouped_pattern(cfg)
-        position, layouts = _slot_components(pattern.streams, pattern.length)
+    @staticmethod
+    def check_union_find(pattern):
+        position, layouts = _slot_components(pattern)
         for rx, layout in enumerate(layouts):
             rows = layout.count * layout.size
             members = layout.order[:rows].reshape(layout.count, layout.size)
@@ -616,14 +626,15 @@ class TestSlotComponents:
             for part, mine in ((members[:, :free], False), (members[:, free:], True)):
                 assert (np.diff(part, axis=1) > 0).all()
                 assert all((t in own) == mine for t in part.ravel().tolist())
+            # then the untouched slots, ascending
+            assert (np.diff(layout.order[rows:]) > 0).all()
             np.testing.assert_array_equal(position[rx][layout.order], np.arange(pattern.length))
 
-    @pytest.mark.parametrize("cfg", [
-        *small_configs(), GroupingConfig.flat([4, 4, 4, 4]), GroupingConfig.flat([5, 5, 5, 5]),
-    ], ids=str)
-    def test_no_interferer_stream_spans_two_components(self, cfg):
-        pattern = grouped_pattern(cfg)
-        position, layouts = _slot_components(pattern.streams, pattern.length)
+    @staticmethod
+    def check_streams_in_one_component(pattern):
+        # the component blocks place each kept column by its stream's first
+        # row, so a stream across two components would give wrong ranks
+        position, layouts = _slot_components(pattern)
         for rx, layout in enumerate(layouts):
             for tx, slots in enumerate(pattern.streams):
                 if tx != rx:
@@ -632,27 +643,55 @@ class TestSlotComponents:
                     component = rows // layout.size
                     assert (component == component[:, :1]).all(), (rx, tx)
 
+    @pytest.mark.parametrize("cfg", [*small_configs(), GroupingConfig.flat([4, 4, 4, 4])], ids=str)
+    def test_components_match_union_find(self, cfg):
+        self.check_union_find(grouped_pattern(cfg))
+
+    @pytest.mark.parametrize("modes", ENUMERATED_MODES)
+    def test_enumerated_components_match_union_find(self, modes):
+        for cfg in enumerated_configs(modes):
+            self.check_union_find(grouped_pattern(cfg))
+
+    def test_misaligned_components_match_union_find(self, misaligned_pattern):
+        # the split comes from the config's counts, as the streams do, not
+        # from the out-of-step sequence of u2.2
+        self.check_union_find(misaligned_pattern)
+
+    @pytest.mark.parametrize("cfg", [
+        *small_configs(), GroupingConfig.flat([4, 4, 4, 4]), GroupingConfig.flat([5, 5, 5, 5]),
+    ], ids=str)
+    def test_no_interferer_stream_spans_two_components(self, cfg):
+        self.check_streams_in_one_component(grouped_pattern(cfg))
+
+    @pytest.mark.parametrize("modes", ENUMERATED_MODES)
+    def test_no_enumerated_interferer_stream_spans_two_components(self, modes):
+        for cfg in enumerated_configs(modes):
+            self.check_streams_in_one_component(grouped_pattern(cfg))
+
     @pytest.mark.parametrize("modes,count,size", [((5, 5, 5, 5), 4, 112), ((4, 4, 4, 4), 3, 54)])
     def test_flat_component_counts(self, modes, count, size):
         pattern = grouped_pattern(GroupingConfig.flat(modes))
-        _, layouts = _slot_components(pattern.streams, pattern.length)
+        _, layouts = _slot_components(pattern)
         assert [(layout.count, layout.size) for layout in layouts] == [(count, size)] * 4
 
-    @pytest.mark.parametrize("modes", [(6, 6, 4, 4), (6, 6, 6, 4, 4, 4), (4, 6, 4, 6), (9, 6), (8, 8, 8)])
+    @pytest.mark.parametrize("modes", ENUMERATED_MODES)
     def test_closed_form_shapes_match_the_built_pattern(self, modes):
-        # the memory estimate reads the shapes off the counts, before any build
-        checked = 0
-        for cfg in enumerate_configs(SearchSpace(modes)):
-            if grouped_length(cfg) > 600:
-                continue
+        # the memory estimate and the pass read the shapes off the counts,
+        # before any build; the union-find finds them on the built streams
+        configs = enumerated_configs(modes)
+        for cfg in configs:
             pattern = grouped_pattern(cfg)
-            _, layouts = _slot_components(pattern.streams, pattern.length)
-            built = [
-                (l.count, l.size, l.own, pattern.length - l.count * l.size) for l in layouts
-            ]
+            built = []
+            for rx, slots in enumerate(pattern.streams):
+                components = reference_components(pattern, rx)
+                own = set(slots.ravel().tolist())
+                shapes = {(len(c), len(c & own)) for c in components}
+                assert len(shapes) <= 1, (cfg, rx)  # every component alike
+                size, mine = shapes.pop() if shapes else (0, 0)
+                count = len(components)
+                built.append((count, size, mine, pattern.length - count * size))
             assert _component_shapes(cfg) == built, cfg
-            checked += 1
-        assert checked >= 20
+        assert len(configs) >= 20
 
     def test_no_decomposition_spans_the_interference_stack(self, monkeypatch):
         # flat (5,5,5,5): L = 512, 320 desired columns, 4 components of 112
@@ -708,7 +747,7 @@ class TestCompressedInterference:
     def test_component_blocks_keep_nonzero_spectrum(self, cfg, coherence):
         pattern = grouped_pattern(cfg)
         ch = draw_channels(cfg, coherence, 8)
-        position, layouts = _slot_components(pattern.streams, pattern.length)
+        position, layouts = _slot_components(pattern)
         batches, where = _stream_batches(pattern, ch, position)
         K = len(pattern.users)
         for rx, layout in enumerate(layouts):
@@ -733,7 +772,7 @@ class TestCompressedInterference:
     def check_stream_blocks(pattern, ch):
         """Each (rx, stream) block, read through its batch's index, is bit
         for bit the block built alone from the gains, with its own SVD."""
-        position, _ = _slot_components(pattern.streams, pattern.length)
+        position, _ = _slot_components(pattern)
         batches, where = _stream_batches(pattern, ch, position)
         for rx, user in enumerate(pattern.users):
             seq = user.physical_seq()
@@ -774,7 +813,7 @@ class TestCompressedInterference:
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
             shapes.append(np.shape(a)) or svd(a, *args, **kwargs)
         ))
-        position, _ = _slot_components(pattern.streams, pattern.length)
+        position, _ = _slot_components(pattern)
         batches, _ = _stream_batches(pattern, ch, position)
         assert len(shapes) == len(batches) == 1  # one batched call for the one dim
         assert shapes[0][0] == distinct
@@ -792,7 +831,7 @@ class TestCompressedInterference:
             if length > 300:
                 continue
             pattern = grouped_pattern(cfg)
-            position, _ = _slot_components(pattern.streams, length)
+            position, _ = _slot_components(pattern)
             for coherence in (None, 1, 5, max(1, length // 3)):
                 ch = draw_channels(cfg, coherence, 1)
                 batches, where = _stream_batches(pattern, ch, position)
