@@ -646,7 +646,7 @@ def verify_receivers(
     interference stacked and [desired | interference] against predictions
     that assume one fading block per supersymbol; shorter coherence shows
     up as measured > predicted.  The slot components of every receiver
-    are found once, from ``pattern.streams`` alone, and the distinct stream
+    are found once, from the config's counts alone, and the distinct stream
     blocks of all (rx, tx) pairs are decomposed in one batched SVD per
     dim; each receiver's pass then works component by component, and reads
     the joint rank as the desired rank plus the rank of the interference
