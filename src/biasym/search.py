@@ -22,7 +22,7 @@ from functools import cache
 from itertools import groupby, islice
 from operator import itemgetter
 
-from .dof import render_decimal, sum_dof_grouped
+from .dof import render_decimal
 from .patterns import GroupingConfig, _integer, _mode_counts
 
 __all__ = [
@@ -71,20 +71,21 @@ class SearchSpace:
 def _count_vectors(slots, cap):
     """Each non-increasing vector of counts with one count from ``lo`` to
     ``hi`` per ``(lo, hi)`` slot whose flat length is at most ``cap``
-    (None = no cap), as (vector, length).
+    (None = no cap), as (vector, length, desired dimensions).
 
     The flat length grows with every count, so once a prefix filled up
     with 2s is over the cap, so is every vector that extends it.  The
     depth-first search folds the length one count at a time, block and
     holds as in the flat construction, cuts the prefix there, and yields
-    each vector with the length of its own fold.
+    each vector with its own fold: length B + H and, for p counts, desired
+    dimensions p B + H, its flat sum DoF times its length.
     """
     prefix = []
 
     def extend(block, holds, prev):
         p = len(prefix)
         if p == len(slots):
-            yield tuple(prefix), block + holds
+            yield tuple(prefix), block + holds, p * block + holds
             return
         lo, hi = slots[p]
         rest = len(slots) - p - 1  # 2s add one block each
@@ -101,12 +102,13 @@ def _count_vectors(slots, cap):
 
 def _count_classes(space: SearchSpace, cap):
     """Every count class that fits the equipped counts and the cap, as
-    ``(g, e, length)``, by group count kg, each divisor of the user count
-    from 1 up: group counts g and element counts e, non-increasing, with
-    used count e_k * g_j in the cell of position k of group j, and length
-    the product of the two levels' lengths, each from its own walk.  One
-    group is g = (1,), its e the used counts sorted descending; more
-    groups take group counts >= 2.
+    ``(g, e, length, desired)``, by group count kg, each divisor of the
+    user count from 1 up: group counts g and element counts e,
+    non-increasing, with used count e_k * g_j in the cell of position k of
+    group j, and length and desired dimensions (the class's sum DoF is
+    desired / length) the products of the two levels' own, each from its
+    own walk.  One group is g = (1,), its e the used counts sorted
+    descending; more groups take group counts >= 2.
 
     A flat length is at least one more than its number of counts, so the
     group counts get the cap over the element level's least length and
@@ -139,18 +141,18 @@ def _count_classes(space: SearchSpace, cap):
                         for j, (_, hi) in enumerate(g_slots) if j > 0
                     ])
         for slots in walks:
-            for g, lg in _count_vectors(slots, None if cap is None else cap // (ke + 1)):
+            for g, lg, ng in _count_vectors(slots, None if cap is None else cap // (ke + 1)):
                 e_slots = [(
                     max(2, *(-(-eq[K - (ke - k) * (kg - j)] // gj) for j, gj in enumerate(g)))
                     if exact else 2,
                     min(eq[(k + 1) * (j + 1) - 1] // gj for j, gj in enumerate(g)),
                 ) for k in range(ke)]
-                for e, le in _count_vectors(e_slots, None if cap is None else cap // lg):
+                for e, le, ne in _count_vectors(e_slots, None if cap is None else cap // lg):
                     if min(kg, ke) > 1:
                         cells = sorted((x * y for x in e for y in g), reverse=True)
                         if cells != eq if exact else any(v > m for v, m in zip(cells, eq)):
                             continue
-                    yield g, e, lg * le
+                    yield g, e, lg * le, ng * ne
 
 
 def _class_configs(space: SearchSpace, g, e):
@@ -234,7 +236,7 @@ def enumerate_configs(space: SearchSpace, cap: int | None = None):
     not filter here; it only affects which configs the grouped strategy of
     :func:`optimize` may pick.
     """
-    for g, e, _ in _count_classes(space, cap):
+    for g, e, *_ in _count_classes(space, cap):
         yield from _class_configs(space, g, e)
 
 
@@ -265,15 +267,15 @@ def _frontier(space: SearchSpace, budgets) -> list[SweepRow]:
     Refuses a budget below 1, and a search with more than ``CLASS_LIMIT``
     count classes within the largest budget, before building any config.
     A config's DoF, length and group count depend only on its class (g, e):
-    ``sum_dof_grouped(e, g)``, the length the walk yields with the class,
-    and len(g).  So the classes are sorted by length and cut into runs of
-    equal key (-dof, length, num_groups); a budget takes a whole run or
-    none of it.  A running best run per strategy, the least key so far,
-    answers each budget with one bisection, and nothing is filled until
-    then.  Each run that answers a budget is filled once, for the least
-    canonical string of its classes' first configs, on which ties break;
-    canonical strings are unique, so the answer does not depend on the
-    order of the walk.
+    desired / length, both integers the walk yields with the class, and
+    len(g).  So the classes are sorted on the integers (length, -desired,
+    num_groups) and cut into runs of equal key; a budget takes a whole run
+    or none of it.  A running best run per strategy, the least (-dof,
+    length, num_groups) so far, answers each budget with one bisection,
+    and nothing is filled until then.  Each run that answers a budget is
+    filled once, for the least canonical string of its classes' first
+    configs, on which ties break; canonical strings are unique, so the
+    answer does not depend on the order of the walk.
     """
     if any(b is not None and b < 1 for b in budgets):
         raise ValueError("every length budget must be >= 1")
@@ -284,13 +286,11 @@ def _frontier(space: SearchSpace, budgets) -> list[SweepRow]:
             f"search has more than {CLASS_LIMIT} count classes within the budget, "
             f"above the {CLASS_LIMIT} limit; give a smaller length budget"
         )
-    ranked = sorted(
-        (length, -sum_dof_grouped(e, g), len(g), g, e) for g, e, length in classes
-    )
+    ranked = sorted((length, -desired, len(g), g, e) for g, e, length, desired in classes)
     best = [None, None]  # (key, run) of the best run: conventional, grouped
     rows, lengths = [(None, None)], []
-    for (length, neg_dof, kg), run in groupby(ranked, itemgetter(0, 1, 2)):
-        key, run = (neg_dof, length, kg), tuple(r[3:] for r in run)
+    for (length, neg, kg), run in groupby(ranked, itemgetter(0, 1, 2)):
+        key, run = (Fraction(neg, length), length, kg), tuple(r[3:] for r in run)
         for i, admits in enumerate((kg == 1, kg >= 2 or not space.require_grouping)):
             if admits and (best[i] is None or key < best[i][0]):
                 best[i] = (key, run)

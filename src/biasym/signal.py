@@ -128,37 +128,31 @@ def draw_channels(
 # ======================================================================
 
 class _StreamBatch:
-    """The stream blocks every receiver sees from the transmitters of one dim.
+    """The stream blocks every receiver sees from one transmitter.
 
-    ``users`` lists those transmitters in order, ``starts`` and ``counts``
-    where each one's streams begin and how many there are, and ``slots``
-    stacks their stream slots, (streams, dim).
-    Stream s's dim x dim block at receiver rx has as row j the channel row
-    rx sees at slot ``slots[s, j]``, in its own mode there.  Blocks that
-    read the same rows are equal, so each is kept once: ``index[rx, s]`` is
-    the (rx, s) block's place among the distinct ones, ``gains[index[rx,
-    s]]``.  ``values``, ``columns`` and ``vh`` hold each distinct block's
-    SVD: its singular values, U's columns scaled by them, one per row
-    (``columns[i, j]`` is U[:, j] * S[j]), and Vh.  ``rows[rx, s, j]`` is
-    the row of slot ``slots[s, j]`` among rx's component rows (see
-    ``_slot_components``).
+    ``slots`` holds its stream slots, (streams, dim).  Stream s's dim x dim
+    block at receiver rx has as row j the channel row rx sees at slot
+    ``slots[s, j]``, in its own mode there.  Blocks that read the same rows
+    are equal, so each is kept once: ``index[rx, s]`` is the (rx, s)
+    block's place among the distinct ones, ``gains[index[rx, s]]``.
+    ``values``, ``columns`` and ``vh`` hold each distinct block's SVD: its
+    singular values, U's columns scaled by them, one per row (``columns[i,
+    j]`` is U[:, j] * S[j]), and Vh.  The transmitters of one dim share
+    these four arrays, and ``index`` is a view of their common one.
+    ``rows[rx, s, j]`` is the row of slot ``slots[s, j]`` among rx's
+    component rows (see ``_slot_components``).
     """
 
-    __slots__ = (
-        "users", "starts", "counts", "slots", "index", "gains", "values", "columns", "vh", "rows",
-    )
+    __slots__ = ("slots", "index", "gains", "values", "columns", "vh", "rows")
 
-    def __init__(self, users, starts, counts, slots, index, gains, values, columns, vh, rows):
-        self.users, self.starts, self.counts, self.slots = users, starts, counts, slots
-        self.index, self.gains, self.values, self.columns, self.vh = index, gains, values, columns, vh
-        self.rows = rows
+    def __init__(self, slots, index, gains, values, columns, vh, rows):
+        self.slots, self.index, self.rows = slots, index, rows
+        self.gains, self.values, self.columns, self.vh = gains, values, columns, vh
 
 
 def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.ndarray):
-    """(batches, where): every (rx, tx) pair's stream blocks, one
-    ``_StreamBatch`` per distinct transmitter dim, its distinct blocks
-    decomposed by one batched SVD; ``where[tx]`` is (batch index, slice of
-    tx's streams).  ``position`` is ``_slot_components``'s row of every
+    """Every (rx, tx) pair's stream blocks: ``batches[tx]`` is tx's
+    ``_StreamBatch``.  ``position`` is ``_slot_components``'s row of every
     slot at every receiver.
 
     An (rx, s) block reads row (fading block, rx's mode) of
@@ -168,7 +162,9 @@ def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.n
     blocks x modes <= L x modes; a lexicographic sort of the keys, receiver
     first, finds the distinct blocks.  A receiver holds one mode across
     most interferer streams, so few keys remain: flat (5,5,5,5) decomposes
-    52 blocks of 1,024 at ideal fading.
+    52 blocks of 1,024 at ideal fading.  The transmitters of one dim are
+    keyed by one sort, and their distinct blocks decomposed by one batched
+    SVD, whose arrays their batches share.
     """
     streams = pattern.streams
     coherence = channels.coherence_length
@@ -177,13 +173,10 @@ def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.n
     modes = np.array([user.physical_seq() for user in pattern.users], dtype=np.intp) - 1
     used = max(user.used for user in pattern.users)
     K = len(streams)
-    batches, where = [], [None] * K
+    batches = [None] * K
     for dim in sorted({s.shape[1] for s in streams}):
-        users = tuple(tx for tx, s in enumerate(streams) if s.shape[1] == dim)
-        counts = np.array([len(streams[tx]) for tx in users])
-        starts = np.cumsum(counts) - counts
-        for tx, start, count in zip(users, starts.tolist(), counts.tolist()):
-            where[tx] = len(batches), slice(start, start + count)
+        users = [tx for tx, s in enumerate(streams) if s.shape[1] == dim]
+        counts = [len(streams[tx]) for tx in users]
         slots = np.concatenate([streams[tx] for tx in users])
         n = len(slots)
         user = np.repeat(np.arange(len(users)), counts)
@@ -200,6 +193,7 @@ def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.n
         first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
         index = np.empty(K * n, dtype=np.intp)
         index[order] = np.cumsum(first) - 1
+        index = index.reshape(K, n)
         # the distinct blocks' rows, read from every (rx, tx) pair's gains in one table
         rx_of, s_of = np.divmod(order[first], n)
         table = np.concatenate([
@@ -210,11 +204,15 @@ def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.n
         rows = fading[s_of] * dims[rx_of, None] + mode[rx_of, s_of]  # within the pair's gains
         gains = table[rows + base[rx_of, user[s_of]][:, None]]
         u, s, vh = np.linalg.svd(gains)
-        batches.append(_StreamBatch(
-            users, starts, counts, slots, index.reshape(K, n), gains, s,
-            np.swapaxes(u * s[..., None, :], -1, -2), vh, position[:, slots],
-        ))
-    return batches, where
+        columns = np.swapaxes(u * s[..., None, :], -1, -2)
+        start = 0
+        for tx, count in zip(users, counts):
+            batches[tx] = _StreamBatch(
+                streams[tx], index[:, start:start + count], gains, s, columns, vh,
+                position[:, streams[tx]],
+            )
+            start += count
+    return batches
 
 
 def random_symbols(
@@ -490,16 +488,15 @@ def _slot_components(pattern: PresetPattern):
 
 
 def _received(batches, sources, length: int) -> np.ndarray:
-    """Every receiver's noiseless samples of ``sources``: (receivers, length)."""
-    users = np.arange(len(sources))[:, None, None]
+    """Every receiver's noiseless samples of ``sources``, (receivers,
+    length); one transmitter's streams fill distinct slots."""
     samples = np.zeros((len(sources), length), dtype=complex)
-    for b in batches:
-        x = np.concatenate([sources[tx] for tx in b.users])
-        np.add.at(samples, (users, b.slots), (b.gains[b.index] @ x[..., None])[..., 0])
+    for b, x in zip(batches, sources):
+        samples[:, b.slots] += (b.gains[b.index] @ x[..., None])[..., 0]
     return samples
 
 
-def _component_blocks(length: int, batches, where, layout: _Layout, rx: int):
+def _component_blocks(length: int, batches, layout: _Layout, rx: int):
     """(per-interferer ranks, component blocks, full stack width) at rx.
 
     Up to a row and column permutation, tx's effective block is
@@ -515,23 +512,15 @@ def _component_blocks(length: int, batches, where, layout: _Layout, rx: int):
     columns, which only add zero singular values.
     """
     count, size = layout.count, layout.size
-    values = [b.values[b.index[rx]] for b in batches]  # (streams, dim) per batch
-    cuts = [[] for _ in batches]
-    width = 0
-    for tx, (b, streams) in enumerate(where):
+    kept, rows, columns, width = [], [], [], 0
+    for tx, b in enumerate(batches):
+        s = b.values[b.index[rx]]  # (streams, dim)
         cut = np.inf  # rx's own streams keep nothing
         if tx != rx:
-            s = values[b][streams]
             cut = _cutoff(s, max(length, s.size))
             width += s.size
-        cuts[b].append(cut)
-    kept, rows, columns = [0] * len(where), [], []
-    for b, v, cut in zip(batches, values, cuts):
-        keep = v > np.repeat(np.array(cut), b.counts)[:, None]
-        kept_by_user = np.add.reduceat(keep.sum(axis=1), b.starts).tolist()
-        for tx, k in zip(b.users, kept_by_user):
-            kept[tx] = k
-        stream, col = keep.nonzero()
+        stream, col = (s > cut).nonzero()
+        kept.append(len(stream))
         rows.append(b.rows[rx, stream])
         columns.append(b.columns[b.index[rx, stream], col])
     # each kept column's place among its component's columns
@@ -546,7 +535,7 @@ def _component_blocks(length: int, batches, where, layout: _Layout, rx: int):
     return kept[:rx] + kept[rx + 1:], blocks.reshape(count, size, blocks.shape[1]), width
 
 
-def _receiver_pass(pattern, batches, where, layout, rx, pred, samples, noise):
+def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise):
     """Rank receiver rx's blocks and decode its samples, component by component.
 
     Returns rx's record: its ranks against ``pred``, and ``samples`` (its
@@ -574,12 +563,11 @@ def _receiver_pass(pattern, batches, where, layout, rx, pred, samples, noise):
     pseudo-inverse of G_s applied to the values on its slots.
     """
     length, count, size, own = pattern.length, layout.count, layout.size, layout.own
-    b, streams = where[rx]
-    batch = batches[b]
-    index = batch.index[rx, streams]
+    batch = batches[rx]
+    index = batch.index[rx]
     s_desired = batch.values[index]
     desired = s_desired > _cutoff(s_desired, max(length, s_desired.size))
-    ranks, blocks, width = _component_blocks(length, batches, where, layout, rx)
+    ranks, blocks, width = _component_blocks(length, batches, layout, rx)
     s = np.linalg.svd(blocks, compute_uv=False)
     cutoff = _cutoff(s, max(length, width))
     free = size - own  # each component's first rows (see _Layout)
@@ -599,7 +587,7 @@ def _receiver_pass(pattern, batches, where, layout, rx, pred, samples, noise):
     )
     components[:, free:] -= blocks[:, free:] @ z
     # pinv(G_s) v = Vh^H S^-1 U^H v, with S U^H the conjugated scaled columns
-    solved = batch.columns[index].conj() @ values[batch.rows[rx, streams], None]
+    solved = batch.columns[index].conj() @ values[batch.rows[rx], None]
     solved /= np.where(desired, s_desired, np.inf)[..., None] ** 2
     user = pattern.users[rx]
     return ReceiverReport(
@@ -682,9 +670,9 @@ def verify_receivers(
                          "gains, enough blocks to cover the supersymbol")
     noise = (noise_scale, np.random.default_rng(noise_seed)) if noise_scale > 0.0 else None
     position, layouts = _slot_components(pattern)
-    batches, where = _stream_batches(pattern, ChannelSet(coherence, channels.gains), position)
+    batches = _stream_batches(pattern, ChannelSet(coherence, channels.gains), position)
     samples = _received(batches, sources, pattern.length)
     return tuple(
-        _receiver_pass(pattern, batches, where, layouts[rx], rx, pred, samples[rx], noise)
+        _receiver_pass(pattern, batches, layouts[rx], rx, pred, samples[rx], noise)
         for rx, pred in enumerate(rank_predictions(pattern.config))
     )

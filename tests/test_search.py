@@ -33,6 +33,7 @@ from biasym import (
     sweep_to_csv,
     verify_receivers,
 )
+from biasym.dof import sum_dof_flat
 from biasym.patterns import flat_length
 from biasym.search import CLASS_LIMIT, _class_configs, _count_classes, _count_vectors
 
@@ -163,9 +164,10 @@ def assert_each_config_once(equipped, allow_reduction):
     got = [c.canonical_string() for c in enumerate_configs(space)]
     assert len(got) == len(set(got))
     assert set(got) == reference_canonical_strings(equipped, allow_reduction)
-    for g, e, length in _count_classes(space, None):
+    for g, e, length, desired in _count_classes(space, None):
         configs = list(_class_configs(space, g, e))
         assert all(grouped_length(c) == length for c in configs)
+        assert all(config_sum_dof(c) * length == desired for c in configs)
         fill = [c.canonical_string() for c in configs]
         assert fill == sorted(fill)
         assert fill[0] == min(fill)
@@ -285,7 +287,7 @@ class TestEnumerateConfigs:
         box = list(itertools.product(*(range(lo, hi + 1) for lo, hi in slots)))
         for cap in (None, 1, 4, 12, 40, 60, 150):
             assert list(_count_vectors(slots, cap)) == [
-                (v, flat_length(v)) for v in box
+                (v, flat_length(v), sum_dof_flat(v) * flat_length(v)) for v in box
                 if all(a >= b for a, b in itertools.pairwise(v))
                 and (cap is None or flat_length(v) <= cap)
             ]
@@ -449,7 +451,7 @@ class TestOptimize:
             key(e.config) for r in sweep(space, budgets).rows
             for e in (r.conventional, r.grouped) if e
         }
-        ties = {(g, e) for g, e, _ in _count_classes(space, max(budgets))
+        ties = {(g, e) for g, e, *_ in _count_classes(space, max(budgets))
                 if key(next(_class_configs(space, g, e))) in winners}
         fills = self.spy_on_fills(monkeypatch)
         sweep(space, budgets)

@@ -200,9 +200,8 @@ class TestEffectiveMatrix:
         ch = draw_channels(example_config, None, 2)
         slots = example_pattern.streams[0]
         position, _ = _slot_components(example_pattern)
-        batches, where = _stream_batches(example_pattern, ch, position)
-        b, streams = where[0]
-        gains = batches[b].gains[batches[b].index[0, streams]]
+        batch = _stream_batches(example_pattern, ch, position)[0]
+        gains = batch.gains[batch.index[0]]
         block = effective_block(example_pattern, ch, 0, 0).reshape(15, len(slots), -1)
         for s, stream in enumerate(slots):
             np.testing.assert_array_equal(block[stream, s], gains[s])
@@ -748,10 +747,10 @@ class TestCompressedInterference:
         pattern = grouped_pattern(cfg)
         ch = draw_channels(cfg, coherence, 8)
         position, layouts = _slot_components(pattern)
-        batches, where = _stream_batches(pattern, ch, position)
+        batches = _stream_batches(pattern, ch, position)
         K = len(pattern.users)
         for rx, layout in enumerate(layouts):
-            ranks, blocks, width = _component_blocks(pattern.length, batches, where, layout, rx)
+            ranks, blocks, width = _component_blocks(pattern.length, batches, layout, rx)
             interference = [effective_block(pattern, ch, rx, tx) for tx in range(K) if tx != rx]
             assert ranks == [matrix_rank(b) for b in interference]
             assert blocks.shape[:2] == (layout.count, layout.size)
@@ -773,12 +772,11 @@ class TestCompressedInterference:
         """Each (rx, stream) block, read through its batch's index, is bit
         for bit the block built alone from the gains, with its own SVD."""
         position, _ = _slot_components(pattern)
-        batches, where = _stream_batches(pattern, ch, position)
+        batches = _stream_batches(pattern, ch, position)
         for rx, user in enumerate(pattern.users):
             seq = user.physical_seq()
-            for tx, (b, streams) in enumerate(where):
-                batch = batches[b]
-                for slots, i in zip(pattern.streams[tx], batch.index[rx, streams].tolist()):
+            for tx, batch in enumerate(batches):
+                for slots, i in zip(pattern.streams[tx], batch.index[rx].tolist()):
                     block = np.array([channel_row(ch, rx, tx, t + 1, seq[t]) for t in slots])
                     u, s, vh = np.linalg.svd(block)
                     np.testing.assert_array_equal(batch.gains[i], block, strict=True)
@@ -808,18 +806,42 @@ class TestCompressedInterference:
         ch = draw_channels(config, coherence, 1)
         if coherence == 1:
             self.check_stream_blocks(pattern, ch)
+        assert self.decompositions(pattern, ch, monkeypatch) == ([distinct], blocks)
+
+    @pytest.mark.parametrize("config,distinct,blocks", [
+        (GroupingConfig.flat((6, 6, 4, 4)), [28, 24], 960),
+        (GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2]), [12, 8], 24),
+    ], ids=["flat-6644", "worked-example"])
+    def test_each_dim_is_decomposed_once_for_all_its_transmitters(
+        self, config, distinct, blocks, monkeypatch
+    ):
+        ch = draw_channels(config, None, 1)
+        assert self.decompositions(grouped_pattern(config), ch, monkeypatch) == (distinct, blocks)
+
+    @staticmethod
+    def decompositions(pattern, ch, monkeypatch):
+        """(distinct blocks of each batched SVD, all (rx, stream) blocks) of
+        one ``_stream_batches`` call, after checking that it makes one SVD
+        call per distinct dim, whose arrays that dim's transmitters share,
+        and that every distinct block is some (rx, stream)'s."""
+        position, _ = _slot_components(pattern)
         shapes = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
             shapes.append(np.shape(a)) or svd(a, *args, **kwargs)
         ))
-        position, _ = _slot_components(pattern)
-        batches, _ = _stream_batches(pattern, ch, position)
-        assert len(shapes) == len(batches) == 1  # one batched call for the one dim
-        assert shapes[0][0] == distinct
-        assert sum(b.index.size for b in batches) == blocks
-        for b in batches:  # every distinct block is some (rx, stream)'s
-            np.testing.assert_array_equal(np.unique(b.index), np.arange(len(b.gains)))
+        batches = _stream_batches(pattern, ch, position)
+        dims = sorted({b.slots.shape[1] for b in batches})
+        assert [shape[1:] for shape in shapes] == [(dim, dim) for dim in dims]
+        for dim, shape in zip(dims, shapes):
+            same = [b for b in batches if b.slots.shape[1] == dim]
+            for name in ("gains", "values", "columns", "vh"):
+                assert all(getattr(b, name) is getattr(same[0], name) for b in same)
+            assert len(same[0].gains) == shape[0]
+            np.testing.assert_array_equal(
+                np.unique(np.concatenate([b.index for b in same], axis=1)), np.arange(shape[0])
+            )
+        return [shape[0] for shape in shapes], sum(b.index.size for b in batches)
 
     @pytest.mark.parametrize("modes", [(6, 6, 4, 4), (6, 6, 6, 4, 4, 4), (4, 6, 4, 6), (9, 6), (8, 8, 8)])
     def test_closed_form_block_counts_bound_the_built_ones(self, modes):
@@ -834,10 +856,9 @@ class TestCompressedInterference:
             position, _ = _slot_components(pattern)
             for coherence in (None, 1, 5, max(1, length // 3)):
                 ch = draw_channels(cfg, coherence, 1)
-                batches, where = _stream_batches(pattern, ch, position)
+                batches = _stream_batches(pattern, ch, position)
                 built = np.array([
-                    [len(np.unique(batches[b].index[rx, streams])) for b, streams in where]
-                    for rx in range(len(where))
+                    [len(np.unique(b.index[rx])) for b in batches] for rx in range(len(batches))
                 ])
                 bound = np.array(_stream_block_counts(cfg, coherence))
                 if coherence in (None, 1):
