@@ -18,7 +18,12 @@ desired block is never built: each own stream reaches its own slots
 through a dim x dim block, and when these have full rank the joint rank
 is the desired rank plus the rank of the interference with the
 receiver's own slot rows removed, and the decode needs only those same
-blocks.  No matrix as tall as the supersymbol is decomposed.  Those
+blocks.  Their SVD usually settles the combined rank as well: a block
+with rows removed has no more singular values above a cutoff than the
+whole one, so when each keeps all its columns above a cutoff at or above
+the interference's, so does the whole.  Only when it does not (short
+fading blocks, misaligned patterns) are the whole components decomposed
+too.  No matrix as tall as the supersymbol is decomposed.  Those
 dim x dim stream blocks repeat: the held modes make a few channel-row
 patterns recur, and each distinct block is decomposed once per verify.
 
@@ -225,8 +230,12 @@ def random_symbols(
     for slots in pattern.streams:
         parts = rng.standard_normal((len(slots), 2, slots.shape[1]))
         vecs = parts[:, 0] + 1j * parts[:, 1]
-        # a 1-D norm per row: norm(axis=1) can differ in the last ulp
-        out.append(np.array([v / np.linalg.norm(v) for v in vecs]))
+        # each row's norm as a 1-D np.linalg.norm takes it, re.re + im.im
+        # read through the complex array's views, so the sums run in its
+        # order for all rows at once; norm(axis=1) can differ in the last ulp
+        re, im = vecs.real[:, None], vecs.imag[:, None]  # (streams, 1, used)
+        squares = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+        out.append(vecs / np.sqrt(squares[:, 0]))
     return out
 
 
@@ -274,9 +283,12 @@ def _cutoff(s: np.ndarray, size: int) -> float:
 
     ``size`` is the larger side of the full matrix and ``s`` any set of its
     singular values that holds the largest, so the verdict is the one a
-    dense rank of the whole matrix would give.  A receiver's free blocks
-    are counted against the cutoff of its whole interference stack (see
-    ``_receiver_pass``).
+    dense rank of the whole matrix would give.  ``s`` may instead hold a
+    bound at or above the largest; the cutoff is then at or above the
+    matrix's own, and a value above it is above the matrix's cutoff too.
+    A receiver's free blocks are counted against a bound on its whole
+    interference stack's cutoff first, and against the exact one when that
+    leaves the combined rank open (see ``_receiver_pass``).
     """
     return size * s.max(initial=0.0) * RANK_RTOL
 
@@ -392,11 +404,15 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     U and k rows of Vh adds them in LAPACK's buffer and as results,
     2 k (a + b), and a batch of such matrices the results of the others.
     The pass holds the component blocks (m n w) throughout, and this sums
-    them with the larger of their two SVDs, one after the other:
+    them with the larger of the pass's two stages, one after the other:
 
-    * values only, of the component blocks;
     * thin, with U and Vh, of the free blocks (m (n - own) w), a view of
-      the component blocks.
+      the component blocks;
+    * values only, of the component blocks, when the free blocks leave
+      the combined rank open (see ``_receiver_pass``): before the thin SVD
+      when some component has more columns than free rows, and otherwise
+      after it, with its Vh still held, at most m p^2 entries for p =
+      min(n - own, w).
 
     The distinct stream blocks stay resident for the whole verify
     (``_stream_block_counts``): gains, Vh and the scaled U, with U while
@@ -404,7 +420,11 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     used_rx x used_tx for every pair), each (rx, stream)'s index among the
     blocks and each stream slot's component row (K (c_tx + c_tx / dim_tx)
     integers, half an entry each), the slot labels of every receiver and
-    the samples (4 K L).
+    the samples (4 K L).  ``_stream_batches`` builds the blocks from
+    transients that the allocator need not hand back before the passes, so
+    they are added too: a copy of the channels, and per (rx, stream) its
+    keys twice, the modes they are read from with their keyed copy, the
+    sort order, the running count and the index ((4 dim_tx + 7) integers).
     """
     def svd(a: int, b: int, k: int = 0, count: int = 1) -> int:
         p = min(a, b)
@@ -420,13 +440,16 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
         for counts in _stream_block_counts(config, coherence_length)
         for n, c, d in zip(counts, columns, dims)
     ) + blocks * sum(dims) ** 2 + 4 * len(dims) * length
+    transient = len(dims) * sum(4 * c + 7 * (c // d) for c, d in zip(columns, dims)) // 2
+    transient += blocks * sum(dims) ** 2
     largest = 0
     for (m, n, own, _), c in zip(shapes, columns):
         r = length - c if blocks == 1 else sum(columns) - c
         w = -(-r // m) if m else 0
         a = n - own
-        largest = max(largest, m * n * w + max(svd(n, w), svd(a, w, min(a, w), m)))
-    return (largest + resident) * np.dtype(complex).itemsize
+        p = min(a, w)
+        largest = max(largest, m * n * w + max(svd(a, w, p, m), svd(n, w) + m * p * p))
+    return (largest + resident + transient) * np.dtype(complex).itemsize
 
 
 class _Layout:
@@ -497,7 +520,8 @@ def _received(batches, sources, length: int) -> np.ndarray:
 
 
 def _component_blocks(length: int, batches, layout: _Layout, rx: int):
-    """(per-interferer ranks, component blocks, full stack width) at rx.
+    """(per-interferer ranks, component blocks, full stack width, kept
+    columns per component, bound) at rx.
 
     Up to a row and column permutation, tx's effective block is
     block-diagonal in its dim x dim stream blocks, so its singular values
@@ -508,17 +532,21 @@ def _component_blocks(length: int, batches, layout: _Layout, rx: int):
     lie below the cutoff, and with it the stack's nonzero singular values
     and left singular vectors.  Up to a permutation the kept stack is
     block-diagonal in the components: one (components, slots, columns)
-    array, where a component with fewer kept columns is padded with zero
-    columns, which only add zero singular values.
+    array, where a component with fewer kept columns than the widest is
+    padded with zero columns, which only add zero singular values.  The
+    stack Z = [Z_tx] has ||Z||^2 <= sum ||Z_tx||^2, and ||Z_tx|| is the
+    largest of tx's stream singular values, so ``bound``, one array entry,
+    holds a value at or above the stack's largest singular value.
     """
     count, size = layout.count, layout.size
-    kept, rows, columns, width = [], [], [], 0
+    kept, rows, columns, tops, width = [], [], [], [], 0
     for tx, b in enumerate(batches):
         s = b.values[b.index[rx]]  # (streams, dim)
         cut = np.inf  # rx's own streams keep nothing
         if tx != rx:
             cut = _cutoff(s, max(length, s.size))
             width += s.size
+            tops.append(s.max(initial=0.0))
         stream, col = (s > cut).nonzero()
         kept.append(len(stream))
         rows.append(b.rows[rx, stream])
@@ -532,7 +560,10 @@ def _component_blocks(length: int, batches, layout: _Layout, rx: int):
     for r, c in zip(rows, columns):
         blocks[r, place[start:start + len(r), None]] = c
         start += len(r)
-    return kept[:rx] + kept[rx + 1:], blocks.reshape(count, size, blocks.shape[1]), width
+    return (
+        kept[:rx] + kept[rx + 1:], blocks.reshape(count, size, blocks.shape[1]), width,
+        np.bincount(owner, minlength=count), np.linalg.norm(tops, keepdims=True),
+    )
 
 
 def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise):
@@ -547,14 +578,26 @@ def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise):
     D = Π (⊕_s G_s): Π holds the unit vectors of rx's c own slots and G_s is
     own stream s's dim x dim block.  When every G_s has full rank, an own
     row can take any value, so rank [D | I] = c + rank(I without rx's own
-    rows), summed over the components.  Two batched SVDs of the component
-    blocks I_i give the ranks, each counted against the full interference
-    stack's cutoff: a values-only one gives the combined rank, and a thin
-    one of the free blocks (I_i without its own rows) gives joint - c.
-    Drawn channels give full-rank G_s with probability 1; a G_s short of
-    full rank (a pattern that repeats a mode inside an own stream, or
-    channels built by hand) shows as desired < c, a mismatch, and then
-    joint = desired + rank(free) is a lower bound on the dense rank.
+    rows), summed over the components.  A thin SVD of the free blocks F_i
+    (the component blocks I_i without their own rows) gives joint - c.  It
+    also settles the combined rank, against the cutoff of ``bound`` (see
+    ``_component_blocks``), which is at or above the full interference
+    stack's: adding rows never lowers a singular value (Cauchy
+    interlacing), so when every F_i has as many singular values above that
+    cutoff as I_i has kept columns, each I_i has all of them above the
+    stack's cutoff, the combined rank is the kept column count, and the
+    thin SVD's values fall on the same sides of either cutoff.  An aligned
+    pattern at one fading block gives that on drawn channels: each F_i is
+    square, and of full rank when joint = L.  Otherwise (a fading block
+    shorter than L, a misaligned pattern, channels built by hand) a
+    values-only SVD of the I_i gives the stack's exact cutoff and the
+    combined rank.  It runs before the thin SVD when some I_i has more kept
+    columns than F_i has rows, since F_i cannot settle it then, and after
+    it, with U let go, when some F_i falls short.  Drawn channels give
+    full-rank G_s with probability 1; a G_s short of full rank (a pattern
+    that repeats a mode inside an own stream, or channels built by hand)
+    shows as desired < c, a mismatch, and then joint = desired +
+    rank(free) is a lower bound on the dense rank.
 
     The thin SVD also decodes, by least squares on [D | I]: z_i is the
     pseudo-inverse of free_i applied to the samples on its rows, an own
@@ -567,10 +610,13 @@ def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise):
     index = batch.index[rx]
     s_desired = batch.values[index]
     desired = s_desired > _cutoff(s_desired, max(length, s_desired.size))
-    ranks, blocks, width = _component_blocks(length, batches, layout, rx)
-    s = np.linalg.svd(blocks, compute_uv=False)
-    cutoff = _cutoff(s, max(length, width))
+    ranks, blocks, width, columns, bound = _component_blocks(length, batches, layout, rx)
+    full = max(length, width)  # the interference stack's larger side
     free = size - own  # each component's first rows (see _Layout)
+    # a free block with fewer rows than its component has columns cannot
+    # settle the component's rank, so then the values-only SVD runs first,
+    # before U and Vh are held
+    s = np.linalg.svd(blocks, compute_uv=False) if (columns > free).any() else None
     u, t, vh = np.linalg.svd(blocks[:, :free], full_matrices=False)
     if noise is not None:
         scale, rng = noise
@@ -579,9 +625,18 @@ def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise):
         ) / 2**0.5
     values = samples[layout.order]
     components = values[:count * size].reshape(count, size, 1)  # a view into values
-    # pseudo-inverses weigh the values at or below their cutoff 0; nothing
-    # else reads U and Vh, so they are conjugated in place
+    # nothing else reads U and Vh, so they are conjugated in place, and U
+    # is let go before a values-only SVD that runs after the thin one
     projected = np.swapaxes(np.conjugate(u, out=u), -1, -2) @ components[:, :free]
+    del u
+    if s is None:
+        cutoff = _cutoff(bound, full)  # at or above the stack's own
+        if not np.array_equal(np.count_nonzero(t > cutoff, axis=-1), columns):
+            s = np.linalg.svd(blocks, compute_uv=False)  # a free block left its rank open
+    if s is not None:
+        cutoff = _cutoff(s, full)
+    combined = columns.sum() if s is None else np.count_nonzero(s > cutoff)
+    # pseudo-inverses weigh the values at or below their cutoff 0
     z = np.swapaxes(np.conjugate(vh, out=vh), -1, -2) @ (
         projected / np.where(t > cutoff, t, np.inf)[..., None]
     )
@@ -597,7 +652,7 @@ def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise):
             length=length,
             desired=int(np.count_nonzero(desired)),
             per_interferer=dict(zip(pred.per_interferer, ranks)),
-            combined=int(np.count_nonzero(s > cutoff)),
+            combined=int(combined),
             joint=int(np.count_nonzero(desired) + np.count_nonzero(t > cutoff)),
         ),
         samples=samples,

@@ -71,6 +71,24 @@ def small_configs():
     ]
 
 
+def svd_calls(monkeypatch) -> list:
+    """Record every ``np.linalg.svd`` call as (kind, shape): "values" for
+    values only, "thin" for reduced U and Vh, "full" for full ones."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        if not kwargs.get("compute_uv", True):
+            kind = "values"
+        else:
+            kind = "full" if kwargs.get("full_matrices", True) else "thin"
+        calls.append((kind, np.shape(a)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return calls
+
+
 class TestStreams:
     def test_example_stream_slots(self, example_pattern):
         slots = [(s + 1).tolist() for s in example_pattern.streams]
@@ -243,16 +261,20 @@ class TestEffectiveMatrix:
             # the distinct stream blocks (gains, U, Vh and U*S), the channels
             # (4 x 4 per pair and fading block), each stream's index and slot
             # rows; labels and samples
+            channels = -(-length // coherence) * 64 * 16
             resident = (
-                4 * 16 * distinct(coherence) + -(-length // coherence) * 64 * 16
+                4 * 16 * distinct(coherence) + channels
                 + 64 * ((columns + streams) // 2) + 4 * 8 * length
             )
+            # the stream stage's copy of the channels and, per (rx, stream),
+            # 4 * 4 + 7 integers of keys, modes, sort order and index
+            transient = channels + 64 * (4 * columns + 7 * streams) // 2
             width = -(-kept // count)  # kept columns per component
             blocks = count * size * width
-            values_only = copy_and_workspace(size, width)
             p = min(free, width)  # columns of U, rows of Vh
             thin = copy_and_workspace(free, width) + (count + 1) * p * (free + width)
-            return 16 * (blocks + max(values_only, thin) + resident)
+            values_only = copy_and_workspace(size, width) + count * p * p  # Vh held
+            return 16 * (blocks + max(values_only, thin) + resident + transient)
 
         # ideal fading: the interference fills the other L - c joint
         # dimensions, and 8 * (1 + 7 * 3) stream blocks are distinct
@@ -364,6 +386,25 @@ class TestReceivedSignal:
             for row in x:
                 v = rng.standard_normal(len(row)) + 1j * rng.standard_normal(len(row))
                 np.testing.assert_array_equal(row, v / np.linalg.norm(v))
+
+    @pytest.mark.parametrize("modes", [(6, 6, 4, 4), (9, 9, 9, 9), (12, 10, 8, 6, 4, 3)])
+    def test_symbols_are_normalised_as_a_one_dimensional_norm_does(self, modes):
+        # every used count up to the largest mode count, against the per-row
+        # norm bit for bit
+        dims = set()
+        for cfg in enumerate_configs(SearchSpace(modes)):
+            if grouped_length(cfg) > 150:
+                continue
+            pattern = grouped_pattern(cfg)
+            for seed in (0, 1):
+                rng = np.random.default_rng(seed)
+                for x, slots in zip(random_symbols(pattern, seed), pattern.streams, strict=True):
+                    parts = rng.standard_normal((len(slots), 2, slots.shape[1]))
+                    vecs = parts[:, 0] + 1j * parts[:, 1]
+                    want = np.array([v / np.linalg.norm(v) for v in vecs]).reshape(slots.shape)
+                    np.testing.assert_array_equal(x, want, strict=True)
+                    dims.add(slots.shape[1])
+        assert dims == set(range(2, max(modes) + 1))
 
     def test_rejects_wrong_symbol_shapes(self, example_config, example_pattern):
         ch = draw_channels(example_config, None, 1)
@@ -697,19 +738,19 @@ class TestSlotComponents:
         # slots; shapes only, so the guard holds on any host
         config = GroupingConfig.flat([5, 5, 5, 5])
         pattern = grouped_pattern(config)
-        shapes = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
-            shapes.append(np.shape(a)) or svd(a, *args, **kwargs)
-        ))
+        calls = svd_calls(monkeypatch)
         receivers = verify_receivers(pattern, draw_channels(config, None, 1), random_symbols(pattern))
         assert all(r.match for r in receivers)
+        shapes = [shape for _, shape in calls]
         size, columns = 112, 320
         matrices = [shape[-2:] for shape in shapes]
         assert all(rows <= size for rows, _ in matrices)  # nothing taller than one component
         assert all(columns not in shape for shape in matrices)  # no desired block
         assert sum(shape == (5, 5) for shape in matrices) <= 1  # one call per distinct dim
-        assert len(shapes) == 1 + 2 * 4  # the stream blocks, then two per receiver
+        # the stream blocks, then one thin SVD of the free blocks per
+        # receiver, which settles the combined rank too
+        assert len(shapes) == 1 + 4
+        assert [kind for kind, _ in calls] == ["full"] + ["thin"] * 4
 
 
 def stream_block_setups():
@@ -750,11 +791,18 @@ class TestCompressedInterference:
         batches = _stream_batches(pattern, ch, position)
         K = len(pattern.users)
         for rx, layout in enumerate(layouts):
-            ranks, blocks, width = _component_blocks(pattern.length, batches, layout, rx)
+            ranks, blocks, width, columns, _ = _component_blocks(
+                pattern.length, batches, layout, rx
+            )
             interference = [effective_block(pattern, ch, rx, tx) for tx in range(K) if tx != rx]
             assert ranks == [matrix_rank(b) for b in interference]
             assert blocks.shape[:2] == (layout.count, layout.size)
             assert width == sum(b.shape[1] for b in interference)
+            # every kept column is counted once, in its own component
+            assert columns.shape == (layout.count,) and columns.sum() == sum(ranks)
+            assert blocks.shape[2] == columns.max(initial=0)
+            for block, real in zip(blocks, columns.tolist()):
+                assert block[:, :real].any(axis=0).all() and not block[:, real:].any()
             if not interference:
                 assert blocks.size == 0
                 continue
@@ -825,12 +873,9 @@ class TestCompressedInterference:
         call per distinct dim, whose arrays that dim's transmitters share,
         and that every distinct block is some (rx, stream)'s."""
         position, _ = _slot_components(pattern)
-        shapes = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
-            shapes.append(np.shape(a)) or svd(a, *args, **kwargs)
-        ))
+        calls = svd_calls(monkeypatch)
         batches = _stream_batches(pattern, ch, position)
+        shapes = [shape for _, shape in calls]
         dims = sorted({b.slots.shape[1] for b in batches})
         assert [shape[1:] for shape in shapes] == [(dim, dim) for dim in dims]
         for dim, shape in zip(dims, shapes):
@@ -884,6 +929,141 @@ class TestCompressedInterference:
             expected.append(max(L, sum(widths) - own))
         assert sizes == expected
         assert max(L, sum(widths) - widths[0]) > L  # the stack is wider than L
+
+
+def weak_interferer():
+    """Flat (4,4,4,4) at ideal fading with u2.1's gains at u1.1 scaled by
+    1e-12: its columns stay above its own block's cutoff, so u1.1 keeps
+    them, but fall below the interference stack's, so u1.1's free blocks
+    are tall and short of their kept columns."""
+    config = GroupingConfig.flat([4, 4, 4, 4])
+    ch = draw_channels(config, None, 1)
+    gains = dict(ch.gains)
+    gains[0, 1] = ch.gains[0, 1] * 1e-12
+    return grouped_pattern(config), replace(ch, gains=gains)
+
+
+class TestRankCertificate:
+    """The free blocks settle the combined rank unless they leave it open.
+
+    Each free block is its component block without the receiver's own rows,
+    so by interlacing the component block has at least as many singular
+    values above any cutoff.  When every free block has all of its
+    component's kept columns above a cutoff at or above the stack's, the
+    combined rank is the kept column count, and no values-only SVD runs.
+    """
+
+    @pytest.mark.parametrize("cfg,coherence", [
+        *stream_block_setups(), *((cfg, 1) for cfg in small_configs()),
+    ], ids=str)
+    def test_bound_is_at_or_above_the_stack_norm(self, cfg, coherence):
+        pattern = grouped_pattern(cfg)
+        ch = draw_channels(cfg, coherence, 10)
+        position, layouts = _slot_components(pattern)
+        batches = _stream_batches(pattern, ch, position)
+        K = len(pattern.users)
+        for rx, layout in enumerate(layouts):
+            *_, bound = _component_blocks(pattern.length, batches, layout, rx)
+            assert bound.shape == (1,)
+            if K == 1:
+                assert bound[0] == 0.0
+                continue
+            stack = np.hstack([effective_block(pattern, ch, rx, tx) for tx in range(K) if tx != rx])
+            largest = np.linalg.svd(stack, compute_uv=False)[0]
+            # with one interferer the two are equal but for rounding: a few
+            # ulps apart (4 at most over 20 seeds), 10^6 times below a cutoff
+            assert bound[0] >= largest * (1 - 16 * np.finfo(float).eps)
+
+    @staticmethod
+    def always_svd(monkeypatch):
+        """The rule before the certificate: the values-only SVD and the
+        stack's exact cutoff at every receiver.  An infinite bound leaves
+        every free block short of its component's kept columns."""
+        blocks = signal._component_blocks
+        monkeypatch.setattr(signal, "_component_blocks", lambda *args: (
+            *blocks(*args)[:4], np.array([np.inf])
+        ))
+
+    def check_same_answers(self, pattern, ch, monkeypatch):
+        """Ranks, estimates and samples of the certified pass, noiseless and
+        noisy, bit for bit those of the always-SVD rule; returns the runs."""
+        symbols = random_symbols(pattern, 11)
+        runs = []
+        for noise in ((), (1e-3, 12)):
+            certified = verify_receivers(pattern, ch, symbols, *noise)
+            with monkeypatch.context() as patched:
+                self.always_svd(patched)
+                calls = svd_calls(patched)
+                dense = verify_receivers(pattern, ch, symbols, *noise)
+            values = sum(kind == "values" for kind, _ in calls)
+            assert values == sum(layout.count > 0 for layout in _slot_components(pattern)[1])
+            for got, want in zip(certified, dense, strict=True):
+                assert got.measured == want.measured
+                np.testing.assert_array_equal(got.estimates, want.estimates, strict=True)
+                np.testing.assert_array_equal(got.samples, want.samples, strict=True)
+            runs.append(certified)
+        return runs
+
+    @pytest.mark.parametrize("cfg,coherence", [
+        *stream_block_setups(), *((cfg, 1) for cfg in small_configs()),
+    ], ids=str)
+    def test_certified_ranks_and_estimates_are_the_dense_rule_s(self, cfg, coherence, monkeypatch):
+        pattern = grouped_pattern(cfg)
+        self.check_same_answers(pattern, draw_channels(cfg, coherence, 13), monkeypatch)
+
+    def test_misaligned_pattern_gets_the_dense_rule_s_answers(
+        self, example_config, misaligned_pattern, monkeypatch
+    ):
+        ch = draw_channels(example_config, None, 14)
+        receivers, _ = self.check_same_answers(misaligned_pattern, ch, monkeypatch)
+        assert not all(r.match for r in receivers)
+
+    def test_hand_built_channels_get_the_dense_rule_s_answers(self, monkeypatch):
+        # the weak interferer's columns drop out of u1.1's combined rank
+        receivers, _ = self.check_same_answers(*weak_interferer(), monkeypatch)
+        assert receivers[0].measured.combined == 2 * 27 and all(r.match for r in receivers[1:])
+        # u1.1's free blocks lose rank with u2.1's gains zeroed past the
+        # third fading block (see TestDecode)
+        config = GroupingConfig.flat([4, 4, 4, 4])
+        ch = draw_channels(config, 7, 1)
+        gains = dict(ch.gains)
+        gains[0, 1] = ch.gains[0, 1].copy()
+        gains[0, 1][3:] = 0
+        self.check_same_answers(grouped_pattern(config), replace(ch, gains=gains), monkeypatch)
+
+    @pytest.mark.parametrize("modes", [(6, 6, 4, 4), (6, 6, 6, 4, 4, 4)])
+    def test_aligned_configs_run_no_values_only_svd(self, modes, monkeypatch):
+        # every config of the benchmark's short-request mix (L <= 64) and
+        # its flat verifies, at ideal fading
+        configs = [
+            cfg for cfg in enumerate_configs(SearchSpace(modes)) if grouped_length(cfg) <= 64
+        ] + [GroupingConfig.flat([4] * 4), GroupingConfig.flat([5] * 4)]
+        calls = svd_calls(monkeypatch)
+        for cfg in configs:
+            pattern = grouped_pattern(cfg)
+            receivers = verify_receivers(pattern, draw_channels(cfg, None, 15), random_symbols(pattern))
+            assert all(r.match for r in receivers), cfg
+        assert len(configs) >= 20
+        assert sum(kind == "thin" for kind, _ in calls) == sum(len(cfg.labels()) for cfg in configs)
+        assert all(kind != "values" for kind, _ in calls)
+
+    def test_values_only_svd_runs_when_the_free_blocks_leave_the_rank_open(
+        self, example_config, example_pattern, misaligned_pattern, monkeypatch
+    ):
+        calls = svd_calls(monkeypatch)
+
+        def passes(pattern, ch):  # the receiver passes' SVDs, in order
+            calls.clear()
+            verify_receivers(pattern, ch, random_symbols(pattern))
+            return [kind for kind, _ in calls if kind != "full"]
+
+        # components with more columns than free rows: values only first
+        ch = draw_channels(example_config, 1, 16)
+        assert passes(example_pattern, ch) == ["values", "thin"] * 4
+        ch = draw_channels(example_config, None, 16)
+        assert passes(misaligned_pattern, ch) == ["thin"] * 3 + ["values", "thin"]
+        # tall free blocks short of their kept columns: values only after thin
+        assert passes(*weak_interferer()) == ["thin", "values"] + ["thin"] * 3
 
 
 def relative_error(estimates, truth) -> float:
