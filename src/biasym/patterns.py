@@ -17,7 +17,6 @@ Two constructions live here:
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass, field
 from math import prod
@@ -248,24 +247,29 @@ def base_pattern(mode_counts) -> list[tuple[int, ...]]:
 
     Returns:
         One tuple of 1-based mode indices per user, all of equal length
-        ``flat_length(mode_counts)``.
+        ``flat_length(mode_counts)``: the rows of ``_level_modes``.
     """
-    counts = _flat_counts(mode_counts)
-    K = len(counts)
-    seqs: list[list[int]] = [[] for _ in range(K)]
+    return [tuple(row) for row in _level_modes(_flat_counts(mode_counts)).tolist()]
 
-    for digits in itertools.product(*(range(1, m) for m in counts)):
-        for k in range(K):
-            seqs[k].append(digits[k])
 
-    for k in range(K):
-        others = [q for q in range(K) if q != k]
-        for digits in itertools.product(*(range(1, counts[q]) for q in others)):
-            for pos, q in enumerate(others):
-                seqs[q].append(digits[pos])
-            seqs[k].append(counts[k])
+@functools.lru_cache(maxsize=16)
+def _level_modes(counts: tuple[int, ...]) -> np.ndarray:
+    """``base_pattern`` of checked counts as one read-only (users, length)
+    integer array, built once per distinct counts while they stay cached.
 
-    return [tuple(s) for s in seqs]
+    With radix r_q = M_q - 1, the interleaving block is the mixed-radix
+    numbering of its prod r_q slots, digits plus one; hold segment k is the
+    same numbering with user k's radix taken as 1, its row then set to M_k.
+    """
+    radix = [m - 1 for m in counts]
+    parts = [np.indices(radix).reshape(len(counts), -1) + 1]
+    for k, m in enumerate(counts):
+        hold = np.indices(radix[:k] + [1] + radix[k + 1:]).reshape(len(counts), -1) + 1
+        hold[k] = m
+        parts.append(hold)
+    modes = np.concatenate(parts, axis=1)
+    modes.flags.writeable = False
+    return modes
 
 
 def flat_length(mode_counts) -> int:
@@ -329,6 +333,18 @@ class PresetPattern:
     @property
     def length(self) -> int:
         return len(self.users[0].element_seq) * len(self.users[0].group_seq)
+
+    @functools.cached_property
+    def physical_modes(self) -> np.ndarray:
+        """1-based physical preset mode of every user at every slot: one
+        read-only (users, length) integer array, row u ``users[u]``'s
+        ``physical_seq()``, read off each user's own sequences."""
+        modes = np.stack([
+            ((np.array(u.group_seq)[:, None] - 1) * u.element_modes + u.element_seq).ravel()
+            for u in self.users
+        ])
+        modes.flags.writeable = False
+        return modes
 
     @functools.cached_property
     def streams(self) -> tuple[np.ndarray, ...]:

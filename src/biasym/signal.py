@@ -18,14 +18,17 @@ desired block is never built: each own stream reaches its own slots
 through a dim x dim block, and when these have full rank the joint rank
 is the desired rank plus the rank of the interference with the
 receiver's own slot rows removed, and the decode needs only those same
-blocks.  Their SVD usually settles the combined rank as well: a block
-with rows removed has no more singular values above a cutoff than the
-whole one, so when each keeps all its columns above a cutoff at or above
-the interference's, so does the whole.  Only when it does not (short
-fading blocks, misaligned patterns) are the whole components decomposed
-too.  No matrix as tall as the supersymbol is decomposed.  Those
-dim x dim stream blocks repeat: the held modes make a few channel-row
-patterns recur, and each distinct block is decomposed once per verify.
+blocks.  In a single-group config each interferer stream meets one row
+of those reduced blocks, so their singular values are their row norms
+and no SVD runs; with several groups a thin SVD gives them.  They usually settle
+the combined rank as well: a block with rows removed has no more
+singular values above a cutoff than the whole one, so when each keeps
+all its columns above a cutoff at or above the interference's, so does
+the whole.  Only when it does not (short fading blocks, misaligned
+patterns) are the whole components decomposed too.  No matrix as tall as
+the supersymbol is decomposed.  Those dim x dim stream blocks repeat: the
+held modes make a few channel-row patterns recur, and each distinct block
+is decomposed once per verify.
 
 Channels are drawn i.i.d. CN(0, 1) per fading block; a block spans
 ``coherence_length`` consecutive slots, so alignment only survives when
@@ -45,7 +48,7 @@ from .patterns import (
     PresetPattern,
     _holds,
     _integer,
-    base_pattern,
+    _level_modes,
     flat_length,
     grouped_length,
     user_label,
@@ -175,7 +178,7 @@ def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.n
     coherence = channels.coherence_length
     blocks = -(-pattern.length // coherence)
     dims = np.array([user.used for user in pattern.users])
-    modes = np.array([user.physical_seq() for user in pattern.users], dtype=np.intp) - 1
+    modes = pattern.physical_modes - 1
     used = max(user.used for user in pattern.users)
     K = len(streams)
     batches = [None] * K
@@ -331,6 +334,32 @@ def _component_shapes(config: GroupingConfig) -> list[tuple[int, int, int, int]]
     return out
 
 
+def _orthogonal_free_rows(config: GroupingConfig) -> bool:
+    """Whether every interferer stream meets at most one free row (a
+    component row that is not the receiver's own) at every receiver, in
+    closed form: exactly when the config has one group.
+
+    Each kept column lies on its stream's rows (see ``_component_blocks``),
+    so then it has at most one nonzero free entry, the free block F F^H is
+    diagonal, and F's singular values are its row norms.
+
+    * One group: receiver k's streams fill the interleaving block (one per
+      combination of the other users' digits, along k's) and k's hold
+      segment, so its free rows are the other users' hold segments.  A
+      stream of user q lies in the interleaving block but for one slot in
+      q's hold segment, and no other user's stream enters that segment:
+      each interferer stream meets exactly one free row.
+    * Several groups: receiver (k, i) owns its element slots (the element
+      block and k's hold) in its group slots (the group block and i's
+      hold).  A stream of (k', i') is an element stream of M1_k' slots (the
+      block, then one in k''s hold) in a group stream of M2_i' slots, and
+      its free slots are those in k''s element hold or i''s group hold:
+      M1_k slots when k' = k, M2_i when i' = i, M1_k' + M2_i' - 1 else,
+      each at least 2.
+    """
+    return config.num_groups == 1
+
+
 def _stream_block_counts(config: GroupingConfig, coherence_length: int | None = None):
     """Bound on the distinct stream blocks of every (rx, tx) pair, in closed
     form: ``counts[rx][tx]``, exact at one fading block.
@@ -404,7 +433,12 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     U and k rows of Vh adds them in LAPACK's buffer and as results,
     2 k (a + b), and a batch of such matrices the results of the others.
     The pass holds the component blocks (m n w) throughout, and this sums
-    them with the larger of the pass's two stages, one after the other:
+    them with its largest stage.  When every interferer stream meets at
+    most one free row (``_orthogonal_free_rows``: one group), the free
+    blocks are settled in closed form, from vectors of at most
+    2 m (n - own + w) entries, and only a values-only SVD of the component
+    blocks adds more: it runs when ``coherence_length`` is shorter than L.
+    Otherwise the stage is the larger of two that run one after the other:
 
     * thin, with U and Vh, of the free blocks (m (n - own) w), a view of
       the component blocks;
@@ -420,7 +454,9 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     used_rx x used_tx for every pair), each (rx, stream)'s index among the
     blocks and each stream slot's component row (K (c_tx + c_tx / dim_tx)
     integers, half an entry each), the slot labels of every receiver and
-    the samples (4 K L).  ``_stream_batches`` builds the blocks from
+    the samples (4 K L), and the pattern's mode sequences: the users'
+    tuples, the level family and the physical modes (3 K L integers).
+    ``_stream_batches`` builds the blocks from
     transients that the allocator need not hand back before the passes, so
     they are added too: a copy of the channels, and per (rx, stream) its
     keys twice, the modes they are read from with their keyed copy, the
@@ -439,16 +475,21 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
         4 * d * d * n + (c + c // d) // 2
         for counts in _stream_block_counts(config, coherence_length)
         for n, c, d in zip(counts, columns, dims)
-    ) + blocks * sum(dims) ** 2 + 4 * len(dims) * length
+    ) + blocks * sum(dims) ** 2 + 4 * len(dims) * length + 3 * len(dims) * length // 2
     transient = len(dims) * sum(4 * c + 7 * (c // d) for c, d in zip(columns, dims)) // 2
     transient += blocks * sum(dims) ** 2
+    orthogonal = _orthogonal_free_rows(config)
     largest = 0
     for (m, n, own, _), c in zip(shapes, columns):
         r = length - c if blocks == 1 else sum(columns) - c
         w = -(-r // m) if m else 0
         a = n - own
         p = min(a, w)
-        largest = max(largest, m * n * w + max(svd(a, w, p, m), svd(n, w) + m * p * p))
+        if not orthogonal:
+            stage = max(svd(a, w, p, m), svd(n, w) + m * p * p)
+        else:
+            stage = 2 * m * (a + w) + (svd(n, w) if blocks > 1 else 0)
+        largest = max(largest, m * n * w + stage)
     return (largest + resident + transient) * np.dtype(complex).itemsize
 
 
@@ -490,8 +531,8 @@ def _slot_components(pattern: PresetPattern):
     elem, grp = config.element_counts, config.group_mode_counts
     k, i = (np.array(config.labels()) - 1).T
     # rx's modes by slot; a level without other users counts as final throughout
-    mode1 = np.tile(np.array(base_pattern(elem))[k], flat_length(grp))
-    mode2 = np.repeat(np.array(base_pattern(grp))[i], flat_length(elem), axis=1)
+    mode1 = np.tile(_level_modes(elem)[k], flat_length(grp))
+    mode2 = np.repeat(_level_modes(grp)[i], flat_length(elem), axis=1)
     final1 = (mode1 == np.array(elem)[k, None]) | (len(elem) == 1)
     final2 = (mode2 == np.array(grp)[i, None]) | (len(grp) == 1)
     if len(elem) > 1 and len(grp) > 1:
@@ -536,7 +577,13 @@ def _component_blocks(length: int, batches, layout: _Layout, rx: int):
     padded with zero columns, which only add zero singular values.  The
     stack Z = [Z_tx] has ||Z||^2 <= sum ||Z_tx||^2, and ||Z_tx|| is the
     largest of tx's stream singular values, so ``bound``, one array entry,
-    holds a value at or above the stack's largest singular value.
+    holds a value at or above the stack's largest singular value.  With one
+    interferer the two are equal, and computed they were seen a few ulps
+    apart either way: LAPACK's singular values of a matrix with larger
+    side n are those of a neighbour within a small multiple of n eps ||Z||.
+    So the root sum of squares is raised by 4 n eps of itself, n the full
+    stack's larger side, which puts ``bound`` at or above any computed
+    largest singular value of the stack, the component blocks' included.
     """
     count, size = layout.count, layout.size
     kept, rows, columns, tops, width = [], [], [], [], 0
@@ -562,48 +609,62 @@ def _component_blocks(length: int, batches, layout: _Layout, rx: int):
         start += len(r)
     return (
         kept[:rx] + kept[rx + 1:], blocks.reshape(count, size, blocks.shape[1]), width,
-        np.bincount(owner, minlength=count), np.linalg.norm(tops, keepdims=True),
+        np.bincount(owner, minlength=count),
+        np.linalg.norm(tops, keepdims=True) * (1 + 4 * max(length, width) * np.finfo(float).eps),
     )
 
 
-def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise):
+def _row_norms(blocks: np.ndarray) -> np.ndarray:
+    """Each row's 2-norm: the root of its real and imaginary parts' squares,
+    summed without a temporary of the blocks' size."""
+    parts = blocks.view(float)
+    return np.sqrt(np.einsum("...j,...j->...", parts, parts))
+
+
+def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise, orthogonal):
     """Rank receiver rx's blocks and decode its samples, component by component.
 
     Returns rx's record: its ranks against ``pred``, and ``samples`` (its
     noiseless samples) with noise added and their decode; ``noise`` is None
-    or (scale, RNG).
+    or (scale, RNG).  ``orthogonal`` is ``_orthogonal_free_rows`` of the
+    config.
 
     The stream blocks' SVDs (``batches``) give the desired and
     per-interferer ranks (see ``_component_blocks``).  The desired block is
     D = Π (⊕_s G_s): Π holds the unit vectors of rx's c own slots and G_s is
     own stream s's dim x dim block.  When every G_s has full rank, an own
     row can take any value, so rank [D | I] = c + rank(I without rx's own
-    rows), summed over the components.  A thin SVD of the free blocks F_i
-    (the component blocks I_i without their own rows) gives joint - c.  It
-    also settles the combined rank, against the cutoff of ``bound`` (see
-    ``_component_blocks``), which is at or above the full interference
+    rows), summed over the components.  The singular values t of the free
+    blocks F_i (the component blocks I_i without their own rows) give
+    joint - c.  When every interferer stream meets at most one free row
+    (``orthogonal``: every single-group config), F_i F_i^H is diagonal, so
+    t are F_i's row norms, U is the identity and Vh is F_i's rows over
+    their norms: no SVD runs.  Otherwise a thin SVD of the F_i gives them.
+    They also settle the combined rank, against the cutoff of ``bound``
+    (see ``_component_blocks``), which is at or above the full interference
     stack's: adding rows never lowers a singular value (Cauchy
     interlacing), so when every F_i has as many singular values above that
     cutoff as I_i has kept columns, each I_i has all of them above the
-    stack's cutoff, the combined rank is the kept column count, and the
-    thin SVD's values fall on the same sides of either cutoff.  An aligned
-    pattern at one fading block gives that on drawn channels: each F_i is
-    square, and of full rank when joint = L.  Otherwise (a fading block
-    shorter than L, a misaligned pattern, channels built by hand) a
-    values-only SVD of the I_i gives the stack's exact cutoff and the
-    combined rank.  It runs before the thin SVD when some I_i has more kept
-    columns than F_i has rows, since F_i cannot settle it then, and after
-    it, with U let go, when some F_i falls short.  Drawn channels give
-    full-rank G_s with probability 1; a G_s short of full rank (a pattern
-    that repeats a mode inside an own stream, or channels built by hand)
-    shows as desired < c, a mismatch, and then joint = desired +
-    rank(free) is a lower bound on the dense rank.
+    stack's cutoff, the combined rank is the kept column count, and t fall
+    on the same sides of either cutoff.  An aligned pattern at one fading
+    block gives that on drawn channels: each F_i is square, and of full
+    rank when joint = L.  Otherwise (a fading block shorter than L, a
+    misaligned pattern, channels built by hand) a values-only SVD of the
+    I_i gives the stack's exact cutoff and the combined rank.  It runs
+    before t are found when some I_i has more kept columns than F_i has
+    rows, since F_i cannot settle it then, and after, with U let go, when
+    some F_i falls short.  Drawn channels give full-rank G_s with
+    probability 1; a G_s short of full rank (a pattern that repeats a mode
+    inside an own stream, or channels built by hand) shows as desired < c,
+    a mismatch, and then joint = desired + rank(free) is a lower bound on
+    the dense rank.
 
-    The thin SVD also decodes, by least squares on [D | I]: z_i is the
-    pseudo-inverse of free_i applied to the samples on its rows, an own
-    row's value is its sample minus I_i's own rows times z_i, an own row no
-    interferer touches keeps its sample, and each stream's symbol is the
-    pseudo-inverse of G_s applied to the values on its slots.
+    The decode is the least squares of [D | I]: z_i is the pseudo-inverse
+    of F_i applied to the samples b_i on its rows, Vh^H (U^H b_i / t), or
+    F_i^H (b_i / t^2) in closed form, with t at or below the cutoff weighed
+    0; an own row's value is its sample minus I_i's own rows times z_i, an
+    own row no interferer touches keeps its sample, and each stream's
+    symbol is the pseudo-inverse of G_s applied to the values on its slots.
     """
     length, count, size, own = pattern.length, layout.count, layout.size, layout.own
     batch = batches[rx]
@@ -617,7 +678,6 @@ def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise):
     # settle the component's rank, so then the values-only SVD runs first,
     # before U and Vh are held
     s = np.linalg.svd(blocks, compute_uv=False) if (columns > free).any() else None
-    u, t, vh = np.linalg.svd(blocks[:, :free], full_matrices=False)
     if noise is not None:
         scale, rng = noise
         samples = samples + scale * (
@@ -625,10 +685,14 @@ def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise):
         ) / 2**0.5
     values = samples[layout.order]
     components = values[:count * size].reshape(count, size, 1)  # a view into values
-    # nothing else reads U and Vh, so they are conjugated in place, and U
-    # is let go before a values-only SVD that runs after the thin one
-    projected = np.swapaxes(np.conjugate(u, out=u), -1, -2) @ components[:, :free]
-    del u
+    if orthogonal:
+        t, projected = _row_norms(blocks[:, :free]), components[:, :free]
+    else:
+        u, t, vh = np.linalg.svd(blocks[:, :free], full_matrices=False)
+        # nothing else reads U and Vh, so they are conjugated in place, and
+        # U is let go before a values-only SVD that runs after the thin one
+        projected = np.swapaxes(np.conjugate(u, out=u), -1, -2) @ components[:, :free]
+        del u
     if s is None:
         cutoff = _cutoff(bound, full)  # at or above the stack's own
         if not np.array_equal(np.count_nonzero(t > cutoff, axis=-1), columns):
@@ -637,9 +701,13 @@ def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise):
         cutoff = _cutoff(s, full)
     combined = columns.sum() if s is None else np.count_nonzero(s > cutoff)
     # pseudo-inverses weigh the values at or below their cutoff 0
-    z = np.swapaxes(np.conjugate(vh, out=vh), -1, -2) @ (
-        projected / np.where(t > cutoff, t, np.inf)[..., None]
-    )
+    live = np.where(t > cutoff, t, np.inf)[..., None]
+    if orthogonal:
+        # F^H y as conj(y^H F)^T, without a conjugated copy of F
+        y = np.swapaxes(projected / live**2, -1, -2).conj()
+        z = np.conjugate(np.swapaxes(y @ blocks[:, :free], -1, -2))
+    else:
+        z = np.swapaxes(np.conjugate(vh, out=vh), -1, -2) @ (projected / live)
     components[:, free:] -= blocks[:, free:] @ z
     # pinv(G_s) v = Vh^H S^-1 U^H v, with S U^H the conjugated scaled columns
     solved = batch.columns[index].conj() @ values[batch.rows[rx], None]
@@ -727,7 +795,8 @@ def verify_receivers(
     position, layouts = _slot_components(pattern)
     batches = _stream_batches(pattern, ChannelSet(coherence, channels.gains), position)
     samples = _received(batches, sources, pattern.length)
+    orthogonal = _orthogonal_free_rows(pattern.config)
     return tuple(
-        _receiver_pass(pattern, batches, layouts[rx], rx, pred, samples[rx], noise)
+        _receiver_pass(pattern, batches, layouts[rx], rx, pred, samples[rx], noise, orthogonal)
         for rx, pred in enumerate(rank_predictions(pattern.config))
     )

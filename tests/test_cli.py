@@ -124,7 +124,8 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("channels must not be drawn")
 
-        monkeypatch.setattr("biasym.cli.VERIFY_MEMORY_LIMIT", 1024**2)
+        # flat (5,5,5,5) needs about 0.84 MiB per receiver
+        monkeypatch.setattr("biasym.cli.VERIFY_MEMORY_LIMIT", 2**19)
         monkeypatch.setattr("biasym.cli.draw_channels", refuse)
         assert main(["verify", "--modes", "5,5,5,5", "--flat"]) == 2
         captured = capsys.readouterr()
@@ -168,21 +169,21 @@ class TestExitCodes:
             main(["verify", "--modes", "5,5,5,5", "--flat"])
 
     def test_sweep_verify_over_memory_limit_is_2_before_verifying(self, monkeypatch, capsys):
-        # the one budget admits flat (4,)*8 (L = 24057), whose receivers
-        # would need about 80 GiB each: verify refuses it, and so must sweep
+        # the one budget admits flat (4,)*9 (L = 78732), whose receivers
+        # would need about 19 GiB each: verify refuses it, and so must sweep
         def refuse(*args, **kwargs):
             raise AssertionError("nothing may be verified")
 
         monkeypatch.setattr("biasym.cli.draw_channels", refuse)
-        argv = ["--modes", "4,4,4,4,4,4,4,4", "--lmin", "24057", "--lmax", "24057"]
+        argv = ["--modes", "4,4,4,4,4,4,4,4,4", "--lmin", "78732", "--lmax", "78732"]
         assert main(["sweep", *argv, "--verify"]) == 2
         captured = capsys.readouterr()
-        assert "invalid config: verify needs about" in captured.err
+        assert "invalid config: verify needs about 19 GiB" in captured.err
         assert captured.out == ""
-        assert main(["verify", "--modes", "4,4,4,4,4,4,4,4", "--flat"]) == 2
-        assert "invalid config: verify needs about" in capsys.readouterr().err
+        assert main(["verify", "--modes", "4,4,4,4,4,4,4,4,4", "--flat"]) == 2
+        assert "invalid config: verify needs about 19 GiB" in capsys.readouterr().err
         assert main(["sweep", *argv]) == 0  # without --verify the sweep is cheap
-        assert "KG=1;G1=[4,4,4,4,4,4,4,4]/MG1;used=4,4,4,4,4,4,4,4" in capsys.readouterr().out
+        assert "KG=1;G1=[4,4,4,4,4,4,4,4,4]/MG1;used=4,4,4,4,4,4,4,4,4" in capsys.readouterr().out
 
     def test_sweep_verify_mismatch_is_3(
         self, example_config, misaligned_pattern, monkeypatch, tmp_path, capsys

@@ -72,6 +72,28 @@ class TestFlatConstruction:
         assert base_pattern((1,)) == [(1,)]
         assert flat_length((1,)) == 1
 
+    @pytest.mark.parametrize("users", [1, 2, 3, 4, 5])
+    def test_matches_a_slot_by_slot_walk(self, users):
+        # oracle: the schedule written out digit tuple by digit tuple
+        def walk(counts):
+            seqs = [[] for _ in counts]
+            for digits in itertools.product(*(range(1, m) for m in counts)):
+                for seq, digit in zip(seqs, digits):
+                    seq.append(digit)
+            for k, m in enumerate(counts):
+                others = [q for q in range(len(counts)) if q != k]
+                for digits in itertools.product(*(range(1, counts[q]) for q in others)):
+                    for q, digit in zip(others, digits):
+                        seqs[q].append(digit)
+                    seqs[k].append(m)
+            return [tuple(seq) for seq in seqs]
+
+        top = {1: 12, 2: 9, 3: 7, 4: 5, 5: 4}[users]
+        for counts in itertools.product(range(2, top + 1), repeat=users):
+            seqs = base_pattern(counts)
+            assert seqs == walk(counts), counts
+            assert all(type(m) is int for seq in seqs for m in seq)
+
     @given(mode_lists)
     @settings(max_examples=60)
     def test_length_formula_matches_construction(self, modes):
@@ -285,6 +307,17 @@ class TestGroupedPattern:
     def test_example_length(self, example_pattern, example_config):
         assert example_pattern.length == 15
         assert grouped_length(example_config) == 15
+
+    def test_physical_modes_are_the_users_sequences(self, example_pattern, misaligned_pattern):
+        # one read-only array, read off each user's own sequences
+        for pattern in (example_pattern, misaligned_pattern,
+                        grouped_pattern(GroupingConfig.flat([4, 3, 3])),
+                        grouped_pattern(GroupingConfig.grouped([9, 9], [[0], [1]], [3, 3]))):
+            modes = pattern.physical_modes
+            assert modes.shape == (len(pattern.users), pattern.length)
+            assert not modes.flags.writeable
+            assert modes.tolist() == [list(u.physical_seq()) for u in pattern.users]
+            assert pattern.physical_modes is modes
 
     def test_single_group_matches_flat_construction(self):
         # one group degenerates to the flat pattern over the used modes

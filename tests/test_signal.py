@@ -7,6 +7,7 @@ independently of the effective-matrix assembly it checks.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -260,32 +261,37 @@ class TestEffectiveMatrix:
         def working_set(kept, coherence):
             # the distinct stream blocks (gains, U, Vh and U*S), the channels
             # (4 x 4 per pair and fading block), each stream's index and slot
-            # rows; labels and samples
+            # rows; labels and samples; the users' mode tuples, the level
+            # family and the physical modes, 3 integers per user and slot
             channels = -(-length // coherence) * 64 * 16
             resident = (
                 4 * 16 * distinct(coherence) + channels
-                + 64 * ((columns + streams) // 2) + 4 * 8 * length
+                + 64 * ((columns + streams) // 2) + 4 * 8 * length + 3 * 8 * length // 2
             )
             # the stream stage's copy of the channels and, per (rx, stream),
             # 4 * 4 + 7 integers of keys, modes, sort order and index
             transient = channels + 64 * (4 * columns + 7 * streams) // 2
             width = -(-kept // count)  # kept columns per component
             blocks = count * size * width
-            p = min(free, width)  # columns of U, rows of Vh
-            thin = copy_and_workspace(free, width) + (count + 1) * p * (free + width)
-            values_only = copy_and_workspace(size, width) + count * p * p  # Vh held
-            return 16 * (blocks + max(values_only, thin) + resident + transient)
+            # one group: every other user's stream meets one free row, so the
+            # free blocks' singular values are their row norms, and the pass
+            # holds vectors (row norms, weighted samples, solutions) beside
+            # the blocks; a values-only SVD runs below the coherence length
+            closed_form = 2 * count * (free + width)
+            values_only = copy_and_workspace(size, width) if coherence < length else 0
+            return 16 * (blocks + closed_form + values_only + resident + transient)
 
         # ideal fading: the interference fills the other L - c joint
         # dimensions, and 8 * (1 + 7 * 3) stream blocks are distinct
         assert distinct(length) == 176
         expected = working_set(length - columns, length)
         assert receiver_memory_bytes(config) == expected
-        assert expected > 3 * 2**30  # far above the CLI's 2 GiB limit
+        assert 1.7 * 2**30 < expected < 2**31  # just below the CLI's 2 GiB limit
         # with a fading block shorter than L, every interfering column counts;
         # the hold segment of user 5 crosses one boundary fewer than the others
         assert distinct(100) == 8 * 218 * (1 + 7 * 3) - 22
         assert receiver_memory_bytes(config, 100) == working_set(7 * columns, 100)
+        assert receiver_memory_bytes(config, 100) > 3 * 2**30
 
     @pytest.mark.parametrize("modes,coherence", [((3,) * 8, None), ((6, 6, 6, 6), 100)],
                              ids=["flat-3x8-ideal", "flat-6666-coherence-100"])
@@ -692,6 +698,14 @@ class TestSlotComponents:
         for cfg in enumerated_configs(modes):
             self.check_union_find(grouped_pattern(cfg))
 
+    def test_each_level_family_is_built_once_per_verify(self, example_config):
+        # the pattern and the slot components read one cached array per level
+        signal._level_modes.cache_clear()
+        pattern = grouped_pattern(example_config)
+        verify_receivers(pattern, draw_channels(example_config, None, 1), random_symbols(pattern))
+        info = signal._level_modes.cache_info()
+        assert (info.misses, info.hits) == (2, 2)  # element counts (3, 2), group counts (2, 2)
+
     def test_misaligned_components_match_union_find(self, misaligned_pattern):
         # the split comes from the config's counts, as the streams do, not
         # from the out-of-step sequence of u2.2
@@ -747,10 +761,10 @@ class TestSlotComponents:
         assert all(rows <= size for rows, _ in matrices)  # nothing taller than one component
         assert all(columns not in shape for shape in matrices)  # no desired block
         assert sum(shape == (5, 5) for shape in matrices) <= 1  # one call per distinct dim
-        # the stream blocks, then one thin SVD of the free blocks per
-        # receiver, which settles the combined rank too
-        assert len(shapes) == 1 + 4
-        assert [kind for kind, _ in calls] == ["full"] + ["thin"] * 4
+        # the 52 distinct stream blocks, and nothing else: every other
+        # user's stream meets one free row, so the free blocks' singular
+        # values are their row norms, which settle the combined rank too
+        assert calls == [("full", (52, 5, 5))]
 
 
 def stream_block_setups():
@@ -957,22 +971,25 @@ class TestRankCertificate:
         *stream_block_setups(), *((cfg, 1) for cfg in small_configs()),
     ], ids=str)
     def test_bound_is_at_or_above_the_stack_norm(self, cfg, coherence):
+        # with one interferer the two are equal in exact arithmetic; the
+        # bound's rounding margin puts it at or above both computed values
         pattern = grouped_pattern(cfg)
-        ch = draw_channels(cfg, coherence, 10)
         position, layouts = _slot_components(pattern)
-        batches = _stream_batches(pattern, ch, position)
         K = len(pattern.users)
-        for rx, layout in enumerate(layouts):
-            *_, bound = _component_blocks(pattern.length, batches, layout, rx)
-            assert bound.shape == (1,)
-            if K == 1:
-                assert bound[0] == 0.0
-                continue
-            stack = np.hstack([effective_block(pattern, ch, rx, tx) for tx in range(K) if tx != rx])
-            largest = np.linalg.svd(stack, compute_uv=False)[0]
-            # with one interferer the two are equal but for rounding: a few
-            # ulps apart (4 at most over 20 seeds), 10^6 times below a cutoff
-            assert bound[0] >= largest * (1 - 16 * np.finfo(float).eps)
+        for seed in range(10, 40):
+            ch = draw_channels(cfg, coherence, seed)
+            batches = _stream_batches(pattern, ch, position)
+            for rx, layout in enumerate(layouts):
+                _, blocks, *_, bound = _component_blocks(pattern.length, batches, layout, rx)
+                assert bound.shape == (1,)
+                if K == 1:
+                    assert bound[0] == 0.0
+                    continue
+                stack = np.hstack([
+                    effective_block(pattern, ch, rx, tx) for tx in range(K) if tx != rx
+                ])
+                assert bound[0] >= np.linalg.svd(stack, compute_uv=False)[0]
+                assert bound[0] >= np.linalg.svd(blocks, compute_uv=False).max()
 
     @staticmethod
     def always_svd(monkeypatch):
@@ -1034,7 +1051,8 @@ class TestRankCertificate:
     @pytest.mark.parametrize("modes", [(6, 6, 4, 4), (6, 6, 6, 4, 4, 4)])
     def test_aligned_configs_run_no_values_only_svd(self, modes, monkeypatch):
         # every config of the benchmark's short-request mix (L <= 64) and
-        # its flat verifies, at ideal fading
+        # its flat verifies, at ideal fading: one thin SVD per receiver of a
+        # grouped config, none at a flat one (closed form)
         configs = [
             cfg for cfg in enumerate_configs(SearchSpace(modes)) if grouped_length(cfg) <= 64
         ] + [GroupingConfig.flat([4] * 4), GroupingConfig.flat([5] * 4)]
@@ -1043,8 +1061,9 @@ class TestRankCertificate:
             pattern = grouped_pattern(cfg)
             receivers = verify_receivers(pattern, draw_channels(cfg, None, 15), random_symbols(pattern))
             assert all(r.match for r in receivers), cfg
-        assert len(configs) >= 20
-        assert sum(kind == "thin" for kind, _ in calls) == sum(len(cfg.labels()) for cfg in configs)
+        grouped = [cfg for cfg in configs if cfg.num_groups > 1]
+        assert len(configs) >= 20 and len(grouped) >= 5
+        assert sum(kind == "thin" for kind, _ in calls) == sum(len(cfg.labels()) for cfg in grouped)
         assert all(kind != "values" for kind, _ in calls)
 
     def test_values_only_svd_runs_when_the_free_blocks_leave_the_rank_open(
@@ -1062,8 +1081,119 @@ class TestRankCertificate:
         assert passes(example_pattern, ch) == ["values", "thin"] * 4
         ch = draw_channels(example_config, None, 16)
         assert passes(misaligned_pattern, ch) == ["thin"] * 3 + ["values", "thin"]
-        # tall free blocks short of their kept columns: values only after thin
-        assert passes(*weak_interferer()) == ["thin", "values"] + ["thin"] * 3
+        # tall free blocks short of their kept columns: values only after
+        # the closed form, which takes the flat config's free blocks
+        assert passes(*weak_interferer()) == ["values"]
+
+
+@functools.cache
+def closed_form_corpus() -> tuple[list[GroupingConfig], list[GroupingConfig]]:
+    """(flat, grouped) enumerated configs of (6,6,4,4) with L <= 300,
+    (4,)*6 <= 200, (9,9,9,9) <= 250 and (6,6,6,4,4,4) <= 150; flat ones
+    once per used-count tuple, which fixes the pattern and the draws."""
+    flat, grouped = {}, []
+    for modes, top in [((6, 6, 4, 4), 300), ((4,) * 6, 200), ((9, 9, 9, 9), 250),
+                       ((6, 6, 6, 4, 4, 4), 150)]:
+        for cfg in enumerate_configs(SearchSpace(modes)):
+            if grouped_length(cfg) > top:
+                continue
+            if cfg.num_groups > 1:
+                grouped.append(cfg)
+            else:
+                flat.setdefault(tuple(cfg.used[u] for u in cfg.user_order()), cfg)
+    return list(flat.values()), grouped
+
+
+class TestClosedFormFreeBlocks:
+    """Single-group free blocks settle in closed form, with no SVD.
+
+    When every interferer stream meets at most one free row, each kept
+    column has at most one nonzero free entry, so F F^H is diagonal: the
+    singular values are the row norms, and the pseudo-inverse is
+    F^H diag(1 / t^2).  The structure is read off the config's counts.
+    """
+
+    @staticmethod
+    def free_rows_met(pattern) -> list[int]:
+        """Per receiver, the most free rows one interferer stream meets, from
+        the built streams and layouts."""
+        position, layouts = _slot_components(pattern)
+        most = []
+        for rx, layout in enumerate(layouts):
+            free = layout.size - layout.own
+            met = [
+                ((position[rx][slots] % layout.size) < free).sum(axis=1).max(initial=0)
+                for tx, slots in enumerate(pattern.streams) if tx != rx
+            ]
+            most.append(int(max(met, default=0)))
+        return most
+
+    def test_flat_streams_meet_one_free_row_and_grouped_ones_more(self):
+        flat, grouped = closed_form_corpus()
+        assert len(flat) >= 100 and len(grouped) >= 50
+        for cfg in flat:
+            assert self.free_rows_met(grouped_pattern(cfg)) == [1] * cfg.num_users, cfg
+            assert signal._orthogonal_free_rows(cfg), cfg
+        for cfg in grouped:
+            # at least 2 at every receiver: one more than a flat receiver ever sees
+            assert min(self.free_rows_met(grouped_pattern(cfg))) >= 2, cfg
+            assert not signal._orthogonal_free_rows(cfg), cfg
+        assert self.free_rows_met(grouped_pattern(GroupingConfig.flat([4]))) == [0]
+
+    @pytest.mark.parametrize("coherence", [None, "half", 5, 1])
+    def test_row_norms_and_decode_are_the_svd_s(self, coherence, monkeypatch):
+        # oracle: np.linalg.svd of the same free blocks, and the pass with
+        # the thin SVD's pseudo-inverse (the rule for grouped configs)
+        flat, _ = closed_form_corpus()
+        checked = 0
+        for cfg in flat:
+            pattern = grouped_pattern(cfg)
+            length = pattern.length
+            fading = max(1, length // 2) if coherence == "half" else coherence
+            ch = draw_channels(cfg, fading, 17)
+            symbols = random_symbols(pattern, 18)
+            position, layouts = _slot_components(pattern)
+            batches = _stream_batches(pattern, ch, position)
+            for rx, layout in enumerate(layouts):
+                _, blocks, *_ = _component_blocks(length, batches, layout, rx)
+                free = blocks[:, :layout.size - layout.own]
+                rows = np.sort(signal._row_norms(free), axis=-1)[..., ::-1]
+                values = np.linalg.svd(free, compute_uv=False)
+                scale = values.max(initial=0.0)
+                np.testing.assert_allclose(
+                    rows[..., :values.shape[-1]], values, rtol=0, atol=1e-12 * scale
+                )
+                assert not rows[..., values.shape[-1]:].any()  # rows past the columns are 0
+                checked += 1
+            # noisy samples, so that the decode leaves the free blocks' range
+            closed = verify_receivers(pattern, ch, symbols, 1e-3, 19)
+            with monkeypatch.context() as patched:
+                patched.setattr(signal, "_orthogonal_free_rows", lambda config: False)
+                thin = verify_receivers(pattern, ch, symbols, 1e-3, 19)
+            for got, want in zip(closed, thin, strict=True):
+                assert got.measured == want.measured, cfg
+                np.testing.assert_array_equal(got.samples, want.samples, strict=True)
+                np.testing.assert_allclose(
+                    got.estimates, want.estimates, rtol=0,
+                    atol=1e-12 * np.abs(want.estimates).max(initial=1.0),
+                )
+        assert checked >= 400
+
+    @pytest.mark.parametrize("modes,distinct,dim", [((3,) * 8, 120, 3), ((8, 8, 8, 8), 88, 8)],
+                             ids=["flat-3x8", "flat-8888"])
+    def test_large_flat_rungs_decompose_only_their_stream_blocks(
+        self, modes, distinct, dim, monkeypatch
+    ):
+        # L = 1,280 and 3,773: one batched SVD of the distinct stream blocks
+        # (one own mode tuple and M - 1 per other user at each receiver), and
+        # none per receiver, which took seconds
+        config = GroupingConfig.flat(modes)
+        pattern = grouped_pattern(config)
+        calls = svd_calls(monkeypatch)
+        receivers = verify_receivers(pattern, draw_channels(config, None, 1), random_symbols(pattern))
+        assert all(r.match for r in receivers)
+        assert calls == [("full", (distinct, dim, dim))]
+        assert distinct == len(modes) * (1 + (len(modes) - 1) * (modes[0] - 1))
 
 
 def relative_error(estimates, truth) -> float:
