@@ -41,7 +41,7 @@ EXIT_INFEASIBLE = 4
 
 DECODE_RTOL = 1e-9
 VERIFY_MEMORY_LIMIT = 2 * 1024**3  # bytes one receiver's verify pass may need
-PATTERN_CELL_LIMIT = 2**24  # slots x users of a pattern table, about 125 bytes each
+PATTERN_CELL_LIMIT = 2**24  # slots x users of a pattern table, about 65 bytes each at peak
 SWEEP_ROW_LIMIT = 2**20  # budgets in one sweep, about 80 bytes of CSV each
 
 

@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "GroupingConfig",
-    "UserPattern",
     "PresetPattern",
     "base_pattern",
     "grouped_pattern",
@@ -172,6 +171,10 @@ class GroupingConfig:
         """Original user indices in group-major order."""
         return [u for g in self.groups for u in g]
 
+    def used_in_order(self) -> list[int]:
+        """Used mode counts in group-major order: each user's antenna dim."""
+        return [self.used[u] for u in self.user_order()]
+
     def canonical_string(self) -> str:
         parts = [f"KG={self.num_groups}"]
         for i, g in enumerate(self.groups):
@@ -294,55 +297,33 @@ def user_label(position: int, group: int) -> str:
     return f"u{position}.{group}"
 
 
-@dataclass(frozen=True)
-class UserPattern:
-    """One user's switching schedule inside a two-level supersymbol."""
-
-    position: int  # 1-based within-group position
-    group: int  # 1-based group index
-    used: int
-    element_modes: int
-    element_seq: tuple[int, ...]
-    group_seq: tuple[int, ...]
-
-    @property
-    def label(self) -> str:
-        return user_label(self.position, self.group)
-
-    def physical_seq(self) -> tuple[int, ...]:
-        """1-based physical preset mode of every slot, in composite_seq order."""
-        return tuple(
-            (m2 - 1) * self.element_modes + m1
-            for m2 in self.group_seq
-            for m1 in self.element_seq
-        )
-
-    def composite_seq(self) -> tuple[tuple[int, int], ...]:
-        """(m1, m2) mode pair of every slot: the element sequence repeats
-        once per group-level slot, so it occupies contiguous runs."""
-        return tuple((m1, m2) for m2 in self.group_seq for m1 in self.element_seq)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PresetPattern:
-    """The full supersymbol: one UserPattern per user, group-major order."""
+    """The full supersymbol: every user's two level sequences, group-major.
+
+    ``element_seq[u]`` is user u's element-level sequence, the row of its
+    within-group position in the element level's flat pattern, and
+    ``group_seq[u]`` its group-level sequence, the row of its group in the
+    group level's.  Both are read-only (users, level length) integer arrays
+    of 1-based modes; every slot pairs one element slot with one group slot.
+    """
 
     config: GroupingConfig
-    users: tuple[UserPattern, ...]
+    element_seq: np.ndarray
+    group_seq: np.ndarray
 
     @property
     def length(self) -> int:
-        return len(self.users[0].element_seq) * len(self.users[0].group_seq)
+        return self.element_seq.shape[1] * self.group_seq.shape[1]
 
     @functools.cached_property
     def physical_modes(self) -> np.ndarray:
-        """1-based physical preset mode of every user at every slot: one
-        read-only (users, length) integer array, row u ``users[u]``'s
-        ``physical_seq()``, read off each user's own sequences."""
-        modes = np.stack([
-            ((np.array(u.group_seq)[:, None] - 1) * u.element_modes + u.element_seq).ravel()
-            for u in self.users
-        ])
+        """1-based physical preset mode of every user at every slot, one
+        read-only (users, length) integer array: (m2 - 1) * M1 + m1, with M1
+        the element mode count of the user's position."""
+        m1, m2 = _slot_modes(self.element_seq, self.group_seq)
+        config = self.config  # group-major: positions run fastest
+        modes = (m2 - 1) * np.array(config.element_counts * config.num_groups)[:, None] + m1
         modes.flags.writeable = False
         return modes
 
@@ -403,23 +384,25 @@ def grouped_pattern(config: GroupingConfig) -> PresetPattern:
     pattern of the count (1,), so the result coincides with the flat
     pattern over the used mode counts.
     """
-    m1_family = base_pattern(config.element_counts)
-    m2_family = base_pattern(config.group_mode_counts)
+    return PresetPattern(config, *_design_modes(config))
 
-    users = []
-    for i, group in enumerate(config.groups):
-        for k, orig in enumerate(group):
-            users.append(
-                UserPattern(
-                    position=k + 1,
-                    group=i + 1,
-                    used=config.used[orig],
-                    element_modes=config.element_counts[k],
-                    element_seq=m1_family[k],
-                    group_seq=m2_family[i],
-                )
-            )
-    return PresetPattern(config=config, users=tuple(users))
+
+def _design_modes(config: GroupingConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(element_seq, group_seq) of ``config``'s pattern: every user's row of
+    its level's family, as two read-only (users, level length) arrays."""
+    i, k = np.divmod(np.arange(config.num_users), config.users_per_group)  # group-major
+    rows = _level_modes(config.element_counts)[k], _level_modes(config.group_mode_counts)[i]
+    for seq in rows:  # fancy-indexed rows are copies
+        seq.flags.writeable = False
+    return rows
+
+
+def _slot_modes(element_seq: np.ndarray, group_seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's (element, group) mode at every slot, as two (users,
+    length) arrays: the element sequence repeats once per group-level slot."""
+    users, length1 = element_seq.shape
+    return (np.repeat(element_seq[:, None], group_seq.shape[1], axis=1).reshape(users, -1),
+            np.repeat(group_seq, length1, axis=1))
 
 
 def grouped_length(config: GroupingConfig) -> int:
@@ -435,14 +418,16 @@ def pattern_table(pattern: PresetPattern) -> str:
     """Plain-text table: one row per slot, one column per user.
 
     Entries read "m1.m2/phys".  Intended for golden-file comparisons and
-    for eyeballing small supersymbols.
+    for eyeballing small supersymbols.  Each user's cells are formatted
+    once per physical mode and looked up slot by slot.
     """
-    header = ["slot"] + [u.label for u in pattern.users]
+    config = pattern.config
+    columns = []
+    for modes, (k, _) in zip(pattern.physical_modes.tolist(), config.labels()):
+        m = config.element_counts[k - 1]  # M1: the element level runs fastest in p - 1
+        cells = {p: f"{(p - 1) % m + 1}.{(p - 1) // m + 1}/{p}" for p in set(modes)}
+        columns.append([cells[p] for p in modes])
+    header = ["slot", *(user_label(*label) for label in config.labels())]
     lines = [PATTERN_TABLE_HEADER, ",".join(header)]
-    columns = [
-        [f"{m1}.{m2}/{p}" for (m1, m2), p in zip(u.composite_seq(), u.physical_seq())]
-        for u in pattern.users
-    ]
-    for t, row in enumerate(zip(*columns), 1):
-        lines.append(f"{t}," + ",".join(row))
+    lines += [f"{t}," + ",".join(row) for t, row in enumerate(zip(*columns), 1)]
     return "\n".join(lines) + "\n"

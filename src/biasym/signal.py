@@ -46,9 +46,10 @@ from .dof import ReceiverRanks, rank_predictions
 from .patterns import (
     GroupingConfig,
     PresetPattern,
+    _design_modes,
     _holds,
     _integer,
-    _level_modes,
+    _slot_modes,
     flat_length,
     grouped_length,
     user_label,
@@ -80,7 +81,7 @@ class ChannelSet:
     ``gains[(rx, tx)]`` has shape (blocks, rx used modes, tx used modes):
     one row vector per receive preset mode, one column per transmit antenna
     dimension, redrawn independently every ``coherence_length`` slots.
-    Indices are group-major user positions, matching PresetPattern.users.
+    Indices are group-major user positions, matching GroupingConfig.labels().
     """
 
     coherence_length: int
@@ -118,12 +119,10 @@ def draw_channels(
     coherence_length = _coherence(coherence_length, length)
     n_blocks = -(-length // coherence_length)
     rng = np.random.default_rng(seed)
-    order = config.user_order()
-    K = len(order)
-    dims = [config.used[orig] for orig in order]
+    dims = config.used_in_order()
     gains = {}
-    for rx in range(K):
-        for tx in range(K):
+    for rx in range(len(dims)):
+        for tx in range(len(dims)):
             shape = (n_blocks, dims[rx], dims[tx])
             gains[(rx, tx)] = (
                 rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -177,9 +176,9 @@ def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.n
     streams = pattern.streams
     coherence = channels.coherence_length
     blocks = -(-pattern.length // coherence)
-    dims = np.array([user.used for user in pattern.users])
+    dims = np.array(pattern.config.used_in_order())
     modes = pattern.physical_modes - 1
-    used = max(user.used for user in pattern.users)
+    used = dims.max()
     K = len(streams)
     batches = [None] * K
     for dim in sorted({s.shape[1] for s in streams}):
@@ -317,7 +316,7 @@ def _component_shapes(config: GroupingConfig) -> list[tuple[int, int, int, int]]
     hold1, hold2 = _holds(elem), _holds(grp)
     length1, length2 = flat_length(elem), flat_length(grp)
     positions, groups = len(elem) > 1, len(grp) > 1  # is there another user at that level
-    dims = [config.used[orig] for orig in config.user_order()]
+    dims = config.used_in_order()
     out = []
     for d, (k, i) in zip(dims, config.labels()):
         free = (hold1[k - 1] if positions else length1) * (hold2[i - 1] if groups else length2)
@@ -454,9 +453,9 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     used_rx x used_tx for every pair), each (rx, stream)'s index among the
     blocks and each stream slot's component row (K (c_tx + c_tx / dim_tx)
     integers, half an entry each), the slot labels of every receiver and
-    the samples (4 K L), and the pattern's mode sequences: the users'
-    tuples, the level family and the physical modes (3 K L integers).
-    ``_stream_batches`` builds the blocks from
+    the samples (4 K L), and the pattern's physical modes with the two
+    per-slot level modes they and the slot components are expanded from
+    (3 K L integers).  ``_stream_batches`` builds the blocks from
     transients that the allocator need not hand back before the passes, so
     they are added too: a copy of the channels, and per (rx, stream) its
     keys twice, the modes they are read from with their keyed copy, the
@@ -470,7 +469,7 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     blocks = -(-length // _coherence(coherence_length, length))
     shapes = _component_shapes(config)
     columns = [m * own + untouched for m, _, own, untouched in shapes]
-    dims = [config.used[orig] for orig in config.user_order()]
+    dims = config.used_in_order()
     resident = sum(
         4 * d * d * n + (c + c // d) // 2
         for counts in _stream_block_counts(config, coherence_length)
@@ -523,7 +522,9 @@ def _slot_components(pattern: PresetPattern):
     split.  A slot is untouched where rx holds its final mode at every such
     level.  The rest form one component when both levels have other users,
     and one per mode rx holds there when only one level has them.  The
-    modes come from the config's counts, as the streams do.  One stable
+    modes come from the config's own level rows (``_design_modes``), as the
+    streams come from its counts, so a pattern built with other rows keeps
+    the split.  One stable
     sort by (untouched, component, own) orders the rows; untouched slots
     are own slots in final modes, so they keep slot order.
     """
@@ -531,8 +532,7 @@ def _slot_components(pattern: PresetPattern):
     elem, grp = config.element_counts, config.group_mode_counts
     k, i = (np.array(config.labels()) - 1).T
     # rx's modes by slot; a level without other users counts as final throughout
-    mode1 = np.tile(_level_modes(elem)[k], flat_length(grp))
-    mode2 = np.repeat(_level_modes(grp)[i], flat_length(elem), axis=1)
+    mode1, mode2 = _slot_modes(*_design_modes(config))
     final1 = (mode1 == np.array(elem)[k, None]) | (len(elem) == 1)
     final2 = (mode2 == np.array(grp)[i, None]) | (len(grp) == 1)
     if len(elem) > 1 and len(grp) > 1:
@@ -712,11 +712,10 @@ def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise, orthogona
     # pinv(G_s) v = Vh^H S^-1 U^H v, with S U^H the conjugated scaled columns
     solved = batch.columns[index].conj() @ values[batch.rows[rx], None]
     solved /= np.where(desired, s_desired, np.inf)[..., None] ** 2
-    user = pattern.users[rx]
     return ReceiverReport(
         predicted=pred,
         measured=ReceiverRanks(
-            label=(user.position, user.group),
+            label=pred.label,
             length=length,
             desired=int(np.count_nonzero(desired)),
             per_interferer=dict(zip(pred.per_interferer, ranks)),
@@ -783,7 +782,7 @@ def verify_receivers(
         raise ValueError("each user's symbols must have its (streams, used) slot shape")
     coherence = _coherence(channels.coherence_length, pattern.length)
     blocks = -(-pattern.length // coherence)
-    dims = [user.used for user in pattern.users]
+    dims = pattern.config.used_in_order()
     pairs = {(rx, tx) for rx in range(len(dims)) for tx in range(len(dims))}
     if channels.gains.keys() != pairs or any(
         np.ndim(g) != 3 or len(g) < blocks or np.shape(g)[1:] != (dims[rx], dims[tx])

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from biasym import GroupingConfig, grouped_pattern
-from biasym.patterns import PresetPattern
 
 CRITERIA = {
     1: "pattern goldens reproduced exactly (string equality)",
@@ -53,26 +52,42 @@ def matrix_rank(matrix: np.ndarray) -> int:
     return int(np.sum(s > max(matrix.shape) * s[0] * 1e-10))
 
 
-# Oracles below read only raw data: a user's element and group sequences and
-# physical_seq(), a pattern's stream slots, and ChannelSet.gains with its
-# coherence_length.  None goes through the library's block assembly.
+# Oracles below read only raw data: a pattern's two level sequences and its
+# stream slots, and ChannelSet.gains with its coherence_length.  None goes
+# through the library's block assembly or its per-slot mode arrays.
 
-def factored(user) -> str:
-    """A user's schedule written as '(element sequence)x(group sequence)'."""
-    m1 = ",".join(str(m) for m in user.element_seq)
-    m2 = ",".join(str(m) for m in user.group_seq)
+def factored(pattern, u: int) -> str:
+    """User u's schedule written as '(element sequence)x(group sequence)'."""
+    m1 = ",".join(str(m) for m in pattern.element_seq[u])
+    m2 = ",".join(str(m) for m in pattern.group_seq[u])
     return f"({m1})x({m2})"
 
 
-def composite(user, t: int) -> tuple[int, int]:
-    """(m1, m2) mode pair at 1-based slot t: the element sequence runs fastest."""
-    s2, s1 = divmod(t - 1, len(user.element_seq))
-    return user.element_seq[s1], user.group_seq[s2]
+def composite(pattern, u: int, t: int) -> tuple[int, int]:
+    """User u's (m1, m2) mode pair at 1-based slot t: the element sequence
+    repeats once per group-level slot, so it runs fastest."""
+    s2, s1 = divmod(t - 1, len(pattern.element_seq[u]))
+    return int(pattern.element_seq[u][s1]), int(pattern.group_seq[u][s2])
 
 
-def physical(user, t: int) -> int:
-    """1-based physical preset mode at 1-based slot t."""
-    return user.physical_seq()[t - 1]
+def physical(pattern, u: int, t: int) -> int:
+    """User u's 1-based physical preset mode at 1-based slot t, (m2 - 1) * M1
+    + m1, with M1 its element mode count, the largest mode of its element
+    sequence."""
+    m1, m2 = composite(pattern, u, t)
+    return (m2 - 1) * int(max(pattern.element_seq[u])) + m1
+
+
+def composite_seq(pattern, u: int) -> tuple[tuple[int, int], ...]:
+    """User u's (m1, m2) mode pair at every slot, expanded slot by slot."""
+    slots = len(pattern.element_seq[u]) * len(pattern.group_seq[u])
+    return tuple(composite(pattern, u, t) for t in range(1, slots + 1))
+
+
+def physical_seq(pattern, u: int) -> tuple[int, ...]:
+    """User u's physical preset mode at every slot, expanded slot by slot."""
+    slots = len(pattern.element_seq[u]) * len(pattern.group_seq[u])
+    return tuple(physical(pattern, u, t) for t in range(1, slots + 1))
 
 
 def channel_row(channels, rx: int, tx: int, t: int, mode: int) -> np.ndarray:
@@ -92,7 +107,7 @@ def effective_block(pattern, channels, rx: int, tx: int) -> np.ndarray:
     block = np.zeros((pattern.length, streams.size), dtype=complex)
     for s, slots in enumerate(streams):
         for t in slots + 1:
-            mode = physical(pattern.users[rx], t)
+            mode = physical(pattern, rx, t)
             block[t - 1, s * dim:(s + 1) * dim] = channel_row(channels, rx, tx, t, mode)
     return block
 
@@ -117,12 +132,13 @@ def reference_streams(pattern) -> list[np.ndarray]:
                 slots.setdefault(key, []).append(t)
         return [slots[key] for key in sorted(slots)]
 
-    elements = list(dict.fromkeys(u.element_seq for u in pattern.users))
-    groups = list(dict.fromkeys(u.group_seq for u in pattern.users))
+    element_rows = [tuple(row) for row in pattern.element_seq.tolist()]
+    group_rows = [tuple(row) for row in pattern.group_seq.tolist()]
+    elements, groups = list(dict.fromkeys(element_rows)), list(dict.fromkeys(group_rows))
     out = []
-    for u in pattern.users:
-        l1 = len(u.element_seq)
-        m1, m2 = scan(elements, u.element_seq), scan(groups, u.group_seq)
+    for element, group in zip(element_rows, group_rows):
+        l1 = len(element)
+        m1, m2 = scan(elements, element), scan(groups, group)
         out.append(np.array(
             [sorted(s2 * l1 + s1 for s2 in b for s1 in a) for b in m2 for a in m1],
             dtype=np.intp,
@@ -143,7 +159,7 @@ def example_pattern(example_config):
 @pytest.fixture(scope="session")
 def misaligned_pattern(example_pattern):
     """The example with u2.2's group-level sequence out of step with its group."""
-    broken_user = replace(example_pattern.users[3], group_seq=(1, 2, 1))
-    return PresetPattern(
-        config=example_pattern.config, users=example_pattern.users[:3] + (broken_user,)
-    )
+    group_seq = example_pattern.group_seq.copy()
+    group_seq[3] = (1, 2, 1)
+    group_seq.flags.writeable = False
+    return replace(example_pattern, group_seq=group_seq)

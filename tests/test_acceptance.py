@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import channel_row, factored
+from conftest import channel_row, factored, physical_seq
 
 from biasym import (
     GroupingConfig,
@@ -82,13 +82,13 @@ def test_criterion_01_pattern_goldens():
 
     cfg = GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2])
     pattern = grouped_pattern(cfg)
-    assert [factored(u) for u in pattern.users] == [
+    assert [factored(pattern, u) for u in range(4)] == [
         "(1,2,3,1,2)x(1,2,1)",
         "(1,1,1,2,2)x(1,2,1)",
         "(1,2,3,1,2)x(1,1,2)",
         "(1,1,1,2,2)x(1,1,2)",
     ]
-    physical = [u.physical_seq() for u in pattern.users]
+    physical = [physical_seq(pattern, u) for u in range(4)]
     assert physical == [
         (1, 2, 3, 1, 2, 4, 5, 6, 4, 5, 1, 2, 3, 1, 2),
         (1, 1, 1, 2, 2, 3, 3, 3, 4, 4, 1, 1, 1, 2, 2),

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
-from conftest import composite, factored, physical
+from conftest import composite, composite_seq, factored, physical, physical_seq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biasym import (
     GroupingConfig,
+    SearchSpace,
     base_pattern,
+    enumerate_configs,
     flat_length,
     grouped_length,
     grouped_pattern,
@@ -268,24 +271,43 @@ class TestGroupingConfig:
 
     def test_one_label_format_for_every_user(self, example_config, example_pattern):
         assert user_label(2, 1) == "u2.1"
-        assert [user_label(*label) for label in example_config.labels()] == [
-            u.label for u in example_pattern.users
-        ]
+        labels = [user_label(*label) for label in example_config.labels()]
+        assert labels == ["u1.1", "u2.1", "u1.2", "u2.2"]
+        assert pattern_table(example_pattern).split("\n")[1] == ",".join(["slot", *labels])
+
+    def test_used_in_order_is_group_major(self, example_config):
+        assert example_config.used_in_order() == [
+            example_config.used[u] for u in example_config.user_order()
+        ] == [6, 4, 6, 4]
+        cfg = GroupingConfig.flat([4, 6, 5], used=[3, 6, 2])
+        assert cfg.user_order() == [1, 0, 2]
+        assert cfg.used_in_order() == [6, 3, 2]
 
 
 class TestGroupedPattern:
     def test_example_factored_patterns(self, example_pattern):
-        assert [factored(u) for u in example_pattern.users] == [
+        assert [factored(example_pattern, u) for u in range(4)] == [
             "(1,2,3,1,2)x(1,2,1)",
             "(1,1,1,2,2)x(1,2,1)",
             "(1,2,3,1,2)x(1,1,2)",
             "(1,1,1,2,2)x(1,1,2)",
         ]
 
+    def test_level_sequences_are_read_only_family_rows(self, example_pattern):
+        # element rows by within-group position, group rows by group
+        assert example_pattern.element_seq.shape == (4, 5)
+        assert example_pattern.group_seq.shape == (4, 3)
+        elements, groups = base_pattern([3, 2]), base_pattern([2, 2])
+        for u, (k, i) in enumerate(example_pattern.config.labels()):
+            assert tuple(example_pattern.element_seq[u]) == elements[k - 1]
+            assert tuple(example_pattern.group_seq[u]) == groups[i - 1]
+        for seq in (example_pattern.element_seq, example_pattern.group_seq):
+            assert not seq.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                seq[0, 0] = 2
+
     def test_example_composite_expansion(self, example_pattern):
-        u11 = example_pattern.users[0]
-        assert u11.label == "u1.1"
-        assert u11.composite_seq() == tuple(
+        assert composite_seq(example_pattern, 0) == tuple(
             zip(
                 (1, 2, 3, 1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 1, 2),
                 (1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1),
@@ -294,13 +316,13 @@ class TestGroupedPattern:
 
     def test_physical_mode_map(self, example_pattern):
         # physical mode is (m2 - 1) * element_count + m1
-        for u in example_pattern.users:
+        elem = example_pattern.config.element_counts
+        for u, (k, _) in enumerate(example_pattern.config.labels()):
             for t in range(1, example_pattern.length + 1):
-                m1, m2 = composite(u, t)
-                assert physical(u, t) == (m2 - 1) * u.element_modes + m1
-        u21 = example_pattern.users[1]
-        assert u21.label == "u2.1"
-        assert u21.physical_seq() == (
+                m1, m2 = composite(example_pattern, u, t)
+                assert physical(example_pattern, u, t) == (m2 - 1) * elem[k - 1] + m1
+                assert example_pattern.physical_modes[u, t - 1] == physical(example_pattern, u, t)
+        assert physical_seq(example_pattern, 1) == (
             1, 1, 1, 2, 2, 3, 3, 3, 4, 4, 1, 1, 1, 2, 2,
         )
 
@@ -310,13 +332,15 @@ class TestGroupedPattern:
 
     def test_physical_modes_are_the_users_sequences(self, example_pattern, misaligned_pattern):
         # one read-only array, read off each user's own sequences
+        assert factored(misaligned_pattern, 3) == "(1,1,1,2,2)x(1,2,1)"
         for pattern in (example_pattern, misaligned_pattern,
                         grouped_pattern(GroupingConfig.flat([4, 3, 3])),
                         grouped_pattern(GroupingConfig.grouped([9, 9], [[0], [1]], [3, 3]))):
             modes = pattern.physical_modes
-            assert modes.shape == (len(pattern.users), pattern.length)
+            users = pattern.config.num_users
+            assert modes.shape == (users, pattern.length)
             assert not modes.flags.writeable
-            assert modes.tolist() == [list(u.physical_seq()) for u in pattern.users]
+            assert modes.tolist() == [list(physical_seq(pattern, u)) for u in range(users)]
             assert pattern.physical_modes is modes
 
     def test_single_group_matches_flat_construction(self):
@@ -325,8 +349,8 @@ class TestGroupedPattern:
             cfg = GroupingConfig.flat(modes)
             pattern = grouped_pattern(cfg)
             flat = base_pattern(modes)
-            for u, orig in zip(pattern.users, cfg.user_order()):
-                assert u.physical_seq() == flat[orig]
+            for u, orig in enumerate(cfg.user_order()):
+                assert physical_seq(pattern, u) == flat[orig]
             assert pattern.length == flat_length(modes)
 
     def test_grouped_length_equals_construction(self):
@@ -346,8 +370,8 @@ class TestGroupedPattern:
         cfg = GroupingConfig.flat([6, 6, 4, 4], used=[3, 2, 2, 2])
         pattern = grouped_pattern(cfg)
         assert pattern.length == 9
-        for u, orig in zip(pattern.users, cfg.user_order()):
-            assert max(u.physical_seq()) == cfg.used[orig]
+        for u, orig in enumerate(cfg.user_order()):
+            assert max(physical_seq(pattern, u)) == cfg.used[orig]
 
     def test_table_round_trips_slot_entries(self, example_pattern):
         text = pattern_table(example_pattern)
@@ -360,6 +384,21 @@ class TestGroupedPattern:
         t8 = lines[9].split(",")
         assert t8 == ["8", "3.2/6", "1.2/3", "3.1/3", "1.1/1"]
 
+    def test_enumerated_tables_match_golden_digest(self):
+        # the v1 table is fixed byte for byte: one SHA-256 over the tables of
+        # every enumerated config of five spaces, 509 in all
+        spaces = [((6, 6, 4, 4), 300), ((6, 6, 6, 4, 4, 4), 150), ((4,) * 6, 200),
+                  ((9, 9, 9, 9), 250), ((6, 4, 8, 3), 200)]
+        digest, tables = hashlib.sha256(), 0
+        for modes, cap in spaces:
+            for cfg in enumerate_configs(SearchSpace(modes), cap):
+                digest.update(pattern_table(grouped_pattern(cfg)).encode())
+                tables += 1
+        assert tables == 509
+        assert digest.hexdigest() == (
+            "b1b1694dda1a5d2377f3a0f7d12a7b37a6482a23126aac92a88ebd71b12df486"
+        )
+
 
 class TestPatternInvariants:
     @given(
@@ -368,9 +407,9 @@ class TestPatternInvariants:
     )
     @settings(max_examples=30, deadline=None)
     def test_two_level_pattern_is_cartesian_expansion(self, elem, grp):
-        # every user's composite sequence must equal the product of its two
-        # component sequences, element level running fastest: the pair at
-        # 1-based slot (j - 1) * len(a) + i is (a[i], b[j])
+        # every user's physical modes must expand the product of its two
+        # level sequences, element level running fastest: the mode at 1-based
+        # slot (j - 1) * len(a) + i is (b[j] - 1) * M1 + a[i]
         used = [e * g for g in grp for e in elem]
         equipped = used
         groups = []
@@ -380,18 +419,18 @@ class TestPatternInvariants:
             idx += len(elem)
         cfg = GroupingConfig.grouped(equipped, groups, grp, used)
         pattern = grouped_pattern(cfg)
-        for u in pattern.users:
-            a, b = u.element_seq, u.group_seq
-            out = u.composite_seq()
+        for u, ((k, _), dim) in enumerate(zip(cfg.labels(), cfg.used_in_order())):
+            a, b = pattern.element_seq[u], pattern.group_seq[u]
+            out = pattern.physical_modes[u]
             assert len(out) == len(a) * len(b) == pattern.length
             for j in range(len(b)):
                 for i in range(len(a)):
-                    assert out[j * len(a) + i] == (a[i], b[j])
-            assert len(set(u.physical_seq())) == u.used
+                    assert out[j * len(a) + i] == (b[j] - 1) * cfg.element_counts[k - 1] + a[i]
+            assert len(set(out.tolist())) == dim
 
     def test_all_groups_share_element_family(self, example_pattern):
         by_position: dict[int, set] = {}
-        for u in example_pattern.users:
-            by_position.setdefault(u.position, set()).add(u.element_seq)
+        for seq, (k, _) in zip(example_pattern.element_seq, example_pattern.config.labels()):
+            by_position.setdefault(k, set()).add(tuple(seq))
         for seqs in by_position.values():
             assert len(seqs) == 1

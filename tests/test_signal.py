@@ -17,7 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import channel_row, effective_block, matrix_rank, physical, reference_streams
+from conftest import (
+    channel_row,
+    effective_block,
+    matrix_rank,
+    physical,
+    physical_seq,
+    reference_streams,
+)
 
 from biasym import (
     GroupingConfig,
@@ -33,7 +40,7 @@ from biasym import (
     report_to_csv,
     verify_receivers,
 )
-from biasym import signal
+from biasym import patterns, signal
 from biasym.signal import (
     _component_blocks,
     _component_shapes,
@@ -47,12 +54,12 @@ from biasym.signal import (
 def slot_loop_received(pattern, channels, symbols, rx):
     """Oracle: superpose transmissions slot by slot, straight from the model."""
     L = pattern.length
-    K = len(pattern.users)
+    K = len(pattern.streams)
     y = np.zeros(L, dtype=complex)
     for t in range(1, L + 1):
-        mode = physical(pattern.users[rx], t)
+        mode = physical(pattern, rx, t)
         for tx in range(K):
-            sent = np.zeros(pattern.users[tx].used, dtype=complex)
+            sent = np.zeros(pattern.streams[tx].shape[1], dtype=complex)
             for s, stream in enumerate(pattern.streams[tx]):
                 if t - 1 in stream:
                     sent = sent + symbols[tx][s]
@@ -100,8 +107,9 @@ class TestStreams:
 
     def test_stream_counts_match_predictions(self, example_pattern, example_config):
         preds = rank_predictions(example_config)
-        for slots, u, pred in zip(example_pattern.streams, example_pattern.users, preds):
-            assert slots.shape[1] == u.used
+        dims = example_config.used_in_order()
+        for slots, dim, pred in zip(example_pattern.streams, dims, preds, strict=True):
+            assert slots.shape[1] == dim
             assert slots.size == pred.desired
 
     def test_streams_are_read_only_and_computed_on_request(self, example_config):
@@ -120,13 +128,13 @@ class TestStreams:
         # the slots the built sequences give, array for array and in row order
         for got, want in zip(pattern.streams, reference_streams(pattern), strict=True):
             np.testing.assert_array_equal(got, want, strict=True)
-        for slots, pu in zip(pattern.streams, pattern.users):
+        for u, (slots, dim) in enumerate(zip(pattern.streams, cfg.used_in_order(), strict=True)):
             seen: set[int] = set()
             for stream in slots + 1:
                 # a stream repeats once per own physical mode, each exactly once
-                assert len(stream) == pu.used
-                modes = [physical(pu, t) for t in stream]
-                assert sorted(modes) == list(range(1, pu.used + 1))
+                assert len(stream) == dim
+                modes = [physical(pattern, u, t) for t in stream]
+                assert sorted(modes) == list(range(1, dim + 1))
                 assert not seen.intersection(stream)
                 seen.update(stream)
 
@@ -141,11 +149,12 @@ class TestStreams:
             pattern = grouped_pattern(cfg)
             for got, want in zip(pattern.streams, reference_streams(pattern), strict=True):
                 np.testing.assert_array_equal(got, want, err_msg=str(cfg), strict=True)
-            for slots, pu in zip(pattern.streams, pattern.users):
-                assert slots.shape[1] == pu.used, cfg
+            dims = cfg.used_in_order()
+            for u, (slots, dim) in enumerate(zip(pattern.streams, dims, strict=True)):
+                assert slots.shape[1] == dim, cfg
                 assert len(np.unique(slots)) == slots.size, cfg
-                modes_at = np.array(pu.physical_seq())[slots]
-                assert (np.sort(modes_at, axis=1) == np.arange(1, pu.used + 1)).all(), cfg
+                modes_at = np.array(physical_seq(pattern, u))[slots]
+                assert (np.sort(modes_at, axis=1) == np.arange(1, dim + 1)).all(), cfg
             checked += 1
         assert checked >= 48
 
@@ -353,7 +362,7 @@ class TestReceivedSignal:
             symbols = random_symbols(pattern, seed + 100)
             # as returned, after each receiver's decode has nulled a copy
             receivers = verify_receivers(pattern, ch, symbols)
-            assert len(receivers) == len(pattern.users)
+            assert len(receivers) == cfg.num_users
             for rx, r in enumerate(receivers):
                 assert r.samples.shape == (pattern.length,)
                 oracle = slot_loop_received(pattern, ch, symbols, rx)
@@ -572,7 +581,7 @@ class TestFullMatrixReference:
         ch = draw_channels(cfg, coherence, seed)
         symbols = random_symbols(pattern, seed + 1)
         receivers = verify_receivers(pattern, ch, symbols)
-        labels = [(u.position, u.group) for u in pattern.users]
+        labels = cfg.labels()
         K = len(labels)
         for rx in range(K):
             desired = effective_block(pattern, ch, rx, rx)
@@ -700,10 +709,10 @@ class TestSlotComponents:
 
     def test_each_level_family_is_built_once_per_verify(self, example_config):
         # the pattern and the slot components read one cached array per level
-        signal._level_modes.cache_clear()
+        patterns._level_modes.cache_clear()
         pattern = grouped_pattern(example_config)
         verify_receivers(pattern, draw_channels(example_config, None, 1), random_symbols(pattern))
-        info = signal._level_modes.cache_info()
+        info = patterns._level_modes.cache_info()
         assert (info.misses, info.hits) == (2, 2)  # element counts (3, 2), group counts (2, 2)
 
     def test_misaligned_components_match_union_find(self, misaligned_pattern):
@@ -783,7 +792,7 @@ class TestCompressedInterference:
     def test_stream_spectra_union_is_the_block_spectrum(self, cfg, coherence):
         pattern = grouped_pattern(cfg)
         ch = draw_channels(cfg, coherence, 7)
-        K = len(pattern.users)
+        K = cfg.num_users
         for rx in range(K):
             for tx in range(K):
                 block = effective_block(pattern, ch, rx, tx)
@@ -803,7 +812,7 @@ class TestCompressedInterference:
         ch = draw_channels(cfg, coherence, 8)
         position, layouts = _slot_components(pattern)
         batches = _stream_batches(pattern, ch, position)
-        K = len(pattern.users)
+        K = cfg.num_users
         for rx, layout in enumerate(layouts):
             ranks, blocks, width, columns, _ = _component_blocks(
                 pattern.length, batches, layout, rx
@@ -835,8 +844,8 @@ class TestCompressedInterference:
         for bit the block built alone from the gains, with its own SVD."""
         position, _ = _slot_components(pattern)
         batches = _stream_batches(pattern, ch, position)
-        for rx, user in enumerate(pattern.users):
-            seq = user.physical_seq()
+        for rx in range(len(batches)):
+            seq = physical_seq(pattern, rx)
             for tx, batch in enumerate(batches):
                 for slots, i in zip(pattern.streams[tx], batch.index[rx].tolist()):
                     block = np.array([channel_row(ch, rx, tx, t + 1, seq[t]) for t in slots])
@@ -975,7 +984,7 @@ class TestRankCertificate:
         # bound's rounding margin puts it at or above both computed values
         pattern = grouped_pattern(cfg)
         position, layouts = _slot_components(pattern)
-        K = len(pattern.users)
+        K = cfg.num_users
         for seed in range(10, 40):
             ch = draw_channels(cfg, coherence, seed)
             batches = _stream_batches(pattern, ch, position)
@@ -1228,7 +1237,7 @@ class TestDecode:
         ch = draw_channels(cfg, None, 3)
         symbols = random_symbols(pattern, 4)
         receivers = verify_receivers(pattern, ch, symbols, 1e-3, 5)
-        K = len(pattern.users)
+        K = cfg.num_users
         for rx, r in enumerate(receivers):
             desired = effective_block(pattern, ch, rx, rx)
             complement = np.eye(pattern.length)
@@ -1288,7 +1297,7 @@ class TestVerifyReceivers:
         receivers = verify_receivers(pattern, channels, symbols, noise_scale, noise_seed)
 
         assert all(r.match for r in receivers)
-        assert [r.samples.shape for r in receivers] == [(pattern.length,)] * len(pattern.users)
+        assert [r.samples.shape for r in receivers] == [(pattern.length,)] * cfg.num_users
         assert all(r.deficiency == 0 for r in receivers)
         assert [r.measured.label for r in receivers] == cfg.labels()
         assert [r.estimates.shape for r in receivers] == [s.shape for s in pattern.streams]
