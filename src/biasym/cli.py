@@ -215,10 +215,11 @@ def _verify_config(config: GroupingConfig, coherence: int | None, seed: int, noi
     symbol_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
     symbols = random_symbols(pattern, symbol_seed)
     receivers = verify_receivers(pattern, channels, symbols, noise, noise_seed)
-    errors = [
-        np.linalg.norm(r.estimates - truth) / np.linalg.norm(truth)
-        for truth, r in zip(symbols, receivers)
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed decode reads inf or NaN
+        errors = [
+            np.linalg.norm(r.estimates - truth) / np.linalg.norm(truth)
+            for truth, r in zip(symbols, receivers)
+        ]
     max_err = float(np.max(errors))  # unlike max(), np.max lets a NaN error through
     tolerance = DECODE_RTOL if noise == 0.0 else np.inf  # NaN or inf fails at any noise
     # matching ranks leave no receiver a deficiency, so they imply a full decode

@@ -45,9 +45,10 @@ PATTERN_TABLE_HEADER = "# biasym pattern table v1"
 class GroupingConfig:
     """A validated grouping of users plus per-user used mode counts.
 
-    ``groups`` holds original user indices (0-based), already in canonical
-    within-group order: descending used mode count, then descending
-    equipped mode count, then original index.
+    ``groups`` holds original user indices (0-based); the constructor puts
+    each group's members in canonical order: descending used mode count,
+    then descending equipped mode count, then original index.  Group order
+    is kept, since group i owns ``group_mode_counts[i]``.
     ``element_counts[k]`` is the element-level mode count shared by the
     users at within-group position k of every group; it must satisfy
     ``used == element_counts[position] * group_mode_counts[group]`` for
@@ -70,11 +71,6 @@ class GroupingConfig:
         grs = tuple(tuple(_integer(u, "user indices must be integers") for u in g)
                     for g in self.groups)
         mgs = tuple(_integer(m, "mode counts must be integers") for m in self.group_mode_counts)
-        object.__setattr__(self, "equipped", eq)
-        object.__setattr__(self, "used", us)
-        object.__setattr__(self, "groups", grs)
-        object.__setattr__(self, "group_mode_counts", mgs)
-
         if any(u < 2 for u in us):
             raise ValueError("every used mode count must be >= 2")
         if any(u > m for u, m in zip(us, eq)):
@@ -99,8 +95,8 @@ class GroupingConfig:
         elif any(m < 2 for m in mgs):
             raise ValueError("group mode counts must be >= 2 when there are several groups")
 
-        if any(g != _member_order(g, eq, us) for g in grs):
-            raise ValueError("group members must be in descending used, then equipped, mode order")
+        # every index is in range now; group order stays, as group i owns mgs[i]
+        grs = tuple(_member_order(g, eq, us) for g in grs)
 
         # alignment condition: element-level counts agree across groups per position
         elem = []
@@ -122,6 +118,10 @@ class GroupingConfig:
             if e < 2:
                 raise ValueError("element mode counts must be >= 2")
             elem.append(e)
+        object.__setattr__(self, "equipped", eq)
+        object.__setattr__(self, "used", us)
+        object.__setattr__(self, "groups", grs)
+        object.__setattr__(self, "group_mode_counts", mgs)
         object.__setattr__(self, "element_counts", tuple(elem))
 
     # ------------------------------------------------------------------
@@ -135,13 +135,8 @@ class GroupingConfig:
 
     @classmethod
     def grouped(cls, equipped, groups, group_mode_counts, used=None) -> "GroupingConfig":
-        """Build a config from explicit user-index groups, normalizing order."""
-        eq, us = _mode_counts(equipped, equipped if used is None else used)
-        groups = [[_integer(j, "user indices must be integers") for j in g] for g in groups]
-        if not all(0 <= j < len(eq) for g in groups for j in g):
-            raise ValueError("groups must partition the users")
-        norm = tuple(_member_order(g, eq, us) for g in groups)
-        return cls(eq, us, norm, tuple(group_mode_counts))
+        """Config from explicit user-index groups; ``used`` defaults to ``equipped``."""
+        return cls(equipped, equipped if used is None else used, groups, group_mode_counts)
 
     # ------------------------------------------------------------------
     # derived views

@@ -332,17 +332,14 @@ def optimize(space: SearchSpace, budget: int | None = None) -> SweepRow:
 class SweepResult:
     rows: tuple[SweepRow, ...]
 
-    def strict_rows(self) -> list[int]:
-        """Budgets where the grouped strategy strictly beats conventional."""
-        return [
+    def strict_band(self) -> tuple[int, int] | None:
+        """Least and greatest budgets where grouping strictly beats conventional."""
+        strict = [
             row.length_budget
             for row in self.rows
             if row.grouped is not None
             and (row.conventional is None or row.grouped.dof > row.conventional.dof)
         ]
-
-    def strict_band(self) -> tuple[int, int] | None:
-        strict = self.strict_rows()
         return (min(strict), max(strict)) if strict else None
 
 

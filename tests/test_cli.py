@@ -86,7 +86,6 @@ class TestExitCodes:
             assert "invalid config" in captured.err
             assert captured.out == ""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_noise_does_not_report_zero_error(self, capsys):
         # finite, but the samples overflow: a NaN error must reach the report
         # and fail the run, whatever the noise level
@@ -94,6 +93,18 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "decode: max relative error 0.000e+00" not in out
         assert "result: MISMATCH" in out
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--modes", "2,2", "--flat", "--noise", "1e308"], "nan"),
+        ([*EXAMPLE, "--seed", "1", "--noise", "1e200"], "inf"),
+    ], ids=["flat-1e308", "example-1e200"])
+    def test_huge_finite_noise_fails_without_warnings(self, argv, error, capsys):
+        # overflowed samples and error norms are the decode's answer: exit 3,
+        # nothing on stderr (a RuntimeWarning is an error under this suite)
+        assert main(["verify", *argv]) == 3
+        captured = capsys.readouterr()
+        assert f"decode: max relative error {error}\nresult: MISMATCH\n" in captured.out
+        assert captured.err == ""
 
     @pytest.mark.parametrize("lmin,lmax,lstep", [("20", "10", "1"), ("10", "20", "0"),
                                                  ("10", "20", "-1")])

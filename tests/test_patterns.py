@@ -11,6 +11,7 @@ from conftest import composite, composite_seq, factored, physical, physical_seq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biasym.patterns
 from biasym import (
     GroupingConfig,
     SearchSpace,
@@ -253,17 +254,43 @@ class TestGroupingConfig:
         with pytest.raises(ValueError, match="user indices must be integers, got 0.2"):
             GroupingConfig.grouped((4, 4), [[0.2, 1.9]], (1,))
 
-    def test_descending_order_enforced_and_normalized(self):
-        with pytest.raises(ValueError, match="descending"):
-            GroupingConfig([6, 6, 4, 4], [6, 6, 4, 4], ((2, 0), (3, 1)), (2, 2))
-        cfg = GroupingConfig.grouped([6, 6, 4, 4], [[2, 0], [3, 1]], [2, 2])
+    def test_constructor_orders_members_by_descending_counts(self):
+        cfg = GroupingConfig([6, 6, 4, 4], [6, 6, 4, 4], ((2, 0), (3, 1)), (2, 2))
         assert cfg.groups == ((0, 2), (1, 3))
+        assert cfg == GroupingConfig.grouped([6, 6, 4, 4], [[2, 0], [3, 1]], [2, 2])
 
-    def test_tied_used_counts_must_be_in_member_order(self):
+    def test_constructor_orders_tied_used_counts_by_equipped(self):
         # equal used counts: the larger equipped count comes first
-        with pytest.raises(ValueError, match="descending"):
-            GroupingConfig((4, 6), (4, 4), ((0, 1),), (1,))
-        assert str(GroupingConfig.flat((4, 6), (4, 4))) == "KG=1;G1=[6,4]/MG1;used=4,4"
+        cfg = GroupingConfig((4, 6), (4, 4), ((0, 1),), (1,))
+        assert cfg.groups == ((1, 0),)
+        assert cfg == GroupingConfig.flat((4, 6), (4, 4))
+        assert str(cfg) == "KG=1;G1=[6,4]/MG1;used=4,4"
+
+    @pytest.mark.parametrize("equipped, budget", [((6, 6, 4, 4), 300), ((6, 6, 6, 4, 4, 4), 150)])
+    def test_member_order_within_groups_does_not_matter(self, equipped, budget):
+        for cfg in enumerate_configs(SearchSpace(equipped), budget):
+            for groups in itertools.product(*(itertools.permutations(g) for g in cfg.groups)):
+                other = GroupingConfig(cfg.equipped, cfg.used, groups, cfg.group_mode_counts)
+                assert other == cfg and hash(other) == hash(cfg)
+                assert other.canonical_string() == cfg.canonical_string()
+
+    @pytest.mark.parametrize("build, groups", [
+        (lambda: GroupingConfig.flat([6, 6, 4, 4]), 1),
+        (lambda: GroupingConfig.grouped([6, 6, 4, 4], [[2, 0], [3, 1]], [2, 2]), 2),
+    ])
+    def test_one_conversion_and_one_ordering_per_group(self, monkeypatch, build, groups):
+        # one pass per config: the constructors leave conversion and order to it
+        calls = {"_mode_counts": 0, "_member_order": 0}
+        for name in calls:
+            real = getattr(biasym.patterns, name)
+
+            def spy(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(f"biasym.patterns.{name}", spy)
+        build()
+        assert calls == {"_mode_counts": 1, "_member_order": groups}
 
     def test_labels_and_user_order(self, example_config):
         assert example_config.labels() == [(1, 1), (2, 1), (1, 2), (2, 2)]
