@@ -20,19 +20,21 @@ is the desired rank plus the rank of the interference with the
 receiver's own slot rows removed, and the decode needs only those same
 blocks.  In a single-group config each interferer stream meets one row
 of those reduced blocks, so their singular values are their row norms
-and no SVD runs; with several groups a thin SVD gives them.  They usually settle
-the combined rank as well: a block with rows removed has no more
-singular values above a cutoff than the whole one, so when each keeps
-all its columns above a cutoff at or above the interference's, so does
-the whole.  Only when it does not (short fading blocks, misaligned
-patterns) are the whole components decomposed too.  No matrix as tall as
-the supersymbol is decomposed.  Those dim x dim stream blocks repeat: the
-held modes make a few channel-row patterns recur, and each distinct block
-is decomposed once per verify.
+and no SVD runs; with several groups a thin SVD gives them.  They usually
+settle the combined rank as well, at the one point that decides it: a
+block with rows removed has no more singular values above a cutoff than
+the whole one, so when each keeps all its columns above a cutoff at or
+above the interference's, so does the whole.  Only when it does not
+(short fading blocks, misaligned patterns) are the whole components
+decomposed too, values only.  No matrix as tall as the supersymbol is
+decomposed.  Those dim x dim stream blocks repeat: the held modes make a
+few channel-row patterns recur, and each distinct block is decomposed
+once per verify.
 
 Channels are drawn i.i.d. CN(0, 1) per fading block; a block spans
 ``coherence_length`` consecutive slots, so alignment only survives when
-a whole supersymbol fits inside one block.
+a whole supersymbol fits inside one block.  Noise, when requested, is
+drawn for every receiver at once, before the passes.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.n
     SVD, whose arrays their batches share.
     """
     streams = pattern.streams
-    coherence = channels.coherence_length
+    coherence = _coherence(channels.coherence_length, pattern.length)
     blocks = -(-pattern.length // coherence)
     dims = np.array(pattern.config.used_in_order())
     modes = pattern.physical_modes - 1
@@ -442,10 +444,9 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     * thin, with U and Vh, of the free blocks (m (n - own) w), a view of
       the component blocks;
     * values only, of the component blocks, when the free blocks leave
-      the combined rank open (see ``_receiver_pass``): before the thin SVD
-      when some component has more columns than free rows, and otherwise
-      after it, with its Vh still held, at most m p^2 entries for p =
-      min(n - own, w).
+      the combined rank open (the pass's one trigger, see
+      ``_receiver_pass``), after the thin SVD with its Vh still held:
+      m p w entries for p = min(n - own, w).
 
     The distinct stream blocks stay resident for the whole verify
     (``_stream_block_counts``): gains, Vh and the scaled U, with U while
@@ -453,9 +454,9 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     used_rx x used_tx for every pair), each (rx, stream)'s index among the
     blocks and each stream slot's component row (K (c_tx + c_tx / dim_tx)
     integers, half an entry each), the slot labels of every receiver and
-    the samples (4 K L), and the pattern's physical modes with the two
-    per-slot level modes they and the slot components are expanded from
-    (3 K L integers).  ``_stream_batches`` builds the blocks from
+    the samples, noise added in place (4 K L), and the pattern's physical
+    modes with the two per-slot level modes they and the slot components
+    are expanded from (3 K L integers).  ``_stream_batches`` builds the blocks from
     transients that the allocator need not hand back before the passes, so
     they are added too: a copy of the channels, and per (rx, stream) its
     keys twice, the modes they are read from with their keyed copy, the
@@ -485,7 +486,7 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
         a = n - own
         p = min(a, w)
         if not orthogonal:
-            stage = max(svd(a, w, p, m), svd(n, w) + m * p * p)
+            stage = max(svd(a, w, p, m), svd(n, w) + m * p * w)
         else:
             stage = 2 * m * (a + w) + (svd(n, w) if blocks > 1 else 0)
         largest = max(largest, m * n * w + stage)
@@ -621,13 +622,12 @@ def _row_norms(blocks: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...j,...j->...", parts, parts))
 
 
-def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise, orthogonal):
+def _receiver_pass(batches, layout, rx, pred, samples, orthogonal):
     """Rank receiver rx's blocks and decode its samples, component by component.
 
     Returns rx's record: its ranks against ``pred``, and ``samples`` (its
-    noiseless samples) with noise added and their decode; ``noise`` is None
-    or (scale, RNG).  ``orthogonal`` is ``_orthogonal_free_rows`` of the
-    config.
+    length-L samples, noise already added) with their decode.
+    ``orthogonal`` is ``_orthogonal_free_rows`` of the config.
 
     The stream blocks' SVDs (``batches``) give the desired and
     per-interferer ranks (see ``_component_blocks``).  The desired block is
@@ -650,14 +650,13 @@ def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise, orthogona
     block gives that on drawn channels: each F_i is square, and of full
     rank when joint = L.  Otherwise (a fading block shorter than L, a
     misaligned pattern, channels built by hand) a values-only SVD of the
-    I_i gives the stack's exact cutoff and the combined rank.  It runs
-    before t are found when some I_i has more kept columns than F_i has
-    rows, since F_i cannot settle it then, and after, with U let go, when
-    some F_i falls short.  Drawn channels give full-rank G_s with
-    probability 1; a G_s short of full rank (a pattern that repeats a mode
-    inside an own stream, or channels built by hand) shows as desired < c,
-    a mismatch, and then joint = desired + rank(free) is a lower bound on
-    the dense rank.
+    I_i gives the stack's exact cutoff and the combined rank.  That check
+    is its one trigger, after t, with U let go and Vh held; an I_i with
+    more kept columns than F_i has rows always trips it.  Drawn channels
+    give full-rank G_s with probability 1; a G_s short of full rank (a
+    pattern that repeats a mode inside an own stream, or channels built by
+    hand) shows as desired < c, a mismatch, and then joint = desired +
+    rank(free) is a lower bound on the dense rank.
 
     The decode is the least squares of [D | I]: z_i is the pseudo-inverse
     of F_i applied to the samples b_i on its rows, Vh^H (U^H b_i / t), or
@@ -666,7 +665,7 @@ def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise, orthogona
     own row no interferer touches keeps its sample, and each stream's
     symbol is the pseudo-inverse of G_s applied to the values on its slots.
     """
-    length, count, size, own = pattern.length, layout.count, layout.size, layout.own
+    length, count, size, own = len(samples), layout.count, layout.size, layout.own
     batch = batches[rx]
     index = batch.index[rx]
     s_desired = batch.values[index]
@@ -674,15 +673,6 @@ def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise, orthogona
     ranks, blocks, width, columns, bound = _component_blocks(length, batches, layout, rx)
     full = max(length, width)  # the interference stack's larger side
     free = size - own  # each component's first rows (see _Layout)
-    # a free block with fewer rows than its component has columns cannot
-    # settle the component's rank, so then the values-only SVD runs first,
-    # before U and Vh are held
-    s = np.linalg.svd(blocks, compute_uv=False) if (columns > free).any() else None
-    if noise is not None:
-        scale, rng = noise
-        samples = samples + scale * (
-            rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        ) / 2**0.5
     values = samples[layout.order]
     components = values[:count * size].reshape(count, size, 1)  # a view into values
     if orthogonal:
@@ -690,16 +680,15 @@ def _receiver_pass(pattern, batches, layout, rx, pred, samples, noise, orthogona
     else:
         u, t, vh = np.linalg.svd(blocks[:, :free], full_matrices=False)
         # nothing else reads U and Vh, so they are conjugated in place, and
-        # U is let go before a values-only SVD that runs after the thin one
+        # U is let go before a values-only SVD
         projected = np.swapaxes(np.conjugate(u, out=u), -1, -2) @ components[:, :free]
         del u
-    if s is None:
-        cutoff = _cutoff(bound, full)  # at or above the stack's own
-        if not np.array_equal(np.count_nonzero(t > cutoff, axis=-1), columns):
-            s = np.linalg.svd(blocks, compute_uv=False)  # a free block left its rank open
-    if s is not None:
+    cutoff = _cutoff(bound, full)  # at or above the stack's own
+    combined = columns.sum()
+    if not np.array_equal(np.count_nonzero(t > cutoff, axis=-1), columns):
+        s = np.linalg.svd(blocks, compute_uv=False)  # a free block left its rank open
         cutoff = _cutoff(s, full)
-    combined = columns.sum() if s is None else np.count_nonzero(s > cutoff)
+        combined = np.count_nonzero(s > cutoff)
     # pseudo-inverses weigh the values at or below their cutoff 0
     live = np.where(t > cutoff, t, np.inf)[..., None]
     if orthogonal:
@@ -764,8 +753,10 @@ def verify_receivers(
     ``symbols[tx]`` has the shape of ``pattern.streams[tx]``: row s is
     stream s's symbol vector.  Each record also holds its receiver's
     samples and their decode.  Noise, when requested, is CN(0, 1) scaled
-    by ``noise_scale`` (use 1/sqrt(SNR)), drawn receiver by receiver from
-    one generator seeded with ``noise_seed``.  The decode is the least
+    by ``noise_scale`` (use 1/sqrt(SNR)), drawn for every receiver in one
+    (receivers, 2, L) call to a generator seeded with ``noise_seed``:
+    receiver by receiver, real parts before imaginary ones, and added to
+    the samples before any pass.  The decode is the least
     squares of [desired | interference]; it is exact up to numerical
     precision whenever the joint rank condition holds and the samples are
     noiseless.  Channels not drawn for ``pattern`` are refused before any
@@ -790,16 +781,21 @@ def verify_receivers(
     ):
         raise ValueError("channels must hold each (rx, tx) pair's (blocks, used rx, used tx) "
                          "gains, enough blocks to cover the supersymbol")
-    noise = (noise_scale, np.random.default_rng(noise_seed)) if noise_scale > 0.0 else None
     position, layouts = _slot_components(pattern)
-    batches = _stream_batches(pattern, ChannelSet(coherence, channels.gains), position)
+    batches = _stream_batches(pattern, channels, position)
     samples = _received(batches, sources, pattern.length)
     orthogonal = _orthogonal_free_rows(pattern.config)
     # a huge finite noise scale overflows the samples, so their decode reads
     # inf or NaN, which is the decode's answer, not a fault; the ranks never
     # read the samples
     with np.errstate(over="ignore", invalid="ignore"):
+        if noise_scale > 0.0:
+            # each receiver's real parts, then its imaginary parts
+            shape = (len(dims), 2, pattern.length)
+            noise = np.random.default_rng(noise_seed).standard_normal(shape)
+            samples += noise_scale * (noise[:, 0] + 1j * noise[:, 1]) / 2**0.5
+            del noise
         return tuple(
-            _receiver_pass(pattern, batches, layouts[rx], rx, pred, samples[rx], noise, orthogonal)
+            _receiver_pass(batches, layouts[rx], rx, pred, samples[rx], orthogonal)
             for rx, pred in enumerate(rank_predictions(pattern.config))
         )
