@@ -3,10 +3,11 @@
 The transmitters know nothing about the channel; each symbol vector is
 simply repeated over the slots its stream occupies, one slot per own
 preset mode.  All alignment therefore has to come from the switching
-pattern itself, and this module measures whether it does: in one pass
-per receiver, ``verify_receivers`` ranks the effective (channel times
-repetition) matrices against the exact predictions and runs a
-zero-forcing decode round trip.
+pattern itself, and this module measures whether it does:
+``verify_receivers`` ranks the effective (channel times repetition)
+matrices against the exact predictions and runs a zero-forcing decode
+round trip, in one pass per receiver, or one for all receivers of a
+single-group config.
 
 Each interferer stream fills only its own slots, and a receiver holds
 one mode across it at each level that has other users, so the receiver's
@@ -18,18 +19,20 @@ desired block is never built: each own stream reaches its own slots
 through a dim x dim block, and when these have full rank the joint rank
 is the desired rank plus the rank of the interference with the
 receiver's own slot rows removed, and the decode needs only those same
-blocks.  In a single-group config each interferer stream meets one row
-of those reduced blocks, so their singular values are their row norms
-and no SVD runs; with several groups a thin SVD gives them.  They usually
-settle the combined rank as well, at the one point that decides it: a
-block with rows removed has no more singular values above a cutoff than
-the whole one, so when each keeps all its columns above a cutoff at or
-above the interference's, so does the whole.  Only when it does not
-(short fading blocks, misaligned patterns) are the whole components
-decomposed too, values only.  No matrix as tall as the supersymbol is
-decomposed.  Those dim x dim stream blocks repeat: the held modes make a
-few channel-row patterns recur, and each distinct block is decomposed
-once per verify.
+blocks.  With several groups a thin SVD of those reduced blocks gives
+their singular values.  In a single-group config each interferer stream
+meets one row of them, on its hold slot, so their singular values are
+their row norms: one pass over the kept columns' entries reads every
+receiver's, and builds no block and runs no SVD.  They usually settle
+the combined rank as well, at the one point that decides it: a block
+with rows removed has no more singular values above a cutoff than the
+whole one, so when each keeps all its columns above a cutoff at or
+above the interference's, so does the whole.  Only where it does not
+(short fading blocks, misaligned patterns, channels built by hand) are
+a receiver's whole components built and decomposed too, values only.
+No matrix as tall as the supersymbol is decomposed.  Those dim x dim
+stream blocks repeat: the held modes make a few channel-row patterns
+recur, and each distinct block is decomposed once per verify.
 
 Channels are drawn i.i.d. CN(0, 1) per fading block; a block spans
 ``coherence_length`` consecutive slots, so alignment only survives when
@@ -114,21 +117,25 @@ def draw_channels(
         coherence_length: slots per fading block; None, or any length of at
             least the supersymbol's, means one block spans the whole
             supersymbol (the ideal staggered-fading case).
-        seed: numpy default_rng seed; draws are made pair by pair in
-            row-major (rx, tx) order, so a seed pins the whole set.
+        seed: numpy default_rng seed; one draw covers every pair, read
+            pair by pair in row-major (rx, tx) order, real parts before
+            imaginary ones, so a seed pins the whole set.
     """
     length = grouped_length(config)
     coherence_length = _coherence(coherence_length, length)
     n_blocks = -(-length // coherence_length)
-    rng = np.random.default_rng(seed)
     dims = config.used_in_order()
-    gains = {}
-    for rx in range(len(dims)):
-        for tx in range(len(dims)):
-            shape = (n_blocks, dims[rx], dims[tx])
-            gains[(rx, tx)] = (
-                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            ) / np.sqrt(2.0)
+    pairs = [(rx, tx) for rx in range(len(dims)) for tx in range(len(dims))]
+    sizes = np.array([n_blocks * dims[rx] * dims[tx] for rx, tx in pairs])
+    starts = np.cumsum(sizes) - sizes  # of each pair's entries among all pairs'
+    draws = np.random.default_rng(seed).standard_normal(2 * sizes.sum())
+    # a pair's real parts start at twice its start, and its imaginary ones follow
+    real = np.arange(sizes.sum()) + np.repeat(starts, sizes)
+    entries = (draws[real] + 1j * draws[real + np.repeat(sizes, sizes)]) / np.sqrt(2.0)
+    gains = {
+        (rx, tx): entries[start:start + size].reshape(n_blocks, dims[rx], dims[tx])
+        for (rx, tx), start, size in zip(pairs, starts.tolist(), sizes.tolist())
+    }
     return ChannelSet(coherence_length=coherence_length, gains=gains)
 
 
@@ -228,11 +235,14 @@ def random_symbols(
     pattern: PresetPattern, seed: int | np.random.SeedSequence | None = 0
 ) -> list[np.ndarray]:
     """Unit-norm complex symbol vectors: one (streams, used) array per user,
-    row s for stream s, in the shape of ``pattern.streams``."""
-    rng = np.random.default_rng(seed)
-    out = []
+    row s for stream s, in the shape of ``pattern.streams``.  One draw
+    covers every user, read user by user and stream by stream, real parts
+    before imaginary ones."""
+    draws = np.random.default_rng(seed).standard_normal(2 * sum(s.size for s in pattern.streams))
+    out, start = [], 0
     for slots in pattern.streams:
-        parts = rng.standard_normal((len(slots), 2, slots.shape[1]))
+        parts = draws[start:start + 2 * slots.size].reshape(len(slots), 2, slots.shape[1])
+        start += 2 * slots.size
         vecs = parts[:, 0] + 1j * parts[:, 1]
         # each row's norm as a 1-D np.linalg.norm takes it, re.re + im.im
         # read through the complex array's views, so the sums run in its
@@ -292,7 +302,8 @@ def _cutoff(s: np.ndarray, size: int) -> float:
     matrix's own, and a value above it is above the matrix's cutoff too.
     A receiver's free blocks are counted against a bound on its whole
     interference stack's cutoff first, and against the exact one when that
-    leaves the combined rank open (see ``_receiver_pass``).
+    leaves the combined rank open (see ``_receiver_pass`` and
+    ``_flat_pass``).
     """
     return size * s.max(initial=0.0) * RANK_RTOL
 
@@ -342,7 +353,10 @@ def _orthogonal_free_rows(config: GroupingConfig) -> bool:
 
     Each kept column lies on its stream's rows (see ``_component_blocks``),
     so then it has at most one nonzero free entry, the free block F F^H is
-    diagonal, and F's singular values are its row norms.
+    diagonal, and F's singular values are its row norms.  ``verify_receivers``
+    then runs ``_flat_pass``, which reads every receiver's row norms off the
+    kept columns' free entries, one per column: the entry on the stream's
+    last slot, its hold slot, which ``patterns._flat_streams`` puts last.
 
     * One group: receiver k's streams fill the interleaving block (one per
       combination of the other users' digits, along k's) and k's hold
@@ -422,24 +436,38 @@ def _stream_block_counts(config: GroupingConfig, coherence_length: int | None = 
 
 
 def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None = None) -> int:
-    """Closed-form bound on the largest one-receiver working set, in bytes.
+    """Closed-form bound on one verify's working set, in bytes.
 
     Receiver rx has L slots, c desired columns and r kept interference
     columns: L - c, its predicted combined rank, or every interfering
     column when ``coherence_length`` is shorter than L.  They split over m
     slot components of n rows each, ``own`` of them rx's own slots
-    (``_component_shapes``), w = ceil(r / m) columns to a component.  An
-    SVD of an a x b matrix (p = min(a, b)) holds LAPACK's copy of it and
-    its workspace, a b + a p + 3 p^2 complex entries; one with k columns of
-    U and k rows of Vh adds them in LAPACK's buffer and as results,
-    2 k (a + b), and a batch of such matrices the results of the others.
-    The pass holds the component blocks (m n w) throughout, and this sums
-    them with its largest stage.  When every interferer stream meets at
-    most one free row (``_orthogonal_free_rows``: one group), the free
-    blocks are settled in closed form, from vectors of at most
-    2 m (n - own + w) entries, and only a values-only SVD of the component
-    blocks adds more: it runs when ``coherence_length`` is shorter than L.
-    Otherwise the stage is the larger of two that run one after the other:
+    (``_component_shapes``), w = ceil(r / m) columns to a component.
+
+    A config of one group at one fading block takes the entry pass
+    (``_flat_pass``), which builds no component block.  Each of the n_d
+    streams of dim d keeps one column at each of the other K - 1
+    receivers, N_d = (K - 1) n_d columns held to the end as d complex
+    entries and d integer places (an integer is half an entry), beside
+    each stream's slots, block and desired mask: 1.5 N_d d + n_d d.  On
+    top comes the larger of one dim's decode, 4 N_d entries for z and its
+    operands and 2.5 per own entry for their products and bincount index
+    (2.5 N_d (d - 1)), and its desired solve, one gathered d x d block
+    and d values per stream (n_d d (d + 1)); and 4 K L entries for the
+    row norms and their weights, the cancelled interference and the
+    values.
+
+    Otherwise the pass holds a receiver's component blocks (m n w), and
+    this sums them with its largest stage.  An SVD of an a x b matrix
+    (p = min(a, b)) holds LAPACK's copy of it and its workspace,
+    a b + a p + 3 p^2 complex entries; one with k columns of U and k rows
+    of Vh adds them in LAPACK's buffer and as results, 2 k (a + b), and a
+    batch of such matrices the results of the others.  With one group,
+    below the coherence length, a receiver whose certificate fails builds
+    its component blocks for a values-only SVD alone; the count adds
+    2 m (n - own + w) entries of vectors, which with the blocks' n entries
+    per column cover the entry pass's few.  With several groups the stage
+    is the larger of two that run one after the other:
 
     * thin, with U and Vh, of the free blocks (m (n - own) w), a view of
       the component blocks;
@@ -480,16 +508,28 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     transient += blocks * sum(dims) ** 2
     orthogonal = _orthogonal_free_rows(config)
     largest = 0
-    for (m, n, own, _), c in zip(shapes, columns):
-        r = length - c if blocks == 1 else sum(columns) - c
-        w = -(-r // m) if m else 0
-        a = n - own
-        p = min(a, w)
-        if not orthogonal:
-            stage = max(svd(a, w, p, m), svd(n, w) + m * p * w)
-        else:
-            stage = 2 * m * (a + w) + (svd(n, w) if blocks > 1 else 0)
-        largest = max(largest, m * n * w + stage)
+    if orthogonal and blocks == 1:
+        # the entry pass, in half entries: the n streams of each dim keep
+        # one column at each of the other receivers
+        streams = {}
+        for c, d in zip(columns, dims):
+            streams[d] = streams.get(d, 0) + c // d
+        kept = {d: (len(dims) - 1) * n for d, n in streams.items()}
+        held = sum(3 * kept[d] * d + 2 * n * d for d, n in streams.items())
+        decode = max(8 * kept[d] + 5 * kept[d] * (d - 1) for d in streams)
+        solve = max(2 * n * d * (d + 1) for d, n in streams.items())
+        largest = (held + max(decode, solve)) // 2 + 4 * len(dims) * length
+    else:
+        for (m, n, own, _), c in zip(shapes, columns):
+            r = length - c if blocks == 1 else sum(columns) - c
+            w = -(-r // m) if m else 0
+            a = n - own
+            p = min(a, w)
+            if orthogonal:  # a receiver whose certificate fails
+                stage = 2 * m * (a + w) + svd(n, w)
+            else:
+                stage = max(svd(a, w, p, m), svd(n, w) + m * p * w)
+            largest = max(largest, m * n * w + stage)
     return (largest + resident + transient) * np.dtype(complex).itemsize
 
 
@@ -610,24 +650,29 @@ def _component_blocks(length: int, batches, layout: _Layout, rx: int):
         start += len(r)
     return (
         kept[:rx] + kept[rx + 1:], blocks.reshape(count, size, blocks.shape[1]), width,
-        np.bincount(owner, minlength=count),
-        np.linalg.norm(tops, keepdims=True) * (1 + 4 * max(length, width) * np.finfo(float).eps),
+        np.bincount(owner, minlength=count), _stack_bound(np.array(tops), max(length, width)),
     )
 
 
-def _row_norms(blocks: np.ndarray) -> np.ndarray:
-    """Each row's 2-norm: the root of its real and imaginary parts' squares,
-    summed without a temporary of the blocks' size."""
-    parts = blocks.view(float)
-    return np.sqrt(np.einsum("...j,...j->...", parts, parts))
+def _stack_bound(tops: np.ndarray, full) -> np.ndarray:
+    """A value at or above the interference stack's largest computed
+    singular value, over the last axis of ``tops``, kept as one entry.
+
+    ``tops`` holds each interferer's largest stream singular value, ||Z_tx||,
+    and ``full`` the stack's larger side, broadcast against the result: the
+    root sum of squares raised by 4 ``full`` eps of itself (see
+    ``_component_blocks``).
+    """
+    return np.linalg.norm(tops, axis=-1, keepdims=True) * (1 + 4 * full * np.finfo(float).eps)
 
 
-def _receiver_pass(batches, layout, rx, pred, samples, orthogonal):
+def _receiver_pass(batches, layout, rx, pred, samples):
     """Rank receiver rx's blocks and decode its samples, component by component.
 
     Returns rx's record: its ranks against ``pred``, and ``samples`` (its
-    length-L samples, noise already added) with their decode.
-    ``orthogonal`` is ``_orthogonal_free_rows`` of the config.
+    length-L samples, noise already added) with their decode.  This pass
+    serves configs with several groups; a one-group config takes
+    ``_flat_pass``, which reads the same quantities off entries.
 
     The stream blocks' SVDs (``batches``) give the desired and
     per-interferer ranks (see ``_component_blocks``).  The desired block is
@@ -635,35 +680,31 @@ def _receiver_pass(batches, layout, rx, pred, samples, orthogonal):
     own stream s's dim x dim block.  When every G_s has full rank, an own
     row can take any value, so rank [D | I] = c + rank(I without rx's own
     rows), summed over the components.  The singular values t of the free
-    blocks F_i (the component blocks I_i without their own rows) give
-    joint - c.  When every interferer stream meets at most one free row
-    (``orthogonal``: every single-group config), F_i F_i^H is diagonal, so
-    t are F_i's row norms, U is the identity and Vh is F_i's rows over
-    their norms: no SVD runs.  Otherwise a thin SVD of the F_i gives them.
-    They also settle the combined rank, against the cutoff of ``bound``
-    (see ``_component_blocks``), which is at or above the full interference
-    stack's: adding rows never lowers a singular value (Cauchy
-    interlacing), so when every F_i has as many singular values above that
-    cutoff as I_i has kept columns, each I_i has all of them above the
-    stack's cutoff, the combined rank is the kept column count, and t fall
-    on the same sides of either cutoff.  An aligned pattern at one fading
-    block gives that on drawn channels: each F_i is square, and of full
-    rank when joint = L.  Otherwise (a fading block shorter than L, a
-    misaligned pattern, channels built by hand) a values-only SVD of the
-    I_i gives the stack's exact cutoff and the combined rank.  That check
-    is its one trigger, after t, with U let go and Vh held; an I_i with
-    more kept columns than F_i has rows always trips it.  Drawn channels
-    give full-rank G_s with probability 1; a G_s short of full rank (a
-    pattern that repeats a mode inside an own stream, or channels built by
-    hand) shows as desired < c, a mismatch, and then joint = desired +
-    rank(free) is a lower bound on the dense rank.
+    blocks F_i (the component blocks I_i without their own rows), from a
+    thin SVD, give joint - c.  They also settle the combined rank, against
+    the cutoff of ``bound`` (see ``_component_blocks``), which is at or
+    above the full interference stack's: adding rows never lowers a
+    singular value (Cauchy interlacing), so when every F_i has as many
+    singular values above that cutoff as I_i has kept columns, each I_i has
+    all of them above the stack's cutoff, the combined rank is the kept
+    column count, and t fall on the same sides of either cutoff.  An
+    aligned pattern at one fading block gives that on drawn channels: each
+    F_i is square, and of full rank when joint = L.  Otherwise (a fading
+    block shorter than L, a misaligned pattern, channels built by hand) a
+    values-only SVD of the I_i gives the stack's exact cutoff and the
+    combined rank.  That check is its one trigger, after t, with U let go
+    and Vh held; an I_i with more kept columns than F_i has rows always
+    trips it.  Drawn channels give full-rank G_s with probability 1; a G_s
+    short of full rank (a pattern that repeats a mode inside an own stream,
+    or channels built by hand) shows as desired < c, a mismatch, and then
+    joint = desired + rank(free) is a lower bound on the dense rank.
 
     The decode is the least squares of [D | I]: z_i is the pseudo-inverse
-    of F_i applied to the samples b_i on its rows, Vh^H (U^H b_i / t), or
-    F_i^H (b_i / t^2) in closed form, with t at or below the cutoff weighed
-    0; an own row's value is its sample minus I_i's own rows times z_i, an
-    own row no interferer touches keeps its sample, and each stream's
-    symbol is the pseudo-inverse of G_s applied to the values on its slots.
+    of F_i applied to the samples b_i on its rows, Vh^H (U^H b_i / t), with
+    t at or below the cutoff weighed 0; an own row's value is its sample
+    minus I_i's own rows times z_i, an own row no interferer touches keeps
+    its sample, and each stream's symbol is the pseudo-inverse of G_s
+    applied to the values on its slots.
     """
     length, count, size, own = len(samples), layout.count, layout.size, layout.own
     batch = batches[rx]
@@ -675,14 +716,11 @@ def _receiver_pass(batches, layout, rx, pred, samples, orthogonal):
     free = size - own  # each component's first rows (see _Layout)
     values = samples[layout.order]
     components = values[:count * size].reshape(count, size, 1)  # a view into values
-    if orthogonal:
-        t, projected = _row_norms(blocks[:, :free]), components[:, :free]
-    else:
-        u, t, vh = np.linalg.svd(blocks[:, :free], full_matrices=False)
-        # nothing else reads U and Vh, so they are conjugated in place, and
-        # U is let go before a values-only SVD
-        projected = np.swapaxes(np.conjugate(u, out=u), -1, -2) @ components[:, :free]
-        del u
+    u, t, vh = np.linalg.svd(blocks[:, :free], full_matrices=False)
+    # nothing else reads U and Vh, so they are conjugated in place, and U is
+    # let go before a values-only SVD
+    projected = np.swapaxes(np.conjugate(u, out=u), -1, -2) @ components[:, :free]
+    del u
     cutoff = _cutoff(bound, full)  # at or above the stack's own
     combined = columns.sum()
     if not np.array_equal(np.count_nonzero(t > cutoff, axis=-1), columns):
@@ -691,28 +729,171 @@ def _receiver_pass(batches, layout, rx, pred, samples, orthogonal):
         combined = np.count_nonzero(s > cutoff)
     # pseudo-inverses weigh the values at or below their cutoff 0
     live = np.where(t > cutoff, t, np.inf)[..., None]
-    if orthogonal:
-        # F^H y as conj(y^H F)^T, without a conjugated copy of F
-        y = np.swapaxes(projected / live**2, -1, -2).conj()
-        z = np.conjugate(np.swapaxes(y @ blocks[:, :free], -1, -2))
-    else:
-        z = np.swapaxes(np.conjugate(vh, out=vh), -1, -2) @ (projected / live)
+    z = np.swapaxes(np.conjugate(vh, out=vh), -1, -2) @ (projected / live)
     components[:, free:] -= blocks[:, free:] @ z
-    # pinv(G_s) v = Vh^H S^-1 U^H v, with S U^H the conjugated scaled columns
-    solved = batch.columns[index].conj() @ values[batch.rows[rx], None]
-    solved /= np.where(desired, s_desired, np.inf)[..., None] ** 2
+    rank = np.count_nonzero(desired)
+    return _report(pred, samples, rank, ranks, combined, rank + np.count_nonzero(t > cutoff),
+                   _own_estimates(batch, index, desired, values[batch.rows[rx]]))
+
+
+def _own_estimates(batch, index, desired, values):
+    """Each own stream's symbol estimate, (streams, dim): the pseudo-inverse
+    of its block ``batch``'s ``index``, with the singular values outside
+    ``desired`` weighed 0, applied to ``values``, the stream's slots'
+    values after the interference is cancelled."""
+    # pinv(G_s) v = Vh^H S^-1 U^H v, with S U^H the conjugated scaled
+    # columns; the gathered copies are conjugated in place
+    columns = batch.columns[index]
+    solved = np.conjugate(columns, out=columns) @ values[..., None]
+    del columns
+    solved /= np.where(desired, batch.values[index], np.inf)[..., None] ** 2
+    vh = batch.vh[index]
+    return (np.swapaxes(np.conjugate(vh, out=vh), -1, -2) @ solved)[..., 0]
+
+
+def _report(pred, samples, desired, per_interferer, combined, joint, estimates):
+    """One receiver's record; ``per_interferer`` lists its interferers'
+    ranks in ``pred``'s order."""
     return ReceiverReport(
         predicted=pred,
         measured=ReceiverRanks(
-            label=pred.label,
-            length=length,
-            desired=int(np.count_nonzero(desired)),
-            per_interferer=dict(zip(pred.per_interferer, ranks)),
-            combined=int(combined),
-            joint=int(np.count_nonzero(desired) + np.count_nonzero(t > cutoff)),
+            label=pred.label, length=len(samples), desired=int(desired),
+            per_interferer=dict(zip(pred.per_interferer, per_interferer)),
+            combined=int(combined), joint=int(joint),
         ),
         samples=samples,
-        estimates=(np.swapaxes(batch.vh[index].conj(), -1, -2) @ solved)[..., 0],
+        estimates=estimates,
+    )
+
+
+class _FlatDim:
+    """The transmitters of one dim in a one-group config, read as entries
+    (see ``_flat_columns``).
+
+    ``users`` lists them and ``batch`` is one of their ``_StreamBatch``es,
+    whose SVD arrays they share; ``slots`` (streams, dim) holds their
+    streams' slots and ``owner`` each stream's transmitter, ``own`` its
+    block at its own receiver and ``desired`` which of that block's singular
+    values clear its cutoff.
+    Each kept interference column, at every receiver, has a row in
+    ``entries`` (its dim entries, U[:, j] * S[j]) and ``places`` (their
+    receiver * L + slot): the last is its one free entry, on the stream's
+    hold slot, and the others lie on the receiver's own slots.
+    """
+
+    __slots__ = ("users", "batch", "slots", "owner", "own", "desired", "places", "entries")
+
+    def __init__(self, users, batch, slots, owner, own, desired, places, entries):
+        self.users, self.batch, self.slots, self.owner = users, batch, slots, owner
+        self.own, self.desired, self.places, self.entries = own, desired, places, entries
+
+
+def _flat_columns(batches, length: int):
+    """Every receiver's ranks and kept interference columns in a one-group
+    config, as entries: (ranks, tops, norms, dims).
+
+    ``ranks[rx, tx]`` is the rank of tx's block at rx, the desired rank
+    when tx == rx, each counted against its full block's cutoff as
+    ``_component_blocks`` counts it; ``tops[rx, tx]`` is the block's largest
+    singular value, 0 when tx == rx.  A kept column of an interferer
+    stream lies on the stream's slots: the first dim - 1 in the
+    interleaving block, which is rx's own, and the last in the
+    interferer's hold segment, which is one of rx's free slots (see
+    ``_orthogonal_free_rows``).  So ``norms[rx, t]``, the root of the
+    squared free entries summed on slot t, are the free blocks' row norms,
+    and 0 on rx's own slots.  ``dims`` holds one ``_FlatDim`` per dim.  The
+    transmitters of one dim share their stream blocks' SVD (see
+    ``_stream_batches``), so each dim's blocks are read in one step for
+    every receiver.
+    """
+    K = len(batches)
+    ranks = np.zeros((K, K), dtype=np.intp)
+    tops = np.zeros((K, K))
+    squares = np.zeros(K * length)
+    dims = []
+    for dim in sorted({b.slots.shape[1] for b in batches}):
+        users = [tx for tx, b in enumerate(batches) if b.slots.shape[1] == dim]
+        counts = [len(batches[tx].slots) for tx in users]
+        starts = np.cumsum([0, *counts[:-1]])
+        index = np.concatenate([batches[tx].index for tx in users], axis=1)  # (K, streams)
+        slots = np.concatenate([batches[tx].slots for tx in users])
+        batch = batches[users[0]]
+        s = batch.values[index]  # (K, streams, dim)
+        top = np.maximum.reduceat(s.max(axis=-1), starts, axis=1)  # (K, users)
+        cut = np.maximum(length, np.multiply(counts, dim)) * top * RANK_RTOL  # as _cutoff
+        # each stream at its own receiver, its transmitter
+        owner = np.repeat(users, counts)
+        at_own, mine = (owner, np.arange(len(slots))), (users, np.arange(len(users)))
+        own = index[at_own]
+        desired = s[at_own] > np.repeat(cut[mine], counts)[:, None]
+        ranks[users, users] = np.add.reduceat(np.count_nonzero(desired, axis=-1), starts)
+        top[mine] = 0.0
+        cut[mine] = np.inf  # rx's own streams keep nothing
+        tops[:, users] = top
+        kept = s > np.repeat(cut, counts, axis=1)[..., None]
+        ranks[:, users] += np.add.reduceat(np.count_nonzero(kept, axis=-1), starts, axis=1)
+        rx, stream, column = kept.nonzero()
+        entries = batch.columns[index[rx, stream], column]
+        places = rx[:, None] * length + slots[stream]
+        free = entries[:, -1]
+        squares += np.bincount(places[:, -1], free.real**2 + free.imag**2, K * length)
+        dims.append(_FlatDim(users, batch, slots, owner, own, desired, places, entries))
+    return ranks, tops, np.sqrt(squares).reshape(K, length), dims
+
+
+def _flat_pass(batches, layouts, predictions, samples):
+    """Rank every receiver of a one-group config and decode its samples,
+    in one pass over the kept columns' entries; one record per receiver.
+
+    This is ``_receiver_pass`` with the free blocks read off their entries
+    (``_flat_columns``).  Each kept column has one free entry, so F_i F_i^H
+    is diagonal: F_i's singular values t are its row norms, and its
+    pseudo-inverse is F_i^H diag(1 / t^2).  The certificate is a count per
+    receiver: a free block has at most as many nonzero rows as kept
+    columns, so t above the cutoff of the stack's bound number the kept
+    columns exactly when every component's do.  A receiver whose
+    certificate fails (a fading block shorter than L, channels built by
+    hand) builds its component blocks for the values-only SVD alone.  The
+    decode is z = conj(a) b_f / t_f^2 for a kept column with free entry a
+    on free slot f, subtracted from the samples on its own slots, all
+    receivers' in one ``np.bincount`` per dim.
+    """
+    K, length = samples.shape
+    ranks, tops, norms, dims = _flat_columns(batches, length)
+    desired = np.diagonal(ranks)
+    widths = np.array([b.slots.size for b in batches])
+    full = np.maximum(length, widths.sum() - widths)  # each stack's larger side
+    cutoff = full * _stack_bound(tops, full[:, None])[:, 0] * RANK_RTOL  # as _cutoff
+    combined = ranks.sum(axis=1) - desired  # the kept columns, where the certificate holds
+    certified = np.count_nonzero(norms > cutoff[:, None], axis=1) == combined
+    for rx in np.flatnonzero(~certified):  # a free block left the combined rank open
+        blocks = _component_blocks(length, batches, layouts[rx], rx)[1]
+        s = np.linalg.svd(blocks, compute_uv=False)
+        cutoff[rx] = _cutoff(s, full[rx])
+        combined[rx] = np.count_nonzero(s > cutoff[rx])
+        del blocks
+    above = norms > cutoff[:, None]
+    # pseudo-inverses weigh the values at or below their cutoff 0
+    live = np.where(above, norms, np.inf).ravel()
+    received, cancel = samples.ravel(), np.zeros(2 * K * length)
+    for d in dims:
+        free = d.places[:, -1]
+        z = received[free] / live[free] ** 2 * d.entries[:, -1].conj()
+        # each own entry times z, real and imaginary parts side by side
+        parts = (d.entries[:, :-1] * z[:, None]).view(float).ravel()
+        cancel += np.bincount((d.places[:, :-1, None] * 2 + (0, 1)).ravel(), parts, cancel.size)
+    values = samples - cancel.view(complex).reshape(K, length)
+    estimates = [None] * K
+    for d in dims:
+        solved = _own_estimates(d.batch, d.own, d.desired, values[d.owner[:, None], d.slots])
+        for tx in d.users:
+            estimates[tx] = solved[d.owner == tx]
+    joint = desired + np.count_nonzero(above, axis=1)
+    return tuple(
+        _report(pred, samples[rx], row[rx], row[:rx] + row[rx + 1:], c, j, estimates[rx])
+        for rx, (pred, row, c, j) in enumerate(
+            zip(predictions, ranks.tolist(), combined.tolist(), joint.tolist())
+        )
     )
 
 
@@ -784,7 +965,6 @@ def verify_receivers(
     position, layouts = _slot_components(pattern)
     batches = _stream_batches(pattern, channels, position)
     samples = _received(batches, sources, pattern.length)
-    orthogonal = _orthogonal_free_rows(pattern.config)
     # a huge finite noise scale overflows the samples, so their decode reads
     # inf or NaN, which is the decode's answer, not a fault; the ranks never
     # read the samples
@@ -795,7 +975,10 @@ def verify_receivers(
             noise = np.random.default_rng(noise_seed).standard_normal(shape)
             samples += noise_scale * (noise[:, 0] + 1j * noise[:, 1]) / 2**0.5
             del noise
+        predictions = rank_predictions(pattern.config)
+        if _orthogonal_free_rows(pattern.config):
+            return _flat_pass(batches, layouts, predictions, samples)
         return tuple(
-            _receiver_pass(batches, layouts[rx], rx, pred, samples[rx], orthogonal)
-            for rx, pred in enumerate(rank_predictions(pattern.config))
+            _receiver_pass(batches, layouts[rx], rx, pred, samples[rx])
+            for rx, pred in enumerate(predictions)
         )

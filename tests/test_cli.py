@@ -135,7 +135,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("channels must not be drawn")
 
-        # flat (5,5,5,5) needs about 0.84 MiB per receiver
+        # flat (5,5,5,5) needs about 0.89 MiB per receiver
         monkeypatch.setattr("biasym.cli.VERIFY_MEMORY_LIMIT", 2**19)
         monkeypatch.setattr("biasym.cli.draw_channels", refuse)
         assert main(["verify", "--modes", "5,5,5,5", "--flat"]) == 2
@@ -180,21 +180,22 @@ class TestExitCodes:
             main(["verify", "--modes", "5,5,5,5", "--flat"])
 
     def test_sweep_verify_over_memory_limit_is_2_before_verifying(self, monkeypatch, capsys):
-        # the one budget admits flat (4,)*9 (L = 78732), whose receivers
-        # would need about 19 GiB each: verify refuses it, and so must sweep
+        # the one budget admits flat (4,)*11 (L = 826686), whose receivers
+        # would need about 4.5 GiB: verify refuses it, and so must sweep
         def refuse(*args, **kwargs):
             raise AssertionError("nothing may be verified")
 
         monkeypatch.setattr("biasym.cli.draw_channels", refuse)
-        argv = ["--modes", "4,4,4,4,4,4,4,4,4", "--lmin", "78732", "--lmax", "78732"]
+        modes = ",".join(["4"] * 11)
+        argv = ["--modes", modes, "--lmin", "826686", "--lmax", "826686"]
         assert main(["sweep", *argv, "--verify"]) == 2
         captured = capsys.readouterr()
-        assert "invalid config: verify needs about 19 GiB" in captured.err
+        assert "invalid config: verify needs about 4.51 GiB" in captured.err
         assert captured.out == ""
-        assert main(["verify", "--modes", "4,4,4,4,4,4,4,4,4", "--flat"]) == 2
-        assert "invalid config: verify needs about 19 GiB" in capsys.readouterr().err
+        assert main(["verify", "--modes", modes, "--flat"]) == 2
+        assert "invalid config: verify needs about 4.51 GiB" in capsys.readouterr().err
         assert main(["sweep", *argv]) == 0  # without --verify the sweep is cheap
-        assert "KG=1;G1=[4,4,4,4,4,4,4,4,4]/MG1;used=4,4,4,4,4,4,4,4,4" in capsys.readouterr().out
+        assert f"KG=1;G1=[{modes}]/MG1;used={modes}" in capsys.readouterr().out
 
     def test_sweep_verify_mismatch_is_3(
         self, example_config, misaligned_pattern, monkeypatch, tmp_path, capsys

@@ -44,6 +44,7 @@ from biasym import patterns, signal
 from biasym.signal import (
     _component_blocks,
     _component_shapes,
+    _flat_columns,
     _slot_components,
     _stream_batches,
     _stream_block_counts,
@@ -174,6 +175,26 @@ class TestChannels:
                 )
         assert not np.allclose(ch.gains[(0, 0)], other.gains[(0, 0)])
 
+    @pytest.mark.parametrize("cfg,coherence", [
+        (GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2]), None),
+        (GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2]), 5),
+        (GroupingConfig.flat([6, 6, 4, 4], used=[3, 2, 2, 2]), 7),
+        (GroupingConfig.flat([4]), 1),
+    ], ids=str)
+    def test_gains_are_the_pair_by_pair_draws(self, cfg, coherence):
+        # the loop one draw replaced: pair by pair in row-major (rx, tx)
+        # order, a real and then an imaginary array of the pair's shape
+        ch = draw_channels(cfg, coherence, 21)
+        rng = np.random.default_rng(21)
+        dims = cfg.used_in_order()
+        blocks = -(-grouped_length(cfg) // (coherence or grouped_length(cfg)))
+        pairs = [(rx, tx) for rx in range(len(dims)) for tx in range(len(dims))]
+        assert list(ch.gains) == pairs
+        for rx, tx in pairs:
+            shape = (blocks, dims[rx], dims[tx])
+            want = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+            np.testing.assert_array_equal(ch.gains[rx, tx], want, strict=True)
+
     def test_block_fading_boundaries(self, example_config):
         ch = draw_channels(example_config, 5, 3)
         assert ch.gains[(0, 0)].shape[0] == 3
@@ -267,7 +288,7 @@ class TestEffectiveMatrix:
                 for rx in range(8) for tx, f in enumerate(fading)
             )
 
-        def working_set(kept, coherence):
+        def rest(coherence):
             # the distinct stream blocks (gains, U, Vh and U*S), the channels
             # (4 x 4 per pair and fading block), each stream's index and slot
             # rows; labels and samples; the users' mode tuples, the level
@@ -279,23 +300,42 @@ class TestEffectiveMatrix:
             )
             # the stream stage's copy of the channels and, per (rx, stream),
             # 4 * 4 + 7 integers of keys, modes, sort order and index
-            transient = channels + 64 * (4 * columns + 7 * streams) // 2
+            return resident + channels + 64 * (4 * columns + 7 * streams) // 2
+
+        def entry_pass():
+            # one group at one fading block: the 8 * 3^7 streams each keep
+            # one column at each of the 7 other receivers, held to the end
+            # as 4 complex entries and 4 integer places (half an entry
+            # each), beside each stream's slots, block and desired mask;
+            # then the larger of the decode, about 4 entries per kept column
+            # and 2.5 per own entry (their products with z and two integers
+            # each of bincount index), and the desired solve, one gathered
+            # 4 x 4 block and 4 values per stream; and 4 L entries per
+            # receiver: its norms and pseudo-inverse weights (half an entry
+            # each), cancelled interference and values
+            n = 8 * streams
+            kept = 7 * n
+            held = 1.5 * kept * 4 + n * 4
+            decode = 4 * kept + 2.5 * kept * 3
+            solve = n * 4 * 5
+            return int(held + max(decode, solve)) + 4 * 8 * length
+
+        def working_set(kept, coherence):
             width = -(-kept // count)  # kept columns per component
             blocks = count * size * width
-            # one group: every other user's stream meets one free row, so the
-            # free blocks' singular values are their row norms, and the pass
-            # holds vectors (row norms, weighted samples, solutions) beside
-            # the blocks; a values-only SVD runs below the coherence length
+            # below the coherence length the pass keeps the dense count: the
+            # component blocks, the closed form's vectors (row norms,
+            # weighted samples, solutions) and the values-only SVD
             closed_form = 2 * count * (free + width)
-            values_only = copy_and_workspace(size, width) if coherence < length else 0
-            return 16 * (blocks + closed_form + values_only + resident + transient)
+            values_only = copy_and_workspace(size, width)
+            return 16 * (blocks + closed_form + values_only + rest(coherence))
 
-        # ideal fading: the interference fills the other L - c joint
-        # dimensions, and 8 * (1 + 7 * 3) stream blocks are distinct
+        # ideal fading: no dense block at all, and 8 * (1 + 7 * 3) stream
+        # blocks are distinct
         assert distinct(length) == 176
-        expected = working_set(length - columns, length)
+        expected = 16 * (entry_pass() + rest(length))
         assert receiver_memory_bytes(config) == expected
-        assert 1.7 * 2**30 < expected < 2**31  # just below the CLI's 2 GiB limit
+        assert 80 * 2**20 < expected < 100 * 2**20  # was 1.71 GiB with the dense blocks
         # with a fading block shorter than L, every interfering column counts;
         # the hold segment of user 5 crosses one boundary fewer than the others
         assert distinct(100) == 8 * 218 * (1 + 7 * 3) - 22
@@ -304,15 +344,18 @@ class TestEffectiveMatrix:
 
     @pytest.mark.parametrize("config,coherence", [
         (GroupingConfig.flat((3,) * 8), None),
+        (GroupingConfig.flat((4,) * 8), None),
         (GroupingConfig.flat((6, 6, 6, 6)), 100),
         (GroupingConfig((12,) * 4, (12, 12, 12, 6), ((0,), (1,), (2,), (3,)), (6, 6, 6, 3)), 10),
-    ], ids=["flat-3x8-ideal", "flat-6666-coherence-100", "grouped-12x4-coherence-10"])
+    ], ids=["flat-3x8-ideal", "flat-4x8-ideal", "flat-6666-coherence-100",
+            "grouped-12x4-coherence-10"])
     def test_memory_estimate_bounds_measured_growth(self, config, coherence):
         # one verify pass in a fresh interpreter: the growth of its peak RSS
-        # stays below the estimate, within a factor 3; the configs' working
-        # sets (tens of MiB) dwarf the heap an interpreter frees after import.
-        # The grouped config below its coherence length takes the thin SVD
-        # and then the values-only one, with Vh held
+        # stays below the estimate, within a factor 3.  At ideal fading the
+        # flat configs hold no dense block, only the entry pass (about 2 and
+        # 55 MiB of growth); below its coherence length (6,6,6,6) takes the
+        # values-only SVD, and the grouped config the thin SVD and then the
+        # values-only one, with Vh held
         fields = (config.equipped, config.used, config.groups, config.group_mode_counts)
         script = f"""
 import os, sys
@@ -480,6 +523,35 @@ class TestReceivedSignal:
             blocks = [effective_block(example_pattern, built, 0, tx) for tx in range(4)]
             dense = matrix_rank(np.hstack(blocks))
             assert (r.measured.desired, r.measured.joint, dense) == (desired, joint, dense_joint)
+            assert not r.match and r.deficiency > 0
+            assert np.isfinite(r.estimates).all()
+            for got, want in zip(receivers[1:], drawn[1:]):
+                assert got.measured == want.measured
+
+
+    @pytest.mark.parametrize("coherence", [None, 50])
+    def test_rank_deficient_own_blocks_read_as_a_mismatch_at_a_flat_receiver(self, coherence):
+        # the entry pass counts each own block against its own cutoff: u1.1's
+        # own gains zeroed, or of rank dim - 1, lower its desired rank to the
+        # dense one, and its joint rank is a lower bound on the dense one
+        config = GroupingConfig.flat([4, 4, 4, 4])
+        pattern = grouped_pattern(config)
+        ch = draw_channels(config, coherence, 1)
+        symbols = random_symbols(pattern, 2)
+        drawn = verify_receivers(pattern, ch, symbols)
+        zeroed, rank_short = dict(ch.gains), dict(ch.gains)
+        zeroed[0, 0] = np.zeros_like(ch.gains[0, 0])
+        rank_short[0, 0] = ch.gains[0, 0].copy()
+        rank_short[0, 0][..., -1] = rank_short[0, 0][..., 0]
+        for gains, desired in ((zeroed, 0), (rank_short, 81)):
+            built = replace(ch, gains=gains)
+            receivers = verify_receivers(pattern, built, symbols)
+            r = receivers[0]
+            own = effective_block(pattern, built, 0, 0)
+            stack = np.hstack([effective_block(pattern, built, 0, tx) for tx in (1, 2, 3)])
+            assert r.measured.desired == matrix_rank(own) == desired
+            assert r.measured.combined == matrix_rank(stack)
+            assert r.measured.joint <= matrix_rank(np.hstack([own, stack]))
             assert not r.match and r.deficiency > 0
             assert np.isfinite(r.estimates).all()
             for got, want in zip(receivers[1:], drawn[1:]):
@@ -994,9 +1066,16 @@ class TestRankCertificate:
         for seed in range(10, 40):
             ch = draw_channels(cfg, coherence, seed)
             batches = _stream_batches(pattern, ch, position)
+            # the entry pass takes its bound from the same largest stream
+            # singular values, 0 for a receiver's own
+            tops = cfg.num_groups == 1 and _flat_columns(batches, pattern.length)[1]
             for rx, layout in enumerate(layouts):
                 _, blocks, *_, bound = _component_blocks(pattern.length, batches, layout, rx)
                 assert bound.shape == (1,)
+                if tops is not False:
+                    largest = [b.values[b.index[rx]].max() for b in batches]
+                    largest[rx] = 0.0
+                    np.testing.assert_array_equal(tops[rx], largest)
                 if K == 1:
                     assert bound[0] == 0.0
                     continue
@@ -1009,11 +1088,11 @@ class TestRankCertificate:
     @staticmethod
     def always_svd(monkeypatch):
         """The rule before the certificate: the values-only SVD and the
-        stack's exact cutoff at every receiver.  An infinite bound leaves
-        every free block short of its component's kept columns."""
-        blocks = signal._component_blocks
-        monkeypatch.setattr(signal, "_component_blocks", lambda *args: (
-            *blocks(*args)[:4], np.array([np.inf])
+        stack's exact cutoff at every receiver.  An infinite bound, where
+        both passes take it, leaves every free block short of its
+        component's kept columns."""
+        monkeypatch.setattr(signal, "_stack_bound", lambda tops, full: np.full(
+            np.shape(tops)[:-1] + (1,), np.inf
         ))
 
     def check_same_answers(self, pattern, ch, monkeypatch):
@@ -1171,10 +1250,14 @@ class TestClosedFormFreeBlocks:
             symbols = random_symbols(pattern, 18)
             position, layouts = _slot_components(pattern)
             batches = _stream_batches(pattern, ch, position)
+            norms = _flat_columns(batches, length)[2]
             for rx, layout in enumerate(layouts):
                 _, blocks, *_ = _component_blocks(length, batches, layout, rx)
                 free = blocks[:, :layout.size - layout.own]
-                rows = np.sort(signal._row_norms(free), axis=-1)[..., ::-1]
+                # the entry pass's norms of the free rows, slot by slot
+                slots = layout.order[:layout.count * layout.size].reshape(layout.count, layout.size)
+                rows = np.sort(norms[rx, slots[:, :free.shape[1]]], axis=-1)[..., ::-1]
+                assert not np.delete(norms[rx], slots[:, :free.shape[1]]).any()  # own slots: 0
                 values = np.linalg.svd(free, compute_uv=False)
                 scale = values.max(initial=0.0)
                 np.testing.assert_allclose(
@@ -1195,6 +1278,63 @@ class TestClosedFormFreeBlocks:
                     atol=1e-12 * np.abs(want.estimates).max(initial=1.0),
                 )
         assert checked >= 400
+
+    @staticmethod
+    def dense_builds(monkeypatch) -> list:
+        """Record each receiver whose component blocks are built, in order."""
+        built = []
+        blocks = signal._component_blocks
+
+        def recorded(length, batches, layout, rx):
+            built.append(rx)
+            return blocks(length, batches, layout, rx)
+
+        monkeypatch.setattr(signal, "_component_blocks", recorded)
+        return built
+
+    @pytest.mark.parametrize("modes", [(5, 5, 5, 5), (3,) * 8, (8, 8, 8, 8)], ids=str)
+    def test_flat_verify_at_ideal_fading_builds_no_dense_blocks(self, modes, monkeypatch):
+        # every receiver's certificate holds, so the entry pass settles all
+        config = GroupingConfig.flat(modes)
+        pattern = grouped_pattern(config)
+        built = self.dense_builds(monkeypatch)
+        receivers = verify_receivers(pattern, draw_channels(config, None, 1), random_symbols(pattern))
+        assert all(r.match for r in receivers)
+        assert built == []
+
+    @pytest.mark.parametrize("pattern,ch", [
+        *(
+            (grouped_pattern(cfg), draw_channels(cfg, coherence, 20))
+            for cfg, coherence in [
+                (GroupingConfig.flat([3, 2]), 1), (GroupingConfig.flat([4, 4, 4, 4]), 1),
+                (GroupingConfig.flat([6, 6, 4, 4], used=[3, 2, 2, 2]), 1),
+                (GroupingConfig.flat([5, 5, 5, 5]), 1), (GroupingConfig.flat([3, 3, 3]), 16),
+                (GroupingConfig.flat([4, 3, 2]), 11),
+            ]
+        ),
+        weak_interferer(),
+    ], ids=["3-2-coherence-1", "4444-coherence-1", "6644-used-3222-coherence-1",
+            "5555-coherence-1", "333-coherence-16", "432-coherence-11", "weak-interferer"])
+    def test_dense_blocks_only_where_the_certificate_fails(self, pattern, ch, monkeypatch):
+        # oracle: each receiver's certificate as the component pass reads
+        # it, from its free blocks' singular values against the bound's
+        # cutoff (see TestRankCertificate).  It fails at every receiver at
+        # coherence 1, and at some only when a fading boundary falls late
+        # in the supersymbol (u1.1 and u2.1 of three) or one interferer is
+        # weak (u1.1)
+        length = pattern.length
+        position, layouts = _slot_components(pattern)
+        batches = _stream_batches(pattern, ch, position)
+        fails = []
+        for rx, layout in enumerate(layouts):
+            _, blocks, width, columns, bound = _component_blocks(length, batches, layout, rx)
+            free = np.linalg.svd(blocks[:, :layout.size - layout.own], compute_uv=False)
+            cutoff = max(length, width) * bound[0] * 1e-10
+            if not np.array_equal(np.count_nonzero(free > cutoff, axis=-1), columns):
+                fails.append(rx)
+        built = self.dense_builds(monkeypatch)
+        verify_receivers(pattern, ch, random_symbols(pattern))
+        assert built == fails
 
     @pytest.mark.parametrize("modes,distinct,dim", [((3,) * 8, 120, 3), ((8, 8, 8, 8), 88, 8)],
                              ids=["flat-3x8", "flat-8888"])
