@@ -40,7 +40,7 @@ EXIT_MISMATCH = 3
 EXIT_INFEASIBLE = 4
 
 DECODE_RTOL = 1e-9
-VERIFY_MEMORY_LIMIT = 2 * 1024**3  # bytes one receiver's verify pass may need
+VERIFY_MEMORY_LIMIT = 2 * 1024**3  # bytes one verify may need, for all its receivers
 PATTERN_CELL_LIMIT = 2**24  # slots x users of a pattern table, about 65 bytes each at peak
 SWEEP_ROW_LIMIT = 2**20  # budgets in one sweep, about 80 bytes of CSV each
 
@@ -175,11 +175,15 @@ def _resolve_config(rc: RunConfig) -> GroupingConfig:
     return GroupingConfig.grouped(rc.modes, groups, rc.mg, rc.used)
 
 
+# a sweep --verify and repeated verifies ask again for the configs they saw
+_verify_estimate = functools.lru_cache(maxsize=1024)(receiver_memory_bytes)
+
+
 def _refuse_oversized_verify(config: GroupingConfig, coherence: int | None) -> None:
-    needed = receiver_memory_bytes(config, coherence)
+    needed = _verify_estimate(config, coherence)
     if needed > VERIFY_MEMORY_LIMIT:
         raise ValueError(
-            f"verify needs about {needed / 2**30:.3g} GiB per receiver, "
+            f"verify needs about {needed / 2**30:.3g} GiB, "
             f"above the {VERIFY_MEMORY_LIMIT / 2**30:.3g} GiB limit"
         )
 

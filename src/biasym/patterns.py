@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 from math import prod
 
@@ -35,6 +36,10 @@ __all__ = [
 ]
 
 PATTERN_TABLE_HEADER = "# biasym pattern table v1"
+
+# bytes the pattern cache may hold in all: shared patterns, their modes and
+# streams, and the verify plans they keep
+PATTERN_CACHE_BYTES = 32 * 2**20
 
 
 # ======================================================================
@@ -301,11 +306,18 @@ class PresetPattern:
     ``group_seq[u]`` its group-level sequence, the row of its group in the
     group level's.  Both are read-only (users, level length) integer arrays
     of 1-based modes; every slot pairs one element slot with one group slot.
+
+    ``grouped_pattern`` shares one pattern per config, which keeps the verify
+    plans of ``signal`` in ``_plans``, by coherence length, while it stays
+    cached (see ``_PatternCache``).  A pattern built by hand, or with
+    ``dataclasses.replace``, is a new instance whose ``_plans`` starts empty,
+    so it never reads another pattern's plan.
     """
 
     config: GroupingConfig
     element_seq: np.ndarray
     group_seq: np.ndarray
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def length(self) -> int:
@@ -377,9 +389,107 @@ def grouped_pattern(config: GroupingConfig) -> PresetPattern:
     common element mode counts; group i's members all follow group i's
     group-level sequence.  A single group's level is the one-slot flat
     pattern of the count (1,), so the result coincides with the flat
-    pattern over the used mode counts.
+    pattern over the used mode counts.  Patterns are immutable, so equal
+    configs share one while it stays cached (see ``_PatternCache``).
     """
-    return PresetPattern(config, *_design_modes(config))
+    return _CACHE.pattern(config)
+
+
+_CacheInfo = namedtuple("_CacheInfo", ["hits", "misses", "patterns", "plans", "bytes"])
+
+
+class _PatternCache:
+    """Shared patterns by config, least recently used first, and the verify
+    plans they keep, within ``PATTERN_CACHE_BYTES`` in all.
+
+    A pattern is charged what it holds once its physical modes and streams
+    are built (``_pattern_bytes``), and each plan it keeps its ``nbytes``, so
+    nothing built later takes the cache past its bound.  Each addition drops
+    the least recently used patterns until the charges fit; a pattern that
+    does not fit on its own, with the plan just built for it, is used and
+    not kept.  A dropped pattern lets go of its plans, so only cached
+    patterns hold any.  ``hits`` and ``misses`` count plan lookups.
+    """
+
+    def __init__(self) -> None:
+        self.patterns: dict[GroupingConfig, PresetPattern] = {}
+        self.charges: dict[GroupingConfig, int] = {}
+        self.held = self.hits = self.misses = 0
+
+    def pattern(self, config: GroupingConfig) -> PresetPattern:
+        pattern = self.patterns.get(config)
+        if pattern is None:
+            pattern = PresetPattern(config, *_design_modes(config))
+            self._keep(pattern, _pattern_bytes(config))
+        else:
+            self._keep(pattern, self._release(config))
+        return pattern
+
+    def plan(self, pattern: PresetPattern, key, build):
+        """``pattern``'s plan for ``key``: kept, or built by ``build()`` and
+        kept when ``pattern`` is the cached one and the two fit."""
+        plan = pattern._plans.get(key)
+        if plan is not None:
+            self.hits += 1
+            self._keep(pattern, self._release(pattern.config))
+            return plan
+        self.misses += 1
+        plan = build()
+        if self.patterns.get(pattern.config) is pattern:
+            pattern._plans[key] = plan
+            self._keep(pattern, self._release(pattern.config) + plan.nbytes)
+        return plan
+
+    def _release(self, config: GroupingConfig) -> int:
+        """Take ``config``'s pattern out of the order; returns its charge."""
+        del self.patterns[config]
+        charge = self.charges.pop(config)
+        self.held -= charge
+        return charge
+
+    def _keep(self, pattern: PresetPattern, charge: int) -> None:
+        """Keep ``pattern`` as the most recent entry, then drop the least
+        recent ones until the charges fit the bound; a pattern charged more
+        than the bound alone is dropped itself."""
+        if charge > PATTERN_CACHE_BYTES:
+            pattern._plans.clear()
+            return
+        self.patterns[pattern.config] = pattern
+        self.charges[pattern.config] = charge
+        self.held += charge
+        while self.held > PATTERN_CACHE_BYTES:
+            oldest = next(iter(self.patterns.values()))
+            self._release(oldest.config)
+            oldest._plans.clear()
+
+    def clear(self) -> None:
+        """Drop every kept pattern and plan, and zero the lookup counts."""
+        for pattern in self.patterns.values():
+            pattern._plans.clear()
+        self.patterns.clear()
+        self.charges.clear()
+        self.held = self.hits = self.misses = 0
+
+
+_CACHE = _PatternCache()
+
+
+def _cache_info() -> _CacheInfo:
+    """Plan lookups that hit and missed, kept patterns and plans, and the
+    bytes charged for them, as ``functools.lru_cache``'s ``cache_info()``."""
+    plans = sum(len(p._plans) for p in _CACHE.patterns.values())
+    return _CacheInfo(_CACHE.hits, _CACHE.misses, len(_CACHE.patterns), plans, _CACHE.held)
+
+
+def _pattern_bytes(config: GroupingConfig) -> int:
+    """Bytes of a pattern's integer arrays once all are built: its two level
+    sequences, its physical modes and its streams."""
+    elem, grp = config.element_counts, config.group_mode_counts
+    hold1, hold2 = _holds(elem), _holds(grp)
+    labels, dims = config.labels(), config.used_in_order()
+    streams = sum(hold1[k - 1] * hold2[i - 1] * d for (k, i), d in zip(labels, dims))
+    cells = len(dims) * (flat_length(elem) + flat_length(grp) + grouped_length(config)) + streams
+    return cells * np.dtype(np.intp).itemsize
 
 
 def _design_modes(config: GroupingConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -34,6 +34,15 @@ No matrix as tall as the supersymbol is decomposed.  Those dim x dim
 stream blocks repeat: the held modes make a few channel-row patterns
 recur, and each distinct block is decomposed once per verify.
 
+Which blocks are equal, where each distinct one is read from the
+channels, and the slot components depend on the pattern and the
+coherence length alone, not on the draw.  A verify splits into that
+plan (``_Plan``) and the per-draw numerics: the channel gather, the
+batched SVD and the passes.  A pattern that ``grouped_pattern`` shares
+keeps one plan per normalised coherence length while the pattern cache
+holds it, within ``patterns.PATTERN_CACHE_BYTES``, so a config verified
+on many seeds builds its plan once.
+
 Channels are drawn i.i.d. CN(0, 1) per fading block; a block spans
 ``coherence_length`` consecutive slots, so alignment only survives when
 a whole supersymbol fits inside one block.  Noise, when requested, is
@@ -51,6 +60,7 @@ from .dof import ReceiverRanks, rank_predictions
 from .patterns import (
     GroupingConfig,
     PresetPattern,
+    _CACHE,
     _design_modes,
     _holds,
     _integer,
@@ -143,6 +153,135 @@ def draw_channels(
 # Effective matrices and received signal
 # ======================================================================
 
+class _DimPlan:
+    """The transmitters of one dim in a verify plan (see ``_Plan``).
+
+    ``users`` lists them, ``counts`` their stream counts and ``starts`` each
+    one's first stream among the dim's; ``slots`` (streams, dim) holds those
+    streams' slots and ``owner`` each stream's transmitter.  ``index[rx, s]``
+    is the (rx, s) block's place among the dim's distinct blocks, ``own[s]``
+    stream s's at its own receiver, and ``gather[i]`` the rows of distinct
+    block i in the dim's channel table (see ``_stream_batches``).
+    """
+
+    __slots__ = ("dim", "users", "counts", "starts", "slots", "owner", "index", "own", "gather")
+
+    def __init__(self, dim, users, counts, starts, slots, owner, index, own, gather):
+        self.dim, self.users, self.counts, self.starts = dim, users, counts, starts
+        self.slots, self.owner, self.index, self.own, self.gather = slots, owner, index, own, gather
+
+
+class _Plan:
+    """What every verify of one pattern at one coherence length reads that
+    no channel draw changes: which stream blocks are equal, where each
+    distinct one is read from, and the slot components.
+
+    ``blocks`` fading blocks cover the supersymbol, and ``dims`` holds one
+    ``_DimPlan`` per distinct dim.  An (rx, s) block reads row (fading
+    block, rx's mode) of ``channels.gains[rx, tx]`` at each of its slots, so
+    blocks with equal receiver, transmitter and per-slot (fading block,
+    mode) are equal, whatever the gains.  Each slot's pair is one integer
+    below blocks x modes <= L x modes; a lexicographic sort of the keys,
+    receiver first, finds the distinct blocks.  A receiver holds one mode
+    across most interferer streams, so few keys remain: flat (5,5,5,5) has
+    52 distinct blocks of 1,024 at ideal fading.  The transmitters of one dim
+    are keyed by one sort.
+
+    ``components()`` gives the slot components, built on first use: a
+    grouped config's passes read them at every receiver, a flat config's
+    only where a receiver's certificate fails.  ``nbytes`` counts every
+    array the plan holds or may build, so the pattern cache that keeps it
+    stays within its bound.  All of its arrays are read-only.
+    """
+
+    __slots__ = ("config", "streams", "length", "blocks", "dims", "nbytes", "_components")
+
+    def __init__(self, pattern: PresetPattern, coherence: int):
+        config, streams, length = pattern.config, pattern.streams, pattern.length
+        self.config, self.streams, self.length = config, streams, length
+        self.blocks = -(-length // coherence)
+        self._components = None
+        per_user = np.array(config.used_in_order())
+        modes = pattern.physical_modes - 1
+        used = per_user.max()
+        K = len(streams)
+        self.dims = []
+        for dim in sorted({s.shape[1] for s in streams}):
+            users = [tx for tx, s in enumerate(streams) if s.shape[1] == dim]
+            counts = [len(streams[tx]) for tx in users]
+            slots = np.concatenate([streams[tx] for tx in users])
+            n = len(slots)
+            user = np.repeat(np.arange(len(users)), counts)
+            fading = slots // coherence  # (streams, dim)
+            # keys, row by (rx, s): its (rx, tx) pair, then one (fading block,
+            # mode) per slot, written a slot at a time
+            key = np.empty((1 + dim, K, n), dtype=np.intp)
+            key[0] = np.arange(K)[:, None] * len(users) + user
+            for j in range(dim):
+                np.add(modes[:, slots[:, j]], fading[:, j] * used, out=key[1 + j])
+            key = key.reshape(1 + dim, K * n)
+            order = np.lexsort(key[::-1])
+            # a block is distinct where its sorted key differs from the one
+            # before, compared a key row at a time
+            first = np.zeros(K * n, dtype=bool)
+            first[0] = True
+            for row in key:
+                ordered = row[order]
+                first[1:] |= ordered[1:] != ordered[:-1]
+            del ordered
+            count = np.cumsum(first)
+            count -= 1
+            index = np.empty(K * n, dtype=np.intp)
+            index[order] = count
+            index = index.reshape(K, n)
+            # the distinct blocks' rows in a table of every (rx, tx) pair's
+            # gains, rx-major, each pair's blocks x used_rx rows in turn
+            rx_of, s_of = np.divmod(order[first], n)
+            sizes = np.repeat(self.blocks * per_user, len(users))
+            base = (np.cumsum(sizes) - sizes).reshape(K, len(users))
+            # within the pair's gains
+            rows = fading[s_of] * per_user[rx_of, None] + modes[rx_of[:, None], slots[s_of]]
+            owner = np.repeat(users, counts)
+            self.dims.append(_DimPlan(
+                dim, users, counts, np.cumsum([0, *counts[:-1]]), slots, owner, index,
+                index[owner, np.arange(n)], rows + base[rx_of, user[s_of]][:, None],
+            ))
+        arrays = [
+            getattr(d, name) for d in self.dims
+            for name in ("starts", "slots", "owner", "index", "own", "gather")
+        ]
+        for a in arrays:
+            a.flags.writeable = False
+        # the slot components, built or not: position and row order, (K, L)
+        # each, and every stream slot's row at every receiver
+        built = len(streams) * (2 * length + sum(s.size for s in streams))
+        self.nbytes = sum(a.nbytes for a in arrays) + built * np.dtype(np.intp).itemsize
+
+    def components(self):
+        """(position, layouts, rows): every receiver's slot components
+        (``_slot_components``), and ``rows[tx][rx, s, j]``, the row of slot
+        ``streams[tx][s, j]`` among rx's component rows."""
+        if self._components is None:
+            position, layouts = _slot_components(self.config, self.streams)
+            rows = tuple(position[:, slots] for slots in self.streams)
+            for a in rows:
+                a.flags.writeable = False
+            self._components = position, layouts, rows
+        return self._components
+
+
+def _verify_plan(pattern: PresetPattern, coherence_length) -> _Plan:
+    """``pattern``'s plan at ``coherence_length`` slots per fading block.
+
+    Plans are keyed by the normalised length (``_coherence``), so None and
+    every length at or past L share one.  A pattern that ``grouped_pattern``
+    shares keeps its plans while the pattern cache holds it, so the verifies
+    of one config and coherence after the first build none.
+    """
+    coherence = _coherence(coherence_length, pattern.length)
+    return _CACHE.plan(pattern, coherence, lambda: _Plan(pattern, coherence))
+
+
 class _StreamBatch:
     """The stream blocks every receiver sees from one transmitter.
 
@@ -154,80 +293,44 @@ class _StreamBatch:
     ``values``, ``columns`` and ``vh`` hold each distinct block's SVD: its
     singular values, U's columns scaled by them, one per row (``columns[i,
     j]`` is U[:, j] * S[j]), and Vh.  The transmitters of one dim share
-    these four arrays, and ``index`` is a view of their common one.
+    these four arrays, and ``index`` is a view of their plan's common one.
     ``rows[rx, s, j]`` is the row of slot ``slots[s, j]`` among rx's
-    component rows (see ``_slot_components``).
+    component rows, read from the plan (see ``_Plan.components``).
     """
 
-    __slots__ = ("slots", "index", "gains", "values", "columns", "vh", "rows")
+    __slots__ = ("plan", "tx", "slots", "index", "gains", "values", "columns", "vh")
 
-    def __init__(self, slots, index, gains, values, columns, vh, rows):
-        self.slots, self.index, self.rows = slots, index, rows
+    def __init__(self, plan, tx, index, gains, values, columns, vh):
+        self.plan, self.tx, self.slots, self.index = plan, tx, plan.streams[tx], index
         self.gains, self.values, self.columns, self.vh = gains, values, columns, vh
 
+    @property
+    def rows(self) -> np.ndarray:
+        return self.plan.components()[2][self.tx]
 
-def _stream_batches(pattern: PresetPattern, channels: ChannelSet, position: np.ndarray):
-    """Every (rx, tx) pair's stream blocks: ``batches[tx]`` is tx's
-    ``_StreamBatch``.  ``position`` is ``_slot_components``'s row of every
-    slot at every receiver.
 
-    An (rx, s) block reads row (fading block, rx's mode) of
-    ``channels.gains[rx, tx]`` at each of its slots, so blocks with equal
-    receiver, transmitter and per-slot (fading block, mode) are equal,
-    whatever the gains.  Each slot's pair is one integer below
-    blocks x modes <= L x modes; a lexicographic sort of the keys, receiver
-    first, finds the distinct blocks.  A receiver holds one mode across
-    most interferer streams, so few keys remain: flat (5,5,5,5) decomposes
-    52 blocks of 1,024 at ideal fading.  The transmitters of one dim are
-    keyed by one sort, and their distinct blocks decomposed by one batched
-    SVD, whose arrays their batches share.
+def _stream_batches(plan: _Plan, channels: ChannelSet):
+    """Every (rx, tx) pair's stream blocks on ``channels``: ``batches[tx]``
+    is tx's ``_StreamBatch``.
+
+    This is the per-draw part of a verify; ``plan`` holds the rest.  For
+    each dim, the gains of every (rx, tx) pair form one table, the dim's
+    distinct blocks are gathered from it, and one batched SVD decomposes
+    them, whose arrays the dim's transmitters share.
     """
-    streams = pattern.streams
-    coherence = _coherence(channels.coherence_length, pattern.length)
-    blocks = -(-pattern.length // coherence)
-    dims = np.array(pattern.config.used_in_order())
-    modes = pattern.physical_modes - 1
-    used = dims.max()
-    K = len(streams)
+    K = len(plan.streams)
     batches = [None] * K
-    for dim in sorted({s.shape[1] for s in streams}):
-        users = [tx for tx, s in enumerate(streams) if s.shape[1] == dim]
-        counts = [len(streams[tx]) for tx in users]
-        slots = np.concatenate([streams[tx] for tx in users])
-        n = len(slots)
-        user = np.repeat(np.arange(len(users)), counts)
-        fading, mode = slots // coherence, modes[:, slots]  # (streams, dim), (K, streams, dim)
-        # keys, (receiver, transmitter, one (fading block, mode) per slot), row by (rx, s)
-        key = np.empty((2 + dim, K, n), dtype=np.intp)
-        key[0] = np.arange(K)[:, None]
-        key[1] = user
-        key[2:] = np.moveaxis(fading * used + mode, -1, 0)
-        key = key.reshape(2 + dim, K * n)
-        order = np.lexsort(key[::-1])
-        ordered = key[:, order]
-        first = np.ones(K * n, dtype=bool)
-        first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-        index = np.empty(K * n, dtype=np.intp)
-        index[order] = np.cumsum(first) - 1
-        index = index.reshape(K, n)
-        # the distinct blocks' rows, read from every (rx, tx) pair's gains in one table
-        rx_of, s_of = np.divmod(order[first], n)
+    for d in plan.dims:
         table = np.concatenate([
-            channels.gains[rx, tx][:blocks].reshape(-1, dim) for rx in range(K) for tx in users
+            channels.gains[rx, tx][:plan.blocks].reshape(-1, d.dim)
+            for rx in range(K) for tx in d.users
         ])
-        sizes = np.repeat(blocks * dims, len(users))  # rows of each pair's gains
-        base = (np.cumsum(sizes) - sizes).reshape(K, len(users))
-        rows = fading[s_of] * dims[rx_of, None] + mode[rx_of, s_of]  # within the pair's gains
-        gains = table[rows + base[rx_of, user[s_of]][:, None]]
+        gains = table[d.gather]
         u, s, vh = np.linalg.svd(gains)
         columns = np.swapaxes(u * s[..., None, :], -1, -2)
-        start = 0
-        for tx, count in zip(users, counts):
-            batches[tx] = _StreamBatch(
-                streams[tx], index[:, start:start + count], gains, s, columns, vh,
-                position[:, streams[tx]],
-            )
-            start += count
+        for tx, start, count in zip(d.users, d.starts.tolist(), d.counts):
+            index = d.index[:, start:start + count]
+            batches[tx] = _StreamBatch(plan, tx, index, gains, s, columns, vh)
     return batches
 
 
@@ -380,7 +483,7 @@ def _stream_block_counts(config: GroupingConfig, coherence_length: int | None = 
     form: ``counts[rx][tx]``, exact at one fading block.
 
     A block is fixed by its slots' (fading block, rx mode) pairs (see
-    ``_stream_batches``), so the count is at most tx's stream count and
+    ``_Plan``), so the count is at most tx's stream count and
     at most rx's mode tuples times the fading-block tuples over tx's
     streams.
 
@@ -445,17 +548,18 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     (``_component_shapes``), w = ceil(r / m) columns to a component.
 
     A config of one group at one fading block takes the entry pass
-    (``_flat_pass``), which builds no component block.  Each of the n_d
-    streams of dim d keeps one column at each of the other K - 1
-    receivers, N_d = (K - 1) n_d columns held to the end as d complex
-    entries and d integer places (an integer is half an entry), beside
-    each stream's slots, block and desired mask: 1.5 N_d d + n_d d.  On
-    top comes the larger of one dim's decode, 4 N_d entries for z and its
-    operands and 2.5 per own entry for their products and bincount index
-    (2.5 N_d (d - 1)), and its desired solve, one gathered d x d block
-    and d values per stream (n_d d (d + 1)); and 4 K L entries for the
-    row norms and their weights, the cancelled interference and the
-    values.
+    (``_flat_pass``), which builds no component block and no slot
+    component.  Each of the n_d streams of dim d keeps one column at each
+    of the other K - 1 receivers, N_d = (K - 1) n_d columns held to the
+    end as d complex entries and d integer places (an integer is half an
+    entry): 1.5 N_d d.  On top comes the larger of one dim's decode and
+    its desired solve.  The decode holds z, one entry per kept column
+    (its operands come and go before the rest), and 2.5 per own entry for
+    z's products and their bincount index, a doubled copy over a halved
+    one: N_d + 2.5 N_d (d - 1).  The solve holds each stream's gathered
+    values, d x d block, solution and result: n_d d (d + 3).  Both run
+    beside 3 K L entries: the row norms and their pseudo-inverse weights,
+    the cancelled interference, and one bincount's output or the values.
 
     Otherwise the pass holds a receiver's component blocks (m n w), and
     this sums them with its largest stage.  An SVD of an a x b matrix
@@ -479,16 +583,24 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     The distinct stream blocks stay resident for the whole verify
     (``_stream_block_counts``): gains, Vh and the scaled U, with U while
     they are decomposed (4 dim_tx^2 each).  So do the channels (blocks x
-    used_rx x used_tx for every pair), each (rx, stream)'s index among the
-    blocks and each stream slot's component row (K (c_tx + c_tx / dim_tx)
-    integers, half an entry each), the slot labels of every receiver and
-    the samples, noise added in place (4 K L), and the pattern's physical
-    modes with the two per-slot level modes they and the slot components
-    are expanded from (3 K L integers).  ``_stream_batches`` builds the blocks from
-    transients that the allocator need not hand back before the passes, so
-    they are added too: a copy of the channels, and per (rx, stream) its
-    keys twice, the modes they are read from with their keyed copy, the
-    sort order, the running count and the index ((4 dim_tx + 7) integers).
+    used_rx x used_tx for every pair), the plan's stream slots, owners
+    and own blocks (c_tx + 2 c_tx / dim_tx integers per transmitter), each
+    (rx, stream)'s index among the blocks (K c_tx / dim_tx integers), the
+    samples, noise added in place (3 K L), and the pattern's physical
+    modes with the two per-slot level modes they are expanded from (3 K L
+    integers).  Where the slot components are built (every pass but the
+    entry pass), so are their slot labels (K L) and each stream slot's
+    component row (K c_tx integers).  The plan (``_Plan``) and
+    ``_stream_batches`` build the blocks from transients that the
+    allocator need not hand back before the passes, so they are added
+    too: a copy of the channels, and per (rx, stream) its key (1 +
+    dim_tx integers), one key row of gathered modes or of sorted keys at a
+    time, the sort order, the running count and the index ((dim_tx + 6)
+    integers).
+
+    A shared pattern keeps its plans after the verify (see ``_Plan``);
+    what the pattern cache holds lies outside this working set, and
+    ``patterns.PATTERN_CACHE_BYTES`` bounds it.
     """
     def svd(a: int, b: int, k: int = 0, count: int = 1) -> int:
         p = min(a, b)
@@ -499,26 +611,29 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     shapes = _component_shapes(config)
     columns = [m * own + untouched for m, _, own, untouched in shapes]
     dims = config.used_in_order()
+    orthogonal = _orthogonal_free_rows(config)
+    entry = orthogonal and blocks == 1  # the entry pass builds no slot components
     resident = sum(
-        4 * d * d * n + (c + c // d) // 2
+        4 * d * d * n + (c // d + (0 if entry else c)) // 2
         for counts in _stream_block_counts(config, coherence_length)
         for n, c, d in zip(counts, columns, dims)
-    ) + blocks * sum(dims) ** 2 + 4 * len(dims) * length + 3 * len(dims) * length // 2
-    transient = len(dims) * sum(4 * c + 7 * (c // d) for c, d in zip(columns, dims)) // 2
+    ) + sum(c + 2 * (c // d) for c, d in zip(columns, dims)) // 2
+    resident += blocks * sum(dims) ** 2 + (3 if entry else 4) * len(dims) * length
+    resident += 3 * len(dims) * length // 2
+    transient = len(dims) * sum(c + 6 * (c // d) for c, d in zip(columns, dims)) // 2
     transient += blocks * sum(dims) ** 2
-    orthogonal = _orthogonal_free_rows(config)
     largest = 0
-    if orthogonal and blocks == 1:
+    if entry:
         # the entry pass, in half entries: the n streams of each dim keep
         # one column at each of the other receivers
         streams = {}
         for c, d in zip(columns, dims):
             streams[d] = streams.get(d, 0) + c // d
         kept = {d: (len(dims) - 1) * n for d, n in streams.items()}
-        held = sum(3 * kept[d] * d + 2 * n * d for d, n in streams.items())
-        decode = max(8 * kept[d] + 5 * kept[d] * (d - 1) for d in streams)
-        solve = max(2 * n * d * (d + 1) for d, n in streams.items())
-        largest = (held + max(decode, solve)) // 2 + 4 * len(dims) * length
+        held = sum(3 * kept[d] * d for d in streams)
+        decode = max(2 * kept[d] + 5 * kept[d] * (d - 1) for d in streams)
+        solve = max(2 * n * d * (d + 3) for d, n in streams.items())
+        largest = (held + max(decode, solve)) // 2 + 3 * len(dims) * length
     else:
         for (m, n, own, _), c in zip(shapes, columns):
             r = length - c if blocks == 1 else sum(columns) - c
@@ -550,13 +665,14 @@ class _Layout:
         self.order, self.count, self.size, self.own = order, count, size, own
 
 
-def _slot_components(pattern: PresetPattern):
+def _slot_components(config: GroupingConfig, streams):
     """Every receiver's slot components: (position, layouts).
 
     At receiver rx each interferer stream fills only its own slots, so the
     interference splits into independent groups of slots, its components.
     ``layouts[rx]`` is rx's ``_Layout``, its shapes ``_component_shapes``',
-    and ``position[rx]`` the inverse of its order, slot t's row.
+    and ``position[rx]`` the inverse of its order, slot t's row; both arrays
+    are read-only.  ``streams`` are ``config``'s (``PresetPattern.streams``).
 
     rx holds one mode across every interferer stream at each level that
     has other users, which is what aligns it, so its own modes fix the
@@ -569,7 +685,6 @@ def _slot_components(pattern: PresetPattern):
     sort by (untouched, component, own) orders the rows; untouched slots
     are own slots in final modes, so they keep slot order.
     """
-    config = pattern.config
     elem, grp = config.element_counts, config.group_mode_counts
     k, i = (np.array(config.labels()) - 1).T
     # rx's modes by slot; a level without other users counts as final throughout
@@ -581,11 +696,12 @@ def _slot_components(pattern: PresetPattern):
     else:
         component = mode2 if len(elem) == 1 else mode1
     occupied = np.zeros(mode1.shape, dtype=bool)
-    for rx, slots in enumerate(pattern.streams):
+    for rx, slots in enumerate(streams):
         occupied[rx, slots] = True
     order = np.lexsort(np.broadcast_arrays(occupied, component, final1 & final2))
     position = np.empty_like(order)
-    np.put_along_axis(position, order, np.arange(pattern.length), axis=1)
+    np.put_along_axis(position, order, np.arange(order.shape[1]), axis=1)
+    order.flags.writeable = position.flags.writeable = False
     return position, [
         _Layout(rows, count, size, own)
         for rows, (count, size, own, _) in zip(order, _component_shapes(config))
@@ -770,25 +886,23 @@ class _FlatDim:
     """The transmitters of one dim in a one-group config, read as entries
     (see ``_flat_columns``).
 
-    ``users`` lists them and ``batch`` is one of their ``_StreamBatch``es,
-    whose SVD arrays they share; ``slots`` (streams, dim) holds their
-    streams' slots and ``owner`` each stream's transmitter, ``own`` its
-    block at its own receiver and ``desired`` which of that block's singular
-    values clear its cutoff.
+    ``plan`` is their ``_DimPlan`` and ``batch`` one of their
+    ``_StreamBatch``es, whose SVD arrays they share; ``desired`` marks which
+    of each stream's singular values at its own receiver clear its cutoff.
     Each kept interference column, at every receiver, has a row in
     ``entries`` (its dim entries, U[:, j] * S[j]) and ``places`` (their
     receiver * L + slot): the last is its one free entry, on the stream's
     hold slot, and the others lie on the receiver's own slots.
     """
 
-    __slots__ = ("users", "batch", "slots", "owner", "own", "desired", "places", "entries")
+    __slots__ = ("plan", "batch", "desired", "places", "entries")
 
-    def __init__(self, users, batch, slots, owner, own, desired, places, entries):
-        self.users, self.batch, self.slots, self.owner = users, batch, slots, owner
-        self.own, self.desired, self.places, self.entries = own, desired, places, entries
+    def __init__(self, plan, batch, desired, places, entries):
+        self.plan, self.batch, self.desired = plan, batch, desired
+        self.places, self.entries = places, entries
 
 
-def _flat_columns(batches, length: int):
+def _flat_columns(plan: _Plan, batches):
     """Every receiver's ranks and kept interference columns in a one-group
     config, as entries: (ranks, tops, norms, dims).
 
@@ -806,26 +920,19 @@ def _flat_columns(batches, length: int):
     ``_stream_batches``), so each dim's blocks are read in one step for
     every receiver.
     """
-    K = len(batches)
+    K, length = len(batches), plan.length
     ranks = np.zeros((K, K), dtype=np.intp)
     tops = np.zeros((K, K))
     squares = np.zeros(K * length)
     dims = []
-    for dim in sorted({b.slots.shape[1] for b in batches}):
-        users = [tx for tx, b in enumerate(batches) if b.slots.shape[1] == dim]
-        counts = [len(batches[tx].slots) for tx in users]
-        starts = np.cumsum([0, *counts[:-1]])
-        index = np.concatenate([batches[tx].index for tx in users], axis=1)  # (K, streams)
-        slots = np.concatenate([batches[tx].slots for tx in users])
+    for d in plan.dims:
+        users, counts, starts = d.users, d.counts, d.starts
         batch = batches[users[0]]
-        s = batch.values[index]  # (K, streams, dim)
+        s = batch.values[d.index]  # (K, streams, dim)
         top = np.maximum.reduceat(s.max(axis=-1), starts, axis=1)  # (K, users)
-        cut = np.maximum(length, np.multiply(counts, dim)) * top * RANK_RTOL  # as _cutoff
-        # each stream at its own receiver, its transmitter
-        owner = np.repeat(users, counts)
-        at_own, mine = (owner, np.arange(len(slots))), (users, np.arange(len(users)))
-        own = index[at_own]
-        desired = s[at_own] > np.repeat(cut[mine], counts)[:, None]
+        cut = np.maximum(length, np.multiply(counts, d.dim)) * top * RANK_RTOL  # as _cutoff
+        mine = (users, np.arange(len(users)))  # each transmitter at its own receiver
+        desired = batch.values[d.own] > np.repeat(cut[mine], counts)[:, None]
         ranks[users, users] = np.add.reduceat(np.count_nonzero(desired, axis=-1), starts)
         top[mine] = 0.0
         cut[mine] = np.inf  # rx's own streams keep nothing
@@ -833,15 +940,15 @@ def _flat_columns(batches, length: int):
         kept = s > np.repeat(cut, counts, axis=1)[..., None]
         ranks[:, users] += np.add.reduceat(np.count_nonzero(kept, axis=-1), starts, axis=1)
         rx, stream, column = kept.nonzero()
-        entries = batch.columns[index[rx, stream], column]
-        places = rx[:, None] * length + slots[stream]
+        entries = batch.columns[d.index[rx, stream], column]
+        places = rx[:, None] * length + d.slots[stream]
         free = entries[:, -1]
         squares += np.bincount(places[:, -1], free.real**2 + free.imag**2, K * length)
-        dims.append(_FlatDim(users, batch, slots, owner, own, desired, places, entries))
+        dims.append(_FlatDim(d, batch, desired, places, entries))
     return ranks, tops, np.sqrt(squares).reshape(K, length), dims
 
 
-def _flat_pass(batches, layouts, predictions, samples):
+def _flat_pass(plan: _Plan, batches, predictions, samples):
     """Rank every receiver of a one-group config and decode its samples,
     in one pass over the kept columns' entries; one record per receiver.
 
@@ -853,13 +960,14 @@ def _flat_pass(batches, layouts, predictions, samples):
     columns, so t above the cutoff of the stack's bound number the kept
     columns exactly when every component's do.  A receiver whose
     certificate fails (a fading block shorter than L, channels built by
-    hand) builds its component blocks for the values-only SVD alone.  The
-    decode is z = conj(a) b_f / t_f^2 for a kept column with free entry a
-    on free slot f, subtracted from the samples on its own slots, all
-    receivers' in one ``np.bincount`` per dim.
+    hand) builds its component blocks for the values-only SVD alone, from
+    the plan's slot components, which nothing else reads.  The decode is
+    z = conj(a) b_f / t_f^2 for a kept column with free entry a on free
+    slot f, subtracted from the samples on its own slots, all receivers' in
+    one ``np.bincount`` per dim.
     """
     K, length = samples.shape
-    ranks, tops, norms, dims = _flat_columns(batches, length)
+    ranks, tops, norms, dims = _flat_columns(plan, batches)
     desired = np.diagonal(ranks)
     widths = np.array([b.slots.size for b in batches])
     full = np.maximum(length, widths.sum() - widths)  # each stack's larger side
@@ -867,7 +975,7 @@ def _flat_pass(batches, layouts, predictions, samples):
     combined = ranks.sum(axis=1) - desired  # the kept columns, where the certificate holds
     certified = np.count_nonzero(norms > cutoff[:, None], axis=1) == combined
     for rx in np.flatnonzero(~certified):  # a free block left the combined rank open
-        blocks = _component_blocks(length, batches, layouts[rx], rx)[1]
+        blocks = _component_blocks(length, batches, plan.components()[1][rx], rx)[1]
         s = np.linalg.svd(blocks, compute_uv=False)
         cutoff[rx] = _cutoff(s, full[rx])
         combined[rx] = np.count_nonzero(s > cutoff[rx])
@@ -885,9 +993,10 @@ def _flat_pass(batches, layouts, predictions, samples):
     values = samples - cancel.view(complex).reshape(K, length)
     estimates = [None] * K
     for d in dims:
-        solved = _own_estimates(d.batch, d.own, d.desired, values[d.owner[:, None], d.slots])
-        for tx in d.users:
-            estimates[tx] = solved[d.owner == tx]
+        p = d.plan
+        solved = _own_estimates(d.batch, p.own, d.desired, values[p.owner[:, None], p.slots])
+        for tx, start, count in zip(p.users, p.starts.tolist(), p.counts):
+            estimates[tx] = solved[start:start + count]
     joint = desired + np.count_nonzero(above, axis=1)
     return tuple(
         _report(pred, samples[rx], row[rx], row[:rx] + row[rx + 1:], c, j, estimates[rx])
@@ -962,8 +1071,8 @@ def verify_receivers(
     ):
         raise ValueError("channels must hold each (rx, tx) pair's (blocks, used rx, used tx) "
                          "gains, enough blocks to cover the supersymbol")
-    position, layouts = _slot_components(pattern)
-    batches = _stream_batches(pattern, channels, position)
+    plan = _verify_plan(pattern, coherence)
+    batches = _stream_batches(plan, channels)
     samples = _received(batches, sources, pattern.length)
     # a huge finite noise scale overflows the samples, so their decode reads
     # inf or NaN, which is the decode's answer, not a fault; the ranks never
@@ -977,7 +1086,8 @@ def verify_receivers(
             del noise
         predictions = rank_predictions(pattern.config)
         if _orthogonal_free_rows(pattern.config):
-            return _flat_pass(batches, layouts, predictions, samples)
+            return _flat_pass(plan, batches, predictions, samples)
+        layouts = plan.components()[1]
         return tuple(
             _receiver_pass(batches, layouts[rx], rx, pred, samples[rx])
             for rx, pred in enumerate(predictions)

@@ -23,7 +23,7 @@ from biasym import (
     sweep,
     sweep_to_csv,
 )
-from biasym.cli import _CONVERT, RunConfig, main
+from biasym.cli import _CONVERT, RunConfig, _verify_estimate, main
 from biasym.signal import receiver_memory_bytes
 
 EXAMPLE = ["--modes", "6,6,4,4", "--groups", "[6,4],[6,4]", "--mg", "2,2"]
@@ -135,13 +135,24 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("channels must not be drawn")
 
-        # flat (5,5,5,5) needs about 0.89 MiB per receiver
+        # a verify of flat (5,5,5,5) needs about 0.68 MiB in all
         monkeypatch.setattr("biasym.cli.VERIFY_MEMORY_LIMIT", 2**19)
         monkeypatch.setattr("biasym.cli.draw_channels", refuse)
         assert main(["verify", "--modes", "5,5,5,5", "--flat"]) == 2
         captured = capsys.readouterr()
         assert "invalid config: verify needs about" in captured.err
         assert captured.out == ""
+
+    def test_verify_estimate_is_computed_once_per_config(self, monkeypatch, capsys):
+        # the refusal names the whole verify's working set, every receiver's
+        monkeypatch.setattr("biasym.cli.VERIFY_MEMORY_LIMIT", 2**19)
+        _verify_estimate.cache_clear()
+        for _ in range(2):
+            assert main(["verify", "--modes", "5,5,5,5", "--flat"]) == 2
+        refusal = "invalid config: verify needs about 0.000662 GiB, above the 0.000488 GiB limit\n"
+        assert capsys.readouterr().err == 2 * refusal
+        info = _verify_estimate.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_verify_of_a_huge_mode_count_is_2(self, capsys):
         # the estimate's cost does not grow with the mode counts
@@ -180,8 +191,8 @@ class TestExitCodes:
             main(["verify", "--modes", "5,5,5,5", "--flat"])
 
     def test_sweep_verify_over_memory_limit_is_2_before_verifying(self, monkeypatch, capsys):
-        # the one budget admits flat (4,)*11 (L = 826686), whose receivers
-        # would need about 4.5 GiB: verify refuses it, and so must sweep
+        # the one budget admits flat (4,)*11 (L = 826686), whose verify
+        # would need about 3 GiB: verify refuses it, and so must sweep
         def refuse(*args, **kwargs):
             raise AssertionError("nothing may be verified")
 
@@ -190,10 +201,10 @@ class TestExitCodes:
         argv = ["--modes", modes, "--lmin", "826686", "--lmax", "826686"]
         assert main(["sweep", *argv, "--verify"]) == 2
         captured = capsys.readouterr()
-        assert "invalid config: verify needs about 4.51 GiB" in captured.err
+        assert "invalid config: verify needs about 3.03 GiB" in captured.err
         assert captured.out == ""
         assert main(["verify", "--modes", modes, "--flat"]) == 2
-        assert "invalid config: verify needs about 4.51 GiB" in capsys.readouterr().err
+        assert "invalid config: verify needs about 3.03 GiB" in capsys.readouterr().err
         assert main(["sweep", *argv]) == 0  # without --verify the sweep is cheap
         assert f"KG=1;G1=[{modes}]/MG1;used={modes}" in capsys.readouterr().out
 

@@ -370,6 +370,15 @@ class TestGroupedPattern:
             assert modes.tolist() == [list(physical_seq(pattern, u)) for u in range(users)]
             assert pattern.physical_modes is modes
 
+    def test_equal_configs_share_one_pattern(self, example_config, misaligned_pattern):
+        # the canonical member order makes these groups the example's
+        same = GroupingConfig([6, 6, 4, 4], [6, 6, 4, 4], [[2, 0], [3, 1]], [2, 2])
+        assert same == example_config
+        assert grouped_pattern(same) is grouped_pattern(example_config)
+        # a pattern with other rows is its own instance, with no plans of its own
+        assert misaligned_pattern is not grouped_pattern(example_config)
+        assert misaligned_pattern._plans == {}
+
     def test_single_group_matches_flat_construction(self):
         # one group degenerates to the flat pattern over the used modes
         for modes in ([3, 2], [6, 6, 4, 4], [2, 2, 2]):

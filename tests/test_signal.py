@@ -48,6 +48,7 @@ from biasym.signal import (
     _slot_components,
     _stream_batches,
     _stream_block_counts,
+    _verify_plan,
     receiver_memory_bytes,
 )
 
@@ -78,6 +79,12 @@ def small_configs():
         GroupingConfig.flat([6, 6, 4, 4], used=[3, 2, 2, 2]),
         GroupingConfig.flat([4]),
     ]
+
+
+def stream_batches(pattern, ch):
+    """The stream blocks of a verify of ``pattern`` on ``ch``, read through
+    the pattern's plan at the channels' coherence length."""
+    return _stream_batches(_verify_plan(pattern, ch.coherence_length), ch)
 
 
 def svd_calls(monkeypatch) -> list:
@@ -114,7 +121,8 @@ class TestStreams:
             assert slots.size == pred.desired
 
     def test_streams_are_read_only_and_computed_on_request(self, example_config):
-        pattern = grouped_pattern(example_config)
+        # a fresh pattern: the shared one may have placed its streams already
+        pattern = patterns.PresetPattern(example_config, *patterns._design_modes(example_config))
         pattern_table(pattern)
         assert "streams" not in vars(pattern)  # a pattern table never places streams
         streams = pattern.streams
@@ -248,8 +256,7 @@ class TestEffectiveMatrix:
         # pass decomposes on their slots, and zeros everywhere else
         ch = draw_channels(example_config, None, 2)
         slots = example_pattern.streams[0]
-        position, _ = _slot_components(example_pattern)
-        batch = _stream_batches(example_pattern, ch, position)[0]
+        batch = stream_batches(example_pattern, ch)[0]
         gains = batch.gains[batch.index[0]]
         block = effective_block(example_pattern, ch, 0, 0).reshape(15, len(slots), -1)
         for s, stream in enumerate(slots):
@@ -288,37 +295,42 @@ class TestEffectiveMatrix:
                 for rx in range(8) for tx, f in enumerate(fading)
             )
 
-        def rest(coherence):
+        def rest(coherence, entry):
             # the distinct stream blocks (gains, U, Vh and U*S), the channels
-            # (4 x 4 per pair and fading block), each stream's index and slot
-            # rows; labels and samples; the users' mode tuples, the level
-            # family and the physical modes, 3 integers per user and slot
+            # (4 x 4 per pair and fading block), the plan's stream slots,
+            # owners and own blocks, and each (rx, stream)'s index; the
+            # samples with noise added in place; the physical modes and the
+            # users' two per-slot level modes, 3 integers per user and slot.
+            # Where the slot components are built (not in the entry pass),
+            # every stream slot's row at every receiver and the slot labels
             channels = -(-length // coherence) * 64 * 16
             resident = (
-                4 * 16 * distinct(coherence) + channels
-                + 64 * ((columns + streams) // 2) + 4 * 8 * length + 3 * 8 * length // 2
+                4 * 16 * distinct(coherence) + channels + 8 * (columns + 2 * streams) // 2
+                + 64 * ((streams + (0 if entry else columns)) // 2)
+                + (3 if entry else 4) * 8 * length + 3 * 8 * length // 2
             )
             # the stream stage's copy of the channels and, per (rx, stream),
-            # 4 * 4 + 7 integers of keys, modes, sort order and index
-            return resident + channels + 64 * (4 * columns + 7 * streams) // 2
+            # 4 + 6 integers of key, one key row at a time, sort order,
+            # running count and index
+            return resident + channels + 64 * (columns + 6 * streams) // 2
 
         def entry_pass():
             # one group at one fading block: the 8 * 3^7 streams each keep
             # one column at each of the 7 other receivers, held to the end
             # as 4 complex entries and 4 integer places (half an entry
-            # each), beside each stream's slots, block and desired mask;
-            # then the larger of the decode, about 4 entries per kept column
-            # and 2.5 per own entry (their products with z and two integers
-            # each of bincount index), and the desired solve, one gathered
-            # 4 x 4 block and 4 values per stream; and 4 L entries per
-            # receiver: its norms and pseudo-inverse weights (half an entry
-            # each), cancelled interference and values
+            # each); then the larger of the decode, 1 entry per kept column
+            # (z) and 2.5 per own entry (their products with z and the
+            # bincount index, a doubled copy over a halved one), and the
+            # desired solve, each stream's 4 x 4 block and 3 x 4 values;
+            # and 3 L entries per receiver: its norms and pseudo-inverse
+            # weights (half an entry each), cancelled interference, and a
+            # bincount's output or the values
             n = 8 * streams
             kept = 7 * n
-            held = 1.5 * kept * 4 + n * 4
-            decode = 4 * kept + 2.5 * kept * 3
-            solve = n * 4 * 5
-            return int(held + max(decode, solve)) + 4 * 8 * length
+            held = 1.5 * kept * 4
+            decode = kept + 2.5 * kept * 3
+            solve = n * 4 * 7
+            return int(held + max(decode, solve)) + 3 * 8 * length
 
         def working_set(kept, coherence):
             width = -(-kept // count)  # kept columns per component
@@ -328,14 +340,14 @@ class TestEffectiveMatrix:
             # weighted samples, solutions) and the values-only SVD
             closed_form = 2 * count * (free + width)
             values_only = copy_and_workspace(size, width)
-            return 16 * (blocks + closed_form + values_only + rest(coherence))
+            return 16 * (blocks + closed_form + values_only + rest(coherence, False))
 
         # ideal fading: no dense block at all, and 8 * (1 + 7 * 3) stream
         # blocks are distinct
         assert distinct(length) == 176
-        expected = 16 * (entry_pass() + rest(length))
+        expected = 16 * (entry_pass() + rest(length, True))
         assert receiver_memory_bytes(config) == expected
-        assert 80 * 2**20 < expected < 100 * 2**20  # was 1.71 GiB with the dense blocks
+        assert 55 * 2**20 < expected < 70 * 2**20  # was 1.71 GiB with the dense blocks
         # with a fading block shorter than L, every interfering column counts;
         # the hold segment of user 5 crosses one boundary fewer than the others
         assert distinct(100) == 8 * 218 * (1 + 7 * 3) - 22
@@ -748,7 +760,7 @@ class TestSlotComponents:
 
     @staticmethod
     def check_union_find(pattern):
-        position, layouts = _slot_components(pattern)
+        position, layouts = _slot_components(pattern.config, pattern.streams)
         for rx, layout in enumerate(layouts):
             rows = layout.count * layout.size
             members = layout.order[:rows].reshape(layout.count, layout.size)
@@ -767,7 +779,7 @@ class TestSlotComponents:
     def check_streams_in_one_component(pattern):
         # the component blocks place each kept column by its stream's first
         # row, so a stream across two components would give wrong ranks
-        position, layouts = _slot_components(pattern)
+        position, layouts = _slot_components(pattern.config, pattern.streams)
         for rx, layout in enumerate(layouts):
             for tx, slots in enumerate(pattern.streams):
                 if tx != rx:
@@ -786,7 +798,9 @@ class TestSlotComponents:
             self.check_union_find(grouped_pattern(cfg))
 
     def test_each_level_family_is_built_once_per_verify(self, example_config):
-        # the pattern and the slot components read one cached array per level
+        # the pattern and the slot components read one cached array per
+        # level; a cold verify, so neither the pattern nor its plan is kept
+        patterns._CACHE.clear()
         patterns._level_modes.cache_clear()
         pattern = grouped_pattern(example_config)
         verify_receivers(pattern, draw_channels(example_config, None, 1), random_symbols(pattern))
@@ -812,7 +826,7 @@ class TestSlotComponents:
     @pytest.mark.parametrize("modes,count,size", [((5, 5, 5, 5), 4, 112), ((4, 4, 4, 4), 3, 54)])
     def test_flat_component_counts(self, modes, count, size):
         pattern = grouped_pattern(GroupingConfig.flat(modes))
-        _, layouts = _slot_components(pattern)
+        _, layouts = _slot_components(pattern.config, pattern.streams)
         assert [(layout.count, layout.size) for layout in layouts] == [(count, size)] * 4
 
     @pytest.mark.parametrize("modes", ENUMERATED_MODES)
@@ -888,8 +902,9 @@ class TestCompressedInterference:
     def test_component_blocks_keep_nonzero_spectrum(self, cfg, coherence):
         pattern = grouped_pattern(cfg)
         ch = draw_channels(cfg, coherence, 8)
-        position, layouts = _slot_components(pattern)
-        batches = _stream_batches(pattern, ch, position)
+        plan = _verify_plan(pattern, ch.coherence_length)
+        batches = _stream_batches(plan, ch)
+        layouts = plan.components()[1]
         K = cfg.num_users
         for rx, layout in enumerate(layouts):
             ranks, blocks, width, columns, _ = _component_blocks(
@@ -920,8 +935,7 @@ class TestCompressedInterference:
     def check_stream_blocks(pattern, ch):
         """Each (rx, stream) block, read through its batch's index, is bit
         for bit the block built alone from the gains, with its own SVD."""
-        position, _ = _slot_components(pattern)
-        batches = _stream_batches(pattern, ch, position)
+        batches = stream_batches(pattern, ch)
         for rx in range(len(batches)):
             seq = physical_seq(pattern, rx)
             for tx, batch in enumerate(batches):
@@ -973,9 +987,9 @@ class TestCompressedInterference:
         one ``_stream_batches`` call, after checking that it makes one SVD
         call per distinct dim, whose arrays that dim's transmitters share,
         and that every distinct block is some (rx, stream)'s."""
-        position, _ = _slot_components(pattern)
+        plan = _verify_plan(pattern, ch.coherence_length)
         calls = svd_calls(monkeypatch)
-        batches = _stream_batches(pattern, ch, position)
+        batches = _stream_batches(plan, ch)
         shapes = [shape for _, shape in calls]
         dims = sorted({b.slots.shape[1] for b in batches})
         assert [shape[1:] for shape in shapes] == [(dim, dim) for dim in dims]
@@ -999,10 +1013,9 @@ class TestCompressedInterference:
             if length > 300:
                 continue
             pattern = grouped_pattern(cfg)
-            position, _ = _slot_components(pattern)
             for coherence in (None, 1, 5, max(1, length // 3)):
                 ch = draw_channels(cfg, coherence, 1)
-                batches = _stream_batches(pattern, ch, position)
+                batches = stream_batches(pattern, ch)
                 built = np.array([
                     [len(np.unique(b.index[rx])) for b in batches] for rx in range(len(batches))
                 ])
@@ -1061,14 +1074,15 @@ class TestRankCertificate:
         # with one interferer the two are equal in exact arithmetic; the
         # bound's rounding margin puts it at or above both computed values
         pattern = grouped_pattern(cfg)
-        position, layouts = _slot_components(pattern)
+        plan = _verify_plan(pattern, coherence)
+        layouts = plan.components()[1]
         K = cfg.num_users
         for seed in range(10, 40):
             ch = draw_channels(cfg, coherence, seed)
-            batches = _stream_batches(pattern, ch, position)
+            batches = _stream_batches(plan, ch)
             # the entry pass takes its bound from the same largest stream
             # singular values, 0 for a receiver's own
-            tops = cfg.num_groups == 1 and _flat_columns(batches, pattern.length)[1]
+            tops = cfg.num_groups == 1 and _flat_columns(plan, batches)[1]
             for rx, layout in enumerate(layouts):
                 _, blocks, *_, bound = _component_blocks(pattern.length, batches, layout, rx)
                 assert bound.shape == (1,)
@@ -1107,7 +1121,8 @@ class TestRankCertificate:
                 calls = svd_calls(patched)
                 dense = verify_receivers(pattern, ch, symbols, *noise)
             values = sum(kind == "values" for kind, _ in calls)
-            assert values == sum(layout.count > 0 for layout in _slot_components(pattern)[1])
+            layouts = _slot_components(pattern.config, pattern.streams)[1]
+            assert values == sum(layout.count > 0 for layout in layouts)
             for got, want in zip(certified, dense, strict=True):
                 assert got.measured == want.measured
                 np.testing.assert_array_equal(got.estimates, want.estimates, strict=True)
@@ -1213,7 +1228,7 @@ class TestClosedFormFreeBlocks:
     def free_rows_met(pattern) -> list[int]:
         """Per receiver, the most free rows one interferer stream meets, from
         the built streams and layouts."""
-        position, layouts = _slot_components(pattern)
+        position, layouts = _slot_components(pattern.config, pattern.streams)
         most = []
         for rx, layout in enumerate(layouts):
             free = layout.size - layout.own
@@ -1248,9 +1263,10 @@ class TestClosedFormFreeBlocks:
             fading = max(1, length // 2) if coherence == "half" else coherence
             ch = draw_channels(cfg, fading, 17)
             symbols = random_symbols(pattern, 18)
-            position, layouts = _slot_components(pattern)
-            batches = _stream_batches(pattern, ch, position)
-            norms = _flat_columns(batches, length)[2]
+            plan = _verify_plan(pattern, ch.coherence_length)
+            batches = _stream_batches(plan, ch)
+            norms = _flat_columns(plan, batches)[2]
+            layouts = plan.components()[1]
             for rx, layout in enumerate(layouts):
                 _, blocks, *_ = _component_blocks(length, batches, layout, rx)
                 free = blocks[:, :layout.size - layout.own]
@@ -1323,9 +1339,10 @@ class TestClosedFormFreeBlocks:
         # in the supersymbol (u1.1 and u2.1 of three) or one interferer is
         # weak (u1.1)
         length = pattern.length
-        position, layouts = _slot_components(pattern)
-        batches = _stream_batches(pattern, ch, position)
+        plan = _verify_plan(pattern, ch.coherence_length)
+        batches = _stream_batches(plan, ch)
         fails = []
+        layouts = plan.components()[1]
         for rx, layout in enumerate(layouts):
             _, blocks, width, columns, bound = _component_blocks(length, batches, layout, rx)
             free = np.linalg.svd(blocks[:, :layout.size - layout.own], compute_uv=False)
@@ -1449,3 +1466,177 @@ class TestVerifyReceivers:
         assert all(r.deficiency == 0 for r in receivers)
         assert [r.measured.label for r in receivers] == cfg.labels()
         assert [r.estimates.shape for r in receivers] == [s.shape for s in pattern.streams]
+
+
+PLAN_ARRAYS = ("starts", "slots", "owner", "index", "own", "gather")
+
+
+def held_bytes(pattern) -> int:
+    """Bytes of every array ``pattern`` holds now: its level rows, its
+    physical modes and streams once built, and its plans' arrays, their
+    slot components included once built."""
+    built = vars(pattern)
+    arrays = [pattern.element_seq, pattern.group_seq, *built.get("streams", ())]
+    if "physical_modes" in built:
+        arrays.append(built["physical_modes"])
+    for plan in pattern._plans.values():
+        arrays += [getattr(d, name) for d in plan.dims for name in PLAN_ARRAYS]
+        if plan._components is not None:
+            position, layouts, rows = plan._components
+            arrays += [position, layouts[0].order.base, *rows]
+    return sum(a.nbytes for a in arrays)
+
+
+class TestVerifyPlans:
+    """A verify's seed-independent work, its plan, is built once per shared
+    pattern and coherence length, and kept while the pattern cache, within
+    its byte bound, holds the pattern."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        patterns._CACHE.clear()
+        yield
+        patterns._CACHE.clear()
+
+    @staticmethod
+    def assert_same(got_run, want_run):
+        for got, want in zip(got_run, want_run, strict=True):
+            assert got.measured == want.measured
+            np.testing.assert_array_equal(got.samples, want.samples, strict=True)
+            np.testing.assert_array_equal(got.estimates, want.estimates, strict=True)
+
+    @pytest.mark.parametrize("config,coherence", [
+        (GroupingConfig.flat([4, 4, 4, 4]), None),
+        (GroupingConfig.flat([4, 4, 4, 4]), 7),
+        (GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2]), None),
+        (GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2]), 5),
+    ], ids=str)
+    @pytest.mark.parametrize("noise", [(), (1e-3, 23)], ids=["noiseless", "noisy"])
+    def test_a_warm_verify_is_the_cold_one_bit_for_bit(self, config, coherence, noise):
+        # the plan a verify on other channels built serves a new seed as a
+        # plan built for that seed alone would
+        ch = draw_channels(config, coherence, 21)
+        pattern = grouped_pattern(config)
+        symbols = random_symbols(pattern, 22)
+        cold = verify_receivers(pattern, ch, symbols, *noise)
+        patterns._CACHE.clear()
+        pattern = grouped_pattern(config)
+        other = draw_channels(config, coherence, 20)
+        verify_receivers(pattern, other, random_symbols(pattern, 20))
+        warm = verify_receivers(grouped_pattern(config), ch, symbols, *noise)
+        assert patterns._cache_info()[:4] == (1, 1, 1, 1)
+        self.assert_same(warm, cold)
+
+    def test_misaligned_pattern_never_reads_the_example_s_plan(
+        self, example_config, misaligned_pattern, monkeypatch
+    ):
+        # verified before the example's plan is kept and after, it gets the
+        # dense rule's answers both times
+        ch = draw_channels(example_config, None, 14)
+        symbols = random_symbols(misaligned_pattern, 11)
+        with monkeypatch.context() as patched:
+            TestRankCertificate.always_svd(patched)
+            dense = verify_receivers(misaligned_pattern, ch, symbols)
+        before = verify_receivers(misaligned_pattern, ch, symbols)
+        example = grouped_pattern(example_config)
+        assert all(r.match for r in verify_receivers(example, ch, symbols))
+        after = verify_receivers(misaligned_pattern, ch, symbols)
+        for run in (before, after):
+            assert not all(r.match for r in run)
+            self.assert_same(run, dense)
+        assert misaligned_pattern._plans == {} and len(example._plans) == 1
+
+    def test_coherence_at_or_past_the_length_shares_a_plan(self, example_config):
+        pattern = grouped_pattern(example_config)
+        length = pattern.length
+        for coherence in (None, length, length + 1, 2**70):
+            ch = draw_channels(example_config, coherence, 1)
+            assert all(r.match for r in verify_receivers(pattern, ch, random_symbols(pattern)))
+        assert patterns._cache_info()[:4] == (3, 1, 1, 1)
+        verify_receivers(pattern, draw_channels(example_config, 5, 1), random_symbols(pattern))
+        assert patterns._cache_info()[:4] == (3, 2, 1, 2)
+        assert sorted(pattern._plans) == [5, length]
+
+    def test_a_zero_byte_bound_keeps_nothing(self, monkeypatch):
+        config = GroupingConfig.flat([4, 4, 4, 4])
+        ch = draw_channels(config, None, 3)
+        symbols = random_symbols(grouped_pattern(config), 4)
+        kept = verify_receivers(grouped_pattern(config), ch, symbols)
+        patterns._CACHE.clear()
+        monkeypatch.setattr(patterns, "PATTERN_CACHE_BYTES", 0)
+        pattern = grouped_pattern(config)
+        assert grouped_pattern(config) is not pattern
+        for _ in range(2):
+            receivers = verify_receivers(pattern, ch, symbols)
+            assert all(r.match for r in receivers)
+            self.assert_same(receivers, kept)
+        assert patterns._cache_info() == (0, 2, 0, 0, 0)
+        assert pattern._plans == {}
+
+    @pytest.mark.parametrize("config", [
+        GroupingConfig.flat([4, 4, 4, 4]),
+        GroupingConfig.flat([6, 6, 4, 4], used=[3, 2, 2, 2]),  # two dims
+        GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2]),
+    ], ids=str)
+    def test_plan_arrays_are_read_only_and_counted(self, config):
+        plan = _verify_plan(grouped_pattern(config), None)
+        dims = [getattr(d, name) for d in plan.dims for name in PLAN_ARRAYS]
+        position, layouts, rows = plan.components()
+        built = [position, layouts[0].order.base, *rows]
+        for a in [*dims, *built, *(layout.order for layout in layouts)]:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            plan.dims[0].index[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            position[0, 0] = 0
+        # the slot components are counted before they are built
+        assert plan.nbytes == sum(a.nbytes for a in dims + built)
+
+    def test_slot_components_are_built_where_read(self, example_config, monkeypatch):
+        built = []
+        components = signal._slot_components
+
+        def recorded(config, streams):
+            built.append(config)
+            return components(config, streams)
+
+        monkeypatch.setattr(signal, "_slot_components", recorded)
+        flat = GroupingConfig.flat([4, 4, 4, 4])
+        # ideal fading: every flat certificate holds; coherence 1: each fails
+        for config, coherence in ((flat, None), (example_config, None), (flat, 1)):
+            pattern = grouped_pattern(config)
+            for seed in (1, 2):
+                ch = draw_channels(config, coherence, seed)
+                verify_receivers(pattern, ch, random_symbols(pattern))
+        assert built == [example_config, flat]
+
+    def test_the_cache_holds_no_more_than_its_bound(self, example_config, monkeypatch):
+        # charges (pattern and ideal-fading plan, bytes): flat (4,4,4,4)
+        # 51,456, the example 4,128, flat (3,3,3) 4,248 and flat (5,5,5,5)
+        # 141,408, of which its pattern is 43,040
+        monkeypatch.setattr(patterns, "PATTERN_CACHE_BYTES", 58_000)
+        flat4, flat3, flat5 = (GroupingConfig.flat(m) for m in ([4] * 4, [3] * 3, [5] * 4))
+        steps = [
+            (flat4, [flat4]),
+            (example_config, [flat4, example_config]),
+            (flat4, [example_config, flat4]),  # a plan hit makes it the most recent
+            (flat3, [flat4, flat3]),  # the least recent goes first
+            # its pattern fits and pushes flat (4,4,4,4) out; with its plan it
+            # does not fit, so it goes too
+            (flat5, [flat3]),
+        ]
+        for config, kept in steps:
+            pattern = grouped_pattern(config)
+            verify_receivers(pattern, draw_channels(config, None, 1), random_symbols(pattern))
+            cache = patterns._CACHE
+            assert list(cache.patterns) == kept
+            info = patterns._cache_info()
+            assert info.bytes == sum(cache.charges.values()) <= 58_000
+            assert info.patterns == info.plans == len(kept)
+            for pattern in cache.patterns.values():
+                assert held_bytes(pattern) <= cache.charges[pattern.config]
+        # once every array is built, the charge is what the pattern holds
+        pattern = grouped_pattern(flat3)
+        _verify_plan(pattern, None).components()
+        pattern.physical_modes  # built on first read
+        assert held_bytes(pattern) == patterns._CACHE.charges[flat3]
