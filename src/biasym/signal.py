@@ -6,8 +6,9 @@ preset mode.  All alignment therefore has to come from the switching
 pattern itself, and this module measures whether it does:
 ``verify_receivers`` ranks the effective (channel times repetition)
 matrices against the exact predictions and runs a zero-forcing decode
-round trip, in one pass per receiver, or one for all receivers of a
-single-group config.
+round trip.  Every config takes one skeleton: one rank step for every
+receiver's blocks, one cutoff formula, one branch for the free blocks'
+singular values, one values-only fallback and one decode.
 
 Each interferer stream fills only its own slots, and a receiver holds
 one mode across it at each level that has other users, so the receiver's
@@ -187,14 +188,15 @@ class _Plan:
     52 distinct blocks of 1,024 at ideal fading.  The transmitters of one dim
     are keyed by one sort.
 
-    ``components()`` gives the slot components, built on first use: a
-    grouped config's passes read them at every receiver, a flat config's
-    only where a receiver's certificate fails.  ``nbytes`` counts every
-    array the plan holds or may build, so the pattern cache that keeps it
-    stays within its bound.  All of its arrays are read-only.
+    ``at[tx]`` is (j, u): tx is user u of ``dims[j]``.  ``components()``
+    gives the slot components, built on first use: a grouped config's
+    passes read them at every receiver, a flat config's only where a
+    receiver's certificate fails.  ``nbytes`` counts every array the plan
+    holds or may build, so the pattern cache that keeps it stays within its
+    bound.  All of its arrays are read-only.
     """
 
-    __slots__ = ("config", "streams", "length", "blocks", "dims", "nbytes", "_components")
+    __slots__ = ("config", "streams", "length", "blocks", "dims", "at", "nbytes", "_components")
 
     def __init__(self, pattern: PresetPattern, coherence: int):
         config, streams, length = pattern.config, pattern.streams, pattern.length
@@ -205,9 +207,11 @@ class _Plan:
         modes = pattern.physical_modes - 1
         used = per_user.max()
         K = len(streams)
-        self.dims = []
+        self.dims, self.at = [], [None] * K
         for dim in sorted({s.shape[1] for s in streams}):
             users = [tx for tx, s in enumerate(streams) if s.shape[1] == dim]
+            for u, tx in enumerate(users):
+                self.at[tx] = (len(self.dims), u)
             counts = [len(streams[tx]) for tx in users]
             slots = np.concatenate([streams[tx] for tx in users])
             n = len(slots)
@@ -252,21 +256,14 @@ class _Plan:
         ]
         for a in arrays:
             a.flags.writeable = False
-        # the slot components, built or not: position and row order, (K, L)
-        # each, and every stream slot's row at every receiver
-        built = len(streams) * (2 * length + sum(s.size for s in streams))
-        self.nbytes = sum(a.nbytes for a in arrays) + built * np.dtype(np.intp).itemsize
+        # the slot components, built or not: position and row order, (K, L) each
+        self.nbytes = sum(a.nbytes for a in arrays) + 2 * K * length * np.dtype(np.intp).itemsize
 
     def components(self):
-        """(position, layouts, rows): every receiver's slot components
-        (``_slot_components``), and ``rows[tx][rx, s, j]``, the row of slot
-        ``streams[tx][s, j]`` among rx's component rows."""
+        """(position, layouts): every receiver's slot components
+        (``_slot_components``)."""
         if self._components is None:
-            position, layouts = _slot_components(self.config, self.streams)
-            rows = tuple(position[:, slots] for slots in self.streams)
-            for a in rows:
-                a.flags.writeable = False
-            self._components = position, layouts, rows
+            self._components = _slot_components(self.config, self.streams)
         return self._components
 
 
@@ -282,56 +279,43 @@ def _verify_plan(pattern: PresetPattern, coherence_length) -> _Plan:
     return _CACHE.plan(pattern, coherence, lambda: _Plan(pattern, coherence))
 
 
-class _StreamBatch:
-    """The stream blocks every receiver sees from one transmitter.
+class _Draw:
+    """One dim's stream blocks on one channel draw (see ``_stream_batches``).
 
-    ``slots`` holds its stream slots, (streams, dim).  Stream s's dim x dim
-    block at receiver rx has as row j the channel row rx sees at slot
-    ``slots[s, j]``, in its own mode there.  Blocks that read the same rows
-    are equal, so each is kept once: ``index[rx, s]`` is the (rx, s)
-    block's place among the distinct ones, ``gains[index[rx, s]]``.
+    ``plan`` is the dim's ``_DimPlan``.  Stream s's dim x dim block at
+    receiver rx has as row j the channel row rx sees at slot ``plan.slots[s,
+    j]``, in its own mode there.  Blocks that read the same rows are equal,
+    so each is kept once: the (rx, s) block is ``gains[plan.index[rx, s]]``.
     ``values``, ``columns`` and ``vh`` hold each distinct block's SVD: its
     singular values, U's columns scaled by them, one per row (``columns[i,
-    j]`` is U[:, j] * S[j]), and Vh.  The transmitters of one dim share
-    these four arrays, and ``index`` is a view of their plan's common one.
-    ``rows[rx, s, j]`` is the row of slot ``slots[s, j]`` among rx's
-    component rows, read from the plan (see ``_Plan.components``).
+    j]`` is U[:, j] * S[j]), and Vh.
     """
 
-    __slots__ = ("plan", "tx", "slots", "index", "gains", "values", "columns", "vh")
+    __slots__ = ("plan", "gains", "values", "columns", "vh")
 
-    def __init__(self, plan, tx, index, gains, values, columns, vh):
-        self.plan, self.tx, self.slots, self.index = plan, tx, plan.streams[tx], index
-        self.gains, self.values, self.columns, self.vh = gains, values, columns, vh
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.plan.components()[2][self.tx]
+    def __init__(self, plan, gains, values, columns, vh):
+        self.plan, self.gains, self.values, self.columns, self.vh = plan, gains, values, columns, vh
 
 
-def _stream_batches(plan: _Plan, channels: ChannelSet):
-    """Every (rx, tx) pair's stream blocks on ``channels``: ``batches[tx]``
-    is tx's ``_StreamBatch``.
+def _stream_batches(plan: _Plan, channels: ChannelSet) -> list[_Draw]:
+    """Every (rx, tx) pair's stream blocks on ``channels``: one ``_Draw``
+    per dim of ``plan.dims``.
 
     This is the per-draw part of a verify; ``plan`` holds the rest.  For
     each dim, the gains of every (rx, tx) pair form one table, the dim's
     distinct blocks are gathered from it, and one batched SVD decomposes
-    them, whose arrays the dim's transmitters share.
+    them for all of the dim's transmitters.
     """
-    K = len(plan.streams)
-    batches = [None] * K
+    draws = []
     for d in plan.dims:
         table = np.concatenate([
             channels.gains[rx, tx][:plan.blocks].reshape(-1, d.dim)
-            for rx in range(K) for tx in d.users
+            for rx in range(len(plan.streams)) for tx in d.users
         ])
         gains = table[d.gather]
         u, s, vh = np.linalg.svd(gains)
-        columns = np.swapaxes(u * s[..., None, :], -1, -2)
-        for tx, start, count in zip(d.users, d.starts.tolist(), d.counts):
-            index = d.index[:, start:start + count]
-            batches[tx] = _StreamBatch(plan, tx, index, gains, s, columns, vh)
-    return batches
+        draws.append(_Draw(d, gains, s, np.swapaxes(u * s[..., None, :], -1, -2), vh))
+    return draws
 
 
 def random_symbols(
@@ -395,8 +379,9 @@ class ReceiverReport:
 # One linear-algebra pass per receiver
 # ======================================================================
 
-def _cutoff(s: np.ndarray, size: int) -> float:
-    """Singular values at or below this count as zero.
+def _cutoff(s: np.ndarray, size) -> np.ndarray:
+    """Singular values at or below this count as zero, over the last axis
+    of ``s``; ``size`` is broadcast against the result.
 
     ``size`` is the larger side of the full matrix and ``s`` any set of its
     singular values that holds the largest, so the verdict is the one a
@@ -405,10 +390,10 @@ def _cutoff(s: np.ndarray, size: int) -> float:
     matrix's own, and a value above it is above the matrix's cutoff too.
     A receiver's free blocks are counted against a bound on its whole
     interference stack's cutoff first, and against the exact one when that
-    leaves the combined rank open (see ``_receiver_pass`` and
-    ``_flat_pass``).
+    leaves the combined rank open (see ``_receiver_pass``).  This is the
+    one place that reads ``RANK_RTOL``.
     """
-    return size * s.max(initial=0.0) * RANK_RTOL
+    return size * s.max(axis=-1, initial=0.0) * RANK_RTOL
 
 
 def _component_shapes(config: GroupingConfig) -> list[tuple[int, int, int, int]]:
@@ -457,9 +442,11 @@ def _orthogonal_free_rows(config: GroupingConfig) -> bool:
     Each kept column lies on its stream's rows (see ``_component_blocks``),
     so then it has at most one nonzero free entry, the free block F F^H is
     diagonal, and F's singular values are its row norms.  ``verify_receivers``
-    then runs ``_flat_pass``, which reads every receiver's row norms off the
-    kept columns' free entries, one per column: the entry on the stream's
-    last slot, its hold slot, which ``patterns._flat_streams`` puts last.
+    takes them from ``_entry_pass``, which reads every receiver's row norms
+    off the kept columns' free entries, one per column: the entry on the
+    stream's last slot, its hold slot, which ``patterns._flat_streams`` puts
+    last; otherwise from ``_component_pass``, a thin SVD per receiver.  This
+    is the one branch point of a verify (see ``_receiver_pass``).
 
     * One group: receiver k's streams fill the interleaving block (one per
       combination of the other users' digits, along k's) and k's hold
@@ -541,65 +528,61 @@ def _stream_block_counts(config: GroupingConfig, coherence_length: int | None = 
 def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None = None) -> int:
     """Closed-form bound on one verify's working set, in bytes.
 
-    Receiver rx has L slots, c desired columns and r kept interference
-    columns: L - c, its predicted combined rank, or every interfering
-    column when ``coherence_length`` is shorter than L.  They split over m
-    slot components of n rows each, ``own`` of them rx's own slots
-    (``_component_shapes``), w = ceil(r / m) columns to a component.
+    Receiver rx has L slots and c desired columns, and keeps r interference
+    columns (``_kept_columns``): each interferer's predicted rank, which sum
+    to L - c, or every interfering column when ``coherence_length`` is
+    shorter than L.  They split over m slot components of n rows each,
+    ``own`` of them rx's own slots (``_component_shapes``), w = ceil(r / m)
+    columns to a component.  An integer is half a complex entry.
 
-    A config of one group at one fading block takes the entry pass
-    (``_flat_pass``), which builds no component block and no slot
-    component.  Each of the n_d streams of dim d keeps one column at each
-    of the other K - 1 receivers, N_d = (K - 1) n_d columns held to the
-    end as d complex entries and d integer places (an integer is half an
-    entry): 1.5 N_d d.  On top comes the larger of one dim's decode and
-    its desired solve.  The decode holds z, one entry per kept column
-    (its operands come and go before the rest), and 2.5 per own entry for
-    z's products and their bincount index, a doubled copy over a halved
-    one: N_d + 2.5 N_d (d - 1).  The solve holds each stream's gathered
-    values, d x d block, solution and result: n_d d (d + 3).  Both run
-    beside 3 K L entries: the row norms and their pseudo-inverse weights,
-    the cancelled interference, and one bincount's output or the values.
-
-    Otherwise the pass holds a receiver's component blocks (m n w), and
-    this sums them with its largest stage.  An SVD of an a x b matrix
-    (p = min(a, b)) holds LAPACK's copy of it and its workspace,
-    a b + a p + 3 p^2 complex entries; one with k columns of U and k rows
-    of Vh adds them in LAPACK's buffer and as results, 2 k (a + b), and a
-    batch of such matrices the results of the others.  With one group,
-    below the coherence length, a receiver whose certificate fails builds
-    its component blocks for a values-only SVD alone; the count adds
-    2 m (n - own + w) entries of vectors, which with the blocks' n entries
-    per column cover the entry pass's few.  With several groups the stage
-    is the larger of two that run one after the other:
-
-    * thin, with U and Vh, of the free blocks (m (n - own) w), a view of
-      the component blocks;
-    * values only, of the component blocks, when the free blocks leave
-      the combined rank open (the pass's one trigger, see
-      ``_receiver_pass``), after the thin SVD with its Vh still held:
-      m p w entries for p = min(n - own, w).
-
-    The distinct stream blocks stay resident for the whole verify
+    Resident for the whole verify are the distinct stream blocks
     (``_stream_block_counts``): gains, Vh and the scaled U, with U while
-    they are decomposed (4 dim_tx^2 each).  So do the channels (blocks x
-    used_rx x used_tx for every pair), the plan's stream slots, owners
-    and own blocks (c_tx + 2 c_tx / dim_tx integers per transmitter), each
-    (rx, stream)'s index among the blocks (K c_tx / dim_tx integers), the
-    samples, noise added in place (3 K L), and the pattern's physical
-    modes with the two per-slot level modes they are expanded from (3 K L
-    integers).  Where the slot components are built (every pass but the
-    entry pass), so are their slot labels (K L) and each stream slot's
-    component row (K c_tx integers).  The plan (``_Plan``) and
-    ``_stream_batches`` build the blocks from transients that the
-    allocator need not hand back before the passes, so they are added
-    too: a copy of the channels, and per (rx, stream) its key (1 +
-    dim_tx integers), one key row of gathered modes or of sorted keys at a
-    time, the sort order, the running count and the index ((dim_tx + 6)
+    they are decomposed (4 dim_tx^2 each); the channels (blocks x used_rx x
+    used_tx for every pair); the samples, noise added in place (3 K L); the
+    pattern's physical modes with the two per-slot level modes they are
+    expanded from (3 K L integers); the plan's stream slots, owners and own
+    blocks (c_tx + 2 c_tx / dim_tx integers per transmitter) and each (rx,
+    stream)'s index among the blocks (K c_tx / dim_tx integers); and every
+    receiver's kept columns, each dim_tx entries and dim_tx integer places.
+    Where the slot components are built (every pass but that of one group
+    at one fading block), so are their slot labels and row order (2 K L
+    integers).  Transients that the allocator need not hand back before the
+    passes are added too: ``draw_channels``' normal draws, their index
+    arrays and complex parts, 3.5 times the channels' entries at its peak,
+    of which the channels stay; the copy of the channels that
+    ``_stream_batches`` gathers from; and per (rx, stream) the plan's key
+    (1 + dim_tx integers), one key row of gathered modes or of sorted keys
+    at a time, the sort order, the running count and the index (dim_tx + 6
     integers).
 
-    A shared pattern keeps its plans after the verify (see ``_Plan``);
-    what the pattern cache holds lies outside this working set, and
+    On top comes the largest of the stages, which run one after the other:
+
+    * the desired solve of one dim (``_own_estimates``): each of its n_d
+      streams' gathered values, d x d block, solution and result,
+      n_d d (d + 3);
+    * with one group, the decode of one dim (``_entry_pass``): z, one entry
+      for each of the dim's N_d kept columns (its operands come and go
+      before the rest), and 2.5 per own entry for z's products and their
+      bincount index, a doubled copy over a halved one: N_d + 2.5 N_d (d - 1);
+    * a receiver's component blocks (m n w), with several groups or, below
+      the coherence length, where a one-group receiver's certificate
+      fails, and its SVDs.  An SVD of an a x b matrix (p = min(a, b))
+      holds LAPACK's copy of it and its workspace, a b + a p + 3 p^2
+      entries; one with k columns of U and k rows of Vh adds them in
+      LAPACK's buffer and as results, 2 k (a + b), and a batch of such
+      matrices the results of the others.  A failing one-group receiver
+      runs one values-only SVD.  With several groups the larger of two
+      runs: thin, with U and Vh, of the free blocks (m (n - own) w), a view
+      of the component blocks; then values only, of the component blocks,
+      when the free blocks leave the combined rank open (see
+      ``_receiver_pass``), with Vh held: m p w entries for
+      p = min(n - own, w).
+
+    Beside them the entry pass holds 3 K L entries (the row norms and their
+    pseudo-inverse weights, the cancelled interference, and one bincount's
+    output or the values), the component pass K L (the values).  A shared
+    pattern keeps its plans after the verify (see ``_Plan``); what the
+    pattern cache holds lies outside this working set, and
     ``patterns.PATTERN_CACHE_BYTES`` bounds it.
     """
     def svd(a: int, b: int, k: int = 0, count: int = 1) -> int:
@@ -611,41 +594,39 @@ def receiver_memory_bytes(config: GroupingConfig, coherence_length: int | None =
     shapes = _component_shapes(config)
     columns = [m * own + untouched for m, _, own, untouched in shapes]
     dims = config.used_in_order()
+    K = len(dims)
+    streams, kept, held = {}, [0] * K, {}  # per dim; per receiver; per dim
+    for c, d in zip(columns, dims):
+        streams[d] = streams.get(d, 0) + c // d
+    for rx, pred in enumerate(rank_predictions(config)):
+        others = [tx for tx in range(K) if tx != rx]
+        for tx, rank in zip(others, pred.per_interferer.values()):
+            r = rank if blocks == 1 else columns[tx]
+            kept[rx] += r
+            held[dims[tx]] = held.get(dims[tx], 0) + r
     orthogonal = _orthogonal_free_rows(config)
-    entry = orthogonal and blocks == 1  # the entry pass builds no slot components
-    resident = sum(
-        4 * d * d * n + (c // d + (0 if entry else c)) // 2
+    channels = blocks * sum(dims) ** 2
+    # in words of 8 bytes: an integer, a float or half a complex entry
+    resident = 8 * sum(
+        d * d * n
         for counts in _stream_block_counts(config, coherence_length)
-        for n, c, d in zip(counts, columns, dims)
-    ) + sum(c + 2 * (c // d) for c, d in zip(columns, dims)) // 2
-    resident += blocks * sum(dims) ** 2 + (3 if entry else 4) * len(dims) * length
-    resident += 3 * len(dims) * length // 2
-    transient = len(dims) * sum(c + 6 * (c // d) for c, d in zip(columns, dims)) // 2
-    transient += blocks * sum(dims) ** 2
-    largest = 0
-    if entry:
-        # the entry pass, in half entries: the n streams of each dim keep
-        # one column at each of the other receivers
-        streams = {}
-        for c, d in zip(columns, dims):
-            streams[d] = streams.get(d, 0) + c // d
-        kept = {d: (len(dims) - 1) * n for d, n in streams.items()}
-        held = sum(3 * kept[d] * d for d in streams)
-        decode = max(2 * kept[d] + 5 * kept[d] * (d - 1) for d in streams)
-        solve = max(2 * n * d * (d + 3) for d, n in streams.items())
-        largest = (held + max(decode, solve)) // 2 + 3 * len(dims) * length
-    else:
-        for (m, n, own, _), c in zip(shapes, columns):
-            r = length - c if blocks == 1 else sum(columns) - c
+        for n, d in zip(counts, dims)
+    ) + 2 * channels + 9 * K * length
+    resident += sum(c + (K + 2) * (c // d) for c, d in zip(columns, dims))
+    resident += 3 * sum(d * r for d, r in held.items())
+    transient = K * sum(c + 6 * (c // d) for c, d in zip(columns, dims)) + 7 * channels
+    stage = max(2 * n * d * (d + 3) for d, n in streams.items())
+    if orthogonal:
+        stage = max([stage, *(2 * r + 5 * r * (d - 1) for d, r in held.items())])
+    if not orthogonal or blocks > 1:
+        resident += 2 * K * length
+        for (m, n, own, _), r in zip(shapes, kept):
             w = -(-r // m) if m else 0
             a = n - own
             p = min(a, w)
-            if orthogonal:  # a receiver whose certificate fails
-                stage = 2 * m * (a + w) + svd(n, w)
-            else:
-                stage = max(svd(a, w, p, m), svd(n, w) + m * p * w)
-            largest = max(largest, m * n * w + stage)
-    return (largest + resident + transient) * np.dtype(complex).itemsize
+            svds = svd(n, w) if orthogonal else max(svd(a, w, p, m), svd(n, w) + m * p * w)
+            stage = max(stage, 2 * (m * n * w + svds))
+    return 8 * (resident + transient + stage + (6 if orthogonal else 2) * K * length)
 
 
 class _Layout:
@@ -708,53 +689,83 @@ def _slot_components(config: GroupingConfig, streams):
     ]
 
 
-def _received(batches, sources, length: int) -> np.ndarray:
+def _received(plan: _Plan, draws, sources) -> np.ndarray:
     """Every receiver's noiseless samples of ``sources``, (receivers,
-    length); one transmitter's streams fill distinct slots."""
-    samples = np.zeros((len(sources), length), dtype=complex)
-    for b, x in zip(batches, sources):
-        samples[:, b.slots] += (b.gains[b.index] @ x[..., None])[..., 0]
+    length), transmitter by transmitter; one transmitter's streams fill
+    distinct slots."""
+    samples = np.zeros((len(sources), plan.length), dtype=complex)
+    for x, slots, (j, u) in zip(sources, plan.streams, plan.at):
+        d = plan.dims[j]
+        index = d.index[:, d.starts[u]:d.starts[u] + d.counts[u]]
+        samples[:, slots] += (draws[j].gains[index] @ x[..., None])[..., 0]
     return samples
 
 
-def _component_blocks(length: int, batches, layout: _Layout, rx: int):
-    """(per-interferer ranks, component blocks, full stack width, kept
-    columns per component, bound) at rx.
+def _kept_columns(plan: _Plan, draws):
+    """Every receiver's ranks and kept interference columns, one step per
+    dim for all receivers: (ranks, tops, desired, kept).
 
-    Up to a row and column permutation, tx's effective block is
+    Up to a row and column permutation, tx's effective block at rx is
     block-diagonal in its dim x dim stream blocks, so its singular values
-    are the union of theirs; its rank counts them against the cutoff of the
-    full (length x streams * dim) block.  Each stream's U*S columns above
-    that cutoff, placed on the stream's rows of its component, keep the Gram
-    matrix of the stacked interference but for the dropped columns, which
-    lie below the cutoff, and with it the stack's nonzero singular values
-    and left singular vectors.  Up to a permutation the kept stack is
-    block-diagonal in the components: one (components, slots, columns)
-    array, where a component with fewer kept columns than the widest is
-    padded with zero columns, which only add zero singular values.  The
-    stack Z = [Z_tx] has ||Z||^2 <= sum ||Z_tx||^2, and ||Z_tx|| is the
-    largest of tx's stream singular values, so ``bound``, one array entry,
-    holds a value at or above the stack's largest singular value.  With one
-    interferer the two are equal, and computed they were seen a few ulps
-    apart either way: LAPACK's singular values of a matrix with larger
-    side n are those of a neighbour within a small multiple of n eps ||Z||.
-    So the root sum of squares is raised by 4 n eps of itself, n the full
-    stack's larger side, which puts ``bound`` at or above any computed
-    largest singular value of the stack, the component blocks' included.
+    are the union of theirs.  ``ranks[rx, tx]`` counts them against the
+    cutoff of the full (length x streams * dim) block, the desired rank
+    when tx == rx; ``tops[rx, tx]`` is the largest of them, ||Z_tx||, and
+    0 when tx == rx.  ``desired[j]`` marks which of each own stream's
+    singular values clear its cutoff, for the streams of ``plan.dims[j]``.
+    Each stream's U*S columns above the cutoff, placed on the stream's
+    slots, keep the Gram matrix of the stacked interference but for the
+    dropped columns, which lie below the cutoff, and with it the stack's
+    nonzero singular values and left singular vectors; rx's own streams
+    keep none.  ``kept[j]`` holds them for the dim: (entries, places,
+    bounds), a row per kept column at every receiver, receiver-major, then
+    by transmitter, stream and column.  ``entries`` has its dim entries,
+    ``places`` their receiver * L + slot, and user u's columns at rx are
+    rows ``bounds[i]`` to ``bounds[i + 1]``, i = rx * users + u.
     """
-    count, size = layout.count, layout.size
-    kept, rows, columns, tops, width = [], [], [], [], 0
-    for tx, b in enumerate(batches):
-        s = b.values[b.index[rx]]  # (streams, dim)
-        cut = np.inf  # rx's own streams keep nothing
-        if tx != rx:
-            cut = _cutoff(s, max(length, s.size))
-            width += s.size
-            tops.append(s.max(initial=0.0))
-        stream, col = (s > cut).nonzero()
-        kept.append(len(stream))
-        rows.append(b.rows[rx, stream])
-        columns.append(b.columns[b.index[rx, stream], col])
+    K, length = len(plan.streams), plan.length
+    ranks = np.zeros((K, K), dtype=np.intp)
+    tops = np.zeros((K, K))
+    desired, kept = [], []
+    for d, draw in zip(plan.dims, draws):
+        users, counts, starts = d.users, d.counts, d.starts
+        s = draw.values[d.index]  # (K, streams, dim)
+        top = np.maximum.reduceat(s.max(axis=-1), starts, axis=1)  # (K, users)
+        cut = _cutoff(top[..., None], np.maximum(length, np.multiply(counts, d.dim)))
+        mine = (users, np.arange(len(users)))  # each transmitter at its own receiver
+        desired.append(draw.values[d.own] > np.repeat(cut[mine], counts)[:, None])
+        ranks[users, users] = np.add.reduceat(np.count_nonzero(desired[-1], axis=-1), starts)
+        top[mine] = 0.0
+        cut[mine] = np.inf  # rx's own streams keep nothing
+        tops[:, users] = top
+        mask = s > np.repeat(cut, counts, axis=1)[..., None]
+        per = np.add.reduceat(np.count_nonzero(mask, axis=-1), starts, axis=1)
+        ranks[:, users] += per
+        rx, stream, column = mask.nonzero()
+        kept.append((
+            draw.columns[d.index[rx, stream], column],
+            rx[:, None] * length + d.slots[stream],
+            np.concatenate(([0], np.cumsum(per))),
+        ))
+    return ranks, tops, desired, kept
+
+
+def _component_blocks(plan: _Plan, kept, rx: int):
+    """rx's component blocks and its kept columns per component, built from
+    every receiver's kept columns (``_kept_columns``) in transmitter order.
+
+    Up to a permutation the kept stack is block-diagonal in the slot
+    components (see ``_slot_components``): one (components, slots, columns)
+    array, where a component with fewer kept columns than the widest is
+    padded with zero columns, which only add zero singular values.
+    """
+    position, layouts = plan.components()
+    count, size = layouts[rx].count, layouts[rx].size
+    rows, columns = [], []
+    for j, u in plan.at:  # rx's own streams keep no column
+        entries, places, bounds = kept[j]
+        i = rx * len(plan.dims[j].users) + u
+        rows.append(position.ravel()[places[bounds[i]:bounds[i + 1]]])
+        columns.append(entries[bounds[i]:bounds[i + 1]])
     # each kept column's place among its component's columns
     owner = np.concatenate([r[:, 0] for r in rows]) // max(size, 1)
     seen = np.cumsum(owner[:, None] == np.arange(count), axis=0)
@@ -764,10 +775,7 @@ def _component_blocks(length: int, batches, layout: _Layout, rx: int):
     for r, c in zip(rows, columns):
         blocks[r, place[start:start + len(r), None]] = c
         start += len(r)
-    return (
-        kept[:rx] + kept[rx + 1:], blocks.reshape(count, size, blocks.shape[1]), width,
-        np.bincount(owner, minlength=count), _stack_bound(np.array(tops), max(length, width)),
-    )
+    return blocks.reshape(count, size, blocks.shape[1]), np.bincount(owner, minlength=count)
 
 
 def _stack_bound(tops: np.ndarray, full) -> np.ndarray:
@@ -775,95 +783,192 @@ def _stack_bound(tops: np.ndarray, full) -> np.ndarray:
     singular value, over the last axis of ``tops``, kept as one entry.
 
     ``tops`` holds each interferer's largest stream singular value, ||Z_tx||,
-    and ``full`` the stack's larger side, broadcast against the result: the
-    root sum of squares raised by 4 ``full`` eps of itself (see
-    ``_component_blocks``).
+    and ``full`` the stack's larger side, broadcast against the result.  The
+    stack Z = [Z_tx] has ||Z||^2 <= sum ||Z_tx||^2.  With one interferer the
+    two are equal, and computed they were seen a few ulps apart either way:
+    LAPACK's singular values of a matrix with larger side n are those of a
+    neighbour within a small multiple of n eps ||Z||.  So the root sum of
+    squares is raised by 4 ``full`` eps of itself, which puts the bound at
+    or above any computed largest singular value of the stack, the
+    component blocks' included.
     """
     return np.linalg.norm(tops, axis=-1, keepdims=True) * (1 + 4 * full * np.finfo(float).eps)
 
 
-def _receiver_pass(batches, layout, rx, pred, samples):
-    """Rank receiver rx's blocks and decode its samples, component by component.
+def _exact_rank(blocks: np.ndarray, full) -> tuple:
+    """(cutoff, combined rank) of a receiver's interference stack, from a
+    values-only SVD of its component blocks ``blocks``: the fallback where
+    its free blocks leave the combined rank open.  ``full`` is the stack's
+    larger side."""
+    s = np.linalg.svd(blocks, compute_uv=False)
+    cutoff = _cutoff(s.ravel(), full)
+    return cutoff, np.count_nonzero(s > cutoff)
 
-    Returns rx's record: its ranks against ``pred``, and ``samples`` (its
-    length-L samples, noise already added) with their decode.  This pass
-    serves configs with several groups; a one-group config takes
-    ``_flat_pass``, which reads the same quantities off entries.
 
-    The stream blocks' SVDs (``batches``) give the desired and
-    per-interferer ranks (see ``_component_blocks``).  The desired block is
-    D = Π (⊕_s G_s): Π holds the unit vectors of rx's c own slots and G_s is
-    own stream s's dim x dim block.  When every G_s has full rank, an own
-    row can take any value, so rank [D | I] = c + rank(I without rx's own
-    rows), summed over the components.  The singular values t of the free
-    blocks F_i (the component blocks I_i without their own rows), from a
-    thin SVD, give joint - c.  They also settle the combined rank, against
-    the cutoff of ``bound`` (see ``_component_blocks``), which is at or
-    above the full interference stack's: adding rows never lowers a
-    singular value (Cauchy interlacing), so when every F_i has as many
-    singular values above that cutoff as I_i has kept columns, each I_i has
-    all of them above the stack's cutoff, the combined rank is the kept
-    column count, and t fall on the same sides of either cutoff.  An
-    aligned pattern at one fading block gives that on drawn channels: each
-    F_i is square, and of full rank when joint = L.  Otherwise (a fading
-    block shorter than L, a misaligned pattern, channels built by hand) a
-    values-only SVD of the I_i gives the stack's exact cutoff and the
-    combined rank.  That check is its one trigger, after t, with U let go
-    and Vh held; an I_i with more kept columns than F_i has rows always
-    trips it.  Drawn channels give full-rank G_s with probability 1; a G_s
-    short of full rank (a pattern that repeats a mode inside an own stream,
-    or channels built by hand) shows as desired < c, a mismatch, and then
-    joint = desired + rank(free) is a lower bound on the dense rank.
+def _receiver_pass(plan: _Plan, draws, predictions, samples):
+    """Rank every receiver's blocks and decode its samples; one record per
+    receiver, against ``predictions``.  ``samples`` holds every receiver's
+    length-L samples, noise already added.
 
-    The decode is the least squares of [D | I]: z_i is the pseudo-inverse
-    of F_i applied to the samples b_i on its rows, Vh^H (U^H b_i / t), with
-    t at or below the cutoff weighed 0; an own row's value is its sample
-    minus I_i's own rows times z_i, an own row no interferer touches keeps
-    its sample, and each stream's symbol is the pseudo-inverse of G_s
-    applied to the values on its slots.
+    The stream blocks' SVDs (``draws``) give the desired and per-interferer
+    ranks and the kept columns (``_kept_columns``).  The desired block is
+    D = Π (⊕_s G_s): Π holds the unit vectors of rx's c own slots and G_s
+    is own stream s's dim x dim block.  When every G_s has full rank, an
+    own row can take any value, so rank [D | I] = c + rank(I without rx's
+    own rows), summed over the slot components.  The singular values t of
+    the free blocks F_i (the component blocks I_i without their own rows)
+    give joint - c.  They also settle the combined rank, against the cutoff
+    of a bound at or above the full interference stack's (``_stack_bound``):
+    adding rows never lowers a singular value (Cauchy interlacing), so when
+    every F_i has as many singular values above that cutoff as I_i has
+    kept columns, each I_i has all of them above the stack's cutoff, the
+    combined rank is the kept column count, and t fall on the same sides of
+    either cutoff.  An aligned pattern at one fading block gives that on
+    drawn channels.  Otherwise (a fading block shorter than L, a misaligned
+    pattern, channels built by hand) a values-only SVD of the receiver's
+    I_i gives the stack's exact cutoff and the combined rank
+    (``_exact_rank``); an I_i with more kept columns than F_i has rows
+    always takes it.  Drawn channels give full-rank G_s with probability 1;
+    a G_s short of full rank (a pattern that repeats a mode inside an own
+    stream, or channels built by hand) shows as desired < c, a mismatch,
+    and then joint = desired + rank(free) is a lower bound on the dense
+    rank.
+
+    Every receiver's ranks, kept columns, stack bound, cutoff and kept
+    column count come from one setup; the one branch is where t come from
+    (``_orthogonal_free_rows``): row norms of the kept columns' entries for
+    one group (``_entry_pass``), a thin SVD per receiver otherwise
+    (``_component_pass``).  Either returns the samples with the
+    interference on each receiver's own slots cancelled, in slot order,
+    and the rank of the free blocks.  The decode is the least squares of
+    [D | I]: z_i is the pseudo-inverse of F_i applied to the samples on its
+    rows, with t at or below the cutoff weighed 0; an own row's value is
+    its sample minus I_i's own rows times z_i, an own row no interferer
+    touches keeps its sample, and each stream's symbol is the
+    pseudo-inverse of G_s applied to the values on its slots, one batch per
+    dim (``_own_estimates``).
     """
-    length, count, size, own = len(samples), layout.count, layout.size, layout.own
-    batch = batches[rx]
-    index = batch.index[rx]
-    s_desired = batch.values[index]
-    desired = s_desired > _cutoff(s_desired, max(length, s_desired.size))
-    ranks, blocks, width, columns, bound = _component_blocks(length, batches, layout, rx)
-    full = max(length, width)  # the interference stack's larger side
-    free = size - own  # each component's first rows (see _Layout)
-    values = samples[layout.order]
-    components = values[:count * size].reshape(count, size, 1)  # a view into values
-    u, t, vh = np.linalg.svd(blocks[:, :free], full_matrices=False)
-    # nothing else reads U and Vh, so they are conjugated in place, and U is
-    # let go before a values-only SVD
-    projected = np.swapaxes(np.conjugate(u, out=u), -1, -2) @ components[:, :free]
-    del u
-    cutoff = _cutoff(bound, full)  # at or above the stack's own
-    combined = columns.sum()
-    if not np.array_equal(np.count_nonzero(t > cutoff, axis=-1), columns):
-        s = np.linalg.svd(blocks, compute_uv=False)  # a free block left its rank open
-        cutoff = _cutoff(s, full)
-        combined = np.count_nonzero(s > cutoff)
+    ranks, tops, desired, kept = _kept_columns(plan, draws)
+    own = np.diagonal(ranks)
+    widths = np.array([s.size for s in plan.streams])
+    full = np.maximum(plan.length, widths.sum() - widths)  # each stack's larger side
+    cutoff = _cutoff(_stack_bound(tops, full[:, None]), full)  # at or above each stack's own
+    combined = ranks.sum(axis=1) - own  # the kept columns, where the certificate holds
+    branch = _entry_pass if _orthogonal_free_rows(plan.config) else _component_pass
+    values, free = branch(plan, kept, samples, cutoff, combined, full)
+    estimates = [None] * len(samples)
+    for draw, mask in zip(draws, desired):
+        d = draw.plan
+        solved = _own_estimates(draw, mask, values[d.owner[:, None], d.slots])
+        for tx, start, count in zip(d.users, d.starts.tolist(), d.counts):
+            estimates[tx] = solved[start:start + count]
+    return tuple(
+        _report(pred, samples[rx], row[rx], row[:rx] + row[rx + 1:], c, j, estimates[rx])
+        for rx, (pred, row, c, j) in enumerate(
+            zip(predictions, ranks.tolist(), combined.tolist(), (own + free).tolist())
+        )
+    )
+
+
+def _entry_pass(plan: _Plan, kept, samples, cutoff, combined, full):
+    """The free blocks of a one-group config, read off the kept columns'
+    entries for every receiver at once; see ``_receiver_pass``.
+
+    A kept column of an interferer stream lies on the stream's slots: the
+    first dim - 1 in the interleaving block, which is rx's own, and the
+    last in the interferer's hold segment, which is one of rx's free slots
+    (see ``_orthogonal_free_rows``).  So each kept column has one free
+    entry, F_i F_i^H is diagonal, and F_i's singular values t are its row
+    norms: the root of the squared free entries summed on each slot, 0 on
+    rx's own slots.  Its pseudo-inverse is F_i^H diag(1 / t^2).  The
+    certificate is a count per receiver: a free block has at most as many
+    nonzero rows as kept columns, so t above the cutoff number the kept
+    columns exactly when every component's do.  A receiver whose
+    certificate fails builds its component blocks for the values-only SVD
+    alone, from the plan's slot components, which nothing else reads.  The
+    decode is z = conj(a) b_f / t_f^2 for a kept column with free entry a
+    on free slot f, subtracted from the samples on its own slots, all
+    receivers' in one ``np.bincount`` per dim.
+    """
+    K, length = samples.shape
+    norms = _row_norms(kept, K, length)
+    certified = np.count_nonzero(norms > cutoff[:, None], axis=1) == combined
+    for rx in np.flatnonzero(~certified):  # a free block left the combined rank open
+        cutoff[rx], combined[rx] = _exact_rank(_component_blocks(plan, kept, rx)[0], full[rx])
+    above = norms > cutoff[:, None]
     # pseudo-inverses weigh the values at or below their cutoff 0
-    live = np.where(t > cutoff, t, np.inf)[..., None]
-    z = np.swapaxes(np.conjugate(vh, out=vh), -1, -2) @ (projected / live)
-    components[:, free:] -= blocks[:, free:] @ z
-    rank = np.count_nonzero(desired)
-    return _report(pred, samples, rank, ranks, combined, rank + np.count_nonzero(t > cutoff),
-                   _own_estimates(batch, index, desired, values[batch.rows[rx]]))
+    live = np.where(above, norms, np.inf).ravel()
+    received, cancel = samples.ravel(), np.zeros(2 * K * length)
+    for entries, places, _ in kept:
+        free = places[:, -1]
+        z = received[free] / live[free] ** 2 * entries[:, -1].conj()
+        # each own entry times z, real and imaginary parts side by side
+        parts = (entries[:, :-1] * z[:, None]).view(float).ravel()
+        cancel += np.bincount((places[:, :-1, None] * 2 + (0, 1)).ravel(), parts, cancel.size)
+    return samples - cancel.view(complex).reshape(K, length), np.count_nonzero(above, axis=1)
 
 
-def _own_estimates(batch, index, desired, values):
-    """Each own stream's symbol estimate, (streams, dim): the pseudo-inverse
-    of its block ``batch``'s ``index``, with the singular values outside
-    ``desired`` weighed 0, applied to ``values``, the stream's slots'
-    values after the interference is cancelled."""
+def _row_norms(kept, K: int, length: int) -> np.ndarray:
+    """Every receiver's free-block row norms in a one-group config, (K, L):
+    the root of the kept columns' squared free entries summed on each slot
+    (see ``_entry_pass``)."""
+    squares = np.zeros(K * length)
+    for entries, places, _ in kept:
+        free = entries[:, -1]
+        squares += np.bincount(places[:, -1], free.real**2 + free.imag**2, K * length)
+    return np.sqrt(squares).reshape(K, length)
+
+
+def _component_pass(plan: _Plan, kept, samples, cutoff, combined, full):
+    """The free blocks of a config with several groups, receiver by
+    receiver and component by component; see ``_receiver_pass``.
+
+    Each receiver's component blocks (``_component_blocks``) lose their own
+    rows to give the free blocks F_i, whose thin SVD gives t.  The
+    certificate is the one trigger of the values-only SVD, after t, with U
+    let go and Vh held.  z_i is Vh^H (U^H b_i / t), b_i the samples on
+    F_i's rows.
+    """
+    position, layouts = plan.components()
+    values = np.empty_like(samples)
+    ranks_free = np.empty(len(samples), dtype=np.intp)
+    for rx, layout in enumerate(layouts):
+        count, size = layout.count, layout.size
+        free = size - layout.own  # each component's first rows (see _Layout)
+        blocks, columns = _component_blocks(plan, kept, rx)
+        rows = samples[rx, layout.order]
+        components = rows[:count * size].reshape(count, size, 1)  # a view into rows
+        u, t, vh = np.linalg.svd(blocks[:, :free], full_matrices=False)
+        # nothing else reads U and Vh, so they are conjugated in place, and U is
+        # let go before a values-only SVD
+        projected = np.swapaxes(np.conjugate(u, out=u), -1, -2) @ components[:, :free]
+        del u
+        if not np.array_equal(np.count_nonzero(t > cutoff[rx], axis=-1), columns):
+            cutoff[rx], combined[rx] = _exact_rank(blocks, full[rx])  # a free block left it open
+        # pseudo-inverses weigh the values at or below their cutoff 0
+        live = np.where(t > cutoff[rx], t, np.inf)[..., None]
+        z = np.swapaxes(np.conjugate(vh, out=vh), -1, -2) @ (projected / live)
+        components[:, free:] -= blocks[:, free:] @ z
+        values[rx] = rows[position[rx]]
+        ranks_free[rx] = np.count_nonzero(t > cutoff[rx])
+        del blocks, vh, projected, z  # before the next receiver's are built
+    return values, ranks_free
+
+
+def _own_estimates(draw: _Draw, desired, values):
+    """Each own stream's symbol estimate, (streams, dim), for the streams of
+    ``draw``'s dim: the pseudo-inverse of its block at its own receiver,
+    with the singular values outside ``desired`` weighed 0, applied to
+    ``values``, the stream's slots' values after the interference is
+    cancelled."""
     # pinv(G_s) v = Vh^H S^-1 U^H v, with S U^H the conjugated scaled
     # columns; the gathered copies are conjugated in place
-    columns = batch.columns[index]
+    index = draw.plan.own
+    columns = draw.columns[index]
     solved = np.conjugate(columns, out=columns) @ values[..., None]
     del columns
-    solved /= np.where(desired, batch.values[index], np.inf)[..., None] ** 2
-    vh = batch.vh[index]
+    solved /= np.where(desired, draw.values[index], np.inf)[..., None] ** 2
+    vh = draw.vh[index]
     return (np.swapaxes(np.conjugate(vh, out=vh), -1, -2) @ solved)[..., 0]
 
 
@@ -879,130 +984,6 @@ def _report(pred, samples, desired, per_interferer, combined, joint, estimates):
         ),
         samples=samples,
         estimates=estimates,
-    )
-
-
-class _FlatDim:
-    """The transmitters of one dim in a one-group config, read as entries
-    (see ``_flat_columns``).
-
-    ``plan`` is their ``_DimPlan`` and ``batch`` one of their
-    ``_StreamBatch``es, whose SVD arrays they share; ``desired`` marks which
-    of each stream's singular values at its own receiver clear its cutoff.
-    Each kept interference column, at every receiver, has a row in
-    ``entries`` (its dim entries, U[:, j] * S[j]) and ``places`` (their
-    receiver * L + slot): the last is its one free entry, on the stream's
-    hold slot, and the others lie on the receiver's own slots.
-    """
-
-    __slots__ = ("plan", "batch", "desired", "places", "entries")
-
-    def __init__(self, plan, batch, desired, places, entries):
-        self.plan, self.batch, self.desired = plan, batch, desired
-        self.places, self.entries = places, entries
-
-
-def _flat_columns(plan: _Plan, batches):
-    """Every receiver's ranks and kept interference columns in a one-group
-    config, as entries: (ranks, tops, norms, dims).
-
-    ``ranks[rx, tx]`` is the rank of tx's block at rx, the desired rank
-    when tx == rx, each counted against its full block's cutoff as
-    ``_component_blocks`` counts it; ``tops[rx, tx]`` is the block's largest
-    singular value, 0 when tx == rx.  A kept column of an interferer
-    stream lies on the stream's slots: the first dim - 1 in the
-    interleaving block, which is rx's own, and the last in the
-    interferer's hold segment, which is one of rx's free slots (see
-    ``_orthogonal_free_rows``).  So ``norms[rx, t]``, the root of the
-    squared free entries summed on slot t, are the free blocks' row norms,
-    and 0 on rx's own slots.  ``dims`` holds one ``_FlatDim`` per dim.  The
-    transmitters of one dim share their stream blocks' SVD (see
-    ``_stream_batches``), so each dim's blocks are read in one step for
-    every receiver.
-    """
-    K, length = len(batches), plan.length
-    ranks = np.zeros((K, K), dtype=np.intp)
-    tops = np.zeros((K, K))
-    squares = np.zeros(K * length)
-    dims = []
-    for d in plan.dims:
-        users, counts, starts = d.users, d.counts, d.starts
-        batch = batches[users[0]]
-        s = batch.values[d.index]  # (K, streams, dim)
-        top = np.maximum.reduceat(s.max(axis=-1), starts, axis=1)  # (K, users)
-        cut = np.maximum(length, np.multiply(counts, d.dim)) * top * RANK_RTOL  # as _cutoff
-        mine = (users, np.arange(len(users)))  # each transmitter at its own receiver
-        desired = batch.values[d.own] > np.repeat(cut[mine], counts)[:, None]
-        ranks[users, users] = np.add.reduceat(np.count_nonzero(desired, axis=-1), starts)
-        top[mine] = 0.0
-        cut[mine] = np.inf  # rx's own streams keep nothing
-        tops[:, users] = top
-        kept = s > np.repeat(cut, counts, axis=1)[..., None]
-        ranks[:, users] += np.add.reduceat(np.count_nonzero(kept, axis=-1), starts, axis=1)
-        rx, stream, column = kept.nonzero()
-        entries = batch.columns[d.index[rx, stream], column]
-        places = rx[:, None] * length + d.slots[stream]
-        free = entries[:, -1]
-        squares += np.bincount(places[:, -1], free.real**2 + free.imag**2, K * length)
-        dims.append(_FlatDim(d, batch, desired, places, entries))
-    return ranks, tops, np.sqrt(squares).reshape(K, length), dims
-
-
-def _flat_pass(plan: _Plan, batches, predictions, samples):
-    """Rank every receiver of a one-group config and decode its samples,
-    in one pass over the kept columns' entries; one record per receiver.
-
-    This is ``_receiver_pass`` with the free blocks read off their entries
-    (``_flat_columns``).  Each kept column has one free entry, so F_i F_i^H
-    is diagonal: F_i's singular values t are its row norms, and its
-    pseudo-inverse is F_i^H diag(1 / t^2).  The certificate is a count per
-    receiver: a free block has at most as many nonzero rows as kept
-    columns, so t above the cutoff of the stack's bound number the kept
-    columns exactly when every component's do.  A receiver whose
-    certificate fails (a fading block shorter than L, channels built by
-    hand) builds its component blocks for the values-only SVD alone, from
-    the plan's slot components, which nothing else reads.  The decode is
-    z = conj(a) b_f / t_f^2 for a kept column with free entry a on free
-    slot f, subtracted from the samples on its own slots, all receivers' in
-    one ``np.bincount`` per dim.
-    """
-    K, length = samples.shape
-    ranks, tops, norms, dims = _flat_columns(plan, batches)
-    desired = np.diagonal(ranks)
-    widths = np.array([b.slots.size for b in batches])
-    full = np.maximum(length, widths.sum() - widths)  # each stack's larger side
-    cutoff = full * _stack_bound(tops, full[:, None])[:, 0] * RANK_RTOL  # as _cutoff
-    combined = ranks.sum(axis=1) - desired  # the kept columns, where the certificate holds
-    certified = np.count_nonzero(norms > cutoff[:, None], axis=1) == combined
-    for rx in np.flatnonzero(~certified):  # a free block left the combined rank open
-        blocks = _component_blocks(length, batches, plan.components()[1][rx], rx)[1]
-        s = np.linalg.svd(blocks, compute_uv=False)
-        cutoff[rx] = _cutoff(s, full[rx])
-        combined[rx] = np.count_nonzero(s > cutoff[rx])
-        del blocks
-    above = norms > cutoff[:, None]
-    # pseudo-inverses weigh the values at or below their cutoff 0
-    live = np.where(above, norms, np.inf).ravel()
-    received, cancel = samples.ravel(), np.zeros(2 * K * length)
-    for d in dims:
-        free = d.places[:, -1]
-        z = received[free] / live[free] ** 2 * d.entries[:, -1].conj()
-        # each own entry times z, real and imaginary parts side by side
-        parts = (d.entries[:, :-1] * z[:, None]).view(float).ravel()
-        cancel += np.bincount((d.places[:, :-1, None] * 2 + (0, 1)).ravel(), parts, cancel.size)
-    values = samples - cancel.view(complex).reshape(K, length)
-    estimates = [None] * K
-    for d in dims:
-        p = d.plan
-        solved = _own_estimates(d.batch, p.own, d.desired, values[p.owner[:, None], p.slots])
-        for tx, start, count in zip(p.users, p.starts.tolist(), p.counts):
-            estimates[tx] = solved[start:start + count]
-    joint = desired + np.count_nonzero(above, axis=1)
-    return tuple(
-        _report(pred, samples[rx], row[rx], row[:rx] + row[rx + 1:], c, j, estimates[rx])
-        for rx, (pred, row, c, j) in enumerate(
-            zip(predictions, ranks.tolist(), combined.tolist(), joint.tolist())
-        )
     )
 
 
@@ -1029,17 +1010,20 @@ def verify_receivers(
     noise_scale: float = 0.0,
     noise_seed: int | np.random.SeedSequence | None = None,
 ) -> tuple[ReceiverReport, ...]:
-    """One record per receiver, group-major, from one pass each.
+    """One record per receiver, group-major, from one pass over them all.
 
     Each record ranks the desired block, each interferer's block, all
     interference stacked and [desired | interference] against predictions
     that assume one fading block per supersymbol; shorter coherence shows
-    up as measured > predicted.  The slot components of every receiver
-    are found once, from the config's counts alone, and the distinct stream
-    blocks of all (rx, tx) pairs are decomposed in one batched SVD per
-    dim; each receiver's pass then works component by component, and reads
-    the joint rank as the desired rank plus the rank of the interference
-    without the receiver's own rows (see ``_receiver_pass``).
+    up as measured > predicted.  The distinct stream blocks of all (rx, tx)
+    pairs are decomposed in one batched SVD per dim, and one rank step
+    reads every receiver's ranks and kept columns off them.  The pass then
+    takes the free blocks' singular values from their row norms for one
+    group, or from a thin SVD per receiver, component by component,
+    otherwise; that is its one branch.  It reads the joint rank as the
+    desired rank plus the rank of the interference without the receiver's
+    own rows, and decodes every receiver in one tail (see
+    ``_receiver_pass``).
     ``symbols[tx]`` has the shape of ``pattern.streams[tx]``: row s is
     stream s's symbol vector.  Each record also holds its receiver's
     samples and their decode.  Noise, when requested, is CN(0, 1) scaled
@@ -1072,8 +1056,8 @@ def verify_receivers(
         raise ValueError("channels must hold each (rx, tx) pair's (blocks, used rx, used tx) "
                          "gains, enough blocks to cover the supersymbol")
     plan = _verify_plan(pattern, coherence)
-    batches = _stream_batches(plan, channels)
-    samples = _received(batches, sources, pattern.length)
+    draws = _stream_batches(plan, channels)
+    samples = _received(plan, draws, sources)
     # a huge finite noise scale overflows the samples, so their decode reads
     # inf or NaN, which is the decode's answer, not a fault; the ranks never
     # read the samples
@@ -1084,11 +1068,4 @@ def verify_receivers(
             noise = np.random.default_rng(noise_seed).standard_normal(shape)
             samples += noise_scale * (noise[:, 0] + 1j * noise[:, 1]) / 2**0.5
             del noise
-        predictions = rank_predictions(pattern.config)
-        if _orthogonal_free_rows(pattern.config):
-            return _flat_pass(plan, batches, predictions, samples)
-        layouts = plan.components()[1]
-        return tuple(
-            _receiver_pass(batches, layouts[rx], rx, pred, samples[rx])
-            for rx, pred in enumerate(predictions)
-        )
+        return _receiver_pass(plan, draws, rank_predictions(pattern.config), samples)

@@ -80,3 +80,22 @@ def test_bench_imports_only_exported_names():
         }
     assert {"GroupingConfig", "enumerate_configs", "rank_predictions"} <= imported
     assert sorted(imported - set(biasym.__all__)) == []
+
+
+def test_only_the_cutoff_reads_the_rank_tolerance():
+    # one cutoff formula for every rank: each read of RANK_RTOL in the
+    # package lies inside signal._cutoff
+    reads, inside = [], []
+    for path in sorted(Path(biasym.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = [
+                sub for sub in ast.walk(node)
+                if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+                and "RANK_RTOL" in (getattr(sub, "id", None), getattr(sub, "attr", None))
+            ]
+            if isinstance(node, ast.Module):
+                reads += [(path.name, sub.lineno) for sub in names]
+            elif isinstance(node, ast.FunctionDef) and node.name == "_cutoff" and path.name == "signal.py":
+                inside += [(path.name, sub.lineno) for sub in names]
+    assert inside and sorted(reads) == sorted(inside)

@@ -149,7 +149,7 @@ class TestExitCodes:
         _verify_estimate.cache_clear()
         for _ in range(2):
             assert main(["verify", "--modes", "5,5,5,5", "--flat"]) == 2
-        refusal = "invalid config: verify needs about 0.000662 GiB, above the 0.000488 GiB limit\n"
+        refusal = "invalid config: verify needs about 0.000677 GiB, above the 0.000488 GiB limit\n"
         assert capsys.readouterr().err == 2 * refusal
         info = _verify_estimate.cache_info()
         assert (info.misses, info.hits) == (1, 1)

@@ -44,7 +44,7 @@ from biasym import patterns, signal
 from biasym.signal import (
     _component_blocks,
     _component_shapes,
-    _flat_columns,
+    _kept_columns,
     _slot_components,
     _stream_batches,
     _stream_block_counts,
@@ -78,13 +78,34 @@ def small_configs():
         GroupingConfig.flat([3, 2]),
         GroupingConfig.flat([6, 6, 4, 4], used=[3, 2, 2, 2]),
         GroupingConfig.flat([4]),
+        # nine users, dims 6 and 4: a receiver with eight interferers
+        GroupingConfig.grouped([6, 4, 4] * 3, [[0, 1, 2], [3, 4, 5], [6, 7, 8]], [2, 2, 2]),
     ]
 
 
 def stream_batches(pattern, ch):
-    """The stream blocks of a verify of ``pattern`` on ``ch``, read through
-    the pattern's plan at the channels' coherence length."""
-    return _stream_batches(_verify_plan(pattern, ch.coherence_length), ch)
+    """Per transmitter of a verify of ``pattern`` on ``ch``, (draw, index):
+    the ``_Draw`` of its dim and ``index[rx, s]``, its stream s's block at
+    rx among the draw's, read through the pattern's plan at the channels'
+    coherence length."""
+    plan = _verify_plan(pattern, ch.coherence_length)
+    draws = _stream_batches(plan, ch)
+    out = []
+    for j, u in plan.at:
+        d = plan.dims[j]
+        out.append((draws[j], d.index[:, d.starts[u]:d.starts[u] + d.counts[u]]))
+    return out
+
+
+def kept_columns(pattern, ch):
+    """(plan, ranks, tops, kept, bounds) of a verify of ``pattern`` on
+    ``ch``: the rank step's output and every receiver's stack bound, as the
+    receiver pass takes them."""
+    plan = _verify_plan(pattern, ch.coherence_length)
+    ranks, tops, _, kept = _kept_columns(plan, _stream_batches(plan, ch))
+    widths = np.array([s.size for s in pattern.streams])
+    full = np.maximum(pattern.length, widths.sum() - widths)
+    return plan, ranks, tops, kept, signal._stack_bound(tops, full[:, None])
 
 
 def svd_calls(monkeypatch) -> list:
@@ -256,8 +277,8 @@ class TestEffectiveMatrix:
         # pass decomposes on their slots, and zeros everywhere else
         ch = draw_channels(example_config, None, 2)
         slots = example_pattern.streams[0]
-        batch = stream_batches(example_pattern, ch)[0]
-        gains = batch.gains[batch.index[0]]
+        draw, index = stream_batches(example_pattern, ch)[0]
+        gains = draw.gains[index[0]]
         block = effective_block(example_pattern, ch, 0, 0).reshape(15, len(slots), -1)
         for s, stream in enumerate(slots):
             np.testing.assert_array_equal(block[stream, s], gains[s])
@@ -295,63 +316,55 @@ class TestEffectiveMatrix:
                 for rx in range(8) for tx, f in enumerate(fading)
             )
 
-        def rest(coherence, entry):
-            # the distinct stream blocks (gains, U, Vh and U*S), the channels
-            # (4 x 4 per pair and fading block), the plan's stream slots,
-            # owners and own blocks, and each (rx, stream)'s index; the
-            # samples with noise added in place; the physical modes and the
-            # users' two per-slot level modes, 3 integers per user and slot.
-            # Where the slot components are built (not in the entry pass),
-            # every stream slot's row at every receiver and the slot labels
+        def rest(coherence):
+            # in words of 8 bytes, an integer or half a complex entry: the
+            # distinct stream blocks (gains, U, Vh and U*S) and the channels
+            # (4 x 4 per pair and fading block); the samples with noise
+            # added in place, and the physical modes and the users' two
+            # per-slot level modes, 3 integers per user and slot; the plan's
+            # stream slots, owners and own blocks, and each (rx, stream)'s
+            # index.  Below the coherence length a receiver whose
+            # certificate fails builds the slot components, labels and rows
             channels = -(-length // coherence) * 64 * 16
             resident = (
-                4 * 16 * distinct(coherence) + channels + 8 * (columns + 2 * streams) // 2
-                + 64 * ((streams + (0 if entry else columns)) // 2)
-                + (3 if entry else 4) * 8 * length + 3 * 8 * length // 2
+                8 * 16 * distinct(coherence) + 2 * channels + 9 * 8 * length
+                + 8 * (columns + 2 * streams) + 64 * streams
+                + (0 if coherence == length else 2 * 8 * length)
             )
-            # the stream stage's copy of the channels and, per (rx, stream),
-            # 4 + 6 integers of key, one key row at a time, sort order,
-            # running count and index
-            return resident + channels + 64 * (columns + 6 * streams) // 2
-
-        def entry_pass():
-            # one group at one fading block: the 8 * 3^7 streams each keep
-            # one column at each of the 7 other receivers, held to the end
-            # as 4 complex entries and 4 integer places (half an entry
-            # each); then the larger of the decode, 1 entry per kept column
-            # (z) and 2.5 per own entry (their products with z and the
-            # bincount index, a doubled copy over a halved one), and the
-            # desired solve, each stream's 4 x 4 block and 3 x 4 values;
-            # and 3 L entries per receiver: its norms and pseudo-inverse
-            # weights (half an entry each), cancelled interference, and a
-            # bincount's output or the values
-            n = 8 * streams
-            kept = 7 * n
-            held = 1.5 * kept * 4
-            decode = kept + 2.5 * kept * 3
-            solve = n * 4 * 7
-            return int(held + max(decode, solve)) + 3 * 8 * length
+            # the draw's normal draws, index arrays and complex parts (3.5
+            # times the channels at its peak), the stream stage's copy of
+            # the channels and, per (rx, stream), 4 + 6 integers of key, one
+            # key row at a time, sort order, running count and index
+            return resident + 7 * channels + 64 * (columns + 6 * streams)
 
         def working_set(kept, coherence):
-            width = -(-kept // count)  # kept columns per component
-            blocks = count * size * width
-            # below the coherence length the pass keeps the dense count: the
-            # component blocks, the closed form's vectors (row norms,
-            # weighted samples, solutions) and the values-only SVD
-            closed_form = 2 * count * (free + width)
-            values_only = copy_and_workspace(size, width)
-            return 16 * (blocks + closed_form + values_only + rest(coherence, False))
+            # the kept columns, of all 8 receivers, held to the end as 4
+            # complex entries and 4 integer places each; then the largest
+            # stage: the decode, 1 entry per kept column (z) and 2.5 per own
+            # entry (their products with z and the bincount index, a doubled
+            # copy over a halved one), the desired solve, each stream's 4 x 4
+            # block and 3 x 4 values, and below the coherence length a
+            # failing receiver's component blocks and values-only SVD; and
+            # 3 L entries per receiver: its norms and pseudo-inverse weights
+            # (half an entry each), cancelled interference, and a
+            # bincount's output or the values
+            stages = [2 * kept + 5 * kept * 3, 2 * 8 * streams * 4 * 7]
+            if coherence < length:
+                width = -(-kept // 8 // count)  # kept columns per component
+                stages.append(2 * (count * size * width + copy_and_workspace(size, width)))
+            return 8 * (3 * kept * 4 + max(stages) + 6 * 8 * length + rest(coherence))
 
         # ideal fading: no dense block at all, and 8 * (1 + 7 * 3) stream
-        # blocks are distinct
+        # blocks are distinct; the 8 * 3^7 streams each keep one column at
+        # each of the 7 other receivers
         assert distinct(length) == 176
-        expected = 16 * (entry_pass() + rest(length, True))
+        expected = working_set(8 * 7 * streams, length)
         assert receiver_memory_bytes(config) == expected
         assert 55 * 2**20 < expected < 70 * 2**20  # was 1.71 GiB with the dense blocks
         # with a fading block shorter than L, every interfering column counts;
         # the hold segment of user 5 crosses one boundary fewer than the others
         assert distinct(100) == 8 * 218 * (1 + 7 * 3) - 22
-        assert receiver_memory_bytes(config, 100) == working_set(7 * columns, 100)
+        assert receiver_memory_bytes(config, 100) == working_set(8 * 7 * columns, 100)
         assert receiver_memory_bytes(config, 100) > 3 * 2**30
 
     @pytest.mark.parametrize("config,coherence", [
@@ -359,15 +372,17 @@ class TestEffectiveMatrix:
         (GroupingConfig.flat((4,) * 8), None),
         (GroupingConfig.flat((6, 6, 6, 6)), 100),
         (GroupingConfig((12,) * 4, (12, 12, 12, 6), ((0,), (1,), (2,), (3,)), (6, 6, 6, 3)), 10),
+        (GroupingConfig.flat((5, 5, 5, 5)), 1),
     ], ids=["flat-3x8-ideal", "flat-4x8-ideal", "flat-6666-coherence-100",
-            "grouped-12x4-coherence-10"])
+            "grouped-12x4-coherence-10", "flat-5555-coherence-1"])
     def test_memory_estimate_bounds_measured_growth(self, config, coherence):
         # one verify pass in a fresh interpreter: the growth of its peak RSS
         # stays below the estimate, within a factor 3.  At ideal fading the
         # flat configs hold no dense block, only the entry pass (about 2 and
         # 55 MiB of growth); below its coherence length (6,6,6,6) takes the
         # values-only SVD, and the grouped config the thin SVD and then the
-        # values-only one, with Vh held
+        # values-only one, with Vh held.  At one slot per fading block the
+        # peak of flat (5,5,5,5) is its channel draw's (3 MiB of channels)
         fields = (config.equipped, config.used, config.groups, config.group_mode_counts)
         script = f"""
 import os, sys
@@ -902,20 +917,19 @@ class TestCompressedInterference:
     def test_component_blocks_keep_nonzero_spectrum(self, cfg, coherence):
         pattern = grouped_pattern(cfg)
         ch = draw_channels(cfg, coherence, 8)
-        plan = _verify_plan(pattern, ch.coherence_length)
-        batches = _stream_batches(plan, ch)
+        plan, ranks, _, kept, _ = kept_columns(pattern, ch)
         layouts = plan.components()[1]
         K = cfg.num_users
         for rx, layout in enumerate(layouts):
-            ranks, blocks, width, columns, _ = _component_blocks(
-                pattern.length, batches, layout, rx
-            )
+            blocks, columns = _component_blocks(plan, kept, rx)
+            ranks_rx = [ranks[rx, tx] for tx in range(K) if tx != rx]
+            width = sum(s.size for tx, s in enumerate(pattern.streams) if tx != rx)
             interference = [effective_block(pattern, ch, rx, tx) for tx in range(K) if tx != rx]
-            assert ranks == [matrix_rank(b) for b in interference]
+            assert ranks_rx == [matrix_rank(b) for b in interference]
             assert blocks.shape[:2] == (layout.count, layout.size)
             assert width == sum(b.shape[1] for b in interference)
             # every kept column is counted once, in its own component
-            assert columns.shape == (layout.count,) and columns.sum() == sum(ranks)
+            assert columns.shape == (layout.count,) and columns.sum() == sum(ranks_rx)
             assert blocks.shape[2] == columns.max(initial=0)
             for block, real in zip(blocks, columns.tolist()):
                 assert block[:, :real].any(axis=0).all() and not block[:, real:].any()
@@ -926,10 +940,10 @@ class TestCompressedInterference:
             rank = matrix_rank(stack)
             full = np.linalg.svd(stack, compute_uv=False)
             # a block-diagonal matrix has the union of its blocks' singular values
-            kept = np.sort(np.linalg.svd(blocks, compute_uv=False).ravel())[::-1]
-            np.testing.assert_allclose(kept[:rank], full[:rank], rtol=0, atol=1e-10 * full[0])
+            spectrum = np.sort(np.linalg.svd(blocks, compute_uv=False).ravel())[::-1]
+            np.testing.assert_allclose(spectrum[:rank], full[:rank], rtol=0, atol=1e-10 * full[0])
             # the rest of the components' spectra is below the full stack's cutoff
-            assert np.all(kept[rank:] <= max(stack.shape) * full[0] * 1e-10)
+            assert np.all(spectrum[rank:] <= max(stack.shape) * full[0] * 1e-10)
 
     @staticmethod
     def check_stream_blocks(pattern, ch):
@@ -938,14 +952,14 @@ class TestCompressedInterference:
         batches = stream_batches(pattern, ch)
         for rx in range(len(batches)):
             seq = physical_seq(pattern, rx)
-            for tx, batch in enumerate(batches):
-                for slots, i in zip(pattern.streams[tx], batch.index[rx].tolist()):
+            for tx, (draw, index) in enumerate(batches):
+                for slots, i in zip(pattern.streams[tx], index[rx].tolist()):
                     block = np.array([channel_row(ch, rx, tx, t + 1, seq[t]) for t in slots])
                     u, s, vh = np.linalg.svd(block)
-                    np.testing.assert_array_equal(batch.gains[i], block, strict=True)
-                    np.testing.assert_array_equal(batch.values[i], s, strict=True)
-                    np.testing.assert_array_equal(batch.columns[i], (u * s).T, strict=True)
-                    np.testing.assert_array_equal(batch.vh[i], vh, strict=True)
+                    np.testing.assert_array_equal(draw.gains[i], block, strict=True)
+                    np.testing.assert_array_equal(draw.values[i], s, strict=True)
+                    np.testing.assert_array_equal(draw.columns[i], (u * s).T, strict=True)
+                    np.testing.assert_array_equal(draw.vh[i], vh, strict=True)
 
     @pytest.mark.parametrize("cfg,coherence", [
         *stream_block_setups(), *((cfg, 1) for cfg in small_configs()),
@@ -987,21 +1001,20 @@ class TestCompressedInterference:
         one ``_stream_batches`` call, after checking that it makes one SVD
         call per distinct dim, whose arrays that dim's transmitters share,
         and that every distinct block is some (rx, stream)'s."""
-        plan = _verify_plan(pattern, ch.coherence_length)
         calls = svd_calls(monkeypatch)
-        batches = _stream_batches(plan, ch)
+        batches = stream_batches(pattern, ch)
         shapes = [shape for _, shape in calls]
-        dims = sorted({b.slots.shape[1] for b in batches})
+        dims = sorted({slots.shape[1] for slots in pattern.streams})
         assert [shape[1:] for shape in shapes] == [(dim, dim) for dim in dims]
         for dim, shape in zip(dims, shapes):
-            same = [b for b in batches if b.slots.shape[1] == dim]
+            same = [(d, i) for (d, i), s in zip(batches, pattern.streams) if s.shape[1] == dim]
             for name in ("gains", "values", "columns", "vh"):
-                assert all(getattr(b, name) is getattr(same[0], name) for b in same)
-            assert len(same[0].gains) == shape[0]
+                assert all(getattr(d, name) is getattr(same[0][0], name) for d, _ in same)
+            assert len(same[0][0].gains) == shape[0]
             np.testing.assert_array_equal(
-                np.unique(np.concatenate([b.index for b in same], axis=1)), np.arange(shape[0])
+                np.unique(np.concatenate([i for _, i in same], axis=1)), np.arange(shape[0])
             )
-        return [shape[0] for shape in shapes], sum(b.index.size for b in batches)
+        return [shape[0] for shape in shapes], sum(i.size for _, i in batches)
 
     @pytest.mark.parametrize("modes", [(6, 6, 4, 4), (6, 6, 6, 4, 4, 4), (4, 6, 4, 6), (9, 6), (8, 8, 8)])
     def test_closed_form_block_counts_bound_the_built_ones(self, modes):
@@ -1017,7 +1030,7 @@ class TestCompressedInterference:
                 ch = draw_channels(cfg, coherence, 1)
                 batches = stream_batches(pattern, ch)
                 built = np.array([
-                    [len(np.unique(b.index[rx])) for b in batches] for rx in range(len(batches))
+                    [len(np.unique(i[rx])) for _, i in batches] for rx in range(len(batches))
                 ])
                 bound = np.array(_stream_block_counts(cfg, coherence))
                 if coherence in (None, 1):
@@ -1026,22 +1039,35 @@ class TestCompressedInterference:
             checked += 1
         assert checked >= 20
 
-    def test_cutoffs_keep_full_shapes(self, example_pattern, monkeypatch):
+    @pytest.mark.parametrize("config", [
+        GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2]),
+        GroupingConfig.flat([6, 6, 4, 4], used=[3, 2, 2, 2]),
+    ], ids=str)
+    def test_cutoffs_keep_full_shapes(self, config, monkeypatch):
         # per receiver: its desired block, each interferer's block and the
-        # interference stack, each cut at the larger side of the full matrix
-        sizes = []
+        # interference stack, each cut at the larger side of the full matrix,
+        # by the one cutoff both passes share: one call per dim for every
+        # (rx, tx) block, then one for every receiver's stack
+        calls = []
         cutoff = signal._cutoff
-        monkeypatch.setattr(signal, "_cutoff", lambda s, size: sizes.append(size) or cutoff(s, size))
-        ch = draw_channels(example_pattern.config, None, 1)
-        verify_receivers(example_pattern, ch, random_symbols(example_pattern))
-        L = example_pattern.length
-        widths = [s.size for s in example_pattern.streams]
-        expected = []
+        monkeypatch.setattr(signal, "_cutoff", lambda s, size: calls.append(
+            np.broadcast_to(size, np.shape(s)[:-1])
+        ) or cutoff(s, size))
+        pattern = grouped_pattern(config)
+        verify_receivers(pattern, draw_channels(config, None, 1), random_symbols(pattern))
+        plan = _verify_plan(pattern, None)
+        *blocks, stacks = calls
+        K, L = config.num_users, pattern.length
+        sizes = np.zeros((K, K), dtype=int)
+        for d, seen in zip(plan.dims, blocks, strict=True):
+            sizes[:, d.users] = seen
+        widths = [s.size for s in pattern.streams]
         for rx, own in enumerate(widths):
-            expected.append(max(L, own))
-            expected.extend(max(L, w) for tx, w in enumerate(widths) if tx != rx)
-            expected.append(max(L, sum(widths) - own))
-        assert sizes == expected
+            assert sizes[rx, rx] == max(L, own)
+            assert [sizes[rx, tx] for tx in range(K) if tx != rx] == [
+                max(L, w) for tx, w in enumerate(widths) if tx != rx
+            ]
+            assert stacks[rx] == max(L, sum(widths) - own)
         assert max(L, sum(widths) - widths[0]) > L  # the stack is wider than L
 
 
@@ -1074,22 +1100,20 @@ class TestRankCertificate:
         # with one interferer the two are equal in exact arithmetic; the
         # bound's rounding margin puts it at or above both computed values
         pattern = grouped_pattern(cfg)
-        plan = _verify_plan(pattern, coherence)
-        layouts = plan.components()[1]
         K = cfg.num_users
         for seed in range(10, 40):
             ch = draw_channels(cfg, coherence, seed)
-            batches = _stream_batches(plan, ch)
-            # the entry pass takes its bound from the same largest stream
-            # singular values, 0 for a receiver's own
-            tops = cfg.num_groups == 1 and _flat_columns(plan, batches)[1]
-            for rx, layout in enumerate(layouts):
-                _, blocks, *_, bound = _component_blocks(pattern.length, batches, layout, rx)
+            plan, _, tops, kept, bounds = kept_columns(pattern, ch)
+            batches = stream_batches(pattern, ch)
+            for rx in range(K):
+                blocks = _component_blocks(plan, kept, rx)[0]
+                bound = bounds[rx]
                 assert bound.shape == (1,)
-                if tops is not False:
-                    largest = [b.values[b.index[rx]].max() for b in batches]
-                    largest[rx] = 0.0
-                    np.testing.assert_array_equal(tops[rx], largest)
+                # the bound comes from the largest stream singular values, 0
+                # for a receiver's own
+                largest = [d.values[i[rx]].max() for d, i in batches]
+                largest[rx] = 0.0
+                np.testing.assert_array_equal(tops[rx], largest)
                 if K == 1:
                     assert bound[0] == 0.0
                     continue
@@ -1263,12 +1287,11 @@ class TestClosedFormFreeBlocks:
             fading = max(1, length // 2) if coherence == "half" else coherence
             ch = draw_channels(cfg, fading, 17)
             symbols = random_symbols(pattern, 18)
-            plan = _verify_plan(pattern, ch.coherence_length)
-            batches = _stream_batches(plan, ch)
-            norms = _flat_columns(plan, batches)[2]
+            plan, _, _, kept, _ = kept_columns(pattern, ch)
+            norms = signal._row_norms(kept, cfg.num_users, length)
             layouts = plan.components()[1]
             for rx, layout in enumerate(layouts):
-                _, blocks, *_ = _component_blocks(length, batches, layout, rx)
+                blocks = _component_blocks(plan, kept, rx)[0]
                 free = blocks[:, :layout.size - layout.own]
                 # the entry pass's norms of the free rows, slot by slot
                 slots = layout.order[:layout.count * layout.size].reshape(layout.count, layout.size)
@@ -1301,9 +1324,9 @@ class TestClosedFormFreeBlocks:
         built = []
         blocks = signal._component_blocks
 
-        def recorded(length, batches, layout, rx):
+        def recorded(plan, kept, rx):
             built.append(rx)
-            return blocks(length, batches, layout, rx)
+            return blocks(plan, kept, rx)
 
         monkeypatch.setattr(signal, "_component_blocks", recorded)
         return built
@@ -1339,14 +1362,14 @@ class TestClosedFormFreeBlocks:
         # in the supersymbol (u1.1 and u2.1 of three) or one interferer is
         # weak (u1.1)
         length = pattern.length
-        plan = _verify_plan(pattern, ch.coherence_length)
-        batches = _stream_batches(plan, ch)
+        plan, _, _, kept, bounds = kept_columns(pattern, ch)
         fails = []
         layouts = plan.components()[1]
         for rx, layout in enumerate(layouts):
-            _, blocks, width, columns, bound = _component_blocks(length, batches, layout, rx)
+            blocks, columns = _component_blocks(plan, kept, rx)
+            width = sum(s.size for tx, s in enumerate(pattern.streams) if tx != rx)
             free = np.linalg.svd(blocks[:, :layout.size - layout.own], compute_uv=False)
-            cutoff = max(length, width) * bound[0] * 1e-10
+            cutoff = max(length, width) * bounds[rx, 0] * 1e-10
             if not np.array_equal(np.count_nonzero(free > cutoff, axis=-1), columns):
                 fails.append(rx)
         built = self.dense_builds(monkeypatch)
@@ -1447,7 +1470,10 @@ class TestDecode:
 
 
 class TestVerifyReceivers:
-    """The one pass ``biasym verify`` and ``sweep --verify`` run per receiver."""
+    """The one verify skeleton ``biasym verify`` and ``sweep --verify`` run:
+    one rank step, one cutoff, one branch point for the free blocks'
+    singular values (row norms with one group, a thin SVD per receiver
+    otherwise), one fallback and one decode."""
 
     @pytest.mark.parametrize("cfg", [
         GroupingConfig.grouped([6, 6, 4, 4], [[0, 2], [1, 3]], [2, 2]),
@@ -1482,8 +1508,8 @@ def held_bytes(pattern) -> int:
     for plan in pattern._plans.values():
         arrays += [getattr(d, name) for d in plan.dims for name in PLAN_ARRAYS]
         if plan._components is not None:
-            position, layouts, rows = plan._components
-            arrays += [position, layouts[0].order.base, *rows]
+            position, layouts = plan._components
+            arrays += [position, layouts[0].order.base]
     return sum(a.nbytes for a in arrays)
 
 
@@ -1581,8 +1607,8 @@ class TestVerifyPlans:
     def test_plan_arrays_are_read_only_and_counted(self, config):
         plan = _verify_plan(grouped_pattern(config), None)
         dims = [getattr(d, name) for d in plan.dims for name in PLAN_ARRAYS]
-        position, layouts, rows = plan.components()
-        built = [position, layouts[0].order.base, *rows]
+        position, layouts = plan.components()
+        built = [position, layouts[0].order.base]
         for a in [*dims, *built, *(layout.order for layout in layouts)]:
             assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -1612,10 +1638,10 @@ class TestVerifyPlans:
 
     def test_the_cache_holds_no_more_than_its_bound(self, example_config, monkeypatch):
         # charges (pattern and ideal-fading plan, bytes): flat (4,4,4,4)
-        # 51,456, the example 4,128, flat (3,3,3) 4,248 and flat (5,5,5,5)
-        # 141,408, of which its pattern is 43,040
-        monkeypatch.setattr(patterns, "PATTERN_CACHE_BYTES", 58_000)
-        flat4, flat3, flat5 = (GroupingConfig.flat(m) for m in ([4] * 4, [3] * 3, [5] * 4))
+        # 37,632, the example 3,232, flat (3,3,3) 3,384 and flat (7,7,7)
+        # 49,752, of which its pattern is 21,624
+        monkeypatch.setattr(patterns, "PATTERN_CACHE_BYTES", 42_000)
+        flat4, flat3, flat7 = (GroupingConfig.flat(m) for m in ([4] * 4, [3] * 3, [7] * 3))
         steps = [
             (flat4, [flat4]),
             (example_config, [flat4, example_config]),
@@ -1623,7 +1649,7 @@ class TestVerifyPlans:
             (flat3, [flat4, flat3]),  # the least recent goes first
             # its pattern fits and pushes flat (4,4,4,4) out; with its plan it
             # does not fit, so it goes too
-            (flat5, [flat3]),
+            (flat7, [flat3]),
         ]
         for config, kept in steps:
             pattern = grouped_pattern(config)
@@ -1631,7 +1657,7 @@ class TestVerifyPlans:
             cache = patterns._CACHE
             assert list(cache.patterns) == kept
             info = patterns._cache_info()
-            assert info.bytes == sum(cache.charges.values()) <= 58_000
+            assert info.bytes == sum(cache.charges.values()) <= 42_000
             assert info.patterns == info.plans == len(kept)
             for pattern in cache.patterns.values():
                 assert held_bytes(pattern) <= cache.charges[pattern.config]
